@@ -86,15 +86,14 @@ def _cmd_check(args) -> int:
         raise UserError("need a second protocol file or --identity N")
 
     try:
-        verdict = checker.check_equivalence(lhs, rhs, budget=args.budget, jobs=args.jobs)
+        verdict = checker.check_equivalence(lhs, rhs, budget=args.budget)
     except checker.ArityMismatchError as exc:
         raise UserError(str(exc)) from None
     except checker.BudgetExceededError as exc:
         raise UserError(str(exc)) from None
 
     if args.verify:
-        for ast in (lhs, rhs):
-            exact = checker.fingerprint(ast, budget=args.budget)
+        for ast, exact in zip((lhs, rhs), verdict.fingerprints):
             oracle = checker.fingerprint_dense(ast)
             table = np.array([[float(v) for v in row] for row in exact.table])
             err = float(np.max(np.abs(table - oracle)))
@@ -277,7 +276,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("rhs", nargs="?", help="second protocol file")
     p_check.add_argument("--identity", type=int, metavar="N", help="compare against the N-qubit identity")
     p_check.add_argument("--verify", action="store_true", help="cross-check fingerprints against the dense oracle")
-    p_check.add_argument("--jobs", type=int, default=1, metavar="N", help="parallelism hint for fingerprint rows")
     p_check.add_argument("--budget", type=int, default=checker.DEFAULT_BUDGET, metavar="K",
                          help="maximum number of exact fingerprint entries")
     p_check.set_defaults(func=_cmd_check)

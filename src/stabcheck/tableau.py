@@ -348,25 +348,55 @@ def expectation(t: Tableau, obs: PauliString) -> int:
     raise AssertionError("phase mismatch between Hermitian Paulis")
 
 
+def supported_subgroup(t: Tableau, wires: int) -> list[PauliString]:
+    """Generators of the stabilizer elements that act as I off a wire mask.
+
+    The rows are reduced by GF(2) elimination on the columns outside wires,
+    pivoting on each reduced row's highest bit as _gf2_rank does; the rows
+    left with no support there generate the subgroup, signs included.  It
+    has at most 2^popcount(wires) elements.
+    """
+    off = ((1 << t.n) - 1) & ~wires
+    pivots: list[tuple[int, PauliString]] = []
+    generators: list[PauliString] = []
+    for row in t.stabilizers:
+        key = ((row.x_bits & off) << t.n) | (row.z_bits & off)
+        for pivot_key, pivot in pivots:
+            if key ^ pivot_key < key:
+                key ^= pivot_key
+                row = row * pivot
+        if key:
+            pivots.append((key, row))
+        else:
+            generators.append(row)
+    return generators
+
+
 def canonical_form(t: Tableau) -> tuple[PauliString, ...]:
     """Deterministic reduced echelon basis of the stabilizer group.
 
     Equal states produce identical tuples (signs included); the trace and
     the destabilizers play no part.
     """
+    n = t.n
     rows = list(t.stabilizers)
+    # Column col of the elimination (X of each qubit, then Z) is bit col of a key.
+    keys = [r.x_bits | r.z_bits << n for r in rows]
     rank = 0
-    for col in range(2 * t.n):
-        if col < t.n:
-            bit = lambda r: (r.x_bits >> col) & 1
+    for col in range(2 * n):
+        if rank == n:
+            break
+        bit = 1 << col
+        for pivot in range(rank, n):
+            if keys[pivot] & bit:
+                break
         else:
-            bit = lambda r: (r.z_bits >> (col - t.n)) & 1
-        pivot = next((i for i in range(rank, t.n) if bit(rows[i])), None)
-        if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(t.n):
-            if i != rank and bit(rows[i]):
+        keys[rank], keys[pivot] = keys[pivot], keys[rank]
+        for i in range(n):
+            if i != rank and keys[i] & bit:
+                keys[i] ^= keys[rank]
                 rows[i] = rows[i] * rows[rank]
         rank += 1
     return tuple(rows)

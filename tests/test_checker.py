@@ -124,10 +124,6 @@ class TestFingerprint:
         with pytest.raises(BudgetExceededError):
             fingerprint(builtin_identity(2), budget=100)
 
-    def test_jobs_do_not_change_the_table(self):
-        ast = load("teleport.qpr")
-        assert fingerprint(ast, jobs=4) == fingerprint(ast)
-
     def test_identity_2_equals_double_x(self):
         src = (
             "protocol xx { qubit a: input; qubit b: input;"

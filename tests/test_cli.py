@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, reports, JSON stability."""
 
 import json
+import time
 
 import pytest
 
@@ -47,10 +48,6 @@ class TestCheck:
         code, _, _ = run_cli(capsys, "check", TELEPORT, "--identity", "1", "--verify")
         assert code == 0
 
-    def test_jobs_flag(self, capsys):
-        code, _, _ = run_cli(capsys, "check", TELEPORT, "--identity", "1", "--jobs", "4")
-        assert code == 0
-
     def test_parse_error_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad_syntax.qpr"
         bad.write_text("protocol p { qubit a: input output a; }")
@@ -80,6 +77,18 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", TELEPORT, "--identity", "1", "--budget", "4")
         assert code == 2
         assert "budget" in err
+
+    def test_deep_measurement_chain(self, capsys, tmp_path):
+        # 1,100 random measurements of one ancilla: the branch walk once
+        # recursed per measurement and exited 3 past the recursion limit.
+        decls = "".join(f"  cbit c{k};\n" for k in range(1100))
+        body = "".join(f"  H a;\n  measure a -> c{k};\n" for k in range(1100))
+        deep = tmp_path / "deep.qpr"
+        deep.write_text("protocol deep {\n  qubit psi: input;\n  qubit a: zero;\n" + decls + body + "  output psi;\n}\n")
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "check", str(deep), "--identity", "1")
+        assert time.perf_counter() - start < 5.0
+        assert code == 0 and "EQUIVALENT" in out
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["check"]) == 2

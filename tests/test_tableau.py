@@ -15,6 +15,7 @@ from stabcheck import (
     run_circuit,
     tensor,
 )
+from stabcheck.tableau import supported_subgroup
 from stabcheck.dense import pauli_expect_state, run_dense
 
 from helpers import (
@@ -211,6 +212,14 @@ class TestExpectation:
                 assert abs(dense_prob - float(prob)) < 1e-9
                 for obs in hermitian_paulis(n):
                     assert abs(pauli_expect_state(state, obs) - expectation(t, obs)) < 1e-9
+
+
+class TestSupportedSubgroup:
+    def test_bell_pair_beside_a_zero(self):
+        t = run_circuit(3, [("H", 0), ("CNOT", 0, 1)])
+        assert sorted(str(g) for g in supported_subgroup(t, 0b011)) == ["+XXI", "+ZZI"]
+        assert supported_subgroup(t, 0b001) == []
+        assert [str(g) for g in supported_subgroup(t, 0b100)] == ["+IIZ"]
 
 
 class TestCanonicalForm:
