@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 
 import numpy as np
 
@@ -24,14 +25,18 @@ from .tableau import (
     PauliString,
     Tableau,
     apply_gate,
+    apply_tableau,
     canonical_form,
-    expectation,  # no longer called here; perfbench/spans.py still wraps this name
     measure_z,
     new_zero_state,
+    run_circuit,
     supported_subgroup,
 )
 
 DEFAULT_BUDGET = 4 ** 10
+# The dense oracle holds every branch's state vector: up to 2^(wires +
+# measurements) amplitudes, 16 MB at this limit.
+DENSE_LIMIT = 2 ** 20
 
 _LETTERS = "IXYZ"
 # Output-Pauli digit (I, X, Y, Z = 0..3) of a wire's bits (x << 1) | z.  The
@@ -48,6 +53,14 @@ class BudgetExceededError(ValueError):
         super().__init__(f"fingerprint needs {work} exact entries, over the budget of {budget}")
         self.work = work
         self.budget = budget
+
+
+class DenseLimitError(ValueError):
+    def __init__(self, log_work: int):
+        super().__init__(
+            f"the dense oracle needs 2^(wires + measurements) = 2^{log_work} amplitudes, "
+            f"over its limit of 2^{DENSE_LIMIT.bit_length() - 1}"
+        )
 
 
 @dataclass(frozen=True)
@@ -86,12 +99,14 @@ class Verdict:
 class Program:
     """A validated protocol lowered to integer wire and classical-bit indices.
 
-    ops holds ("g", gate, wires), ("if", bit, gate, wires) and
-    ("m", wire, bit, reset).  reset is set when the measurement is the last
-    statement touching a wire that is not an output, so the wire is a
-    discarded Z eigenstate from then on.  drops[i] lists the bits that no
-    statement after ops[i] reads.  A branch's probability is an integer
-    weight over denominator, 2 to the number of measurements.
+    ops holds ("u", circuit), ("if", bit, gate, wires) and
+    ("m", wire, bit, reset).  circuit is the Tableau of one maximal run of
+    plain gates, composed once by run_circuit; its trace lists the run's
+    gates.  reset is set when the measurement is the last statement
+    touching a wire that is not an output, so the wire is a discarded Z
+    eigenstate from then on.  drops[i] lists the bits that no statement
+    after ops[i] reads.  A branch's probability is an integer weight over
+    denominator, 2 to the number of measurements.
     """
 
     n_wires: int
@@ -114,7 +129,11 @@ def lower(ast: ProtocolAST) -> Program:
     ops: list[tuple] = []
     for stmt in ast.body:
         if isinstance(stmt, GateStmt):
-            ops.append(("g", stmt.gate, tuple(wire[a.name] for a in stmt.args)))
+            gate = (stmt.gate, *(wire[a.name] for a in stmt.args))
+            if ops and ops[-1][0] == "u":
+                ops[-1][1].append(gate)
+            else:
+                ops.append(("u", [gate]))
         elif isinstance(stmt, IfGateStmt):
             ops.append(("if", bit[stmt.cbit.name], stmt.gate, tuple(wire[a.name] for a in stmt.args)))
         else:
@@ -123,24 +142,27 @@ def lower(ast: ProtocolAST) -> Program:
 
     # Backward pass: the first use met is the last use.  Outputs count as
     # used at the end, so they are never reset.
+    n_wires = len(ast.qubits)
     used_wires, used_bits = set(outputs), set()
     drops: list[tuple[int, ...]] = []
     for i in range(len(ops) - 1, -1, -1):
         op = ops[i]
+        if op[0] == "u":
+            used_wires.update(q for gate in op[1] for q in gate[1:])
+            ops[i] = ("u", run_circuit(n_wires, op[1]))
+            drops.append(())
+            continue
         if op[0] == "m":
             _, q, c, _ = op
             ops[i] = ("m", q, c, q not in used_wires)
             used_wires.add(q)
         else:
             used_wires.update(op[-1])
-            if op[0] == "g":
-                drops.append(())
-                continue
             c = op[1]
         drops.append(() if c in used_bits else (c,))
         used_bits.add(c)
     return Program(
-        n_wires=len(ast.qubits),
+        n_wires=n_wires,
         inputs=tuple(wire[name] for name in ast.input_names),
         outputs=outputs,
         cbits=tuple(c.name for c in ast.cbits),
@@ -169,9 +191,9 @@ def _walk(program: Program, input_prep: BasisCircuit, merge: bool) -> list[tuple
 
     live = [(program.denominator, t, (), {})]
     for op, drop in zip(program.ops, program.drops):
-        if op[0] == "g":
+        if op[0] == "u":
             for _, state, _, _ in live:
-                apply_gate(state, op[1], *op[2])
+                apply_tableau(state, op[1])
             continue
         if op[0] == "if":
             for _, state, _, bits in live:
@@ -268,6 +290,8 @@ def fingerprint(ast: ProtocolAST, budget: int | None = DEFAULT_BUDGET) -> Supero
     out_mask = sum(1 << w for w in program.outputs)
     shifts = [(w, 2 * (n_out - 1 - j)) for j, w in enumerate(program.outputs)]
     identity = PauliString.identity(program.n_wires)
+    # Tables hold few distinct values, so each Fraction is built once.
+    value = cache(partial(Fraction, denominator=program.denominator))
     table = []
     for circ in enumerate_basis(n_in):
         sums = [0] * 4 ** n_out
@@ -280,7 +304,7 @@ def fingerprint(ast: ProtocolAST, budget: int | None = DEFAULT_BUDGET) -> Supero
                 group += [(i ^ index, p * g) for i, p in group]
             for i, p in group:
                 sums[i] += weight * p.sign
-        table.append(tuple(Fraction(s, program.denominator) for s in sums))
+        table.append(tuple(map(value, sums)))
     return SuperopFingerprint(n_in, n_out, BASIS_ORDER_TAG, tuple(table))
 
 
@@ -314,6 +338,8 @@ def check_equivalence(
 
 def _run_dense(program: Program, input_state: np.ndarray) -> list[tuple[float, np.ndarray]]:
     n_total = program.n_wires
+    if program.denominator << n_total > DENSE_LIMIT:
+        raise DenseLimitError(n_total + program.denominator.bit_length() - 1)
     n_in = len(program.inputs)
     input_state = np.asarray(input_state, dtype=complex)
     if input_state.shape != (1 << n_in,):
@@ -327,27 +353,33 @@ def _run_dense(program: Program, input_state: np.ndarray) -> list[tuple[float, n
                 idx |= 1 << (n_total - 1 - pos)
         full[idx] = input_state[part]
 
+    # Depth first with outcome 0 before 1, from an explicit stack of
+    # (next op, state, probability, bits).
     results: list[tuple[float, np.ndarray]] = []
-
-    def walk(state: np.ndarray, index: int, prob: float, env: dict[int, int]) -> None:
-        for i in range(index, len(program.ops)):
+    stack = [(0, full, 1.0, {})]
+    while stack:
+        i, state, prob, env = stack.pop()
+        while i < len(program.ops):
             op = program.ops[i]
-            if op[0] == "g":
-                state = dense.apply_gate_dense(state, n_total, op[1], *op[2])
+            i += 1
+            if op[0] == "u":
+                for gate in op[1].trace:
+                    state = dense.apply_gate_dense(state, n_total, *gate)
             elif op[0] == "if":
                 if env[op[1]]:
                     state = dense.apply_gate_dense(state, n_total, op[2], *op[3])
             else:
+                forks = []
                 for bit in (0, 1):
                     try:
                         nxt, p = dense.project_z(state, n_total, op[1], bit)
                     except dense.ZeroProbabilityError:
                         continue
-                    walk(nxt, i + 1, prob * p, {**env, op[2]: bit})
-                return
-        results.append((prob, state))
-
-    walk(full, 0, 1.0, {})
+                    forks.append((i, nxt, prob * p, {**env, op[2]: bit}))
+                stack += reversed(forks)
+                break
+        else:
+            results.append((prob, state))
     return results
 
 

@@ -94,7 +94,10 @@ def _cmd_check(args) -> int:
 
     if args.verify:
         for ast, exact in zip((lhs, rhs), verdict.fingerprints):
-            oracle = checker.fingerprint_dense(ast)
+            try:
+                oracle = checker.fingerprint_dense(ast)
+            except checker.DenseLimitError as exc:
+                raise UserError(f"--verify on {ast.name}: {exc}") from None
             table = np.array([[float(v) for v in row] for row in exact.table])
             err = float(np.max(np.abs(table - oracle)))
             if err > dense.TOL:

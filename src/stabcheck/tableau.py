@@ -250,10 +250,43 @@ def apply_gate(t: Tableau, gate: str, *qubits: int) -> Tableau:
 
 
 def run_circuit(n: int, gates) -> Tableau:
-    """Prepare |0...0> and apply a sequence of ("gate", qubits...) tuples."""
+    """Prepare |0...0> and apply a sequence of ("gate", qubits...) tuples.
+
+    The rows are then the images of X_0..X_{n-1}, Z_0..Z_{n-1} under the
+    circuit, which is all apply_tableau needs to apply it in one step.
+    """
     t = new_zero_state(n)
     for g in gates:
         apply_gate(t, g[0], *g[1:])
+    return t
+
+
+def apply_tableau(t: Tableau, u: Tableau) -> Tableau:
+    """Conjugate every row by the circuit u = run_circuit(n, gates), in place.
+
+    A row i^ph X^x Z^z becomes i^ph * prod_{x_q} u.rows[q] * prod_{z_q}
+    u.rows[n+q], the X block before the Z block as in the encoding; the
+    result equals applying u's gates one by one, phase included.  The trace
+    is extended by u's gates.
+    """
+    n = t.n
+    if u.n != n:
+        raise ValueError(f"circuit on {u.n} qubit(s) applied to a tableau on {n}")
+    images = [(1 << (q % n), img.x_bits, img.z_bits, img.phase_exp) for q, img in enumerate(u.rows)]
+    x_images, z_images = images[:n], images[n:]
+    rows = []
+    for row in t.rows:
+        x = z = 0
+        ph = row.phase_exp
+        for bits, block in ((row.x_bits, x_images), (row.z_bits, z_images)):
+            for bit, ix, iz, iph in block:
+                if bits & bit:
+                    ph += iph + 2 * (z & ix).bit_count()
+                    x ^= ix
+                    z ^= iz
+        rows.append(PauliString(n, x, z, ph % 4))
+    t.rows = rows
+    t.trace.extend(u.trace)
     return t
 
 

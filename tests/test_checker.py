@@ -19,14 +19,17 @@ from stabcheck import (
     fingerprint_dense,
     parse,
     run_protocol,
+    run_circuit,
     run_protocol_dense,
 )
 from stabcheck.basis import BasisElement, circuit_for, element_matrix
-from stabcheck.checker import local_observable
+from stabcheck.checker import local_observable, lower
 from stabcheck.cli import corpus_path
 from stabcheck.dense import density_from_branches, pauli_expect_dense, run_dense
 
-from helpers import exact_to_numpy, random_rational_hermitian
+from stabcheck.protocol import GateStmt, IfGateStmt, MeasureStmt
+
+from helpers import exact_to_numpy, random_protocol_source, random_rational_hermitian, teleport_source
 
 CORPUS_ONE_WIRE = ["teleport.qpr", "teleport_noX.qpr", "teleport_noZ.qpr", "identity.qpr", "identity_hh.qpr"]
 CORPUS_TWO_WIRE = ["swap_cnot.qpr", "swap_wires.qpr"]
@@ -42,6 +45,51 @@ def diag(n, x):
 
 def plus(n, x, y):
     return circuit_for(BasisElement(n, "plus", x, y))
+
+
+class TestLower:
+    def test_each_gate_run_becomes_one_op(self):
+        rng = random.Random(13)
+        asts = [load(name) for name in CORPUS_ONE_WIRE + CORPUS_TWO_WIRE]
+        asts += [parse(teleport_source(3))] + [parse(random_protocol_source(rng)) for _ in range(200)]
+        for ast in asts:
+            # Reference: one op per statement, read off by scanning forward.
+            wire = {q.name: i for i, q in enumerate(ast.qubits)}
+            bit = {c.name: i for i, c in enumerate(ast.cbits)}
+            outputs = {o.name for o in ast.outputs}
+            ops, drops, run = [], [], None
+            for i, stmt in enumerate(ast.body):
+                rest = ast.body[i + 1 :]
+                if isinstance(stmt, GateStmt):
+                    if run is None:
+                        run = []
+                        ops.append(("u", run))
+                        drops.append(())
+                    run.append((stmt.gate, *(wire[a.name] for a in stmt.args)))
+                    continue
+                run = None
+                c = stmt.cbit.name
+                read_later = any(isinstance(s, IfGateStmt) and s.cbit.name == c for s in rest)
+                drops.append(() if read_later else (bit[c],))
+                if isinstance(stmt, IfGateStmt):
+                    ops.append(("if", bit[c], stmt.gate, tuple(wire[a.name] for a in stmt.args)))
+                else:
+                    q = stmt.qubit.name
+                    touched_later = any(
+                        q == s.qubit.name if isinstance(s, MeasureStmt) else q in {a.name for a in s.args} for s in rest
+                    )
+                    ops.append(("m", wire[q], bit[c], q not in outputs and not touched_later))
+
+            program = lower(ast)
+            assert len(program.ops) == len(ops)
+            for got, want in zip(program.ops, ops):
+                if want[0] == "u":
+                    assert got[0] == "u" and got[1].trace == want[1]
+                    assert got[1].rows == run_circuit(program.n_wires, want[1]).rows
+                else:
+                    assert got == want
+            assert program.drops == tuple(drops)
+            assert program.denominator == 2 ** sum(isinstance(s, MeasureStmt) for s in ast.body)
 
 
 class TestRunProtocol:

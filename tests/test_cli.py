@@ -19,6 +19,15 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+def deep_protocol(tmp_path):
+    """1,100 rounds of H and a measurement on one ancilla beside the input."""
+    decls = "".join(f"  cbit c{k};\n" for k in range(1100))
+    body = "".join(f"  H a;\n  measure a -> c{k};\n" for k in range(1100))
+    deep = tmp_path / "deep.qpr"
+    deep.write_text("protocol deep {\n  qubit psi: input;\n  qubit a: zero;\n" + decls + body + "  output psi;\n}\n")
+    return str(deep)
+
+
 TELEPORT = str(corpus_path("teleport.qpr"))
 NO_X = str(corpus_path("teleport_noX.qpr"))
 NO_Z = str(corpus_path("teleport_noZ.qpr"))
@@ -81,14 +90,18 @@ class TestCheck:
     def test_deep_measurement_chain(self, capsys, tmp_path):
         # 1,100 random measurements of one ancilla: the branch walk once
         # recursed per measurement and exited 3 past the recursion limit.
-        decls = "".join(f"  cbit c{k};\n" for k in range(1100))
-        body = "".join(f"  H a;\n  measure a -> c{k};\n" for k in range(1100))
-        deep = tmp_path / "deep.qpr"
-        deep.write_text("protocol deep {\n  qubit psi: input;\n  qubit a: zero;\n" + decls + body + "  output psi;\n}\n")
         start = time.perf_counter()
-        code, out, _ = run_cli(capsys, "check", str(deep), "--identity", "1")
+        code, out, _ = run_cli(capsys, "check", deep_protocol(tmp_path), "--identity", "1")
         assert time.perf_counter() - start < 5.0
         assert code == 0 and "EQUIVALENT" in out
+
+    def test_verify_refuses_an_oversized_oracle(self, capsys, tmp_path):
+        # The dense oracle would hold 2^(2 wires + 1,100 measurements) amplitudes.
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "check", deep_protocol(tmp_path), "--identity", "1", "--verify")
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        assert "2^1102" in err and "limit of 2^20" in err
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["check"]) == 2

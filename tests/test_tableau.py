@@ -15,7 +15,7 @@ from stabcheck import (
     run_circuit,
     tensor,
 )
-from stabcheck.tableau import supported_subgroup
+from stabcheck.tableau import apply_tableau, supported_subgroup
 from stabcheck.dense import pauli_expect_state, run_dense
 
 from helpers import (
@@ -113,6 +113,34 @@ class TestApplyGate:
             ops = random_circuit(rng, n, 30, rng.randint(0, 2))
             for t, _, _ in enumerate_circuit_branches(new_zero_state(n), ops):
                 t.assert_valid()
+
+
+class TestApplyTableau:
+    def test_matches_gate_by_gate(self):
+        rng = random.Random(19)
+        collapsed = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            start = new_zero_state(n)
+            for op in random_circuit(rng, n, rng.randint(0, 20), rng.randint(0, 2)):
+                if op[0] == "M":
+                    res, collapse = measure_z(start, op[1])
+                    start = collapse(res.outcome if res.deterministic else rng.randint(0, 1))
+                    collapsed += 1
+                else:
+                    apply_gate(start, *op)
+            gates = random_circuit(rng, n, rng.randint(0, 40))
+            want = start.copy()
+            for gate in gates:
+                apply_gate(want, *gate)
+            got = apply_tableau(start.copy(), run_circuit(n, gates))
+            assert got.rows == want.rows  # phases included
+            assert got.trace == want.trace
+        assert collapsed > 100
+
+    def test_width_mismatch(self):
+        with pytest.raises(ValueError):
+            apply_tableau(new_zero_state(2), run_circuit(1, [("H", 0)]))
 
 
 class TestTensor:
