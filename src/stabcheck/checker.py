@@ -1,13 +1,15 @@
 """Superoperator equality by exact fingerprinting over the stabilizer basis.
 
-A protocol is validated and lowered once, then run on every basis input.
+A protocol is validated and lowered once, then run once on its Choi state:
+every input wire starts in a Bell pair with a reference wire of its own.
 Measurements fork the run into branches of exact dyadic probability; a
 measured wire nobody touches again is reset to |0>, and branches that then
 agree on state and on the classical bits still to be read are merged.
-Discarded wires never need a density matrix: a branch's nonzero output-Pauli
-expectations are exactly the elements of its stabilizer group supported on
-the output wires.  Two protocols are equivalent exactly when their
-fingerprint tables match entry for entry.
+Discarded wires never need a density matrix: the elements of a branch's
+stabilizer group supported on the outputs and references fix the channel,
+and the fingerprint row of each basis input follows from them and the
+input's own stabilizer group.  Two protocols are equivalent exactly when
+their fingerprint tables match entry for entry.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ DEFAULT_BUDGET = 4 ** 10
 # The dense oracle holds every branch's state vector: up to 2^(wires +
 # measurements) amplitudes, 16 MB at this limit.
 DENSE_LIMIT = 2 ** 20
+# run_protocol, and so sim, lists every branch without merging; past this
+# many it stops.
+BRANCH_LIMIT = 2 ** 12
 
 _LETTERS = "IXYZ"
 # Output-Pauli digit (I, X, Y, Z = 0..3) of a wire's bits (x << 1) | z.  The
@@ -60,6 +65,14 @@ class DenseLimitError(ValueError):
         super().__init__(
             f"the dense oracle needs 2^(wires + measurements) = 2^{log_work} amplitudes, "
             f"over its limit of 2^{DENSE_LIMIT.bit_length() - 1}"
+        )
+
+
+class BranchLimitError(ValueError):
+    def __init__(self):
+        super().__init__(
+            f"the run forks into more than 2^{BRANCH_LIMIT.bit_length() - 1} branches, "
+            "over the limit for listing every branch"
         )
 
 
@@ -107,6 +120,12 @@ class Program:
     eigenstate from then on.  drops[i] lists the bits that no statement
     after ops[i] reads.  A branch's probability is an integer weight over
     denominator, 2 to the number of measurements.
+
+    refs, empty unless lowered with choi, lists one reference wire per
+    input after the protocol's wires; the first run then starts with
+    H refs[j]; CNOT refs[j], inputs[j], so a walk from |0...0> runs on the
+    channel's Choi state.  n_wires counts the references too: it is the
+    width every run is composed at.
     """
 
     n_wires: int
@@ -116,9 +135,10 @@ class Program:
     ops: tuple[tuple, ...]
     drops: tuple[tuple[int, ...], ...]
     denominator: int
+    refs: tuple[int, ...] = ()
 
 
-def lower(ast: ProtocolAST) -> Program:
+def lower(ast: ProtocolAST, choi: bool = False) -> Program:
     """Validate once and lower; raises ValueError listing every error."""
     errs = errors_of(validate(ast))
     if errs:
@@ -126,7 +146,11 @@ def lower(ast: ProtocolAST) -> Program:
         raise ValueError(f"protocol {ast.name!r} failed validation: {listing}")
     wire = {q.name: i for i, q in enumerate(ast.qubits)}
     bit = {c.name: i for i, c in enumerate(ast.cbits)}
+    inputs = tuple(wire[name] for name in ast.input_names)
+    refs = tuple(range(len(wire), len(wire) + len(inputs))) if choi else ()
     ops: list[tuple] = []
+    if choi:
+        ops.append(("u", [g for r, q in zip(refs, inputs) for g in (("H", r), ("CNOT", r, q))]))
     for stmt in ast.body:
         if isinstance(stmt, GateStmt):
             gate = (stmt.gate, *(wire[a.name] for a in stmt.args))
@@ -142,7 +166,7 @@ def lower(ast: ProtocolAST) -> Program:
 
     # Backward pass: the first use met is the last use.  Outputs count as
     # used at the end, so they are never reset.
-    n_wires = len(ast.qubits)
+    n_wires = len(wire) + len(refs)
     used_wires, used_bits = set(outputs), set()
     drops: list[tuple[int, ...]] = []
     for i in range(len(ops) - 1, -1, -1):
@@ -163,31 +187,36 @@ def lower(ast: ProtocolAST) -> Program:
         used_bits.add(c)
     return Program(
         n_wires=n_wires,
-        inputs=tuple(wire[name] for name in ast.input_names),
+        inputs=inputs,
         outputs=outputs,
         cbits=tuple(c.name for c in ast.cbits),
         ops=tuple(ops),
         drops=tuple(reversed(drops)),
         denominator=1 << sum(op[0] == "m" for op in ops),
+        refs=refs,
     )
 
 
-def _walk(program: Program, input_prep: BasisCircuit, merge: bool) -> list[tuple[int, Tableau, tuple, dict]]:
+def _walk(program: Program, input_prep: BasisCircuit | None, merge: bool) -> list[tuple[int, Tableau, tuple, dict]]:
     """Branches as (weight, state, outcomes, bits), weight over program.denominator.
 
-    The walk is breadth first and expands outcome 0 before 1, which lists
-    the branches in depth-first order.  With merge, a wire is reset to |0>
-    after a measurement marked reset, bits in drops are forgotten, and
-    branches that then agree on canonical form and remaining bits are
-    combined by adding their weights; outcomes stay empty.
+    input_prep prepares the inputs; with None they start in |0>, as a
+    program lowered with choi needs.  The walk is breadth first and expands
+    outcome 0 before 1, which lists the branches in depth-first order.  With
+    merge, a wire is reset to |0> after a measurement marked reset, bits in
+    drops are forgotten, and branches that then agree on canonical form and
+    remaining bits are combined by adding their weights; outcomes stay
+    empty.  Without merge, more than BRANCH_LIMIT branches raise
+    BranchLimitError before they are built.
     """
-    if input_prep.element.n != len(program.inputs):
-        raise ValueError(
-            f"input preparation is for {input_prep.element.n} qubit(s), protocol takes {len(program.inputs)}"
-        )
     t = new_zero_state(program.n_wires)
-    for op in input_prep.gates:
-        apply_gate(t, op[0], *(program.inputs[q] for q in op[1:]))
+    if input_prep is not None:
+        if input_prep.element.n != len(program.inputs):
+            raise ValueError(
+                f"input preparation is for {input_prep.element.n} qubit(s), protocol takes {len(program.inputs)}"
+            )
+        for op in input_prep.gates:
+            apply_gate(t, op[0], *(program.inputs[q] for q in op[1:]))
 
     live = [(program.denominator, t, (), {})]
     for op, drop in zip(program.ops, program.drops):
@@ -210,6 +239,8 @@ def _walk(program: Program, input_prep: BasisCircuit, merge: bool) -> list[tuple
                     choices = (resolution.outcome,)
                 else:
                     choices, weight = (0, 1), weight >> 1
+                if not merge and len(forked) + len(choices) > BRANCH_LIMIT:
+                    raise BranchLimitError()
                 for b in choices:
                     after = collapse(b)
                     if reset and b:
@@ -274,36 +305,72 @@ def local_observable(n_out: int, pauli_index: int) -> PauliString:
     return PauliString(n_out, x, z, phase % 4)
 
 
+def _group(generators) -> list[tuple[int, int, int]]:
+    """Every element of the group that commuting (x, z, phase_exp) generators
+    generate, as (x, z, sign): sign is +-1, the Hermitian Pauli's sign."""
+    group = [(0, 0, 0)]
+    for gx, gz, gph in generators:
+        group += [(x ^ gx, z ^ gz, ph + gph + 2 * (z & gx).bit_count()) for x, z, ph in group]
+    return [(x, z, 1 - ((ph - (x & z).bit_count()) & 3)) for x, z, ph in group]
+
+
+@cache
+def _input_generators(n_in: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Each basis input's stabilizer generators as (x, z, phase_exp), in
+    enumerate_basis order.  The cache lives as long as the process, so it
+    keeps n_in generators per input, not the 2^n_in-element groups."""
+    return tuple(
+        tuple((g.x_bits, g.z_bits, g.phase_exp) for g in circ.prepare().stabilizers) for circ in enumerate_basis(n_in)
+    )
+
+
 def fingerprint(ast: ProtocolAST, budget: int | None = DEFAULT_BUDGET) -> SuperopFingerprint:
     """Exact table of output-Pauli expectations for every basis input.
 
-    Each merged branch adds sign x probability at the index of every element
-    of its stabilizer group supported on the outputs; every other entry of
-    the branch is 0.
+    The protocol runs once on its Choi state J: reference wire j starts in
+    a Bell pair with input j (lower with choi).  Since rho^T has A^T =
+    (-1)^#Y(A) A for a Pauli A,
+
+        Tr(P E(rho)) = sum_A <A>_rho (-1)^#Y(A) Tr((A x P) J),
+
+    A over the Paulis on the references.  Tr((A x P) J) adds, over the
+    merged branches, weight x the sign of +-(A x P) in the branch's
+    stabilizer group, where it lies in the subgroup supported on outputs
+    and references, and 0 elsewhere.  <A>_rho of a basis input is the sign
+    of +-A in its stabilizer group, or 0, so row k sums over that group's
+    2^n_in elements.
     """
-    program = lower(ast)
+    program = lower(ast, choi=True)
     n_in, n_out = ast.n_in, ast.n_out
     work = 4 ** n_in * 4 ** n_out
     if budget is not None and work > budget:
         raise BudgetExceededError(work, budget)
 
+    base = program.refs[0]
     out_mask = sum(1 << w for w in program.outputs)
+    ref_mask = sum(1 << r for r in program.refs)
     shifts = [(w, 2 * (n_out - 1 - j)) for j, w in enumerate(program.outputs)]
-    identity = PauliString.identity(program.n_wires)
+    # choi[A] maps an output index q to the coefficient of A x P_q, the
+    # reference part A keyed as its x bits over its z bits.
+    choi: dict[int, dict[int, int]] = {}
+    for weight, state, _, _ in _walk(program, None, merge=True):
+        gens = [(g.x_bits, g.z_bits, g.phase_exp) for g in supported_subgroup(state, out_mask | ref_mask)]
+        for x, z, sign in _group(gens):
+            index = 0
+            for w, shift in shifts:
+                index |= _DIGIT[((x >> w) & 1) << 1 | ((z >> w) & 1)] << shift
+            ax, az = x >> base, z >> base
+            coeffs = choi.setdefault(ax << n_in | az, {})
+            coeffs[index] = coeffs.get(index, 0) + (-sign if (ax & az).bit_count() & 1 else sign) * weight
+
     # Tables hold few distinct values, so each Fraction is built once.
     value = cache(partial(Fraction, denominator=program.denominator))
     table = []
-    for circ in enumerate_basis(n_in):
+    for gens in _input_generators(n_in):
         sums = [0] * 4 ** n_out
-        for weight, state, _, _ in _walk(program, circ, merge=True):
-            group = [(0, identity)]
-            for g in supported_subgroup(state, out_mask):
-                index = 0
-                for w, shift in shifts:
-                    index |= _DIGIT[((g.x_bits >> w) & 1) << 1 | ((g.z_bits >> w) & 1)] << shift
-                group += [(i ^ index, p * g) for i, p in group]
-            for i, p in group:
-                sums[i] += weight * p.sign
+        for x, z, sign in _group(gens):
+            for q, c in choi.get(x << n_in | z, {}).items():
+                sums[q] += sign * c
         table.append(tuple(map(value, sums)))
     return SuperopFingerprint(n_in, n_out, BASIS_ORDER_TAG, tuple(table))
 

@@ -151,7 +151,10 @@ def _cmd_sim(args) -> int:
     except ValueError as exc:
         raise UserError(str(exc)) from None
     circuit = basis_mod.circuit_for(element)
-    branches = checker.run_protocol(ast, circuit)
+    try:
+        branches = checker.run_protocol(ast, circuit)
+    except checker.BranchLimitError as exc:
+        raise UserError(f"sim on {ast.name}: {exc}") from None
 
     payload = []
     for br in branches:

@@ -156,10 +156,14 @@ def teleport_source(n: int, drop: str | None = None) -> str:
     return f"protocol teleport_{n} {{\n  " + "\n  ".join(decls + body) + f"\n  output {outputs};\n}}\n"
 
 
-def random_protocol_source(rng: random.Random, name: str = "rand") -> str:
+def random_protocol_source(rng: random.Random, name: str = "rand", shuffle: bool = False) -> str:
     """A valid random protocol: 1-2 inputs, 0-2 ancillas, up to 3 measurements
     into fresh classical bits, conditional X/Y/Z on bits already written, and
-    outputs a random non-empty subset of the wires in random order."""
+    outputs a random non-empty subset of the wires in random order.
+
+    With shuffle the qubit declarations come in random order, so the inputs
+    sit anywhere among the wires; without it the inputs come first, in order.
+    """
     n_in = rng.randint(1, 2)
     wires = [f"q{i}" for i in range(n_in + rng.randint(0, 2))]
     decls = [f"qubit {w}: {'input' if i < n_in else 'zero'};" for i, w in enumerate(wires)]
@@ -176,6 +180,8 @@ def random_protocol_source(rng: random.Random, name: str = "rand") -> str:
             gate = rng.choice(GATE_POOL if len(wires) > 1 else GATE_POOL[:-1])
             args = rng.sample(wires, 2) if gate == "CNOT" else [rng.choice(wires)]
             body.append(f"{gate} {', '.join(args)};")
-    decls += [f"cbit {c};" for c in written]
     outputs = rng.sample(wires, rng.randint(1, min(3, len(wires))))
+    if shuffle:
+        rng.shuffle(decls)
+    decls += [f"cbit {c};" for c in written]
     return f"protocol {name} {{\n  " + "\n  ".join(decls + body) + f"\n  output {', '.join(outputs)};\n}}\n"

@@ -23,6 +23,7 @@ from stabcheck import (
     run_protocol_dense,
 )
 from stabcheck.basis import BasisElement, circuit_for, element_matrix
+from stabcheck import checker
 from stabcheck.checker import local_observable, lower
 from stabcheck.cli import corpus_path
 from stabcheck.dense import density_from_branches, pauli_expect_dense, run_dense
@@ -91,6 +92,27 @@ class TestLower:
             assert program.drops == tuple(drops)
             assert program.denominator == 2 ** sum(isinstance(s, MeasureStmt) for s in ast.body)
 
+    def test_choi_lowering_prepends_bell_pairs_at_full_width(self):
+        rng = random.Random(14)
+        asts = [parse(teleport_source(2))] + [parse(random_protocol_source(rng, shuffle=True)) for _ in range(100)]
+        for ast in asts:
+            plain, choi = lower(ast), lower(ast, choi=True)
+            n = len(ast.qubits)
+            assert choi.refs == tuple(range(n, n + ast.n_in)) and choi.n_wires == n + ast.n_in
+            bell = [g for r, q in zip(choi.refs, plain.inputs) for g in (("H", r), ("CNOT", r, q))]
+            ops = list(plain.ops)
+            if ops[0][0] != "u":
+                ops.insert(0, ("u", run_circuit(n, [])))
+            assert choi.ops[0][1].trace == bell + ops[0][1].trace
+            assert len(choi.ops) == len(ops)
+            for got, want in zip(choi.ops, ops):
+                if want[0] == "u":
+                    assert got[1].n == n + ast.n_in
+                else:
+                    assert got == want
+            assert choi.drops[-len(plain.drops):] == plain.drops
+            assert choi.denominator == plain.denominator
+
 
 class TestRunProtocol:
     def test_identity_single_branch(self):
@@ -136,6 +158,18 @@ class TestRunProtocol:
         ast = parse("protocol p { qubit a: input; if m then X a; output a; }")
         with pytest.raises(ValueError):
             run_protocol(ast, diag(1, 0))
+
+    def test_branch_limit(self, monkeypatch):
+        monkeypatch.setattr(checker, "BRANCH_LIMIT", 8)
+
+        def rounds(k):
+            bits = "".join(f"cbit c{i}; " for i in range(k))
+            body = "".join(f"H a; measure a -> c{i}; " for i in range(k))
+            return parse(f"protocol p {{ qubit psi: input; qubit a: zero; {bits}{body}output psi; }}")
+
+        assert len(run_protocol(rounds(3), diag(1, 0))) == 8
+        with pytest.raises(checker.BranchLimitError, match=r"2\^3 branches"):
+            run_protocol(rounds(4), diag(1, 0))
 
 
 class TestFingerprint:

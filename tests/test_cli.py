@@ -19,10 +19,10 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
-def deep_protocol(tmp_path):
-    """1,100 rounds of H and a measurement on one ancilla beside the input."""
-    decls = "".join(f"  cbit c{k};\n" for k in range(1100))
-    body = "".join(f"  H a;\n  measure a -> c{k};\n" for k in range(1100))
+def deep_protocol(tmp_path, rounds=1100):
+    """Rounds of H and a measurement on one ancilla beside the input."""
+    decls = "".join(f"  cbit c{k};\n" for k in range(rounds))
+    body = "".join(f"  H a;\n  measure a -> c{k};\n" for k in range(rounds))
     deep = tmp_path / "deep.qpr"
     deep.write_text("protocol deep {\n  qubit psi: input;\n  qubit a: zero;\n" + decls + body + "  output psi;\n}\n")
     return str(deep)
@@ -138,6 +138,12 @@ class TestSim:
         code, _, err = run_cli(capsys, "sim", TELEPORT, "--input", "diag:9")
         assert code == 2
         assert "spec" in err or "label" in err
+
+    def test_refuses_too_many_branches(self, capsys, tmp_path):
+        # 20 random measurements would list 2^20 branches; the walk stops at 2^12.
+        code, _, err = run_cli(capsys, "sim", deep_protocol(tmp_path, rounds=20), "--input", "diag:0")
+        assert code == 2
+        assert "2^12" in err
 
 
 class TestBasis:

@@ -83,6 +83,21 @@ def test_random_protocols_match_reference():
     assert 50 < refuted < 250  # both verdicts are exercised
 
 
+def test_shuffled_declarations_match_reference():
+    # Inputs declared anywhere among the ancillas and outputs, as in teleport_n,
+    # so each reference wire must pair with its own input, not with a wire index.
+    rng = random.Random(2718)
+    interleaved = 0
+    for _ in range(150):
+        source = random_protocol_source(rng, shuffle=True)
+        lhs, rhs = parse(source), parse(_without_one_statement(rng, source))
+        ref_l, ref_r = reference_fingerprint(lhs), reference_fingerprint(rhs)
+        assert fingerprint(lhs) == ref_l, source
+        assert_same_verdict(lhs, rhs, ref_l, ref_r)
+        interleaved += checker.lower(lhs).inputs != tuple(range(lhs.n_in))
+    assert interleaved > 50
+
+
 @pytest.mark.parametrize(
     "use_again",
     [
@@ -110,6 +125,15 @@ def test_dropping_a_correction_from_teleport_3_is_refuted(drop):
     verdict = check_equivalence(parse(teleport_source(3, drop)), builtin_identity(3))
     assert not verdict.equivalent
     assert verdict.counterexample.value_lhs != verdict.counterexample.value_rhs
+
+
+@pytest.mark.parametrize("drop", [None, "X3", "Z0"])
+def test_teleport_4_against_identity(drop):
+    # Verdicts only: the reference tabulation takes about 90 s at n = 4.
+    verdict = check_equivalence(parse(teleport_source(4, drop)), builtin_identity(4))
+    assert verdict.equivalent == (drop is None)
+    if drop is not None:
+        assert verdict.counterexample.value_lhs != verdict.counterexample.value_rhs
 
 
 def test_teleport_3_merges_to_one_branch_per_input():
