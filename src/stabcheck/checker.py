@@ -6,15 +6,18 @@ Measurements fork the run into branches of exact dyadic probability; a
 measured wire nobody touches again is reset to |0>, and branches that then
 agree on state and on the classical bits still to be read are merged.
 Discarded wires never need a density matrix: the elements of a branch's
-stabilizer group supported on the outputs and references fix the channel,
-and the fingerprint row of each basis input follows from them and the
-input's own stabilizer group.  Two protocols are equivalent exactly when
-their fingerprint tables match entry for entry.
+stabilizer group supported on the outputs and references fix the channel's
+Choi state as exact Pauli coefficients.  The fingerprint row of each basis
+input follows from those and the input's own stabilizer group, so the table
+is an invertible linear image of the coefficients.  Two protocols are
+therefore equivalent exactly when their coefficients are equal, and tables
+are built only to name the first differing entry, or when asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 
@@ -104,8 +107,15 @@ class Counterexample:
 class Verdict:
     equivalent: bool
     counterexample: Counterexample | None = None
-    # The (lhs, rhs) tables that were compared, for callers that reuse them.
-    fingerprints: tuple[SuperopFingerprint, SuperopFingerprint] | None = None
+    # The (lhs, rhs) channels that were compared, as _choi returns them.
+    _channels: tuple | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def fingerprints(self) -> tuple[SuperopFingerprint, SuperopFingerprint] | None:
+        """Both sides' tables, built from the compared channels when read."""
+        if self._channels is None:
+            return None
+        return tuple(map(_table, self._channels))
 
 
 @dataclass(frozen=True)
@@ -324,21 +334,16 @@ def _input_generators(n_in: int) -> tuple[tuple[tuple[int, int, int], ...], ...]
     )
 
 
-def fingerprint(ast: ProtocolAST, budget: int | None = DEFAULT_BUDGET) -> SuperopFingerprint:
-    """Exact table of output-Pauli expectations for every basis input.
+def _choi(ast: ProtocolAST, budget: int | None) -> tuple[int, int, int, dict[int, dict[int, int]]]:
+    """The channel's Choi state as (n_in, n_out, denominator, choi).
 
     The protocol runs once on its Choi state J: reference wire j starts in
-    a Bell pair with input j (lower with choi).  Since rho^T has A^T =
-    (-1)^#Y(A) A for a Pauli A,
-
-        Tr(P E(rho)) = sum_A <A>_rho (-1)^#Y(A) Tr((A x P) J),
-
-    A over the Paulis on the references.  Tr((A x P) J) adds, over the
-    merged branches, weight x the sign of +-(A x P) in the branch's
-    stabilizer group, where it lies in the subgroup supported on outputs
-    and references, and 0 elsewhere.  <A>_rho of a basis input is the sign
-    of +-A in its stabilizer group, or 0, so row k sums over that group's
-    2^n_in elements.
+    a Bell pair with input j (lower with choi).  choi[A][q] times
+    denominator is (-1)^#Y(A) Tr((A x P_q) J), for A a Pauli on the
+    references keyed as its x bits over its z bits, and P_q output Pauli
+    number q.  Tr((A x P) J) adds, over the merged branches, weight x the
+    sign of +-(A x P) in the branch's stabilizer group, where it lies in
+    the subgroup supported on outputs and references, and 0 elsewhere.
     """
     program = lower(ast, choi=True)
     n_in, n_out = ast.n_in, ast.n_out
@@ -350,8 +355,6 @@ def fingerprint(ast: ProtocolAST, budget: int | None = DEFAULT_BUDGET) -> Supero
     out_mask = sum(1 << w for w in program.outputs)
     ref_mask = sum(1 << r for r in program.refs)
     shifts = [(w, 2 * (n_out - 1 - j)) for j, w in enumerate(program.outputs)]
-    # choi[A] maps an output index q to the coefficient of A x P_q, the
-    # reference part A keyed as its x bits over its z bits.
     choi: dict[int, dict[int, int]] = {}
     for weight, state, _, _ in _walk(program, None, merge=True):
         gens = [(g.x_bits, g.z_bits, g.phase_exp) for g in supported_subgroup(state, out_mask | ref_mask)]
@@ -362,17 +365,50 @@ def fingerprint(ast: ProtocolAST, budget: int | None = DEFAULT_BUDGET) -> Supero
             ax, az = x >> base, z >> base
             coeffs = choi.setdefault(ax << n_in | az, {})
             coeffs[index] = coeffs.get(index, 0) + (-sign if (ax & az).bit_count() & 1 else sign) * weight
+    return n_in, n_out, program.denominator, choi
 
-    # Tables hold few distinct values, so each Fraction is built once.
-    value = cache(partial(Fraction, denominator=program.denominator))
-    table = []
+
+def _rows(channel) -> Iterator[list[int]]:
+    """Each basis input's fingerprint row, in enumerate_basis order, as
+    integers over the channel's denominator.
+
+    Since rho^T has A^T = (-1)^#Y(A) A,
+
+        Tr(P E(rho)) = sum_A <A>_rho (-1)^#Y(A) Tr((A x P) J),
+
+    and <A>_rho of a basis input is the sign of +-A in its stabilizer
+    group, or 0, so the row sums choi over that group's 2^n_in elements.
+    """
+    n_in, n_out, _, choi = channel
     for gens in _input_generators(n_in):
         sums = [0] * 4 ** n_out
         for x, z, sign in _group(gens):
             for q, c in choi.get(x << n_in | z, {}).items():
                 sums[q] += sign * c
-        table.append(tuple(map(value, sums)))
-    return SuperopFingerprint(n_in, n_out, BASIS_ORDER_TAG, tuple(table))
+        yield sums
+
+
+def _table(channel) -> SuperopFingerprint:
+    n_in, n_out, denominator, _ = channel
+    # Tables hold few distinct values, so each Fraction is built once.
+    value = cache(partial(Fraction, denominator=denominator))
+    table = tuple(tuple(map(value, sums)) for sums in _rows(channel))
+    return SuperopFingerprint(n_in, n_out, BASIS_ORDER_TAG, table)
+
+
+def fingerprint(ast: ProtocolAST, budget: int | None = DEFAULT_BUDGET) -> SuperopFingerprint:
+    """Exact table of output-Pauli expectations for every basis input.
+
+    The rows come from one walk over the protocol's Choi state (_choi); no
+    basis input is run on its own.
+    """
+    return _table(_choi(ast, budget))
+
+
+def _scaled(channel, denominator: int) -> dict[tuple[int, int], int]:
+    _, _, d, choi = channel
+    scale = denominator // d
+    return {(a, q): c * scale for a, coeffs in choi.items() for q, c in coeffs.items() if c}
 
 
 def check_equivalence(
@@ -380,22 +416,33 @@ def check_equivalence(
     rhs: ProtocolAST,
     budget: int | None = DEFAULT_BUDGET,
 ) -> Verdict:
-    """Compare two protocols entry for entry; exact, no tolerance anywhere."""
+    """Decide on the Choi states; exact, no tolerance anywhere.
+
+    The fingerprint table is an invertible linear image of the Choi
+    coefficients, so the two sides are equivalent exactly when their
+    nonzero coefficients agree once both are put over the larger
+    denominator (both are powers of two); no table is built then.
+    Otherwise the rows of both tables are built a pair at a time, and the
+    counterexample is the first entry, in table order, where they differ.
+    """
     if lhs.n_in != rhs.n_in or lhs.n_out != rhs.n_out:
         raise ArityMismatchError(
             f"arity mismatch: {lhs.name} is {lhs.n_in}->{lhs.n_out}, {rhs.name} is {rhs.n_in}->{rhs.n_out}"
         )
-    fp_l = fingerprint(lhs, budget=budget)
-    fp_r = fingerprint(rhs, budget=budget)
-    if fp_l == fp_r:
-        return Verdict(True, None, (fp_l, fp_r))
-    elements = [c.element for c in enumerate_basis(lhs.n_in)]
-    for k, (row_l, row_r) in enumerate(zip(fp_l.table, fp_r.table)):
+    ch_l = _choi(lhs, budget)
+    ch_r = _choi(rhs, budget)
+    d_l, d_r = ch_l[2], ch_r[2]
+    denominator = max(d_l, d_r)
+    if _scaled(ch_l, denominator) == _scaled(ch_r, denominator):
+        return Verdict(True, None, (ch_l, ch_r))
+    s_l, s_r = denominator // d_l, denominator // d_r
+    for k, (row_l, row_r) in enumerate(zip(_rows(ch_l), _rows(ch_r))):
         for q, (a, b) in enumerate(zip(row_l, row_r)):
-            if a != b:
-                ce = Counterexample(elements[k], local_observable(lhs.n_out, q), a, b)
-                return Verdict(False, ce, (fp_l, fp_r))
-    raise AssertionError("fingerprints differ but no entry does")
+            if a * s_l != b * s_r:
+                element = enumerate_basis(lhs.n_in)[k].element
+                ce = Counterexample(element, local_observable(lhs.n_out, q), Fraction(a, d_l), Fraction(b, d_r))
+                return Verdict(False, ce, (ch_l, ch_r))
+    raise AssertionError("Choi states differ but no table entry does")
 
 
 # ---------------------------------------------------------------------------

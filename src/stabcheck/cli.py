@@ -116,12 +116,9 @@ def _cmd_check(args) -> int:
         "counterexample": None,
         "timing_ms": round(elapsed_ms, 3),
     }
-    lines = [
-        f"check: {args.lhs} vs {rhs_label}",
-        f"compared {entries} exact fingerprint entries",
-    ]
+    lines = [f"check: {args.lhs} vs {rhs_label}"]
     if verdict.equivalent:
-        lines.append("verdict: EQUIVALENT")
+        lines += ["decided on the Choi states: every exact Pauli coefficient agrees", "verdict: EQUIVALENT"]
         _emit(report, args.json, lines)
         return EXIT_OK
     ce = verdict.counterexample
@@ -133,6 +130,7 @@ def _cmd_check(args) -> int:
         "rhs_value": _frac(ce.value_rhs),
     }
     lines += [
+        f"decided on the Choi states: they differ, first at this entry of the {entries}-entry fingerprint tables",
         "verdict: NOT EQUIVALENT",
         f"  basis input: {ce.basis_element.label()}",
         f"  observable:  {ce.observable}",

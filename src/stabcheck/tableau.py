@@ -193,11 +193,20 @@ def _gf2_rank(vectors: list[int]) -> int:
 
 def new_zero_state(n: int) -> Tableau:
     """The state |0...0>: stabilizers +Z_i, destabilizers +X_i."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    rows = [PauliString(n, x_bits=1 << i) for i in range(n)]
-    rows += [PauliString(n, z_bits=1 << i) for i in range(n)]
-    return Tableau(n, rows, [])
+    return run_circuit(n, ())
+
+
+def _check_gate(n: int, gate: str, qubits: tuple[int, ...]) -> None:
+    if gate not in GATE_NAMES:
+        raise ValueError(f"unknown gate {gate!r}; only Clifford gates {GATE_NAMES} are supported")
+    expected = 2 if gate == "CNOT" else 1
+    if len(qubits) != expected:
+        raise ValueError(f"{gate} takes {expected} qubit(s), got {len(qubits)}")
+    for q in qubits:
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range for n={n}")
+    if gate == "CNOT" and qubits[0] == qubits[1]:
+        raise ValueError("CNOT control and target must differ")
 
 
 def _conjugate(row: PauliString, gate: str, qubits: tuple[int, ...]) -> PauliString:
@@ -234,16 +243,7 @@ def _conjugate(row: PauliString, gate: str, qubits: tuple[int, ...]) -> PauliStr
 
 def apply_gate(t: Tableau, gate: str, *qubits: int) -> Tableau:
     """Conjugate every row by the gate, in place; returns the same tableau."""
-    if gate not in GATE_NAMES:
-        raise ValueError(f"unknown gate {gate!r}; only Clifford gates {GATE_NAMES} are supported")
-    expected = 2 if gate == "CNOT" else 1
-    if len(qubits) != expected:
-        raise ValueError(f"{gate} takes {expected} qubit(s), got {len(qubits)}")
-    for q in qubits:
-        if not 0 <= q < t.n:
-            raise ValueError(f"qubit {q} out of range for n={t.n}")
-    if gate == "CNOT" and qubits[0] == qubits[1]:
-        raise ValueError("CNOT control and target must differ")
+    _check_gate(t.n, gate, qubits)
     t.rows = [_conjugate(r, gate, qubits) for r in t.rows]
     t.trace.append((gate, *qubits))
     return t
@@ -253,12 +253,54 @@ def run_circuit(n: int, gates) -> Tableau:
     """Prepare |0...0> and apply a sequence of ("gate", qubits...) tuples.
 
     The rows are then the images of X_0..X_{n-1}, Z_0..Z_{n-1} under the
-    circuit, which is all apply_tableau needs to apply it in one step.
+    circuit, which is all apply_tableau needs to apply it in one step.  The
+    circuit runs on bit-sliced columns, as in Aaronson and Gottesman's CHP:
+    bit r of xs[q] (zs[q]) is row r's X (Z) bit on qubit q, and bit r of
+    lo and hi are the low and high bits of row r's phase_exp.  A gate
+    updates a few of these ints for all 2n rows at once, and the columns
+    are transposed into rows once, at the end.  Rows, phases and trace are
+    those of applying the gates one by one with apply_gate.
     """
-    t = new_zero_state(n)
+    if n < 1:
+        raise ValueError("need at least one qubit")
+    xs = [1 << q for q in range(n)]
+    zs = [1 << (n + q) for q in range(n)]
+    lo = hi = 0
+    trace = []
     for g in gates:
-        apply_gate(t, g[0], *g[1:])
-    return t
+        gate, qubits = g[0], tuple(g[1:])
+        _check_gate(n, gate, qubits)
+        q = qubits[0]
+        if gate == "H":
+            hi ^= xs[q] & zs[q]
+            xs[q], zs[q] = zs[q], xs[q]
+        elif gate == "P":
+            # Add 1 to the phase of the rows in xs[q], carrying into hi.
+            hi ^= lo & xs[q]
+            lo ^= xs[q]
+            zs[q] ^= xs[q]
+        elif gate == "X":
+            hi ^= zs[q]
+        elif gate == "Y":
+            hi ^= xs[q] ^ zs[q]
+        elif gate == "Z":
+            hi ^= xs[q]
+        else:
+            t = qubits[1]
+            xs[t] ^= xs[q]
+            zs[q] ^= zs[t]
+        trace.append((gate, *qubits))
+
+    x_rows = [0] * (2 * n)
+    z_rows = [0] * (2 * n)
+    for by_row, columns in ((x_rows, xs), (z_rows, zs)):
+        for q, column in enumerate(columns):
+            while column:
+                low = column & -column
+                by_row[low.bit_length() - 1] |= 1 << q
+                column ^= low
+    rows = [PauliString(n, x_rows[r], z_rows[r], (lo >> r & 1) | (hi >> r & 1) << 1) for r in range(2 * n)]
+    return Tableau(n, rows, trace)
 
 
 def apply_tableau(t: Tableau, u: Tableau) -> Tableau:

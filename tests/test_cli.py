@@ -49,6 +49,15 @@ class TestCheck:
             assert ce["observable"] == "+X"
             assert (ce["lhs_value"], ce["rhs_value"]) == ("0", "1")
 
+    def test_text_names_what_decided(self, capsys):
+        _, out, _ = run_cli(capsys, "check", TELEPORT, "--identity", "1")
+        assert "decided on the Choi states: every exact Pauli coefficient agrees" in out
+        _, out, _ = run_cli(capsys, "check", NO_Z, "--identity", "1")
+        assert "first at this entry of the 16-entry fingerprint tables" in out
+        assert "compared" not in out
+        _, report, _ = run_json(capsys, "check", NO_Z, "--identity", "1")
+        assert report["entries"] == 16
+
     def test_two_files(self, capsys):
         code, _, _ = run_cli(capsys, "check", str(corpus_path("swap_cnot.qpr")), str(corpus_path("swap_wires.qpr")))
         assert code == 0

@@ -1,12 +1,14 @@
 """fingerprint against the reference tabulation in helpers, and branch merging."""
 
 import random
+import re
 
 import numpy as np
 import pytest
 
 from stabcheck import builtin_identity, check_equivalence, enumerate_basis, fingerprint, fingerprint_dense, parse
 from stabcheck import checker
+from stabcheck.basis import basis_index
 from stabcheck.cli import corpus_path
 from stabcheck.dense import TOL
 
@@ -141,3 +143,126 @@ def test_teleport_3_merges_to_one_branch_per_input():
     for circ in enumerate_basis(3):
         (weight, _, _, bits), = checker._walk(program, circ, merge=True)
         assert weight == 2 ** 6 and bits == {}
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic tests: each transform keeps the channel, so check_equivalence
+# must call the pair equivalent.
+
+IDENTITIES = ("H {0}; H {0};", "P {0}; P {0}; P {0}; P {0};", "X {0}; X {0};", "CNOT {0}, {1}; CNOT {0}, {1};")
+
+
+def _split(source):
+    """(header, declaration lines, statement lines, footer) of a one-statement-per-line source."""
+    lines = source.splitlines()
+    middle = [line.strip() for line in lines[1:-2]]
+    n_decls = sum(line.startswith(("qubit ", "cbit ")) for line in middle)
+    return lines[0], middle[:n_decls], middle[n_decls:], lines[-2:]
+
+
+def _join(header, decls, body, footer):
+    return "\n".join([header, *decls, *body, *footer]) + "\n"
+
+
+def _qubits(decls):
+    return [line.split()[1].rstrip(":") for line in decls if line.startswith("qubit ")]
+
+
+def insert_identity(rng, source):
+    header, decls, body, footer = _split(source)
+    qubits = _qubits(decls)
+    patterns = IDENTITIES if len(qubits) > 1 else IDENTITIES[:-1]
+    body.insert(rng.randint(0, len(body)), rng.choice(patterns).format(*rng.sample(qubits, min(2, len(qubits)))))
+    return _join(header, decls, body, footer)
+
+
+def relabel(rng, source):
+    """Rename every qubit and cbit and shuffle the qubit declarations; the
+    inputs keep their relative order and the output line its order."""
+    _, decls, _, _ = _split(source)
+    names = _qubits(decls) + [c for line in decls for c in re.findall(r"cbit (\w+);", line)]
+    mapping = dict(zip(names, rng.sample([f"v{i}" for i in range(len(names))], len(names))))
+    source = re.sub(r"\b(" + "|".join(names) + r")\b", lambda m: mapping[m.group(1)], source)
+    header, decls, body, footer = _split(source)
+    qubit_lines = [line for line in decls if line.startswith("qubit ")]
+    inputs = iter([line for line in qubit_lines if line.endswith(": input;")])
+    rng.shuffle(qubit_lines)
+    qubit_lines = [next(inputs) if line.endswith(": input;") else line for line in qubit_lines]
+    return _join(header, qubit_lines + decls[len(qubit_lines) :], body, footer)
+
+
+def add_discarded_ancilla(rng, source):
+    header, decls, body, footer = _split(source)
+    body.insert(rng.randint(0, len(body)), "H anc; measure anc -> canc;")
+    return _join(header, ["qubit anc: zero;", *decls, "cbit canc;"], body, footer)
+
+
+TRANSFORMS = (insert_identity, relabel, add_discarded_ancilla)
+
+
+def _metamorphic_sources():
+    rng = random.Random(4242)
+    sources = [random_protocol_source(rng, shuffle=True) for _ in range(60)]
+    return rng, sources + [teleport_source(n) for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("transform", TRANSFORMS, ids=lambda t: t.__name__)
+def test_transforms_keep_equivalence(transform):
+    rng, sources = _metamorphic_sources()
+    for source in sources:
+        changed = transform(rng, source)
+        lhs, rhs = parse(source), parse(changed)
+        assert check_equivalence(lhs, rhs).equivalent, changed
+        assert check_equivalence(rhs, lhs).equivalent, changed
+        if transform is add_discarded_ancilla:
+            # The sides' Choi coefficients sit over different denominators.
+            assert checker.lower(rhs).denominator == 2 * checker.lower(lhs).denominator
+
+
+def test_relabel_moves_the_inputs():
+    rng, sources = _metamorphic_sources()
+    moved = 0
+    for source in sources:
+        lhs, rhs = parse(source), parse(relabel(rng, source))
+        assert (rhs.n_in, rhs.n_out) == (lhs.n_in, lhs.n_out)
+        moved += checker.lower(lhs).inputs != checker.lower(rhs).inputs
+    assert moved > 20
+
+
+# ---------------------------------------------------------------------------
+# The tables a verdict hands out, and counterexamples replayed densely.
+
+
+def _verdict_pairs():
+    asts = [load(name) for name in CORPUS]
+    pairs = [(a, b) for a in asts for b in asts if a.n_in == b.n_in and a.n_out == b.n_out]
+    pairs += [(a, builtin_identity(a.n_in)) for a in asts if a.n_in == a.n_out]
+    rng = random.Random(5150)
+    for _ in range(50):
+        source = random_protocol_source(rng, shuffle=True)
+        pairs.append((parse(source), parse(_without_one_statement(rng, source))))
+    return pairs
+
+
+def test_verdict_fingerprints_are_the_tables():
+    kinds = set()
+    for lhs, rhs in _verdict_pairs():
+        verdict = check_equivalence(lhs, rhs)
+        assert verdict.fingerprints == (fingerprint(lhs), fingerprint(rhs))
+        kinds.add(verdict.equivalent)
+    assert kinds == {True, False}
+
+
+def test_counterexamples_replay_through_the_dense_oracle():
+    replayed = 0
+    for lhs, rhs in _verdict_pairs():
+        verdict = check_equivalence(lhs, rhs)
+        ce = verdict.counterexample
+        if ce is None or lhs.n_in > 2:
+            continue
+        k = basis_index(ce.basis_element)
+        q = next(q for q in range(4 ** lhs.n_out) if checker.local_observable(lhs.n_out, q) == ce.observable)
+        assert abs(fingerprint_dense(lhs)[k, q] - float(ce.value_lhs)) < TOL
+        assert abs(fingerprint_dense(rhs)[k, q] - float(ce.value_rhs)) < TOL
+        replayed += 1
+    assert replayed > 20

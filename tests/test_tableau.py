@@ -115,6 +115,36 @@ class TestApplyGate:
                 t.assert_valid()
 
 
+class TestRunCircuit:
+    def test_matches_gate_by_gate(self):
+        rng = random.Random(23)
+        for n in range(1, 15):
+            for _ in range(25):
+                gates = random_circuit(rng, n, rng.randint(0, 60))
+                # Runs of P around an H carry the phase's low bit into its high bit.
+                q = rng.randrange(n)
+                gates += [("P", q)] * rng.randint(1, 7) + [("H", q)] + [("P", q)] * rng.randint(1, 7)
+                gates += random_circuit(rng, n, rng.randint(0, 10))
+                want = new_zero_state(n)
+                for gate in gates:
+                    apply_gate(want, *gate)
+                got = run_circuit(n, gates)
+                assert got.rows == want.rows  # phases included
+                assert got.trace == want.trace
+
+    @pytest.mark.parametrize("gate", [("T", 0), ("H", 0, 1), ("CNOT", 0), ("X", 2), ("Z", -1), ("CNOT", 1, 1)])
+    def test_same_errors_as_apply_gate(self, gate):
+        with pytest.raises(ValueError) as want:
+            apply_gate(new_zero_state(2), *gate)
+        with pytest.raises(ValueError) as got:
+            run_circuit(2, [("H", 0), gate])
+        assert str(got.value) == str(want.value)
+
+    def test_needs_a_qubit(self):
+        with pytest.raises(ValueError, match="at least one qubit"):
+            run_circuit(0, [])
+
+
 class TestApplyTableau:
     def test_matches_gate_by_gate(self):
         rng = random.Random(19)
