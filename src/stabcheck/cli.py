@@ -41,7 +41,7 @@ def _load_protocol(path_text: str) -> ProtocolAST:
     path = Path(path_text)
     try:
         source = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UserError(f"cannot read {path}: {exc}") from None
     try:
         ast = parse(source)
@@ -75,10 +75,14 @@ def _cmd_check(args) -> int:
     if args.identity is not None:
         if args.rhs is not None:
             raise UserError("give either a second protocol file or --identity, not both")
-        if args.identity < 1:
+        n = args.identity
+        if n < 1:
             raise UserError("--identity takes a positive qubit count")
-        rhs = builtin_identity(args.identity)
-        rhs_label = f"identity:{args.identity}"
+        # Refuse before building the identity, which takes time and memory linear in n.
+        if (lhs.n_in, lhs.n_out) != (n, n):
+            raise UserError(f"arity mismatch: {lhs.name} is {lhs.n_in}->{lhs.n_out}, identity_{n} is {n}->{n}")
+        rhs = builtin_identity(n)
+        rhs_label = f"identity:{n}"
     elif args.rhs is not None:
         rhs = _load_protocol(args.rhs)
         rhs_label = args.rhs

@@ -29,12 +29,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .tableau import GATE_NAMES
 
 KEYWORDS = frozenset({"protocol", "qubit", "cbit", "input", "zero", "measure", "if", "then", "output"})
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# Whitespace and comments match unnamed and are skipped; any character no
+# other part accepts is "bad".
+_TOKEN_RE = re.compile(r"[ \t\r]+|#.*|(?P<arrow>->)|(?P<punct>[{}:;,])|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>.)")
 
 
 @dataclass(frozen=True)
@@ -62,13 +65,6 @@ class ParseError(Exception):
     def __init__(self, message: str, span: SourceSpan):
         super().__init__(f"{span}: {message}")
         self.diagnostic = Diagnostic("error", message, span)
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "name" | "punct" | "arrow" | "eof"
-    text: str
-    span: SourceSpan
 
 
 @dataclass(frozen=True)
@@ -137,34 +133,32 @@ class ProtocolAST:
         return len(self.outputs)
 
 
+class Token(NamedTuple):
+    kind: str  # "name" | "punct" | "arrow" | "eof"
+    text: str
+    line: int
+    col: int
+
+    @property
+    def span(self) -> SourceSpan:
+        # The eof token has no text but a one-column span.
+        return SourceSpan(self.line, self.col, self.col + max(len(self.text), 1))
+
+
 def _tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
+    # splitlines also breaks at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029.
     lines = source.splitlines() or [""]
     for lineno, line in enumerate(lines, start=1):
-        col = 0
-        while col < len(line):
-            ch = line[col]
-            if ch in " \t\r":
-                col += 1
+        for match in _TOKEN_RE.finditer(line):
+            kind = match.lastgroup
+            if kind is None:
                 continue
-            if ch == "#":
-                break
-            if line.startswith("->", col):
-                tokens.append(Token("arrow", "->", SourceSpan(lineno, col + 1, col + 3)))
-                col += 2
-                continue
-            if ch in "{}:;,":
-                tokens.append(Token("punct", ch, SourceSpan(lineno, col + 1, col + 2)))
-                col += 1
-                continue
-            match = _NAME_RE.match(line, col)
-            if match:
-                tokens.append(Token("name", match.group(), SourceSpan(lineno, col + 1, match.end() + 1)))
-                col = match.end()
-                continue
-            raise ParseError(f"unexpected character {ch!r}", SourceSpan(lineno, col + 1, col + 2))
-    end = SourceSpan(len(lines), len(lines[-1]) + 1, len(lines[-1]) + 2)
-    tokens.append(Token("eof", "", end))
+            col = match.start() + 1
+            if kind == "bad":
+                raise ParseError(f"unexpected character {match.group()!r}", SourceSpan(lineno, col, col + 1))
+            tokens.append(Token(kind, match.group(), lineno, col))
+    tokens.append(Token("eof", "", len(lines), len(lines[-1]) + 1))
     return tokens
 
 
@@ -182,26 +176,15 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def expect_punct(self, ch: str) -> Token:
+    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> Token:
+        """The next token, which must be of kind (and be text, if given); what names it in the error."""
         tok = self.peek()
-        if tok.kind != "punct" or tok.text != ch:
-            raise ParseError(f"expected {ch!r}, found {tok.text or 'end of input'!r}", tok.span)
-        return self.advance()
-
-    def expect_name(self, what: str = "a name") -> Token:
-        tok = self.peek()
-        if tok.kind != "name":
-            raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.span)
-        return self.advance()
-
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "name" or tok.text != word:
-            raise ParseError(f"expected {word!r}, found {tok.text or 'end of input'!r}", tok.span)
+        if tok.kind != kind or (text is not None and tok.text != text):
+            raise ParseError(f"expected {what or repr(text)}, found {tok.text or 'end of input'!r}", tok.span)
         return self.advance()
 
     def fresh_ident(self, what: str) -> Ident:
-        tok = self.expect_name(what)
+        tok = self.expect("name", what=what)
         if tok.text in KEYWORDS:
             raise ParseError(f"{tok.text!r} is a reserved word", tok.span)
         return Ident(tok.text, tok.span)
@@ -210,9 +193,9 @@ class _Parser:
 def parse(source: str) -> ProtocolAST:
     """Parse a protocol; raises ParseError with a source span on failure."""
     p = _Parser(_tokenize(source))
-    p.expect_keyword("protocol")
-    name_tok = p.expect_name("a protocol name")
-    p.expect_punct("{")
+    p.expect("name", "protocol")
+    name_tok = p.expect("name", what="a protocol name")
+    p.expect("punct", "{")
 
     declared: dict[str, SourceSpan] = {}
     qubits: list[QubitDecl] = []
@@ -228,14 +211,14 @@ def parse(source: str) -> ProtocolAST:
         ident = p.fresh_ident("a declaration name")
         declare(ident)
         if kw.text == "qubit":
-            p.expect_punct(":")
-            init = p.expect_name("'input' or 'zero'")
+            p.expect("punct", ":")
+            init = p.expect("name", what="'input' or 'zero'")
             if init.text not in ("input", "zero"):
                 raise ParseError("qubit initializer must be 'input' or 'zero'", init.span)
             qubits.append(QubitDecl(ident.name, init.text, ident.span))
         else:
             cbits.append(CbitDecl(ident.name, ident.span))
-        p.expect_punct(";")
+        p.expect("punct", ";")
 
     body: list[Statement] = []
     while not (p.peek().kind == "name" and p.peek().text == "output"):
@@ -250,25 +233,25 @@ def parse(source: str) -> ProtocolAST:
                 raise ParseError("expected '->' in measure statement", p_arrow.span)
             p.advance()
             cbit = p.fresh_ident("a classical bit name")
-            p.expect_punct(";")
+            p.expect("punct", ";")
             body.append(MeasureStmt(qubit, cbit, tok.span))
         elif tok.text == "if":
             p.advance()
             cbit = p.fresh_ident("a classical bit name")
-            p.expect_keyword("then")
-            gate_tok = p.expect_name("a gate name")
+            p.expect("name", "then")
+            gate_tok = p.expect("name", what="a gate name")
             if gate_tok.text not in GATE_NAMES:
                 raise ParseError(
                     f"{gate_tok.text!r} is not a Clifford gate (allowed: {', '.join(GATE_NAMES)})",
                     gate_tok.span,
                 )
             args = _parse_args(p)
-            p.expect_punct(";")
+            p.expect("punct", ";")
             body.append(IfGateStmt(cbit, gate_tok.text, args, tok.span))
         elif tok.text in GATE_NAMES:
             p.advance()
             args = _parse_args(p)
-            p.expect_punct(";")
+            p.expect("punct", ";")
             body.append(GateStmt(tok.text, args, tok.span))
         elif tok.text in KEYWORDS:
             raise ParseError(f"{tok.text!r} not allowed here", tok.span)
@@ -278,17 +261,16 @@ def parse(source: str) -> ProtocolAST:
                 tok.span,
             )
 
-    out_tok = p.expect_keyword("output")
+    p.expect("name", "output")
     outputs = [p.fresh_ident("an output qubit name")]
     while p.peek().kind == "punct" and p.peek().text == ",":
         p.advance()
         outputs.append(p.fresh_ident("an output qubit name"))
-    p.expect_punct(";")
-    p.expect_punct("}")
+    p.expect("punct", ";")
+    p.expect("punct", "}")
     trailing = p.peek()
     if trailing.kind != "eof":
         raise ParseError(f"unexpected {trailing.text!r} after protocol body", trailing.span)
-    del out_tok
     return ProtocolAST(
         name=name_tok.text,
         qubits=tuple(qubits),

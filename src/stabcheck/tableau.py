@@ -361,15 +361,8 @@ def measure_z(t: Tableau, q: int) -> tuple[MeasurementResolution, Callable[[int]
     pivot = next((i for i in range(t.n, 2 * t.n) if t.rows[i].x_bits & qmask), None)
 
     if pivot is None:
-        # Z_q is in +-(stabilizer group); the destabilizer coordinates say
-        # which generator product reproduces it, and its sign is the outcome.
-        acc = PauliString.identity(t.n)
-        for i in range(t.n):
-            if t.rows[i].x_bits & qmask:
-                acc = acc * t.rows[t.n + i]
-        if acc.x_bits != 0 or acc.z_bits != qmask:
-            raise AssertionError("deterministic measurement product is not +-Z_q")
-        forced = acc.phase_exp // 2
+        # Z_q is in +-(stabilizer group), so <Z_q> = +-1 gives the outcome.
+        forced = (1 - expectation(t, PauliString(t.n, 0, qmask))) // 2
 
         def collapse_det(outcome: int) -> Tableau:
             if outcome != forced:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,20 @@ import numpy as np
 from stabcheck import PauliString, SuperopFingerprint, apply_gate, enumerate_basis, expectation, measure_z, run_protocol
 from stabcheck.basis import BASIS_ORDER_TAG, ExactComplex
 from stabcheck.checker import local_observable
+from stabcheck.protocol import (
+    KEYWORDS,
+    CbitDecl,
+    GateStmt,
+    Ident,
+    IfGateStmt,
+    MeasureStmt,
+    ParseError,
+    ProtocolAST,
+    QubitDecl,
+    SourceSpan,
+    Statement,
+)
+from stabcheck.tableau import GATE_NAMES
 
 GATE_POOL = ("H", "P", "X", "Y", "Z", "CNOT")
 
@@ -185,3 +201,189 @@ def random_protocol_source(rng: random.Random, name: str = "rand", shuffle: bool
         rng.shuffle(decls)
     decls += [f"cbit {c};" for c in written]
     return f"protocol {name} {{\n  " + "\n  ".join(decls + body) + f"\n  output {', '.join(outputs)};\n}}\n"
+
+
+# ---------------------------------------------------------------------------
+# The reference front end: the per-character tokenizer and the parser with
+# one expect method per token kind, kept as they were before the lexer became
+# one master regex.  reference_parse must agree with protocol.parse on every
+# AST, span, ParseError message and error span.
+
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # "name" | "punct" | "arrow" | "eof"
+    text: str
+    span: SourceSpan
+
+
+def _tokenize(source: str) -> list[Token]:
+    tokens: list[Token] = []
+    lines = source.splitlines() or [""]
+    for lineno, line in enumerate(lines, start=1):
+        col = 0
+        while col < len(line):
+            ch = line[col]
+            if ch in " \t\r":
+                col += 1
+                continue
+            if ch == "#":
+                break
+            if line.startswith("->", col):
+                tokens.append(Token("arrow", "->", SourceSpan(lineno, col + 1, col + 3)))
+                col += 2
+                continue
+            if ch in "{}:;,":
+                tokens.append(Token("punct", ch, SourceSpan(lineno, col + 1, col + 2)))
+                col += 1
+                continue
+            match = _NAME_RE.match(line, col)
+            if match:
+                tokens.append(Token("name", match.group(), SourceSpan(lineno, col + 1, match.end() + 1)))
+                col = match.end()
+                continue
+            raise ParseError(f"unexpected character {ch!r}", SourceSpan(lineno, col + 1, col + 2))
+    end = SourceSpan(len(lines), len(lines[-1]) + 1, len(lines[-1]) + 2)
+    tokens.append(Token("eof", "", end))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != "eof":
+            self.pos += 1
+        return tok
+
+    def expect_punct(self, ch: str) -> Token:
+        tok = self.peek()
+        if tok.kind != "punct" or tok.text != ch:
+            raise ParseError(f"expected {ch!r}, found {tok.text or 'end of input'!r}", tok.span)
+        return self.advance()
+
+    def expect_name(self, what: str = "a name") -> Token:
+        tok = self.peek()
+        if tok.kind != "name":
+            raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}", tok.span)
+        return self.advance()
+
+    def expect_keyword(self, word: str) -> Token:
+        tok = self.peek()
+        if tok.kind != "name" or tok.text != word:
+            raise ParseError(f"expected {word!r}, found {tok.text or 'end of input'!r}", tok.span)
+        return self.advance()
+
+    def fresh_ident(self, what: str) -> Ident:
+        tok = self.expect_name(what)
+        if tok.text in KEYWORDS:
+            raise ParseError(f"{tok.text!r} is a reserved word", tok.span)
+        return Ident(tok.text, tok.span)
+
+
+def reference_parse(source: str) -> ProtocolAST:
+    """Parse a protocol; raises ParseError with a source span on failure."""
+    p = _Parser(_tokenize(source))
+    p.expect_keyword("protocol")
+    name_tok = p.expect_name("a protocol name")
+    p.expect_punct("{")
+
+    declared: dict[str, SourceSpan] = {}
+    qubits: list[QubitDecl] = []
+    cbits: list[CbitDecl] = []
+
+    def declare(ident: Ident) -> None:
+        if ident.name in declared:
+            raise ParseError(f"duplicate declaration of {ident.name!r}", ident.span)
+        declared[ident.name] = ident.span
+
+    while p.peek().kind == "name" and p.peek().text in ("qubit", "cbit"):
+        kw = p.advance()
+        ident = p.fresh_ident("a declaration name")
+        declare(ident)
+        if kw.text == "qubit":
+            p.expect_punct(":")
+            init = p.expect_name("'input' or 'zero'")
+            if init.text not in ("input", "zero"):
+                raise ParseError("qubit initializer must be 'input' or 'zero'", init.span)
+            qubits.append(QubitDecl(ident.name, init.text, ident.span))
+        else:
+            cbits.append(CbitDecl(ident.name, ident.span))
+        p.expect_punct(";")
+
+    body: list[Statement] = []
+    while not (p.peek().kind == "name" and p.peek().text == "output"):
+        tok = p.peek()
+        if tok.kind != "name":
+            raise ParseError(f"expected a statement or 'output', found {tok.text or 'end of input'!r}", tok.span)
+        if tok.text == "measure":
+            p.advance()
+            qubit = p.fresh_ident("a qubit name")
+            p_arrow = p.peek()
+            if p_arrow.kind != "arrow":
+                raise ParseError("expected '->' in measure statement", p_arrow.span)
+            p.advance()
+            cbit = p.fresh_ident("a classical bit name")
+            p.expect_punct(";")
+            body.append(MeasureStmt(qubit, cbit, tok.span))
+        elif tok.text == "if":
+            p.advance()
+            cbit = p.fresh_ident("a classical bit name")
+            p.expect_keyword("then")
+            gate_tok = p.expect_name("a gate name")
+            if gate_tok.text not in GATE_NAMES:
+                raise ParseError(
+                    f"{gate_tok.text!r} is not a Clifford gate (allowed: {', '.join(GATE_NAMES)})",
+                    gate_tok.span,
+                )
+            args = _parse_args(p)
+            p.expect_punct(";")
+            body.append(IfGateStmt(cbit, gate_tok.text, args, tok.span))
+        elif tok.text in GATE_NAMES:
+            p.advance()
+            args = _parse_args(p)
+            p.expect_punct(";")
+            body.append(GateStmt(tok.text, args, tok.span))
+        elif tok.text in KEYWORDS:
+            raise ParseError(f"{tok.text!r} not allowed here", tok.span)
+        else:
+            raise ParseError(
+                f"{tok.text!r} is not a Clifford gate (allowed: {', '.join(GATE_NAMES)})",
+                tok.span,
+            )
+
+    out_tok = p.expect_keyword("output")
+    outputs = [p.fresh_ident("an output qubit name")]
+    while p.peek().kind == "punct" and p.peek().text == ",":
+        p.advance()
+        outputs.append(p.fresh_ident("an output qubit name"))
+    p.expect_punct(";")
+    p.expect_punct("}")
+    trailing = p.peek()
+    if trailing.kind != "eof":
+        raise ParseError(f"unexpected {trailing.text!r} after protocol body", trailing.span)
+    del out_tok
+    return ProtocolAST(
+        name=name_tok.text,
+        qubits=tuple(qubits),
+        cbits=tuple(cbits),
+        body=tuple(body),
+        outputs=tuple(outputs),
+        span=name_tok.span,
+    )
+
+
+def _parse_args(p: _Parser) -> tuple[Ident, ...]:
+    args = [p.fresh_ident("a qubit name")]
+    if p.peek().kind == "punct" and p.peek().text == ",":
+        p.advance()
+        args.append(p.fresh_ident("a qubit name"))
+    return tuple(args)

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from stabcheck import ArityMismatchError, builtin_identity, check_equivalence, parse
 from stabcheck.cli import corpus_path, main
 
 
@@ -90,6 +91,26 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", TELEPORT, "--identity", "2")
         assert code == 2
         assert "arity" in err
+
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.qpr"
+        bad.write_bytes(b"protocol p { qubit a: input; output a; }\n\xff\n")
+        code, _, err = run_cli(capsys, "check", str(bad), "--identity", "1")
+        assert code == 2
+        assert err.startswith(f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_identity_arity_is_checked_before_it_is_built(self, capsys):
+        # Building a 200,000-wire identity first took seconds and hundreds of MB.
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "check", TELEPORT, "--identity", "200000")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err == "arity mismatch: teleport is 1->1, identity_200000 is 200000->200000\n"
+        # The same text as check_equivalence's ArityMismatchError.
+        with pytest.raises(ArityMismatchError) as exc:
+            check_equivalence(parse(corpus_path("teleport.qpr").read_text()), builtin_identity(2))
+        _, _, err = run_cli(capsys, "check", TELEPORT, "--identity", "2")
+        assert err == f"{exc.value}\n"
 
     def test_budget_exceeded_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "check", TELEPORT, "--identity", "1", "--budget", "4")

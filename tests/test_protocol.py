@@ -1,5 +1,6 @@
 """Parser, validator and pretty-printer for the .qpr format."""
 
+import dataclasses
 import random
 
 import pytest
@@ -12,6 +13,8 @@ from stabcheck.protocol import (
     MeasureStmt,
     errors_of,
 )
+
+from helpers import random_protocol_source, reference_parse, teleport_source
 
 CORPUS = [
     "teleport.qpr",
@@ -231,3 +234,50 @@ def test_fuzzed_valid_protocols_run_end_to_end():
         assert all(row[0] == 1 for row in fp.table)
         ran += 1
     assert ran >= 30
+
+
+# One-character edits for the front-end differential test: line breaks that
+# str.splitlines honours besides \n, an arrow half, a comment start,
+# punctuation, a non-ASCII space, a digit and a letter.
+CORRUPTION_POOL = ("-", ">", "#", ";", ",", "{", "\f", "\r", "\r\n", "\v", "\x1c", "\xa0", "7", "q")
+
+
+def _corrupt(rng: random.Random, source: str) -> str:
+    """Insert, delete or replace one character, or truncate the source."""
+    pos = rng.randrange(len(source))
+    edit = rng.choice(("insert", "delete", "replace", "truncate"))
+    if edit == "truncate":
+        return source[:pos]
+    inserted = "" if edit == "delete" else rng.choice(CORRUPTION_POOL)
+    return source[:pos] + inserted + source[pos + (edit != "insert"):]
+
+
+def _with_spans(node):
+    """The node as nested tuples, its span fields included (they take no part in ==)."""
+    if dataclasses.is_dataclass(node):
+        return (type(node).__name__,) + tuple(_with_spans(getattr(node, f.name)) for f in dataclasses.fields(node))
+    if isinstance(node, tuple):
+        return tuple(_with_spans(item) for item in node)
+    return node
+
+
+def _outcome(parser, source):
+    try:
+        return _with_spans(parser(source))
+    except ParseError as exc:
+        return ("ParseError", exc.diagnostic.message, exc.diagnostic.span, str(exc))
+
+
+def test_front_end_matches_reference_parser():
+    rng = random.Random(707)
+    bases = [load(name) for name in CORPUS] + [teleport_source(n) for n in range(1, 5)]
+    bases += [random_protocol_source(rng, shuffle=i % 2 == 1) for i in range(200)]
+    bases += [pretty_print(parse(source)) for source in bases]
+    corrupted = [_corrupt(rng, bases[i % len(bases)]) for i in range(3000)]
+    errors = 0
+    for source in bases + corrupted:
+        want = _outcome(reference_parse, source)
+        assert _outcome(parse, source) == want, repr(source)
+        errors += want[0] == "ParseError"
+    # Both paths are exercised: most corruptions break the syntax, some do not.
+    assert 1000 < errors < len(corrupted)
