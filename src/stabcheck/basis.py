@@ -195,14 +195,31 @@ def basis_index(element: BasisElement) -> int:
     dim = 1 << element.n
     if element.kind == "diag":
         return element.x
-    pair_rank = 0
-    for x, y in itertools.combinations(range(dim), 2):
-        if (x, y) == (element.x, element.y):
-            break
-        pair_rank += 1
+    x, y = element.x, element.y
+    # Pairs (x, y) in lexicographic order: dim - 1 - x of them start with x.
+    pair_rank = x * (2 * dim - x - 1) // 2 + y - x - 1
     npairs = dim * (dim - 1) // 2
     offset = dim if element.kind == "plus" else dim + npairs
     return offset + pair_rank
+
+
+def basis_element(n: int, index: int) -> BasisElement:
+    """The element at index in enumerate_basis(n) order; basis_index inverted."""
+    dim = 1 << n
+    if not 0 <= index < dim * dim:
+        raise ValueError(f"basis index {index} out of range for n={n}")
+    if index < dim:
+        return BasisElement(n, "diag", index)
+    rank = index - dim
+    npairs = dim * (dim - 1) // 2
+    kind = "plus" if rank < npairs else "iplus"
+    rank %= npairs
+    # Undo basis_index's pair rank: dim - 1 - x pairs start with x.
+    x = 0
+    while rank >= dim - 1 - x:
+        rank -= dim - 1 - x
+        x += 1
+    return BasisElement(n, kind, x, x + 1 + rank)
 
 
 def element_matrix(e: BasisElement) -> list[list[ExactComplex]]:

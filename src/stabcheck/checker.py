@@ -24,7 +24,7 @@ from functools import cache, partial
 import numpy as np
 
 from . import dense
-from .basis import BASIS_ORDER_TAG, BasisCircuit, BasisElement, enumerate_basis
+from .basis import BASIS_ORDER_TAG, BasisCircuit, BasisElement, basis_element, enumerate_basis
 from .protocol import GateStmt, IfGateStmt, ProtocolAST, errors_of, validate
 from .tableau import (
     PauliString,
@@ -158,17 +158,32 @@ def lower(ast: ProtocolAST, choi: bool = False) -> Program:
     bit = {c.name: i for i, c in enumerate(ast.cbits)}
     inputs = tuple(wire[name] for name in ast.input_names)
     refs = tuple(range(len(wire), len(wire) + len(inputs))) if choi else ()
+    # A run of plain gates is ("u", gates, touched) until the backward pass:
+    # its gate tuples and the set of wires they touch.  gates is None while
+    # no run is open.
     ops: list[tuple] = []
+    gates = None
     if choi:
-        ops.append(("u", [g for r, q in zip(refs, inputs) for g in (("H", r), ("CNOT", r, q))]))
+        gates = [g for r, q in zip(refs, inputs) for g in (("H", r), ("CNOT", r, q))]
+        touched = {*refs, *inputs}
+        ops.append(("u", gates, touched))
     for stmt in ast.body:
         if isinstance(stmt, GateStmt):
-            gate = (stmt.gate, *(wire[a.name] for a in stmt.args))
-            if ops and ops[-1][0] == "u":
-                ops[-1][1].append(gate)
+            args = stmt.args
+            q = wire[args[0].name]
+            if gates is None:
+                gates, touched = [], set()
+                ops.append(("u", gates, touched))
+            touched.add(q)
+            if len(args) == 1:
+                gates.append((stmt.gate, q))
             else:
-                ops.append(("u", [gate]))
-        elif isinstance(stmt, IfGateStmt):
+                t = wire[args[1].name]
+                touched.add(t)
+                gates.append((stmt.gate, q, t))
+            continue
+        gates = None
+        if isinstance(stmt, IfGateStmt):
             ops.append(("if", bit[stmt.cbit.name], stmt.gate, tuple(wire[a.name] for a in stmt.args)))
         else:
             ops.append(("m", wire[stmt.qubit.name], bit[stmt.cbit.name], False))
@@ -179,10 +194,11 @@ def lower(ast: ProtocolAST, choi: bool = False) -> Program:
     n_wires = len(wire) + len(refs)
     used_wires, used_bits = set(outputs), set()
     drops: list[tuple[int, ...]] = []
+    measurements = 0
     for i in range(len(ops) - 1, -1, -1):
         op = ops[i]
         if op[0] == "u":
-            used_wires.update(q for gate in op[1] for q in gate[1:])
+            used_wires |= op[2]
             ops[i] = ("u", run_circuit(n_wires, op[1]))
             drops.append(())
             continue
@@ -190,6 +206,7 @@ def lower(ast: ProtocolAST, choi: bool = False) -> Program:
             _, q, c, _ = op
             ops[i] = ("m", q, c, q not in used_wires)
             used_wires.add(q)
+            measurements += 1
         else:
             used_wires.update(op[-1])
             c = op[1]
@@ -202,7 +219,7 @@ def lower(ast: ProtocolAST, choi: bool = False) -> Program:
         cbits=tuple(c.name for c in ast.cbits),
         ops=tuple(ops),
         drops=tuple(reversed(drops)),
-        denominator=1 << sum(op[0] == "m" for op in ops),
+        denominator=1 << measurements,
         refs=refs,
     )
 
@@ -439,7 +456,7 @@ def check_equivalence(
     for k, (row_l, row_r) in enumerate(zip(_rows(ch_l), _rows(ch_r))):
         for q, (a, b) in enumerate(zip(row_l, row_r)):
             if a * s_l != b * s_r:
-                element = enumerate_basis(lhs.n_in)[k].element
+                element = basis_element(lhs.n_in, k)
                 ce = Counterexample(element, local_observable(lhs.n_out, q), Fraction(a, d_l), Fraction(b, d_r))
                 return Verdict(False, ce, (ch_l, ch_r))
     raise AssertionError("Choi states differ but no table entry does")

@@ -12,6 +12,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -272,7 +273,10 @@ def _cmd_census(args) -> int:
     return EXIT_OK
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no state
+    between calls, as each returns a new namespace."""
     parser = argparse.ArgumentParser(prog="stabcheck", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -29,15 +29,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .tableau import GATE_NAMES
 
 KEYWORDS = frozenset({"protocol", "qubit", "cbit", "input", "zero", "measure", "if", "then", "output"})
 
-# Whitespace and comments match unnamed and are skipped; any character no
-# other part accepts is "bad".
-_TOKEN_RE = re.compile(r"[ \t\r]+|#.*|(?P<arrow>->)|(?P<punct>[{}:;,])|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>.)")
+# Whitespace matches nothing, so finditer steps over it without a match;
+# comments match unnamed and are skipped.  Any other character no part
+# accepts is "bad".
+_TOKEN_RE = re.compile(r"#.*|(?P<arrow>->)|(?P<punct>[{}:;,])|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>[^ \t\r])")
 
 
 @dataclass(frozen=True)
@@ -133,20 +133,14 @@ class ProtocolAST:
         return len(self.outputs)
 
 
-class Token(NamedTuple):
-    kind: str  # "name" | "punct" | "arrow" | "eof"
-    text: str
-    line: int
-    col: int
-
-    @property
-    def span(self) -> SourceSpan:
-        # The eof token has no text but a one-column span.
-        return SourceSpan(self.line, self.col, self.col + max(len(self.text), 1))
+# A token is a plain (kind, text, line, col) tuple; kind is "name", "punct",
+# "arrow" or, for the last token only, "eof".
+_Token = tuple[str, str, int, int]
 
 
-def _tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
+def _tokenize(source: str) -> list[_Token]:
+    tokens = []
+    append = tokens.append
     # splitlines also breaks at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029.
     lines = source.splitlines() or [""]
     for lineno, line in enumerate(lines, start=1):
@@ -157,136 +151,131 @@ def _tokenize(source: str) -> list[Token]:
             col = match.start() + 1
             if kind == "bad":
                 raise ParseError(f"unexpected character {match.group()!r}", SourceSpan(lineno, col, col + 1))
-            tokens.append(Token(kind, match.group(), lineno, col))
-    tokens.append(Token("eof", "", len(lines), len(lines[-1]) + 1))
+            append((kind, match.group(), lineno, col))
+    append(("eof", "", len(lines), len(lines[-1]) + 1))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+def _span(tok: _Token) -> SourceSpan:
+    # The eof token has no text but a one-column span.
+    return SourceSpan(tok[2], tok[3], tok[3] + (len(tok[1]) or 1))
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+def _expect(tok: _Token, kind: str, text: str | None = None, what: str | None = None) -> None:
+    """Raise unless tok is of kind (and is text, if given); what names it in the error."""
+    if tok[0] != kind or (text is not None and tok[1] != text):
+        raise ParseError(f"expected {what or repr(text)}, found {tok[1] or 'end of input'!r}", _span(tok))
 
-    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> Token:
-        """The next token, which must be of kind (and be text, if given); what names it in the error."""
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            raise ParseError(f"expected {what or repr(text)}, found {tok.text or 'end of input'!r}", tok.span)
-        return self.advance()
 
-    def fresh_ident(self, what: str) -> Ident:
-        tok = self.expect("name", what=what)
-        if tok.text in KEYWORDS:
-            raise ParseError(f"{tok.text!r} is a reserved word", tok.span)
-        return Ident(tok.text, tok.span)
+def _ident(tok: _Token, what: str) -> Ident:
+    """A fresh name: any name but a keyword; what names it in the error."""
+    kind, text, line, col = tok
+    if kind != "name" or text in KEYWORDS:
+        _expect(tok, "name", what=what)
+        raise ParseError(f"{text!r} is a reserved word", _span(tok))
+    return Ident(text, SourceSpan(line, col, col + len(text)))
 
 
 def parse(source: str) -> ProtocolAST:
-    """Parse a protocol; raises ParseError with a source span on failure."""
-    p = _Parser(_tokenize(source))
-    p.expect("name", "protocol")
-    name_tok = p.expect("name", what="a protocol name")
-    p.expect("punct", "{")
+    """Parse a protocol; raises ParseError with a source span on failure.
 
-    declared: dict[str, SourceSpan] = {}
+    One index walks the tokens.  A token is stepped past only once its kind
+    is known, and the eof token never is, so tokens[i + 1] exists whenever
+    it is read.
+    """
+    tokens = _tokenize(source)
+    _expect(tokens[0], "name", "protocol")
+    name_tok = tokens[1]
+    _expect(name_tok, "name", what="a protocol name")
+    _expect(tokens[2], "punct", "{")
+    i = 3
+
+    declared: set[str] = set()
     qubits: list[QubitDecl] = []
     cbits: list[CbitDecl] = []
-
-    def declare(ident: Ident) -> None:
+    while tokens[i][1] in ("qubit", "cbit"):
+        ident = _ident(tokens[i + 1], "a declaration name")
         if ident.name in declared:
             raise ParseError(f"duplicate declaration of {ident.name!r}", ident.span)
-        declared[ident.name] = ident.span
-
-    while p.peek().kind == "name" and p.peek().text in ("qubit", "cbit"):
-        kw = p.advance()
-        ident = p.fresh_ident("a declaration name")
-        declare(ident)
-        if kw.text == "qubit":
-            p.expect("punct", ":")
-            init = p.expect("name", what="'input' or 'zero'")
-            if init.text not in ("input", "zero"):
-                raise ParseError("qubit initializer must be 'input' or 'zero'", init.span)
-            qubits.append(QubitDecl(ident.name, init.text, ident.span))
+        declared.add(ident.name)
+        if tokens[i][1] == "qubit":
+            _expect(tokens[i + 2], "punct", ":")
+            init = tokens[i + 3]
+            _expect(init, "name", what="'input' or 'zero'")
+            if init[1] not in ("input", "zero"):
+                raise ParseError("qubit initializer must be 'input' or 'zero'", _span(init))
+            qubits.append(QubitDecl(ident.name, init[1], ident.span))
+            i += 2
         else:
             cbits.append(CbitDecl(ident.name, ident.span))
-        p.expect("punct", ";")
+        _expect(tokens[i + 2], "punct", ";")
+        i += 3
 
     body: list[Statement] = []
-    while not (p.peek().kind == "name" and p.peek().text == "output"):
-        tok = p.peek()
-        if tok.kind != "name":
-            raise ParseError(f"expected a statement or 'output', found {tok.text or 'end of input'!r}", tok.span)
-        if tok.text == "measure":
-            p.advance()
-            qubit = p.fresh_ident("a qubit name")
-            p_arrow = p.peek()
-            if p_arrow.kind != "arrow":
-                raise ParseError("expected '->' in measure statement", p_arrow.span)
-            p.advance()
-            cbit = p.fresh_ident("a classical bit name")
-            p.expect("punct", ";")
-            body.append(MeasureStmt(qubit, cbit, tok.span))
-        elif tok.text == "if":
-            p.advance()
-            cbit = p.fresh_ident("a classical bit name")
-            p.expect("name", "then")
-            gate_tok = p.expect("name", what="a gate name")
-            if gate_tok.text not in GATE_NAMES:
+    while True:
+        tok = tokens[i]
+        text = tok[1]
+        if text in GATE_NAMES:
+            cbit = None
+            i += 1
+        elif text == "if":
+            cbit = _ident(tokens[i + 1], "a classical bit name")
+            _expect(tokens[i + 2], "name", "then")
+            gate_tok = tokens[i + 3]
+            _expect(gate_tok, "name", what="a gate name")
+            if gate_tok[1] not in GATE_NAMES:
                 raise ParseError(
-                    f"{gate_tok.text!r} is not a Clifford gate (allowed: {', '.join(GATE_NAMES)})",
-                    gate_tok.span,
+                    f"{gate_tok[1]!r} is not a Clifford gate (allowed: {', '.join(GATE_NAMES)})",
+                    _span(gate_tok),
                 )
-            args = _parse_args(p)
-            p.expect("punct", ";")
-            body.append(IfGateStmt(cbit, gate_tok.text, args, tok.span))
-        elif tok.text in GATE_NAMES:
-            p.advance()
-            args = _parse_args(p)
-            p.expect("punct", ";")
-            body.append(GateStmt(tok.text, args, tok.span))
-        elif tok.text in KEYWORDS:
-            raise ParseError(f"{tok.text!r} not allowed here", tok.span)
+            i += 4
+        elif text == "measure":
+            qubit = _ident(tokens[i + 1], "a qubit name")
+            if tokens[i + 2][0] != "arrow":
+                raise ParseError("expected '->' in measure statement", _span(tokens[i + 2]))
+            cbit = _ident(tokens[i + 3], "a classical bit name")
+            _expect(tokens[i + 4], "punct", ";")
+            body.append(MeasureStmt(qubit, cbit, _span(tok)))
+            i += 5
+            continue
+        elif text == "output":
+            break
+        elif tok[0] != "name":
+            raise ParseError(f"expected a statement or 'output', found {text or 'end of input'!r}", _span(tok))
+        elif text in KEYWORDS:
+            raise ParseError(f"{text!r} not allowed here", _span(tok))
         else:
-            raise ParseError(
-                f"{tok.text!r} is not a Clifford gate (allowed: {', '.join(GATE_NAMES)})",
-                tok.span,
-            )
+            raise ParseError(f"{text!r} is not a Clifford gate (allowed: {', '.join(GATE_NAMES)})", _span(tok))
+        # A gate's one or two qubit arguments, then ";".
+        args = (_ident(tokens[i], "a qubit name"),)
+        if tokens[i + 1][1] == ",":
+            args += (_ident(tokens[i + 2], "a qubit name"),)
+            i += 2
+        _expect(tokens[i + 1], "punct", ";")
+        i += 2
+        if cbit is None:
+            body.append(GateStmt(text, args, _span(tok)))
+        else:
+            body.append(IfGateStmt(cbit, gate_tok[1], args, _span(tok)))
 
-    p.expect("name", "output")
-    outputs = [p.fresh_ident("an output qubit name")]
-    while p.peek().kind == "punct" and p.peek().text == ",":
-        p.advance()
-        outputs.append(p.fresh_ident("an output qubit name"))
-    p.expect("punct", ";")
-    p.expect("punct", "}")
-    trailing = p.peek()
-    if trailing.kind != "eof":
-        raise ParseError(f"unexpected {trailing.text!r} after protocol body", trailing.span)
+    outputs = [_ident(tokens[i + 1], "an output qubit name")]
+    i += 2
+    while tokens[i][1] == ",":
+        outputs.append(_ident(tokens[i + 1], "an output qubit name"))
+        i += 2
+    _expect(tokens[i], "punct", ";")
+    _expect(tokens[i + 1], "punct", "}")
+    trailing = tokens[i + 2]
+    if trailing[0] != "eof":
+        raise ParseError(f"unexpected {trailing[1]!r} after protocol body", _span(trailing))
     return ProtocolAST(
-        name=name_tok.text,
+        name=name_tok[1],
         qubits=tuple(qubits),
         cbits=tuple(cbits),
         body=tuple(body),
         outputs=tuple(outputs),
-        span=name_tok.span,
+        span=_span(name_tok),
     )
-
-
-def _parse_args(p: _Parser) -> tuple[Ident, ...]:
-    args = [p.fresh_ident("a qubit name")]
-    if p.peek().kind == "punct" and p.peek().text == ",":
-        p.advance()
-        args.append(p.fresh_ident("a qubit name"))
-    return tuple(args)
 
 
 def validate(ast: ProtocolAST) -> list[Diagnostic]:

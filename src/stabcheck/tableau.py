@@ -196,16 +196,18 @@ def new_zero_state(n: int) -> Tableau:
     return run_circuit(n, ())
 
 
-def _check_gate(n: int, gate: str, qubits: tuple[int, ...]) -> None:
+def _check_gate(n: int, g: tuple) -> None:
+    """Raise ValueError unless g = (gate, qubits...) is a gate on qubits of an n-qubit state."""
+    gate = g[0]
     if gate not in GATE_NAMES:
         raise ValueError(f"unknown gate {gate!r}; only Clifford gates {GATE_NAMES} are supported")
     expected = 2 if gate == "CNOT" else 1
-    if len(qubits) != expected:
-        raise ValueError(f"{gate} takes {expected} qubit(s), got {len(qubits)}")
-    for q in qubits:
+    if len(g) != expected + 1:
+        raise ValueError(f"{gate} takes {expected} qubit(s), got {len(g) - 1}")
+    for q in g[1:]:
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for n={n}")
-    if gate == "CNOT" and qubits[0] == qubits[1]:
+    if expected == 2 and g[1] == g[2]:
         raise ValueError("CNOT control and target must differ")
 
 
@@ -243,9 +245,10 @@ def _conjugate(row: PauliString, gate: str, qubits: tuple[int, ...]) -> PauliStr
 
 def apply_gate(t: Tableau, gate: str, *qubits: int) -> Tableau:
     """Conjugate every row by the gate, in place; returns the same tableau."""
-    _check_gate(t.n, gate, qubits)
+    g = (gate, *qubits)
+    _check_gate(t.n, g)
     t.rows = [_conjugate(r, gate, qubits) for r in t.rows]
-    t.trace.append((gate, *qubits))
+    t.trace.append(g)
     return t
 
 
@@ -259,7 +262,8 @@ def run_circuit(n: int, gates) -> Tableau:
     lo and hi are the low and high bits of row r's phase_exp.  A gate
     updates a few of these ints for all 2n rows at once, and the columns
     are transposed into rows once, at the end.  Rows, phases and trace are
-    those of applying the gates one by one with apply_gate.
+    those of applying the gates one by one with apply_gate; the trace holds
+    the given tuples themselves, each checked as apply_gate checks it.
     """
     if n < 1:
         raise ValueError("need at least one qubit")
@@ -268,9 +272,8 @@ def run_circuit(n: int, gates) -> Tableau:
     lo = hi = 0
     trace = []
     for g in gates:
-        gate, qubits = g[0], tuple(g[1:])
-        _check_gate(n, gate, qubits)
-        q = qubits[0]
+        _check_gate(n, g)
+        gate, q = g[0], g[1]
         if gate == "H":
             hi ^= xs[q] & zs[q]
             xs[q], zs[q] = zs[q], xs[q]
@@ -286,10 +289,10 @@ def run_circuit(n: int, gates) -> Tableau:
         elif gate == "Z":
             hi ^= xs[q]
         else:
-            t = qubits[1]
+            t = g[2]
             xs[t] ^= xs[q]
             zs[q] ^= zs[t]
-        trace.append((gate, *qubits))
+        trace.append(g)
 
     x_rows = [0] * (2 * n)
     z_rows = [0] * (2 * n)

@@ -20,7 +20,7 @@ from stabcheck import (
     span_rank,
     sum_state_circuit,
 )
-from stabcheck.basis import ExactComplex, parse_element_spec, _rank_fraction_free
+from stabcheck.basis import ExactComplex, basis_element, basis_index, parse_element_spec, _rank_fraction_free
 from stabcheck.dense import run_dense
 
 from helpers import exact_to_numpy, random_rational_hermitian
@@ -105,6 +105,15 @@ class TestEnumerateBasis:
         assert len(elements) == 16
         by_kind = {k: sum(1 for e in elements if e.kind == k) for k in ("diag", "plus", "iplus")}
         assert by_kind == {"diag": 4, "plus": 6, "iplus": 6}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_basis_element_inverts_basis_index(self, n):
+        elements = [c.element for c in enumerate_basis(n)]
+        assert [basis_element(n, k) for k in range(4 ** n)] == elements
+        assert [basis_index(basis_element(n, k)) for k in range(4 ** n)] == list(range(4 ** n))
+        for k in (-1, 4 ** n):
+            with pytest.raises(ValueError, match="out of range"):
+                basis_element(n, k)
 
     def test_full_sweep_matches_matrices(self):
         for n in (1, 2):

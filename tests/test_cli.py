@@ -1,10 +1,15 @@
 """Command-line behavior: exit codes, reports, JSON stability."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import stabcheck
 from stabcheck import ArityMismatchError, builtin_identity, check_equivalence, parse
 from stabcheck.cli import corpus_path, main
 
@@ -27,6 +32,15 @@ def deep_protocol(tmp_path, rounds=1100):
     deep = tmp_path / "deep.qpr"
     deep.write_text("protocol deep {\n  qubit psi: input;\n  qubit a: zero;\n" + decls + body + "  output psi;\n}\n")
     return str(deep)
+
+
+def run_fresh(*argv):
+    """Exit code, stdout and stderr of the command in a new interpreter."""
+    src = str(Path(stabcheck.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    command = [sys.executable, "-c", "from stabcheck.cli import entry; entry()", *argv]
+    done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+    return done.returncode, done.stdout, done.stderr
 
 
 TELEPORT = str(corpus_path("teleport.qpr"))
@@ -136,6 +150,20 @@ class TestCheck:
     def test_usage_error_exits_2(self, capsys):
         assert main(["check"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            (("check", TELEPORT, "--identity", "1", "--verify"), ("check", NO_Z, "--identity", "1")),
+            (("check", TELEPORT, "--identity", "1"), ("check", NO_Z, TELEPORT)),
+            (("check",), ("check", TELEPORT, str(corpus_path("identity.qpr")))),
+        ],
+        ids=["verify-then-plain", "identity-then-file", "usage-error-then-success"],
+    )
+    def test_consecutive_calls_match_fresh_processes(self, capsys, first, second):
+        # The text reports carry no timing, so a leak from one call into the
+        # next is the only way the two runs can differ.
+        assert [run_cli(capsys, *first), run_cli(capsys, *second)] == [run_fresh(*first), run_fresh(*second)]
 
     def test_json_deterministic(self, capsys):
         _, r1, _ = run_json(capsys, "check", NO_Z, "--identity", "1")

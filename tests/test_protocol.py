@@ -268,6 +268,40 @@ def _outcome(parser, source):
         return ("ParseError", exc.diagnostic.message, exc.diagnostic.span, str(exc))
 
 
+# Layouts a parser with an inline gate path could get wrong; each must parse,
+# or fail, exactly as the reference front end does.
+_HEAD = "protocol p {\n  qubit a: input;\n  qubit b: zero;\n  cbit m;\n"
+FIXED_LAYOUTS = [
+    # Two or more statements on one line.
+    _HEAD + "  H a; CNOT a, b;\n  measure b -> m; if m then X a;\n  output a;\n}\n",
+    "protocol p { qubit a: input; qubit b: input; H a; CNOT a, b; output a, b; }",
+    # A gate's tokens over several lines.
+    _HEAD + "  CNOT a,\n b;\n  output a;\n}\n",
+    _HEAD + "  H\na;\n  output a;\n}\n",
+    _HEAD + "  CNOT\n  a\n  ,\n  b\n  ;\n  output a;\n}\n",
+    # A comment between a gate's tokens.
+    _HEAD + "  CNOT a, # control first\n b;\n  H # then\n a # the target\n ;\n  output a;\n}\n",
+    # No spaces at all where none are needed.
+    _HEAD + "  CNOT a,b;H b;\n  output a;\n}\n",
+    "protocol p{qubit a:input;qubit b:zero;cbit m;CNOT a,b;H b;measure b->m;if m then Z a;output a;}",
+    # A keyword as an argument.
+    _HEAD + "  H output;\n  output a;\n}\n",
+    _HEAD + "  CNOT a, measure;\n  output a;\n}\n",
+    _HEAD + "  measure b -> m;\n  if m then H then;\n  output a;\n}\n",
+    # A missing ";" before output, after one and after two arguments.
+    _HEAD + "  H a\n  output a;\n}\n",
+    _HEAD + "  CNOT a, b output a;\n}\n",
+    # Three arguments, and a missing argument.
+    _HEAD + "  CNOT a, b, a;\n  output a;\n}\n",
+    _HEAD + "  H a, b, a;\n  output a;\n}\n",
+    _HEAD + "  CNOT a, ;\n  output a;\n}\n",
+    _HEAD + "  H ;\n  output a;\n}\n",
+    _HEAD + "  H",
+    # Qubits named like gates.
+    "protocol p {\n  qubit H: input;\n  qubit X: zero;\n  H H;\n  CNOT H, X;\n  X X;\n  output H, X;\n}\n",
+]
+
+
 def test_front_end_matches_reference_parser():
     rng = random.Random(707)
     bases = [load(name) for name in CORPUS] + [teleport_source(n) for n in range(1, 5)]
@@ -275,7 +309,7 @@ def test_front_end_matches_reference_parser():
     bases += [pretty_print(parse(source)) for source in bases]
     corrupted = [_corrupt(rng, bases[i % len(bases)]) for i in range(3000)]
     errors = 0
-    for source in bases + corrupted:
+    for source in FIXED_LAYOUTS + bases + corrupted:
         want = _outcome(reference_parse, source)
         assert _outcome(parse, source) == want, repr(source)
         errors += want[0] == "ParseError"
