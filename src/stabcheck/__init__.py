@@ -3,7 +3,9 @@
 The package decides whether two measurement-and-feedforward Clifford
 protocols implement the same superoperator, by simulating both on a basis
 of 4^n stabilizer density matrices and comparing complete tables of
-output-Pauli expectations with exact dyadic arithmetic.
+output-Pauli expectations with exact dyadic arithmetic.  Importing the
+package loads no numpy: only the dense oracle (stabcheck.dense, the
+*_dense functions and --verify) needs it.
 """
 
 from .basis import (
@@ -36,12 +38,6 @@ from .checker import (
     run_protocol_dense,
 )
 from .cli import corpus_path, main
-from .dense import (
-    ZeroProbabilityError,
-    density_from_branches,
-    pauli_expect_dense,
-    run_dense,
-)
 from .protocol import (
     Diagnostic,
     ParseError,
@@ -66,6 +62,18 @@ from .tableau import (
 )
 
 __version__ = "0.1.0"
+
+# The dense oracle needs numpy, so its names are imported on first use.
+_DENSE_NAMES = ("ZeroProbabilityError", "density_from_branches", "pauli_expect_dense", "run_dense")
+
+
+def __getattr__(name: str):
+    if name in _DENSE_NAMES:
+        from . import dense
+
+        return getattr(dense, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BASIS_ORDER_TAG",

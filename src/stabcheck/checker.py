@@ -12,6 +12,12 @@ input follows from those and the input's own stabilizer group, so the table
 is an invertible linear image of the coefficients.  Two protocols are
 therefore equivalent exactly when their coefficients are equal, and tables
 are built only to name the first differing entry, or when asked for.
+
+The walk keeps each branch's state as the tableau module's engine rows, a
+list of (x, z, ph) int triples, and calls its kernels, each of which
+returns a new list.  PauliString and Tableau objects appear only where the
+public API hands them out: run_protocol's branches and counterexamples.
+numpy is imported only by the dense oracle at the end of the module.
 """
 
 from __future__ import annotations
@@ -20,23 +26,29 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import dense
 from .basis import BASIS_ORDER_TAG, BasisCircuit, BasisElement, basis_element, enumerate_basis
 from .protocol import GateStmt, IfGateStmt, ProtocolAST, errors_of, validate
 from .tableau import (
     PauliString,
     Tableau,
-    apply_gate,
-    apply_tableau,
-    canonical_form,
-    measure_z,
-    new_zero_state,
+    _boxed,
+    _check_gate,
+    _collapsed,
+    _composed,
+    _echelon,
+    _gated,
+    _images,
+    _supported,
+    _triples,
+    _z_pivot,
+    _zero_rows,
     run_circuit,
-    supported_subgroup,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BUDGET = 4 ** 10
 # The dense oracle holds every branch's state vector: up to 2^(wires +
@@ -224,77 +236,87 @@ def lower(ast: ProtocolAST, choi: bool = False) -> Program:
     )
 
 
-def _walk(program: Program, input_prep: BasisCircuit | None, merge: bool) -> list[tuple[int, Tableau, tuple, dict]]:
-    """Branches as (weight, state, outcomes, bits), weight over program.denominator.
+def _prep_gates(program: Program, input_prep: BasisCircuit) -> list[tuple]:
+    """input_prep's gates moved onto the program's input wires."""
+    if input_prep.element.n != len(program.inputs):
+        raise ValueError(
+            f"input preparation is for {input_prep.element.n} qubit(s), protocol takes {len(program.inputs)}"
+        )
+    return [(g[0], *(program.inputs[q] for q in g[1:])) for g in input_prep.gates]
 
-    input_prep prepares the inputs; with None they start in |0>, as a
-    program lowered with choi needs.  The walk is breadth first and expands
-    outcome 0 before 1, which lists the branches in depth-first order.  With
-    merge, a wire is reset to |0> after a measurement marked reset, bits in
-    drops are forgotten, and branches that then agree on canonical form and
-    remaining bits are combined by adding their weights; outcomes stay
-    empty.  Without merge, more than BRANCH_LIMIT branches raise
-    BranchLimitError before they are built.
+
+def _walk(program: Program, input_prep: BasisCircuit | None, merge: bool) -> list[tuple[int, list, tuple, dict]]:
+    """Branches as (weight, rows, outcomes, bits), weight over program.denominator.
+
+    rows is the branch's state as engine rows.  input_prep prepares the
+    inputs; with None they start in |0>, as a program lowered with choi
+    needs.  The walk is breadth first and expands outcome 0 before 1, which
+    lists the branches in depth-first order.  With merge, a wire is reset
+    to |0> after a measurement marked reset, bits in drops are forgotten,
+    and branches that then agree on canonical form and remaining bits are
+    combined by adding their weights; outcomes stay empty.  Without merge,
+    more than BRANCH_LIMIT branches raise BranchLimitError before they are
+    built.
     """
-    t = new_zero_state(program.n_wires)
+    n = program.n_wires
+    rows = _zero_rows(n)
     if input_prep is not None:
-        if input_prep.element.n != len(program.inputs):
-            raise ValueError(
-                f"input preparation is for {input_prep.element.n} qubit(s), protocol takes {len(program.inputs)}"
-            )
-        for op in input_prep.gates:
-            apply_gate(t, op[0], *(program.inputs[q] for q in op[1:]))
+        for g in _prep_gates(program, input_prep):
+            _check_gate(n, g)
+            rows = _gated(rows, g)
 
-    live = [(program.denominator, t, (), {})]
+    live = [(program.denominator, rows, (), {})]
     for op, drop in zip(program.ops, program.drops):
         if op[0] == "u":
-            for _, state, _, _ in live:
-                apply_tableau(state, op[1])
+            images = _images(_triples(op[1].rows), n)
+            live = [(weight, _composed(rows, images), outcomes, bits) for weight, rows, outcomes, bits in live]
             continue
         if op[0] == "if":
-            for _, state, _, bits in live:
-                if bits[op[1]]:
-                    apply_gate(state, op[2], *op[3])
+            c, g = op[1], (op[2], *op[3])
+            _check_gate(n, g)
+            live = [
+                (weight, _gated(rows, g) if bits[c] else rows, outcomes, bits) for weight, rows, outcomes, bits in live
+            ]
             reset = False
         else:
             _, q, c, reset = op
             reset = reset and merge
             forked = []
-            for weight, state, outcomes, bits in live:
-                resolution, collapse = measure_z(state, q)
-                if resolution.deterministic:
-                    choices = (resolution.outcome,)
+            for weight, rows, outcomes, bits in live:
+                pivot, forced = _z_pivot(rows, n, q)
+                if pivot is None:
+                    choices = (forced,)
                 else:
                     choices, weight = (0, 1), weight >> 1
                 if not merge and len(forked) + len(choices) > BRANCH_LIMIT:
                     raise BranchLimitError()
                 for b in choices:
-                    after = collapse(b)
+                    after = rows if pivot is None else _collapsed(rows, n, q, pivot, b)
                     if reset and b:
-                        apply_gate(after, "X", q)
+                        after = _gated(after, ("X", q))
                     forked.append((weight, after, outcomes if merge else outcomes + (b,), {**bits, c: b}))
             live = forked
         if merge and (reset or drop):
-            live = _merged(live, drop)
+            live = _merged(live, drop, n)
     return live
 
 
-def _merged(live: list[tuple[int, Tableau, tuple, dict]], drop: tuple[int, ...]) -> list[tuple[int, Tableau, tuple, dict]]:
+def _merged(live: list[tuple[int, list, tuple, dict]], drop: tuple[int, ...], n: int) -> list[tuple[int, list, tuple, dict]]:
     """Forget the dropped bits, then combine branches equal in bits and state.
 
     Branches are grouped by their bits first, so only a group of two or
-    more needs canonical forms.
+    more needs canonical forms: the echelon rows of the n-wire states.
     """
     by_bits: dict[tuple, list] = {}
-    for weight, state, outcomes, bits in live:
+    for weight, rows, outcomes, bits in live:
         bits = {c: b for c, b in bits.items() if c not in drop}
-        by_bits.setdefault(tuple(bits.items()), []).append([weight, state, outcomes, bits])
+        by_bits.setdefault(tuple(bits.items()), []).append([weight, rows, outcomes, bits])
     merged = []
     for group in by_bits.values():
         if len(group) > 1:
             by_state: dict[tuple, list] = {}
             for branch in group:
-                key = canonical_form(branch[1])
+                key = _echelon(branch[1][n:], n)
                 if key in by_state:
                     by_state[key][0] += branch[0]
                 else:
@@ -302,6 +324,25 @@ def _merged(live: list[tuple[int, Tableau, tuple, dict]], drop: tuple[int, ...])
             group = by_state.values()
         merged += map(tuple, group)
     return merged
+
+
+def _trace(program: Program, prep: list[tuple], outcomes: tuple[int, ...]) -> list[tuple]:
+    """The gates and measurements a branch went through, as apply_gate,
+    apply_tableau and measure_z would have recorded them: prep, then the
+    ops with each measurement's bit taken from outcomes in turn."""
+    trace = list(prep)
+    bits: dict[int, int] = {}
+    measured = iter(outcomes)
+    for op in program.ops:
+        if op[0] == "u":
+            trace += op[1].trace
+        elif op[0] == "if":
+            if bits[op[1]]:
+                trace.append((op[2], *op[3]))
+        else:
+            bits[op[2]] = next(measured)
+            trace.append(("M", op[1]))
+    return trace
 
 
 def run_protocol(ast: ProtocolAST, input_prep: BasisCircuit) -> list[BranchOutcome]:
@@ -312,9 +353,16 @@ def run_protocol(ast: ProtocolAST, input_prep: BasisCircuit) -> list[BranchOutco
     to exactly 1.
     """
     program = lower(ast)
+    branches = _walk(program, input_prep, merge=False)
+    n, prep = program.n_wires, _prep_gates(program, input_prep)
     return [
-        BranchOutcome(Fraction(weight, program.denominator), state, outcomes, {program.cbits[c]: b for c, b in bits.items()})
-        for weight, state, outcomes, bits in _walk(program, input_prep, merge=False)
+        BranchOutcome(
+            Fraction(weight, program.denominator),
+            Tableau(n, _boxed(n, rows), _trace(program, prep, outcomes)),
+            outcomes,
+            {program.cbits[c]: b for c, b in bits.items()},
+        )
+        for weight, rows, outcomes, bits in branches
     ]
 
 
@@ -372,10 +420,10 @@ def _choi(ast: ProtocolAST, budget: int | None) -> tuple[int, int, int, dict[int
     out_mask = sum(1 << w for w in program.outputs)
     ref_mask = sum(1 << r for r in program.refs)
     shifts = [(w, 2 * (n_out - 1 - j)) for j, w in enumerate(program.outputs)]
+    n = program.n_wires
     choi: dict[int, dict[int, int]] = {}
-    for weight, state, _, _ in _walk(program, None, merge=True):
-        gens = [(g.x_bits, g.z_bits, g.phase_exp) for g in supported_subgroup(state, out_mask | ref_mask)]
-        for x, z, sign in _group(gens):
+    for weight, rows, _, _ in _walk(program, None, merge=True):
+        for x, z, sign in _group(_supported(rows[n:], n, out_mask | ref_mask)):
             index = 0
             for w, shift in shifts:
                 index |= _DIGIT[((x >> w) & 1) << 1 | ((z >> w) & 1)] << shift
@@ -468,6 +516,10 @@ def check_equivalence(
 
 
 def _run_dense(program: Program, input_state: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    import numpy as np
+
+    from . import dense
+
     n_total = program.n_wires
     if program.denominator << n_total > DENSE_LIMIT:
         raise DenseLimitError(n_total + program.denominator.bit_length() - 1)
@@ -521,6 +573,10 @@ def run_protocol_dense(ast: ProtocolAST, input_state: np.ndarray) -> list[tuple[
 
 def fingerprint_dense(ast: ProtocolAST) -> np.ndarray:
     """Floating-point fingerprint via full density matrices; oracle only."""
+    import numpy as np
+
+    from . import dense
+
     program = lower(ast)
     n_in, n_out = ast.n_in, ast.n_out
     table = np.zeros((4 ** n_in, 4 ** n_out))

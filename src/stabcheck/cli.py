@@ -2,7 +2,8 @@
 
 Exit codes: 0 success or equivalent, 1 counterexample found, 2 user error
 (bad arguments, parse or validation failure, out-of-range sizes), 3 internal
-error (including a failed --verify cross-check).
+error (including a failed --verify cross-check).  numpy is imported only
+by the --verify paths, which run the dense oracle.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ from functools import cache
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import basis as basis_mod
-from . import checker, dense
+from . import checker
 from .protocol import ParseError, ProtocolAST, builtin_identity, errors_of, parse, validate
 from .tableau import canonical_form
 
@@ -98,6 +97,10 @@ def _cmd_check(args) -> int:
         raise UserError(str(exc)) from None
 
     if args.verify:
+        import numpy as np
+
+        from . import dense
+
         for ast, exact in zip((lhs, rhs), verdict.fingerprints):
             try:
                 oracle = checker.fingerprint_dense(ast)
@@ -192,6 +195,10 @@ def _cmd_basis(args) -> int:
     circuits = basis_mod.enumerate_basis(args.n)
 
     if args.verify:
+        import numpy as np
+
+        from . import dense
+
         for circ in circuits:
             circ.prepare().assert_valid()
             state, _ = dense.run_dense(args.n, circ.gates)

@@ -1,9 +1,14 @@
 """Bit-packed stabilizer tableau simulator for the Clifford gate set.
 
 State is tracked as 2n Pauli generators (n destabilizers followed by n
-stabilizers) in the Aaronson-Gottesman pairing.  X and Z supports are kept
-as integer bit masks (bit q of a mask is qubit q), so gate conjugation and
-row multiplication are plain bitwise operations on arbitrary-precision ints.
+stabilizers) in the Aaronson-Gottesman pairing.  Inside the engine each
+generator is a plain (x, z, ph) triple of ints: X and Z supports as bit
+masks (bit q of a mask is qubit q) and the phase exponent mod 4, so gate
+conjugation and row multiplication are bitwise operations on
+arbitrary-precision ints.  The private kernels below take and return lists
+of such triples laid out as Tableau.rows; PauliString and Tableau objects
+are built only at the boundary, by the public functions, which unpack a
+tableau's rows, call one kernel and box the result.
 
 Conventions shared by the whole package:
 
@@ -81,9 +86,8 @@ class PauliString:
     def __mul__(self, other: "PauliString") -> "PauliString":
         if self.n != other.n:
             raise ValueError("qubit count mismatch")
-        # Moving other's X block left past our Z block gives (-1) per overlap.
-        phase = self.phase_exp + other.phase_exp + 2 * (self.z_bits & other.x_bits).bit_count()
-        return PauliString(self.n, self.x_bits ^ other.x_bits, self.z_bits ^ other.z_bits, phase % 4)
+        a = (self.x_bits, self.z_bits, self.phase_exp)
+        return PauliString(self.n, *_product(a, (other.x_bits, other.z_bits, other.phase_exp)))
 
     def commutes(self, other: "PauliString") -> bool:
         if self.n != other.n:
@@ -211,43 +215,212 @@ def _check_gate(n: int, g: tuple) -> None:
         raise ValueError("CNOT control and target must differ")
 
 
-def _conjugate(row: PauliString, gate: str, qubits: tuple[int, ...]) -> PauliString:
-    x, z, ph = row.x_bits, row.z_bits, row.phase_exp
+# ---------------------------------------------------------------------------
+# Kernels.  A row is an (x, z, ph) triple of ints with 0 <= ph < 4, and a
+# state is a list of 2n rows laid out as Tableau.rows.  A kernel never
+# changes the list it is given, so branches may share rows.
+
+
+def _triples(rows: list[PauliString]) -> list[tuple[int, int, int]]:
+    return [(r.x_bits, r.z_bits, r.phase_exp) for r in rows]
+
+
+def _boxed(n: int, rows) -> list[PauliString]:
+    return [PauliString(n, x, z, ph) for x, z, ph in rows]
+
+
+def _zero_rows(n: int) -> list[tuple[int, int, int]]:
+    """|0...0>: destabilizers +X_i, stabilizers +Z_i."""
+    return [(1 << q, 0, 0) for q in range(n)] + [(0, 1 << q, 0) for q in range(n)]
+
+
+def _product(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The row product a * b."""
+    x1, z1, p1 = a
+    x2, z2, p2 = b
+    # Moving b's X block left past a's Z block gives (-1) per overlap.
+    return x1 ^ x2, z1 ^ z2, (p1 + p2 + 2 * (z1 & x2).bit_count()) & 3
+
+
+def _gated(rows: list, g: tuple) -> list:
+    """Every row conjugated by the gate g = (gate, qubits...)."""
+    gate, b = g[0], 1 << g[1]
     if gate == "H":
-        q = 1 << qubits[0]
-        if x & z & q:
-            ph += 2
-        xq, zq = x & q, z & q
-        x = (x & ~q) | zq
-        z = (z & ~q) | xq
-    elif gate == "P":
-        q = 1 << qubits[0]
-        if x & q:
-            ph += 1
-            z ^= q
-    elif gate == "X":
-        if z & (1 << qubits[0]):
-            ph += 2
-    elif gate == "Y":
-        if (x ^ z) & (1 << qubits[0]):
-            ph += 2
-    elif gate == "Z":
-        if x & (1 << qubits[0]):
-            ph += 2
-    elif gate == "CNOT":
-        c, t = 1 << qubits[0], 1 << qubits[1]
-        if x & c:
-            x ^= t
-        if z & t:
-            z ^= c
-    return PauliString(row.n, x, z, ph % 4)
+        out = []
+        for x, z, ph in rows:
+            d = (x ^ z) & b
+            out.append((x ^ d, z ^ d, ph ^ 2 if x & z & b else ph))
+        return out
+    if gate == "P":
+        return [(x, z ^ b, (ph + 1) & 3) if x & b else (x, z, ph) for x, z, ph in rows]
+    if gate == "CNOT":
+        t = 1 << g[2]
+        return [(x ^ t if x & b else x, z ^ b if z & t else z, ph) for x, z, ph in rows]
+    # X, Y and Z flip the sign of the rows that anticommute with them.
+    if gate == "X":
+        return [(x, z, ph ^ 2) if z & b else (x, z, ph) for x, z, ph in rows]
+    if gate == "Y":
+        return [(x, z, ph ^ 2) if (x ^ z) & b else (x, z, ph) for x, z, ph in rows]
+    return [(x, z, ph ^ 2) if x & b else (x, z, ph) for x, z, ph in rows]
+
+
+def _images(rows: list, n: int) -> tuple[int, list, list]:
+    """A circuit's rows (the images of X_q, then Z_q) in the form _composed
+    takes: the mask of the wires it moves, and (bit, x, z, ph) for the X
+    and the Z image of each of them.  A Clifford that fixes X_q and Z_q
+    acts as I on wire q, so the other images have no support there."""
+    moved = 0
+    x_images, z_images = [], []
+    for q in range(n):
+        bit = 1 << q
+        ix, iz = rows[q], rows[n + q]
+        if ix != (bit, 0, 0) or iz != (0, bit, 0):
+            moved |= bit
+            x_images.append((bit, *ix))
+            z_images.append((bit, *iz))
+    return moved, x_images, z_images
+
+
+def _composed(rows: list, images: tuple[int, list, list]) -> list:
+    """Every row conjugated by the circuit whose _images these are.
+
+    A row i^ph X^x Z^z becomes i^ph * prod_{x_q} image(X_q) *
+    prod_{z_q} image(Z_q), the X block before the Z block as in the
+    encoding; its part on wires the circuit does not move stays as it is.
+    """
+    moved, x_images, z_images = images
+    out = []
+    for row in rows:
+        x, z, ph = row
+        if not (x | z) & moved:
+            out.append(row)
+            continue
+        # Start from the unmoved part: it shares no wire with any image.
+        ax, az = x & ~moved, z & ~moved
+        for bits, block in ((x, x_images), (z, z_images)):
+            if bits & moved:
+                for bit, ix, iz, iph in block:
+                    if bits & bit:
+                        ph += iph + 2 * (az & ix).bit_count()
+                        ax ^= ix
+                        az ^= iz
+        out.append((ax, az, ph & 3))
+    return out
+
+
+def _sign(rows: list, n: int, x: int, z: int, ph: int) -> int:
+    """Exact <P> for the Hermitian P = i^ph X^x Z^z: -1, 0 or +1."""
+    for sx, sz, _ in rows[n:]:
+        if ((x & sz).bit_count() + (z & sx).bit_count()) & 1:
+            return 0
+    # P commutes with a maximal group, so its bit pattern lies in the row
+    # span; destabilizer anticommutation picks out the exact combination.
+    acc = (0, 0, 0)
+    for i in range(n):
+        dx, dz, _ = rows[i]
+        if ((x & dz).bit_count() + (z & dx).bit_count()) & 1:
+            acc = _product(acc, rows[n + i])
+    if acc[0] != x or acc[1] != z:
+        raise AssertionError("stabilizer span reconstruction failed")
+    d = (ph - acc[2]) & 3
+    if d == 0:
+        return 1
+    if d == 2:
+        return -1
+    raise AssertionError("phase mismatch between Hermitian Paulis")
+
+
+def _z_pivot(rows: list, n: int, q: int) -> tuple[int | None, int | None]:
+    """(pivot, forced) for a Z measurement of qubit q.
+
+    pivot is the first stabilizer row with X on q, and the outcome is a fair
+    coin; with no such row Z_q is in +-(the stabilizer group), pivot is None
+    and forced is the outcome bit.
+    """
+    b = 1 << q
+    for i in range(n, 2 * n):
+        if rows[i][0] & b:
+            return i, None
+    return None, (1 - _sign(rows, n, 0, b, 0)) >> 1
+
+
+def _collapsed(rows: list, n: int, q: int, pivot: int, outcome: int) -> list:
+    """The rows after a random Z measurement of qubit q gave outcome."""
+    b = 1 << q
+    anchor = rows[pivot]
+    out = [
+        _product(row, anchor) if row[0] & b and i != pivot and i != pivot - n else row for i, row in enumerate(rows)
+    ]
+    out[pivot - n] = anchor
+    out[pivot] = (0, b, 2 * outcome)
+    return out
+
+
+def _echelon(stabs: list, n: int) -> tuple:
+    """The reduced echelon basis of the group the n rows stabs generate.
+
+    Column col of the elimination (X of each qubit, then Z) is bit col of a
+    row's key x | z << n; each pivot is the lowest column any remaining row
+    has.  Rows are multiplied as _product does, on the keys.
+    """
+    mask = (1 << n) - 1
+    keys = [x | z << n for x, z, _ in stabs]
+    phases = [ph for _, _, ph in stabs]
+    for rank in range(n):
+        rest = 0
+        for key in keys[rank:]:
+            rest |= key
+        if not rest:
+            break
+        bit = rest & -rest
+        pivot = rank
+        while not keys[pivot] & bit:
+            pivot += 1
+        key, ph = keys[pivot], phases[pivot]
+        keys[pivot], phases[pivot] = keys[rank], phases[rank]
+        keys[rank], phases[rank] = key, ph
+        x = key & mask
+        for i in range(n):
+            if keys[i] & bit and i != rank:
+                phases[i] = (phases[i] + ph + 2 * (keys[i] >> n & x).bit_count()) & 3
+                keys[i] ^= key
+    return tuple((key & mask, key >> n, ph) for key, ph in zip(keys, phases))
+
+
+def _supported(stabs: list, n: int, wires: int) -> list:
+    """Generators of the elements of the group stabs generate that act as I
+    off the wire mask wires.
+
+    The rows are reduced by GF(2) elimination on the columns outside wires,
+    pivoting on each reduced row's highest bit as _gf2_rank does; the rows
+    left with no support there generate the subgroup, signs included.
+    """
+    off = ((1 << n) - 1) & ~wires
+    pivots: list[tuple[int, tuple]] = []
+    generators = []
+    for row in stabs:
+        key = ((row[0] & off) << n) | (row[1] & off)
+        for pivot_key, pivot in pivots:
+            if key ^ pivot_key < key:
+                key ^= pivot_key
+                row = _product(row, pivot)
+        if key:
+            pivots.append((key, row))
+        else:
+            generators.append(row)
+    return generators
+
+
+# ---------------------------------------------------------------------------
+# The boundary: each function unpacks a tableau's rows, runs one kernel and
+# boxes the result.
 
 
 def apply_gate(t: Tableau, gate: str, *qubits: int) -> Tableau:
     """Conjugate every row by the gate, in place; returns the same tableau."""
     g = (gate, *qubits)
     _check_gate(t.n, g)
-    t.rows = [_conjugate(r, gate, qubits) for r in t.rows]
+    t.rows = _boxed(t.n, _gated(_triples(t.rows), g))
     t.trace.append(g)
     return t
 
@@ -309,28 +482,13 @@ def run_circuit(n: int, gates) -> Tableau:
 def apply_tableau(t: Tableau, u: Tableau) -> Tableau:
     """Conjugate every row by the circuit u = run_circuit(n, gates), in place.
 
-    A row i^ph X^x Z^z becomes i^ph * prod_{x_q} u.rows[q] * prod_{z_q}
-    u.rows[n+q], the X block before the Z block as in the encoding; the
-    result equals applying u's gates one by one, phase included.  The trace
-    is extended by u's gates.
+    The result equals applying u's gates one by one, phase included; the
+    trace is extended by u's gates.
     """
     n = t.n
     if u.n != n:
         raise ValueError(f"circuit on {u.n} qubit(s) applied to a tableau on {n}")
-    images = [(1 << (q % n), img.x_bits, img.z_bits, img.phase_exp) for q, img in enumerate(u.rows)]
-    x_images, z_images = images[:n], images[n:]
-    rows = []
-    for row in t.rows:
-        x = z = 0
-        ph = row.phase_exp
-        for bits, block in ((row.x_bits, x_images), (row.z_bits, z_images)):
-            for bit, ix, iz, iph in block:
-                if bits & bit:
-                    ph += iph + 2 * (z & ix).bit_count()
-                    x ^= ix
-                    z ^= iz
-        rows.append(PauliString(n, x, z, ph % 4))
-    t.rows = rows
+    t.rows = _boxed(n, _composed(_triples(t.rows), _images(_triples(u.rows), n)))
     t.trace.extend(u.trace)
     return t
 
@@ -360,36 +518,22 @@ def measure_z(t: Tableau, q: int) -> tuple[MeasurementResolution, Callable[[int]
     """
     if not 0 <= q < t.n:
         raise ValueError(f"qubit {q} out of range for n={t.n}")
-    qmask = 1 << q
-    pivot = next((i for i in range(t.n, 2 * t.n) if t.rows[i].x_bits & qmask), None)
+    pivot, forced = _z_pivot(_triples(t.rows), t.n, q)
 
     if pivot is None:
-        # Z_q is in +-(stabilizer group), so <Z_q> = +-1 gives the outcome.
-        forced = (1 - expectation(t, PauliString(t.n, 0, qmask))) // 2
 
         def collapse_det(outcome: int) -> Tableau:
             if outcome != forced:
                 raise ValueError(f"outcome {outcome} has probability zero")
-            out = t.copy()
-            out.trace.append(("M", q))
-            return out
+            return Tableau(t.n, list(t.rows), t.trace + [("M", q)])
 
         return MeasurementResolution("deterministic", forced), collapse_det
 
     def collapse_rand(outcome: int) -> Tableau:
         if outcome not in (0, 1):
             raise ValueError("outcome bit must be 0 or 1")
-        out = t.copy()
-        anchor = out.rows[pivot]
-        for i in range(2 * out.n):
-            if i == pivot or i == pivot - out.n:
-                continue
-            if out.rows[i].x_bits & qmask:
-                out.rows[i] = out.rows[i] * anchor
-        out.rows[pivot - out.n] = anchor
-        out.rows[pivot] = PauliString(out.n, 0, qmask, 2 * outcome)
-        out.trace.append(("M", q))
-        return out
+        rows = _collapsed(_triples(t.rows), t.n, q, pivot, outcome)
+        return Tableau(t.n, _boxed(t.n, rows), t.trace + [("M", q)])
 
     return MeasurementResolution("random"), collapse_rand
 
@@ -400,47 +544,15 @@ def expectation(t: Tableau, obs: PauliString) -> int:
         raise ValueError("observable width mismatch")
     if not obs.is_hermitian:
         raise ValueError("observable must be Hermitian")
-    for row in t.stabilizers:
-        if not obs.commutes(row):
-            return 0
-    # obs commutes with a maximal group, so its bit pattern lies in the row
-    # span; destabilizer anticommutation picks out the exact combination.
-    acc = PauliString.identity(t.n)
-    for i in range(t.n):
-        if not obs.commutes(t.rows[i]):
-            acc = acc * t.rows[t.n + i]
-    if acc.x_bits != obs.x_bits or acc.z_bits != obs.z_bits:
-        raise AssertionError("stabilizer span reconstruction failed")
-    d = (obs.phase_exp - acc.phase_exp) % 4
-    if d == 0:
-        return 1
-    if d == 2:
-        return -1
-    raise AssertionError("phase mismatch between Hermitian Paulis")
+    return _sign(_triples(t.rows), t.n, obs.x_bits, obs.z_bits, obs.phase_exp)
 
 
 def supported_subgroup(t: Tableau, wires: int) -> list[PauliString]:
     """Generators of the stabilizer elements that act as I off a wire mask.
 
-    The rows are reduced by GF(2) elimination on the columns outside wires,
-    pivoting on each reduced row's highest bit as _gf2_rank does; the rows
-    left with no support there generate the subgroup, signs included.  It
-    has at most 2^popcount(wires) elements.
+    It has at most 2^popcount(wires) elements.
     """
-    off = ((1 << t.n) - 1) & ~wires
-    pivots: list[tuple[int, PauliString]] = []
-    generators: list[PauliString] = []
-    for row in t.stabilizers:
-        key = ((row.x_bits & off) << t.n) | (row.z_bits & off)
-        for pivot_key, pivot in pivots:
-            if key ^ pivot_key < key:
-                key ^= pivot_key
-                row = row * pivot
-        if key:
-            pivots.append((key, row))
-        else:
-            generators.append(row)
-    return generators
+    return _boxed(t.n, _supported(_triples(t.stabilizers), t.n, wires))
 
 
 def canonical_form(t: Tableau) -> tuple[PauliString, ...]:
@@ -449,25 +561,4 @@ def canonical_form(t: Tableau) -> tuple[PauliString, ...]:
     Equal states produce identical tuples (signs included); the trace and
     the destabilizers play no part.
     """
-    n = t.n
-    rows = list(t.stabilizers)
-    # Column col of the elimination (X of each qubit, then Z) is bit col of a key.
-    keys = [r.x_bits | r.z_bits << n for r in rows]
-    rank = 0
-    for col in range(2 * n):
-        if rank == n:
-            break
-        bit = 1 << col
-        for pivot in range(rank, n):
-            if keys[pivot] & bit:
-                break
-        else:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        keys[rank], keys[pivot] = keys[pivot], keys[rank]
-        for i in range(n):
-            if i != rank and keys[i] & bit:
-                keys[i] ^= keys[rank]
-                rows[i] = rows[i] * rows[rank]
-        rank += 1
-    return tuple(rows)
+    return tuple(_boxed(t.n, _echelon(_triples(t.stabilizers), t.n)))

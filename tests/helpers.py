@@ -1,4 +1,5 @@
-"""Shared test utilities: random circuits, branch walkers, exact matrices."""
+"""Shared test utilities: random circuits, branch walkers, exact matrices,
+and frozen reference copies of the front end and of the branch walk."""
 
 from __future__ import annotations
 
@@ -6,12 +7,23 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from stabcheck import PauliString, SuperopFingerprint, apply_gate, enumerate_basis, expectation, measure_z, run_protocol
-from stabcheck.basis import BASIS_ORDER_TAG, ExactComplex
-from stabcheck.checker import local_observable
+from stabcheck.basis import BASIS_ORDER_TAG, BasisCircuit, ExactComplex
+from stabcheck.checker import (
+    _DIGIT,
+    BRANCH_LIMIT,
+    BranchLimitError,
+    BranchOutcome,
+    BudgetExceededError,
+    Program,
+    _group,
+    local_observable,
+    lower,
+)
 from stabcheck.protocol import (
     KEYWORDS,
     CbitDecl,
@@ -25,7 +37,7 @@ from stabcheck.protocol import (
     SourceSpan,
     Statement,
 )
-from stabcheck.tableau import GATE_NAMES
+from stabcheck.tableau import GATE_NAMES, MeasurementResolution, Tableau, _check_gate, new_zero_state
 
 GATE_POOL = ("H", "P", "X", "Y", "Z", "CNOT")
 
@@ -387,3 +399,341 @@ def _parse_args(p: _Parser) -> tuple[Ident, ...]:
         p.advance()
         args.append(p.fresh_ident("a qubit name"))
     return tuple(args)
+
+
+# ---------------------------------------------------------------------------
+# The reference walk: checker._walk, _merged, _choi and run_protocol, and the
+# tableau functions they called, kept as they were when the walk still ran
+# on PauliString rows and Tableau copies, each renamed with a reference_
+# prefix.  Row products go through reference_product, a copy of the
+# PauliString.__mul__ of that time, so no kernel of the engine takes part.
+# reference_choi and reference_run_protocol must agree exactly with
+# checker._choi and run_protocol.
+
+
+def reference_product(a: PauliString, b: PauliString) -> PauliString:
+    if a.n != b.n:
+        raise ValueError("qubit count mismatch")
+    # Moving b's X block left past a's Z block gives (-1) per overlap.
+    phase = a.phase_exp + b.phase_exp + 2 * (a.z_bits & b.x_bits).bit_count()
+    return PauliString(a.n, a.x_bits ^ b.x_bits, a.z_bits ^ b.z_bits, phase % 4)
+
+
+def reference_conjugate(row: PauliString, gate: str, qubits: tuple[int, ...]) -> PauliString:
+    x, z, ph = row.x_bits, row.z_bits, row.phase_exp
+    if gate == "H":
+        q = 1 << qubits[0]
+        if x & z & q:
+            ph += 2
+        xq, zq = x & q, z & q
+        x = (x & ~q) | zq
+        z = (z & ~q) | xq
+    elif gate == "P":
+        q = 1 << qubits[0]
+        if x & q:
+            ph += 1
+            z ^= q
+    elif gate == "X":
+        if z & (1 << qubits[0]):
+            ph += 2
+    elif gate == "Y":
+        if (x ^ z) & (1 << qubits[0]):
+            ph += 2
+    elif gate == "Z":
+        if x & (1 << qubits[0]):
+            ph += 2
+    elif gate == "CNOT":
+        c, t = 1 << qubits[0], 1 << qubits[1]
+        if x & c:
+            x ^= t
+        if z & t:
+            z ^= c
+    return PauliString(row.n, x, z, ph % 4)
+
+
+def reference_apply_gate(t: Tableau, gate: str, *qubits: int) -> Tableau:
+    """Conjugate every row by the gate, in place; returns the same tableau."""
+    g = (gate, *qubits)
+    _check_gate(t.n, g)
+    t.rows = [reference_conjugate(r, gate, qubits) for r in t.rows]
+    t.trace.append(g)
+    return t
+
+
+def reference_apply_tableau(t: Tableau, u: Tableau) -> Tableau:
+    """Conjugate every row by the circuit u = run_circuit(n, gates), in place.
+
+    A row i^ph X^x Z^z becomes i^ph * prod_{x_q} u.rows[q] * prod_{z_q}
+    u.rows[n+q], the X block before the Z block as in the encoding; the
+    result equals applying u's gates one by one, phase included.  The trace
+    is extended by u's gates.
+    """
+    n = t.n
+    if u.n != n:
+        raise ValueError(f"circuit on {u.n} qubit(s) applied to a tableau on {n}")
+    images = [(1 << (q % n), img.x_bits, img.z_bits, img.phase_exp) for q, img in enumerate(u.rows)]
+    x_images, z_images = images[:n], images[n:]
+    rows = []
+    for row in t.rows:
+        x = z = 0
+        ph = row.phase_exp
+        for bits, block in ((row.x_bits, x_images), (row.z_bits, z_images)):
+            for bit, ix, iz, iph in block:
+                if bits & bit:
+                    ph += iph + 2 * (z & ix).bit_count()
+                    x ^= ix
+                    z ^= iz
+        rows.append(PauliString(n, x, z, ph % 4))
+    t.rows = rows
+    t.trace.extend(u.trace)
+    return t
+
+
+def reference_measure_z(t: Tableau, q: int) -> tuple[MeasurementResolution, Callable[[int], Tableau]]:
+    """Resolve a Z measurement of qubit q without mutating t.
+
+    Returns the resolution and a collapse function mapping an outcome bit to
+    a fresh post-measurement tableau.  Deterministic measurements accept only
+    the forced bit; random ones accept either, each branch has weight 1/2.
+    """
+    if not 0 <= q < t.n:
+        raise ValueError(f"qubit {q} out of range for n={t.n}")
+    qmask = 1 << q
+    pivot = next((i for i in range(t.n, 2 * t.n) if t.rows[i].x_bits & qmask), None)
+
+    if pivot is None:
+        # Z_q is in +-(stabilizer group), so <Z_q> = +-1 gives the outcome.
+        forced = (1 - reference_expectation(t, PauliString(t.n, 0, qmask))) // 2
+
+        def collapse_det(outcome: int) -> Tableau:
+            if outcome != forced:
+                raise ValueError(f"outcome {outcome} has probability zero")
+            out = t.copy()
+            out.trace.append(("M", q))
+            return out
+
+        return MeasurementResolution("deterministic", forced), collapse_det
+
+    def collapse_rand(outcome: int) -> Tableau:
+        if outcome not in (0, 1):
+            raise ValueError("outcome bit must be 0 or 1")
+        out = t.copy()
+        anchor = out.rows[pivot]
+        for i in range(2 * out.n):
+            if i == pivot or i == pivot - out.n:
+                continue
+            if out.rows[i].x_bits & qmask:
+                out.rows[i] = reference_product(out.rows[i], anchor)
+        out.rows[pivot - out.n] = anchor
+        out.rows[pivot] = PauliString(out.n, 0, qmask, 2 * outcome)
+        out.trace.append(("M", q))
+        return out
+
+    return MeasurementResolution("random"), collapse_rand
+
+
+def reference_expectation(t: Tableau, obs: PauliString) -> int:
+    """Exact <obs> for a stabilizer state: always -1, 0 or +1."""
+    if obs.n != t.n:
+        raise ValueError("observable width mismatch")
+    if not obs.is_hermitian:
+        raise ValueError("observable must be Hermitian")
+    for row in t.stabilizers:
+        if not obs.commutes(row):
+            return 0
+    # obs commutes with a maximal group, so its bit pattern lies in the row
+    # span; destabilizer anticommutation picks out the exact combination.
+    acc = PauliString.identity(t.n)
+    for i in range(t.n):
+        if not obs.commutes(t.rows[i]):
+            acc = reference_product(acc, t.rows[t.n + i])
+    if acc.x_bits != obs.x_bits or acc.z_bits != obs.z_bits:
+        raise AssertionError("stabilizer span reconstruction failed")
+    d = (obs.phase_exp - acc.phase_exp) % 4
+    if d == 0:
+        return 1
+    if d == 2:
+        return -1
+    raise AssertionError("phase mismatch between Hermitian Paulis")
+
+
+def reference_supported_subgroup(t: Tableau, wires: int) -> list[PauliString]:
+    """Generators of the stabilizer elements that act as I off a wire mask.
+
+    The rows are reduced by GF(2) elimination on the columns outside wires,
+    pivoting on each reduced row's highest bit as _gf2_rank does; the rows
+    left with no support there generate the subgroup, signs included.  It
+    has at most 2^popcount(wires) elements.
+    """
+    off = ((1 << t.n) - 1) & ~wires
+    pivots: list[tuple[int, PauliString]] = []
+    generators: list[PauliString] = []
+    for row in t.stabilizers:
+        key = ((row.x_bits & off) << t.n) | (row.z_bits & off)
+        for pivot_key, pivot in pivots:
+            if key ^ pivot_key < key:
+                key ^= pivot_key
+                row = reference_product(row, pivot)
+        if key:
+            pivots.append((key, row))
+        else:
+            generators.append(row)
+    return generators
+
+
+def reference_canonical_form(t: Tableau) -> tuple[PauliString, ...]:
+    """Deterministic reduced echelon basis of the stabilizer group.
+
+    Equal states produce identical tuples (signs included); the trace and
+    the destabilizers play no part.
+    """
+    n = t.n
+    rows = list(t.stabilizers)
+    # Column col of the elimination (X of each qubit, then Z) is bit col of a key.
+    keys = [r.x_bits | r.z_bits << n for r in rows]
+    rank = 0
+    for col in range(2 * n):
+        if rank == n:
+            break
+        bit = 1 << col
+        for pivot in range(rank, n):
+            if keys[pivot] & bit:
+                break
+        else:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        keys[rank], keys[pivot] = keys[pivot], keys[rank]
+        for i in range(n):
+            if i != rank and keys[i] & bit:
+                keys[i] ^= keys[rank]
+                rows[i] = reference_product(rows[i], rows[rank])
+        rank += 1
+    return tuple(rows)
+
+
+def reference_walk(program: Program, input_prep: BasisCircuit | None, merge: bool) -> list[tuple[int, Tableau, tuple, dict]]:
+    """Branches as (weight, state, outcomes, bits), weight over program.denominator.
+
+    input_prep prepares the inputs; with None they start in |0>, as a
+    program lowered with choi needs.  The walk is breadth first and expands
+    outcome 0 before 1, which lists the branches in depth-first order.  With
+    merge, a wire is reset to |0> after a measurement marked reset, bits in
+    drops are forgotten, and branches that then agree on canonical form and
+    remaining bits are combined by adding their weights; outcomes stay
+    empty.  Without merge, more than BRANCH_LIMIT branches raise
+    BranchLimitError before they are built.
+    """
+    t = new_zero_state(program.n_wires)
+    if input_prep is not None:
+        if input_prep.element.n != len(program.inputs):
+            raise ValueError(
+                f"input preparation is for {input_prep.element.n} qubit(s), protocol takes {len(program.inputs)}"
+            )
+        for op in input_prep.gates:
+            reference_apply_gate(t, op[0], *(program.inputs[q] for q in op[1:]))
+
+    live = [(program.denominator, t, (), {})]
+    for op, drop in zip(program.ops, program.drops):
+        if op[0] == "u":
+            for _, state, _, _ in live:
+                reference_apply_tableau(state, op[1])
+            continue
+        if op[0] == "if":
+            for _, state, _, bits in live:
+                if bits[op[1]]:
+                    reference_apply_gate(state, op[2], *op[3])
+            reset = False
+        else:
+            _, q, c, reset = op
+            reset = reset and merge
+            forked = []
+            for weight, state, outcomes, bits in live:
+                resolution, collapse = reference_measure_z(state, q)
+                if resolution.deterministic:
+                    choices = (resolution.outcome,)
+                else:
+                    choices, weight = (0, 1), weight >> 1
+                if not merge and len(forked) + len(choices) > BRANCH_LIMIT:
+                    raise BranchLimitError()
+                for b in choices:
+                    after = collapse(b)
+                    if reset and b:
+                        reference_apply_gate(after, "X", q)
+                    forked.append((weight, after, outcomes if merge else outcomes + (b,), {**bits, c: b}))
+            live = forked
+        if merge and (reset or drop):
+            live = reference_merged(live, drop)
+    return live
+
+
+def reference_merged(live: list[tuple[int, Tableau, tuple, dict]], drop: tuple[int, ...]) -> list[tuple[int, Tableau, tuple, dict]]:
+    """Forget the dropped bits, then combine branches equal in bits and state.
+
+    Branches are grouped by their bits first, so only a group of two or
+    more needs canonical forms.
+    """
+    by_bits: dict[tuple, list] = {}
+    for weight, state, outcomes, bits in live:
+        bits = {c: b for c, b in bits.items() if c not in drop}
+        by_bits.setdefault(tuple(bits.items()), []).append([weight, state, outcomes, bits])
+    merged = []
+    for group in by_bits.values():
+        if len(group) > 1:
+            by_state: dict[tuple, list] = {}
+            for branch in group:
+                key = reference_canonical_form(branch[1])
+                if key in by_state:
+                    by_state[key][0] += branch[0]
+                else:
+                    by_state[key] = branch
+            group = by_state.values()
+        merged += map(tuple, group)
+    return merged
+
+
+def reference_run_protocol(ast: ProtocolAST, input_prep: BasisCircuit) -> list[BranchOutcome]:
+    """Execute on one basis input, forking every random measurement.
+
+    Branches come back depth first with outcome 0 explored before 1, so the
+    order is deterministic.  Probabilities are exact powers of 1/2 and sum
+    to exactly 1.
+    """
+    program = lower(ast)
+    return [
+        BranchOutcome(Fraction(weight, program.denominator), state, outcomes, {program.cbits[c]: b for c, b in bits.items()})
+        for weight, state, outcomes, bits in reference_walk(program, input_prep, merge=False)
+    ]
+
+
+def reference_choi(ast: ProtocolAST, budget: int | None) -> tuple[int, int, int, dict[int, dict[int, int]]]:
+    """The channel's Choi state as (n_in, n_out, denominator, choi).
+
+    The protocol runs once on its Choi state J: reference wire j starts in
+    a Bell pair with input j (lower with choi).  choi[A][q] times
+    denominator is (-1)^#Y(A) Tr((A x P_q) J), for A a Pauli on the
+    references keyed as its x bits over its z bits, and P_q output Pauli
+    number q.  Tr((A x P) J) adds, over the merged branches, weight x the
+    sign of +-(A x P) in the branch's stabilizer group, where it lies in
+    the subgroup supported on outputs and references, and 0 elsewhere.
+    """
+    program = lower(ast, choi=True)
+    n_in, n_out = ast.n_in, ast.n_out
+    work = 4 ** n_in * 4 ** n_out
+    if budget is not None and work > budget:
+        raise BudgetExceededError(work, budget)
+
+    base = program.refs[0]
+    out_mask = sum(1 << w for w in program.outputs)
+    ref_mask = sum(1 << r for r in program.refs)
+    shifts = [(w, 2 * (n_out - 1 - j)) for j, w in enumerate(program.outputs)]
+    choi: dict[int, dict[int, int]] = {}
+    for weight, state, _, _ in reference_walk(program, None, merge=True):
+        gens = [(g.x_bits, g.z_bits, g.phase_exp) for g in reference_supported_subgroup(state, out_mask | ref_mask)]
+        for x, z, sign in _group(gens):
+            index = 0
+            for w, shift in shifts:
+                index |= _DIGIT[((x >> w) & 1) << 1 | ((z >> w) & 1)] << shift
+            ax, az = x >> base, z >> base
+            coeffs = choi.setdefault(ax << n_in | az, {})
+            coeffs[index] = coeffs.get(index, 0) + (-sign if (ax & az).bit_count() & 1 else sign) * weight
+    return n_in, n_out, program.denominator, choi

@@ -34,13 +34,17 @@ def deep_protocol(tmp_path, rounds=1100):
     return str(deep)
 
 
-def run_fresh(*argv):
-    """Exit code, stdout and stderr of the command in a new interpreter."""
+def run_python(code, *argv):
+    """Exit code, stdout and stderr of python -c code in a new interpreter."""
     src = str(Path(stabcheck.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    command = [sys.executable, "-c", "from stabcheck.cli import entry; entry()", *argv]
-    done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60)
     return done.returncode, done.stdout, done.stderr
+
+
+def run_fresh(*argv):
+    """Exit code, stdout and stderr of the command in a new interpreter."""
+    return run_python("from stabcheck.cli import entry; entry()", *argv)
 
 
 TELEPORT = str(corpus_path("teleport.qpr"))
@@ -164,6 +168,19 @@ class TestCheck:
         # The text reports carry no timing, so a leak from one call into the
         # next is the only way the two runs can differ.
         assert [run_cli(capsys, *first), run_cli(capsys, *second)] == [run_fresh(*first), run_fresh(*second)]
+
+    def test_plain_check_loads_no_numpy(self):
+        # Only the dense oracle needs numpy; --verify loads it when it runs.
+        code = "\n".join([
+            "import sys",
+            "import stabcheck",
+            "from stabcheck import cli",
+            f"plain = cli.main(['check', {TELEPORT!r}, '--identity', '1', '--json'])",
+            "loaded = 'numpy' in sys.modules",
+            f"verify = cli.main(['check', {TELEPORT!r}, '--identity', '1', '--json', '--verify'])",
+            "print(plain, loaded, verify, 'numpy' in sys.modules, file=sys.stderr)",
+        ])
+        assert run_python(code)[2].split() == ["0", "False", "0", "True"]
 
     def test_json_deterministic(self, capsys):
         _, r1, _ = run_json(capsys, "check", NO_Z, "--identity", "1")

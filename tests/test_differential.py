@@ -1,18 +1,38 @@
 """fingerprint against the reference tabulation in helpers, and branch merging."""
 
+import dataclasses
 import random
 import re
 
 import numpy as np
 import pytest
 
-from stabcheck import builtin_identity, check_equivalence, enumerate_basis, fingerprint, fingerprint_dense, parse
+from stabcheck import (
+    builtin_identity,
+    check_equivalence,
+    enumerate_basis,
+    fingerprint,
+    fingerprint_dense,
+    parse,
+    run_protocol,
+)
 from stabcheck import checker
 from stabcheck.basis import basis_index
 from stabcheck.cli import corpus_path
 from stabcheck.dense import TOL
 
-from helpers import random_protocol_source, reference_counterexample, reference_fingerprint, teleport_source
+from stabcheck.protocol import GateStmt, IfGateStmt
+from stabcheck.tableau import _boxed
+
+from helpers import (
+    random_protocol_source,
+    reference_choi,
+    reference_counterexample,
+    reference_fingerprint,
+    reference_run_protocol,
+    reference_walk,
+    teleport_source,
+)
 
 CORPUS = sorted(p.name for p in corpus_path("identity.qpr").parent.glob("*.qpr"))
 
@@ -253,6 +273,14 @@ def test_verdict_fingerprints_are_the_tables():
     assert kinds == {True, False}
 
 
+def assert_replays(lhs, rhs, ce):
+    """The counterexample's entry of both dense tables holds its two values."""
+    k = basis_index(ce.basis_element)
+    q = next(q for q in range(4 ** lhs.n_out) if checker.local_observable(lhs.n_out, q) == ce.observable)
+    assert abs(fingerprint_dense(lhs)[k, q] - float(ce.value_lhs)) < TOL
+    assert abs(fingerprint_dense(rhs)[k, q] - float(ce.value_rhs)) < TOL
+
+
 def test_counterexamples_replay_through_the_dense_oracle():
     replayed = 0
     for lhs, rhs in _verdict_pairs():
@@ -260,9 +288,85 @@ def test_counterexamples_replay_through_the_dense_oracle():
         ce = verdict.counterexample
         if ce is None or lhs.n_in > 2:
             continue
-        k = basis_index(ce.basis_element)
-        q = next(q for q in range(4 ** lhs.n_out) if checker.local_observable(lhs.n_out, q) == ce.observable)
-        assert abs(fingerprint_dense(lhs)[k, q] - float(ce.value_lhs)) < TOL
-        assert abs(fingerprint_dense(rhs)[k, q] - float(ce.value_rhs)) < TOL
+        assert_replays(lhs, rhs, ce)
         replayed += 1
     assert replayed > 20
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic deletion: a corpus protocol less one correction, or swap_cnot
+# less one CNOT, is a different channel.
+
+DEPHASE_2 = """protocol dephase_2 {
+  qubit x0: input; qubit x1: input; cbit m0; cbit m1;
+  measure x0 -> m0; measure x1 -> m1;
+  output x0, x1;
+}"""
+
+
+def test_corrected_corpus_files_implement_their_channels():
+    for name, channel in (
+        ("entanglement_swap.qpr", builtin_identity(2)),
+        ("superdense.qpr", parse(DEPHASE_2)),
+        ("repetition_code.qpr", builtin_identity(1)),
+    ):
+        assert check_equivalence(load(name), channel).equivalent, name
+
+
+@pytest.mark.parametrize("name", ["entanglement_swap.qpr", "superdense.qpr", "repetition_code.qpr", "swap_cnot.qpr"])
+def test_deleting_one_correction_is_refuted(name):
+    ast = load(name)
+    # swap_cnot has no corrections; each of its three CNOTs is deleted instead.
+    kind = GateStmt if name == "swap_cnot.qpr" else IfGateStmt
+    deletable = [i for i, stmt in enumerate(ast.body) if isinstance(stmt, kind)]
+    assert len(deletable) >= 2
+    for i in deletable:
+        mutant = dataclasses.replace(ast, body=ast.body[:i] + ast.body[i + 1 :])
+        verdict = check_equivalence(ast, mutant)
+        assert not verdict.equivalent, (name, i)
+        assert_replays(ast, mutant, verdict.counterexample)
+
+
+# ---------------------------------------------------------------------------
+# The walk on engine rows against the frozen PauliString-row walk in helpers.
+
+MEASURED_TWICE = """protocol twice {
+  qubit a: input; qubit b: zero; cbit m0; cbit m1;
+  H a; CNOT a, b; measure a -> m0;
+  if m0 then X a;
+  measure a -> m1;
+  if m1 then Z b;
+  if m0 then Y b;
+  output b;
+}"""
+
+
+def _walk_sources():
+    rng = random.Random(6006)
+    sources = [corpus_path(name).read_text(encoding="utf-8") for name in CORPUS]
+    for n in (1, 2, 3, 4):
+        sources += [teleport_source(n, drop) for drop in (None, *(f"{p}{k}" for p in "XZ" for k in range(n)))]
+    sources += [random_protocol_source(rng, shuffle=i % 2 == 1) for i in range(300)]
+    return sources + [MEASURED_TWICE]
+
+
+def test_walk_matches_reference_walk():
+    branches = 0
+    for source in _walk_sources():
+        ast = parse(source)
+        assert checker._choi(ast, None) == reference_choi(ast, None), source
+        # The merged branches themselves: a merge that went wrong can leave
+        # the Choi coefficients as they are, spread over more branches.
+        program = checker.lower(ast, choi=True)
+        merged = [(w, _boxed(program.n_wires, rows), bits) for w, rows, _, bits in checker._walk(program, None, True)]
+        assert merged == [(w, t.rows, bits) for w, t, _, bits in reference_walk(program, None, True)], source
+        if ast.n_in > 2:
+            continue
+        for circ in enumerate_basis(ast.n_in):
+            got, want = run_protocol(ast, circ), reference_run_protocol(ast, circ)
+            assert len(got) == len(want), source
+            for g, w in zip(got, want):
+                assert (g.probability, g.outcomes, g.cbits) == (w.probability, w.outcomes, w.cbits), source
+                assert (g.state.n, g.state.rows, g.state.trace) == (w.state.n, w.state.rows, w.state.trace), source
+                branches += 1
+    assert branches > 5000

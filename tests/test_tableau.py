@@ -301,6 +301,19 @@ class TestCanonicalForm:
         assert group_of(bell.rows[2:]) == group_of(twisted.rows[2:])
         assert canonical_form(twisted) == canonical_form(bell)
 
+    def test_products_of_generators_keep_the_form(self):
+        # Multiplying one stabilizer row into another keeps the group, so
+        # the form, signs included, must not move.
+        rng = random.Random(29)
+        for _ in range(200):
+            n = rng.randint(2, 6)
+            t = run_circuit(n, random_circuit(rng, n, 30))
+            want = canonical_form(t)
+            for _ in range(5):
+                i, j = rng.sample(range(n, 2 * n), 2)
+                t.rows[i] = t.rows[i] * t.rows[j]
+            assert canonical_form(t) == want
+
     def test_zero_and_one_differ(self):
         one = run_circuit(1, [("X", 0)])
         assert canonical_form(one) != canonical_form(new_zero_state(1))
