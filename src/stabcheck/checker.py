@@ -1,10 +1,11 @@
 """Superoperator equality by exact fingerprinting over the stabilizer basis.
 
-A protocol is validated and lowered once, then run once on its Choi state:
-every input wire starts in a Bell pair with a reference wire of its own.
-Measurements fork the run into branches of exact dyadic probability; a
-measured wire nobody touches again is reset to |0>, and branches that then
-agree on state and on the classical bits still to be read are merged.
+A protocol is validated and lowered once, to one Program, then run once on
+its Choi state: every input wire starts in a Bell pair with a reference
+wire of its own.  Measurements fork the run into branches of exact dyadic
+probability; a measured wire nobody touches again is reset to |0>, and
+branches that then agree on state and on the classical bits still to be
+read are merged.
 Discarded wires never need a density matrix: the elements of a branch's
 stabilizer group supported on the outputs and references fix the channel's
 Choi state as exact Pauli coefficients.  The fingerprint row of each basis
@@ -34,7 +35,7 @@ from .tableau import (
     PauliString,
     Tableau,
     _boxed,
-    _check_gate,
+    _circuit,
     _collapsed,
     _composed,
     _echelon,
@@ -43,7 +44,6 @@ from .tableau import (
     _supported,
     _triples,
     _z_pivot,
-    _zero_rows,
     run_circuit,
 )
 
@@ -57,6 +57,10 @@ DENSE_LIMIT = 2 ** 20
 # run_protocol, and so sim, lists every branch without merging; past this
 # many it stops.
 BRANCH_LIMIT = 2 ** 12
+# The merged walk of check and fingerprint holds at most this many live
+# branches; a 16-site cluster-state wire with deferred corrections needs all
+# of them, and about 500 MB.
+MERGED_BRANCH_LIMIT = 2 ** 16
 
 _LETTERS = "IXYZ"
 # Output-Pauli digit (I, X, Y, Z = 0..3) of a wire's bits (x << 1) | z.  The
@@ -84,11 +88,17 @@ class DenseLimitError(ValueError):
 
 
 class BranchLimitError(ValueError):
-    def __init__(self):
-        super().__init__(
-            f"the run forks into more than 2^{BRANCH_LIMIT.bit_length() - 1} branches, "
-            "over the limit for listing every branch"
-        )
+    def __init__(self, merged: bool = False):
+        if merged:
+            super().__init__(
+                f"the merged walk would hold more than 2^{MERGED_BRANCH_LIMIT.bit_length() - 1} live branches, "
+                "over its limit of MERGED_BRANCH_LIMIT"
+            )
+        else:
+            super().__init__(
+                f"the run forks into more than 2^{BRANCH_LIMIT.bit_length() - 1} branches, "
+                "over the limit for listing every branch"
+            )
 
 
 @dataclass(frozen=True)
@@ -134,20 +144,16 @@ class Verdict:
 class Program:
     """A validated protocol lowered to integer wire and classical-bit indices.
 
-    ops holds ("u", circuit), ("if", bit, gate, wires) and
-    ("m", wire, bit, reset).  circuit is the Tableau of one maximal run of
-    plain gates, composed once by run_circuit; its trace lists the run's
-    gates.  reset is set when the measurement is the last statement
-    touching a wire that is not an output, so the wire is a discarded Z
-    eigenstate from then on.  drops[i] lists the bits that no statement
-    after ops[i] reads.  A branch's probability is an integer weight over
-    denominator, 2 to the number of measurements.
-
-    refs, empty unless lowered with choi, lists one reference wire per
-    input after the protocol's wires; the first run then starts with
-    H refs[j]; CNOT refs[j], inputs[j], so a walk from |0...0> runs on the
-    channel's Choi state.  n_wires counts the references too: it is the
-    width every run is composed at.
+    ops holds ("u", images, gates), ("if", bit, gate, wires) and
+    ("m", wire, bit, reset).  gates is one maximal run of plain gates and
+    images the run's Clifford as tableau._images gives it, composed once at
+    lowering.  Images touch only the wires the run moves, so they hold at
+    any width from n_wires up, as the Choi walk's reference wires need.
+    reset is set when the measurement is the last statement touching a wire
+    that is not an output, so the wire is a discarded Z eigenstate from then
+    on.  drops[i] lists the bits that no statement after ops[i] reads.  A
+    branch's probability is an integer weight over denominator, 2 to the
+    number of measurements.
     """
 
     n_wires: int
@@ -157,82 +163,73 @@ class Program:
     ops: tuple[tuple, ...]
     drops: tuple[tuple[int, ...], ...]
     denominator: int
-    refs: tuple[int, ...] = ()
 
 
-def lower(ast: ProtocolAST, choi: bool = False) -> Program:
+def lower(ast: ProtocolAST) -> Program:
     """Validate once and lower; raises ValueError listing every error."""
     errs = errors_of(validate(ast))
     if errs:
         listing = "; ".join(d.message for d in errs)
         raise ValueError(f"protocol {ast.name!r} failed validation: {listing}")
+    return _lower(ast)
+
+
+def _lower(ast: ProtocolAST) -> Program:
+    """Lower a protocol that validate has passed; nothing is checked again.
+
+    One backward pass, in which the first use met is the last use.  Outputs
+    count as used at the end, so they are never reset.  A run of plain gates
+    is gathered as ("u", its gates in reverse) and composed at the end.
+    """
     wire = {q.name: i for i, q in enumerate(ast.qubits)}
     bit = {c.name: i for i, c in enumerate(ast.cbits)}
-    inputs = tuple(wire[name] for name in ast.input_names)
-    refs = tuple(range(len(wire), len(wire) + len(inputs))) if choi else ()
-    # A run of plain gates is ("u", gates, touched) until the backward pass:
-    # its gate tuples and the set of wires they touch.  gates is None while
-    # no run is open.
+    outputs = tuple(wire[o.name] for o in ast.outputs)
+    used_wires, used_bits = set(outputs), set()
     ops: list[tuple] = []
-    gates = None
-    if choi:
-        gates = [g for r, q in zip(refs, inputs) for g in (("H", r), ("CNOT", r, q))]
-        touched = {*refs, *inputs}
-        ops.append(("u", gates, touched))
-    for stmt in ast.body:
+    drops: list[tuple[int, ...]] = []
+    run = None
+    for stmt in reversed(ast.body):
         if isinstance(stmt, GateStmt):
             args = stmt.args
             q = wire[args[0].name]
-            if gates is None:
-                gates, touched = [], set()
-                ops.append(("u", gates, touched))
-            touched.add(q)
+            used_wires.add(q)
             if len(args) == 1:
-                gates.append((stmt.gate, q))
+                gate = (stmt.gate, q)
             else:
                 t = wire[args[1].name]
-                touched.add(t)
-                gates.append((stmt.gate, q, t))
+                used_wires.add(t)
+                gate = (stmt.gate, q, t)
+            if run is None:
+                run = []
+                ops.append(("u", run))
+                drops.append(())
+            run.append(gate)
             continue
-        gates = None
+        run = None
+        c = bit[stmt.cbit.name]
         if isinstance(stmt, IfGateStmt):
-            ops.append(("if", bit[stmt.cbit.name], stmt.gate, tuple(wire[a.name] for a in stmt.args)))
+            wires = tuple(wire[a.name] for a in stmt.args)
+            ops.append(("if", c, stmt.gate, wires))
+            used_wires.update(wires)
         else:
-            ops.append(("m", wire[stmt.qubit.name], bit[stmt.cbit.name], False))
-    outputs = tuple(wire[o.name] for o in ast.outputs)
-
-    # Backward pass: the first use met is the last use.  Outputs count as
-    # used at the end, so they are never reset.
-    n_wires = len(wire) + len(refs)
-    used_wires, used_bits = set(outputs), set()
-    drops: list[tuple[int, ...]] = []
-    measurements = 0
-    for i in range(len(ops) - 1, -1, -1):
-        op = ops[i]
-        if op[0] == "u":
-            used_wires |= op[2]
-            ops[i] = ("u", run_circuit(n_wires, op[1]))
-            drops.append(())
-            continue
-        if op[0] == "m":
-            _, q, c, _ = op
-            ops[i] = ("m", q, c, q not in used_wires)
+            q = wire[stmt.qubit.name]
+            ops.append(("m", q, c, q not in used_wires))
             used_wires.add(q)
-            measurements += 1
-        else:
-            used_wires.update(op[-1])
-            c = op[1]
         drops.append(() if c in used_bits else (c,))
         used_bits.add(c)
+    n_wires = len(wire)
+    for i, op in enumerate(ops):
+        if op[0] == "u":
+            gates = tuple(reversed(op[1]))
+            ops[i] = ("u", _images(_circuit(n_wires, gates), n_wires), gates)
     return Program(
         n_wires=n_wires,
-        inputs=inputs,
+        inputs=tuple(wire[name] for name in ast.input_names),
         outputs=outputs,
         cbits=tuple(c.name for c in ast.cbits),
-        ops=tuple(ops),
+        ops=tuple(reversed(ops)),
         drops=tuple(reversed(drops)),
-        denominator=1 << measurements,
-        refs=refs,
+        denominator=1 << sum(op[0] == "m" for op in ops),
     )
 
 
@@ -249,31 +246,34 @@ def _walk(program: Program, input_prep: BasisCircuit | None, merge: bool) -> lis
     """Branches as (weight, rows, outcomes, bits), weight over program.denominator.
 
     rows is the branch's state as engine rows.  input_prep prepares the
-    inputs; with None they start in |0>, as a program lowered with choi
-    needs.  The walk is breadth first and expands outcome 0 before 1, which
-    lists the branches in depth-first order.  With merge, a wire is reset
-    to |0> after a measurement marked reset, bits in drops are forgotten,
-    and branches that then agree on canonical form and remaining bits are
-    combined by adding their weights; outcomes stay empty.  Without merge,
-    more than BRANCH_LIMIT branches raise BranchLimitError before they are
+    inputs; with None, reference wire n_wires + j starts in a Bell pair
+    with input j (H ref; CNOT ref, input), so the walk runs on the Choi
+    state, n_wires + n_in wires wide.  The walk is breadth first and
+    expands outcome 0 before 1, which lists the branches in depth-first
+    order.  With merge, a wire is reset to |0> after a measurement marked
+    reset, bits in drops are forgotten, and branches that then agree on
+    canonical form and remaining bits are combined by adding their weights;
+    outcomes stay empty.  More than BRANCH_LIMIT branches, or
+    MERGED_BRANCH_LIMIT with merge, raise BranchLimitError before they are
     built.
     """
-    n = program.n_wires
-    rows = _zero_rows(n)
-    if input_prep is not None:
-        for g in _prep_gates(program, input_prep):
-            _check_gate(n, g)
-            rows = _gated(rows, g)
+    w = program.n_wires
+    if input_prep is None:
+        bell = [g for j, q in enumerate(program.inputs) for g in (("H", w + j), ("CNOT", w + j, q))]
+        rows = _circuit(w + len(program.inputs), bell)
+    else:
+        # run_circuit checks the gates, which come from outside the program.
+        rows = _triples(run_circuit(w, _prep_gates(program, input_prep)).rows)
+    n = len(rows) >> 1
+    limit = MERGED_BRANCH_LIMIT if merge else BRANCH_LIMIT
 
     live = [(program.denominator, rows, (), {})]
     for op, drop in zip(program.ops, program.drops):
         if op[0] == "u":
-            images = _images(_triples(op[1].rows), n)
-            live = [(weight, _composed(rows, images), outcomes, bits) for weight, rows, outcomes, bits in live]
+            live = [(weight, _composed(rows, op[1]), outcomes, bits) for weight, rows, outcomes, bits in live]
             continue
         if op[0] == "if":
             c, g = op[1], (op[2], *op[3])
-            _check_gate(n, g)
             live = [
                 (weight, _gated(rows, g) if bits[c] else rows, outcomes, bits) for weight, rows, outcomes, bits in live
             ]
@@ -288,8 +288,8 @@ def _walk(program: Program, input_prep: BasisCircuit | None, merge: bool) -> lis
                     choices = (forced,)
                 else:
                     choices, weight = (0, 1), weight >> 1
-                if not merge and len(forked) + len(choices) > BRANCH_LIMIT:
-                    raise BranchLimitError()
+                if len(forked) + len(choices) > limit:
+                    raise BranchLimitError(merge)
                 for b in choices:
                     after = rows if pivot is None else _collapsed(rows, n, q, pivot, b)
                     if reset and b:
@@ -335,7 +335,7 @@ def _trace(program: Program, prep: list[tuple], outcomes: tuple[int, ...]) -> li
     measured = iter(outcomes)
     for op in program.ops:
         if op[0] == "u":
-            trace += op[1].trace
+            trace += op[2]
         elif op[0] == "if":
             if bits[op[1]]:
                 trace.append((op[2], *op[3]))
@@ -352,7 +352,10 @@ def run_protocol(ast: ProtocolAST, input_prep: BasisCircuit) -> list[BranchOutco
     order is deterministic.  Probabilities are exact powers of 1/2 and sum
     to exactly 1.
     """
-    program = lower(ast)
+    return _run(lower(ast), input_prep)
+
+
+def _run(program: Program, input_prep: BasisCircuit) -> list[BranchOutcome]:
     branches = _walk(program, input_prep, merge=False)
     n, prep = program.n_wires, _prep_gates(program, input_prep)
     return [
@@ -394,36 +397,32 @@ def _input_generators(n_in: int) -> tuple[tuple[tuple[int, int, int], ...], ...]
     """Each basis input's stabilizer generators as (x, z, phase_exp), in
     enumerate_basis order.  The cache lives as long as the process, so it
     keeps n_in generators per input, not the 2^n_in-element groups."""
-    return tuple(
-        tuple((g.x_bits, g.z_bits, g.phase_exp) for g in circ.prepare().stabilizers) for circ in enumerate_basis(n_in)
-    )
+    return tuple(tuple(_circuit(n_in, circ.gates)[n_in:]) for circ in enumerate_basis(n_in))
 
 
-def _choi(ast: ProtocolAST, budget: int | None) -> tuple[int, int, int, dict[int, dict[int, int]]]:
+def _choi(program: Program, budget: int | None) -> tuple[int, int, int, dict[int, dict[int, int]]]:
     """The channel's Choi state as (n_in, n_out, denominator, choi).
 
     The protocol runs once on its Choi state J: reference wire j starts in
-    a Bell pair with input j (lower with choi).  choi[A][q] times
+    a Bell pair with input j (_walk with no input_prep).  choi[A][q] times
     denominator is (-1)^#Y(A) Tr((A x P_q) J), for A a Pauli on the
     references keyed as its x bits over its z bits, and P_q output Pauli
     number q.  Tr((A x P) J) adds, over the merged branches, weight x the
     sign of +-(A x P) in the branch's stabilizer group, where it lies in
     the subgroup supported on outputs and references, and 0 elsewhere.
     """
-    program = lower(ast, choi=True)
-    n_in, n_out = ast.n_in, ast.n_out
+    n_in, n_out = len(program.inputs), len(program.outputs)
     work = 4 ** n_in * 4 ** n_out
     if budget is not None and work > budget:
         raise BudgetExceededError(work, budget)
 
-    base = program.refs[0]
-    out_mask = sum(1 << w for w in program.outputs)
-    ref_mask = sum(1 << r for r in program.refs)
+    base = program.n_wires  # reference wire j is base + j
+    n = base + n_in
+    wires = sum(1 << w for w in program.outputs) | ((1 << n_in) - 1) << base
     shifts = [(w, 2 * (n_out - 1 - j)) for j, w in enumerate(program.outputs)]
-    n = program.n_wires
     choi: dict[int, dict[int, int]] = {}
     for weight, rows, _, _ in _walk(program, None, merge=True):
-        for x, z, sign in _group(_supported(rows[n:], n, out_mask | ref_mask)):
+        for x, z, sign in _group(_supported(rows[n:], n, wires)):
             index = 0
             for w, shift in shifts:
                 index |= _DIGIT[((x >> w) & 1) << 1 | ((z >> w) & 1)] << shift
@@ -467,7 +466,7 @@ def fingerprint(ast: ProtocolAST, budget: int | None = DEFAULT_BUDGET) -> Supero
     The rows come from one walk over the protocol's Choi state (_choi); no
     basis input is run on its own.
     """
-    return _table(_choi(ast, budget))
+    return _table(_choi(lower(ast), budget))
 
 
 def _scaled(channel, denominator: int) -> dict[tuple[int, int], int]:
@@ -494,6 +493,10 @@ def check_equivalence(
         raise ArityMismatchError(
             f"arity mismatch: {lhs.name} is {lhs.n_in}->{lhs.n_out}, {rhs.name} is {rhs.n_in}->{rhs.n_out}"
         )
+    return _verdict(lower(lhs), lower(rhs), budget)
+
+
+def _verdict(lhs: Program, rhs: Program, budget: int | None) -> Verdict:
     ch_l = _choi(lhs, budget)
     ch_r = _choi(rhs, budget)
     d_l, d_r = ch_l[2], ch_r[2]
@@ -504,8 +507,8 @@ def check_equivalence(
     for k, (row_l, row_r) in enumerate(zip(_rows(ch_l), _rows(ch_r))):
         for q, (a, b) in enumerate(zip(row_l, row_r)):
             if a * s_l != b * s_r:
-                element = basis_element(lhs.n_in, k)
-                ce = Counterexample(element, local_observable(lhs.n_out, q), Fraction(a, d_l), Fraction(b, d_r))
+                element = basis_element(ch_l[0], k)
+                ce = Counterexample(element, local_observable(ch_l[1], q), Fraction(a, d_l), Fraction(b, d_r))
                 return Verdict(False, ce, (ch_l, ch_r))
     raise AssertionError("Choi states differ but no table entry does")
 
@@ -546,7 +549,7 @@ def _run_dense(program: Program, input_state: np.ndarray) -> list[tuple[float, n
             op = program.ops[i]
             i += 1
             if op[0] == "u":
-                for gate in op[1].trace:
+                for gate in op[2]:
                     state = dense.apply_gate_dense(state, n_total, *gate)
             elif op[0] == "if":
                 if env[op[1]]:
@@ -573,12 +576,15 @@ def run_protocol_dense(ast: ProtocolAST, input_state: np.ndarray) -> list[tuple[
 
 def fingerprint_dense(ast: ProtocolAST) -> np.ndarray:
     """Floating-point fingerprint via full density matrices; oracle only."""
+    return _fingerprint_dense(lower(ast))
+
+
+def _fingerprint_dense(program: Program) -> np.ndarray:
     import numpy as np
 
     from . import dense
 
-    program = lower(ast)
-    n_in, n_out = ast.n_in, ast.n_out
+    n_in, n_out = len(program.inputs), len(program.outputs)
     table = np.zeros((4 ** n_in, 4 ** n_out))
     for k, circ in enumerate(enumerate_basis(n_in)):
         prep, _ = dense.run_dense(n_in, circ.gates)

@@ -78,22 +78,24 @@ def _cmd_check(args) -> int:
         n = args.identity
         if n < 1:
             raise UserError("--identity takes a positive qubit count")
-        # Refuse before building the identity, which takes time and memory linear in n.
-        if (lhs.n_in, lhs.n_out) != (n, n):
-            raise UserError(f"arity mismatch: {lhs.name} is {lhs.n_in}->{lhs.n_out}, identity_{n} is {n}->{n}")
-        rhs = builtin_identity(n)
-        rhs_label = f"identity:{n}"
+        rhs_label, rhs_name, rhs_arity = f"identity:{n}", f"identity_{n}", (n, n)
     elif args.rhs is not None:
         rhs = _load_protocol(args.rhs)
-        rhs_label = args.rhs
+        rhs_label, rhs_name, rhs_arity = args.rhs, rhs.name, (rhs.n_in, rhs.n_out)
     else:
         raise UserError("need a second protocol file or --identity N")
+    # As in check_equivalence, but before building the identity, which is linear in n.
+    if (lhs.n_in, lhs.n_out) != rhs_arity:
+        raise UserError(
+            f"arity mismatch: {lhs.name} is {lhs.n_in}->{lhs.n_out}, {rhs_name} is {rhs_arity[0]}->{rhs_arity[1]}"
+        )
+    if args.identity is not None:
+        rhs = builtin_identity(n)
 
     try:
-        verdict = checker.check_equivalence(lhs, rhs, budget=args.budget)
-    except checker.ArityMismatchError as exc:
-        raise UserError(str(exc)) from None
-    except checker.BudgetExceededError as exc:
+        programs = checker._lower(lhs), checker._lower(rhs)
+        verdict = checker._verdict(*programs, budget=args.budget)
+    except (checker.BudgetExceededError, checker.BranchLimitError) as exc:
         raise UserError(str(exc)) from None
 
     if args.verify:
@@ -101,9 +103,9 @@ def _cmd_check(args) -> int:
 
         from . import dense
 
-        for ast, exact in zip((lhs, rhs), verdict.fingerprints):
+        for ast, program, exact in zip((lhs, rhs), programs, verdict.fingerprints):
             try:
-                oracle = checker.fingerprint_dense(ast)
+                oracle = checker._fingerprint_dense(program)
             except checker.DenseLimitError as exc:
                 raise UserError(f"--verify on {ast.name}: {exc}") from None
             table = np.array([[float(v) for v in row] for row in exact.table])
@@ -158,7 +160,7 @@ def _cmd_sim(args) -> int:
         raise UserError(str(exc)) from None
     circuit = basis_mod.circuit_for(element)
     try:
-        branches = checker.run_protocol(ast, circuit)
+        branches = checker._run(checker._lower(ast), circuit)
     except checker.BranchLimitError as exc:
         raise UserError(f"sim on {ast.name}: {exc}") from None
 

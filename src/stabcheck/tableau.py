@@ -229,11 +229,6 @@ def _boxed(n: int, rows) -> list[PauliString]:
     return [PauliString(n, x, z, ph) for x, z, ph in rows]
 
 
-def _zero_rows(n: int) -> list[tuple[int, int, int]]:
-    """|0...0>: destabilizers +X_i, stabilizers +Z_i."""
-    return [(1 << q, 0, 0) for q in range(n)] + [(0, 1 << q, 0) for q in range(n)]
-
-
 def _product(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
     """The row product a * b."""
     x1, z1, p1 = a
@@ -306,6 +301,50 @@ def _composed(rows: list, images: tuple[int, list, list]) -> list:
                         az ^= iz
         out.append((ax, az, ph & 3))
     return out
+
+
+def _circuit(n: int, gates) -> list:
+    """The rows of |0...0> after the gates, none of which is checked.
+
+    The circuit runs on bit-sliced columns, as in Aaronson and Gottesman's
+    CHP: bit r of xs[q] (zs[q]) is row r's X (Z) bit on qubit q, and bit r
+    of lo and hi are the low and high bits of row r's phase.  A gate
+    updates a few of these ints for all 2n rows at once, and the columns
+    are transposed into rows once, at the end.
+    """
+    xs = [1 << q for q in range(n)]
+    zs = [1 << (n + q) for q in range(n)]
+    lo = hi = 0
+    for g in gates:
+        gate, q = g[0], g[1]
+        if gate == "H":
+            hi ^= xs[q] & zs[q]
+            xs[q], zs[q] = zs[q], xs[q]
+        elif gate == "P":
+            # Add 1 to the phase of the rows in xs[q], carrying into hi.
+            hi ^= lo & xs[q]
+            lo ^= xs[q]
+            zs[q] ^= xs[q]
+        elif gate == "X":
+            hi ^= zs[q]
+        elif gate == "Y":
+            hi ^= xs[q] ^ zs[q]
+        elif gate == "Z":
+            hi ^= xs[q]
+        else:
+            t = g[2]
+            xs[t] ^= xs[q]
+            zs[q] ^= zs[t]
+
+    x_rows = [0] * (2 * n)
+    z_rows = [0] * (2 * n)
+    for by_row, columns in ((x_rows, xs), (z_rows, zs)):
+        for q, column in enumerate(columns):
+            while column:
+                low = column & -column
+                by_row[low.bit_length() - 1] |= 1 << q
+                column ^= low
+    return [(x_rows[r], z_rows[r], (lo >> r & 1) | (hi >> r & 1) << 1) for r in range(2 * n)]
 
 
 def _sign(rows: list, n: int, x: int, z: int, ph: int) -> int:
@@ -429,54 +468,17 @@ def run_circuit(n: int, gates) -> Tableau:
     """Prepare |0...0> and apply a sequence of ("gate", qubits...) tuples.
 
     The rows are then the images of X_0..X_{n-1}, Z_0..Z_{n-1} under the
-    circuit, which is all apply_tableau needs to apply it in one step.  The
-    circuit runs on bit-sliced columns, as in Aaronson and Gottesman's CHP:
-    bit r of xs[q] (zs[q]) is row r's X (Z) bit on qubit q, and bit r of
-    lo and hi are the low and high bits of row r's phase_exp.  A gate
-    updates a few of these ints for all 2n rows at once, and the columns
-    are transposed into rows once, at the end.  Rows, phases and trace are
-    those of applying the gates one by one with apply_gate; the trace holds
-    the given tuples themselves, each checked as apply_gate checks it.
+    circuit, which is all apply_tableau needs to apply it in one step.
+    Rows, phases and trace are those of applying the gates one by one with
+    apply_gate; the trace holds the given tuples themselves, each checked as
+    apply_gate checks it, and the rows come from the _circuit kernel.
     """
     if n < 1:
         raise ValueError("need at least one qubit")
-    xs = [1 << q for q in range(n)]
-    zs = [1 << (n + q) for q in range(n)]
-    lo = hi = 0
-    trace = []
-    for g in gates:
+    trace = list(gates)
+    for g in trace:
         _check_gate(n, g)
-        gate, q = g[0], g[1]
-        if gate == "H":
-            hi ^= xs[q] & zs[q]
-            xs[q], zs[q] = zs[q], xs[q]
-        elif gate == "P":
-            # Add 1 to the phase of the rows in xs[q], carrying into hi.
-            hi ^= lo & xs[q]
-            lo ^= xs[q]
-            zs[q] ^= xs[q]
-        elif gate == "X":
-            hi ^= zs[q]
-        elif gate == "Y":
-            hi ^= xs[q] ^ zs[q]
-        elif gate == "Z":
-            hi ^= xs[q]
-        else:
-            t = g[2]
-            xs[t] ^= xs[q]
-            zs[q] ^= zs[t]
-        trace.append(g)
-
-    x_rows = [0] * (2 * n)
-    z_rows = [0] * (2 * n)
-    for by_row, columns in ((x_rows, xs), (z_rows, zs)):
-        for q, column in enumerate(columns):
-            while column:
-                low = column & -column
-                by_row[low.bit_length() - 1] |= 1 << q
-                column ^= low
-    rows = [PauliString(n, x_rows[r], z_rows[r], (lo >> r & 1) | (hi >> r & 1) << 1) for r in range(2 * n)]
-    return Tableau(n, rows, trace)
+    return Tableau(n, _boxed(n, _circuit(n, trace)), trace)
 
 
 def apply_tableau(t: Tableau, u: Tableau) -> Tableau:

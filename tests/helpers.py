@@ -1,5 +1,6 @@
 """Shared test utilities: random circuits, branch walkers, exact matrices,
-and frozen reference copies of the front end and of the branch walk."""
+and frozen reference copies of the front end, the lowering and the branch
+walk."""
 
 from __future__ import annotations
 
@@ -19,10 +20,8 @@ from stabcheck.checker import (
     BranchLimitError,
     BranchOutcome,
     BudgetExceededError,
-    Program,
     _group,
     local_observable,
-    lower,
 )
 from stabcheck.protocol import (
     KEYWORDS,
@@ -36,8 +35,10 @@ from stabcheck.protocol import (
     QubitDecl,
     SourceSpan,
     Statement,
+    errors_of,
+    validate,
 )
-from stabcheck.tableau import GATE_NAMES, MeasurementResolution, Tableau, _check_gate, new_zero_state
+from stabcheck.tableau import GATE_NAMES, MeasurementResolution, Tableau, _check_gate, new_zero_state, run_circuit
 
 GATE_POOL = ("H", "P", "X", "Y", "Z", "CNOT")
 
@@ -182,6 +183,26 @@ def teleport_source(n: int, drop: str | None = None) -> str:
             body.append(f"if m{k} then Z b{k};")
     outputs = ", ".join(f"b{k}" for k in range(n))
     return f"protocol teleport_{n} {{\n  " + "\n  ".join(decls + body) + f"\n  output {outputs};\n}}\n"
+
+
+def cluster_wire_source(k: int, drop: int | None = None) -> str:
+    """A 1D cluster-state wire of k X-measured sites, corrections deferred.
+
+    Site w0 holds the input and w1..wk start in |+>; CZ (H t; CNOT c, t;
+    H t) joins each pair of neighbours.  Site j is then measured in the X
+    basis into s_j, which leaves X^s_j H of the state on site j + 1.  The
+    corrections all come at the end: s_j controls an X on the output wk
+    for odd j and a Z for even j, since H^(k-1-j) turns the X byproduct of
+    step j into X or Z.  With even k the wire is the identity channel.
+    drop names the index j of one correction to leave out.
+    """
+    decls = ["qubit w0: input;"] + [f"qubit w{i}: zero;" for i in range(1, k + 1)]
+    decls += [f"cbit s{j};" for j in range(k)]
+    body = [f"H w{i};" for i in range(1, k + 1)]
+    body += [stmt for i in range(k) for stmt in (f"H w{i + 1};", f"CNOT w{i}, w{i + 1};", f"H w{i + 1};")]
+    body += [stmt for j in range(k) for stmt in (f"H w{j};", f"measure w{j} -> s{j};")]
+    body += [f"if s{j} then {'X' if j % 2 else 'Z'} w{k};" for j in range(k) if j != drop]
+    return f"protocol cluster_{k} {{\n  " + "\n  ".join(decls + body) + f"\n  output w{k};\n}}\n"
 
 
 def random_protocol_source(rng: random.Random, name: str = "rand", shuffle: bool = False) -> str:
@@ -407,8 +428,117 @@ def _parse_args(p: _Parser) -> tuple[Ident, ...]:
 # on PauliString rows and Tableau copies, each renamed with a reference_
 # prefix.  Row products go through reference_product, a copy of the
 # PauliString.__mul__ of that time, so no kernel of the engine takes part.
+# The walk reads reference_lower's programs: checker.lower and Program as
+# they were when each gate run was a Tableau from run_circuit and the Choi
+# walk had a lowering of its own, with the Bell pairs put in its first run.
 # reference_choi and reference_run_protocol must agree exactly with
 # checker._choi and run_protocol.
+
+
+@dataclass(frozen=True)
+class ReferenceProgram:
+    """A validated protocol lowered to integer wire and classical-bit indices.
+
+    ops holds ("u", circuit), ("if", bit, gate, wires) and
+    ("m", wire, bit, reset).  circuit is the Tableau of one maximal run of
+    plain gates, composed once by run_circuit; its trace lists the run's
+    gates.  reset is set when the measurement is the last statement
+    touching a wire that is not an output, so the wire is a discarded Z
+    eigenstate from then on.  drops[i] lists the bits that no statement
+    after ops[i] reads.  A branch's probability is an integer weight over
+    denominator, 2 to the number of measurements.
+
+    refs, empty unless lowered with choi, lists one reference wire per
+    input after the protocol's wires; the first run then starts with
+    H refs[j]; CNOT refs[j], inputs[j], so a walk from |0...0> runs on the
+    channel's Choi state.  n_wires counts the references too: it is the
+    width every run is composed at.
+    """
+
+    n_wires: int
+    inputs: tuple[int, ...]
+    outputs: tuple[int, ...]
+    cbits: tuple[str, ...]
+    ops: tuple[tuple, ...]
+    drops: tuple[tuple[int, ...], ...]
+    denominator: int
+    refs: tuple[int, ...] = ()
+
+
+def reference_lower(ast: ProtocolAST, choi: bool = False) -> ReferenceProgram:
+    """Validate once and lower; raises ValueError listing every error."""
+    errs = errors_of(validate(ast))
+    if errs:
+        listing = "; ".join(d.message for d in errs)
+        raise ValueError(f"protocol {ast.name!r} failed validation: {listing}")
+    wire = {q.name: i for i, q in enumerate(ast.qubits)}
+    bit = {c.name: i for i, c in enumerate(ast.cbits)}
+    inputs = tuple(wire[name] for name in ast.input_names)
+    refs = tuple(range(len(wire), len(wire) + len(inputs))) if choi else ()
+    # A run of plain gates is ("u", gates, touched) until the backward pass:
+    # its gate tuples and the set of wires they touch.  gates is None while
+    # no run is open.
+    ops: list[tuple] = []
+    gates = None
+    if choi:
+        gates = [g for r, q in zip(refs, inputs) for g in (("H", r), ("CNOT", r, q))]
+        touched = {*refs, *inputs}
+        ops.append(("u", gates, touched))
+    for stmt in ast.body:
+        if isinstance(stmt, GateStmt):
+            args = stmt.args
+            q = wire[args[0].name]
+            if gates is None:
+                gates, touched = [], set()
+                ops.append(("u", gates, touched))
+            touched.add(q)
+            if len(args) == 1:
+                gates.append((stmt.gate, q))
+            else:
+                t = wire[args[1].name]
+                touched.add(t)
+                gates.append((stmt.gate, q, t))
+            continue
+        gates = None
+        if isinstance(stmt, IfGateStmt):
+            ops.append(("if", bit[stmt.cbit.name], stmt.gate, tuple(wire[a.name] for a in stmt.args)))
+        else:
+            ops.append(("m", wire[stmt.qubit.name], bit[stmt.cbit.name], False))
+    outputs = tuple(wire[o.name] for o in ast.outputs)
+
+    # Backward pass: the first use met is the last use.  Outputs count as
+    # used at the end, so they are never reset.
+    n_wires = len(wire) + len(refs)
+    used_wires, used_bits = set(outputs), set()
+    drops: list[tuple[int, ...]] = []
+    measurements = 0
+    for i in range(len(ops) - 1, -1, -1):
+        op = ops[i]
+        if op[0] == "u":
+            used_wires |= op[2]
+            ops[i] = ("u", run_circuit(n_wires, op[1]))
+            drops.append(())
+            continue
+        if op[0] == "m":
+            _, q, c, _ = op
+            ops[i] = ("m", q, c, q not in used_wires)
+            used_wires.add(q)
+            measurements += 1
+        else:
+            used_wires.update(op[-1])
+            c = op[1]
+        drops.append(() if c in used_bits else (c,))
+        used_bits.add(c)
+    return ReferenceProgram(
+        n_wires=n_wires,
+        inputs=inputs,
+        outputs=outputs,
+        cbits=tuple(c.name for c in ast.cbits),
+        ops=tuple(ops),
+        drops=tuple(reversed(drops)),
+        denominator=1 << measurements,
+        refs=refs,
+    )
 
 
 def reference_product(a: PauliString, b: PauliString) -> PauliString:
@@ -611,7 +741,7 @@ def reference_canonical_form(t: Tableau) -> tuple[PauliString, ...]:
     return tuple(rows)
 
 
-def reference_walk(program: Program, input_prep: BasisCircuit | None, merge: bool) -> list[tuple[int, Tableau, tuple, dict]]:
+def reference_walk(program: ReferenceProgram, input_prep: BasisCircuit | None, merge: bool) -> list[tuple[int, Tableau, tuple, dict]]:
     """Branches as (weight, state, outcomes, bits), weight over program.denominator.
 
     input_prep prepares the inputs; with None they start in |0>, as a
@@ -698,7 +828,7 @@ def reference_run_protocol(ast: ProtocolAST, input_prep: BasisCircuit) -> list[B
     order is deterministic.  Probabilities are exact powers of 1/2 and sum
     to exactly 1.
     """
-    program = lower(ast)
+    program = reference_lower(ast)
     return [
         BranchOutcome(Fraction(weight, program.denominator), state, outcomes, {program.cbits[c]: b for c, b in bits.items()})
         for weight, state, outcomes, bits in reference_walk(program, input_prep, merge=False)
@@ -716,7 +846,7 @@ def reference_choi(ast: ProtocolAST, budget: int | None) -> tuple[int, int, int,
     sign of +-(A x P) in the branch's stabilizer group, where it lies in
     the subgroup supported on outputs and references, and 0 elsewhere.
     """
-    program = lower(ast, choi=True)
+    program = reference_lower(ast, choi=True)
     n_in, n_out = ast.n_in, ast.n_out
     work = 4 ** n_in * 4 ** n_out
     if budget is not None and work > budget:

@@ -1,5 +1,6 @@
 """Equivalence engine: branch runs, fingerprints, verdicts, oracle checks."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -29,8 +30,9 @@ from stabcheck.cli import corpus_path
 from stabcheck.dense import density_from_branches, pauli_expect_dense, run_dense
 
 from stabcheck.protocol import GateStmt, IfGateStmt, MeasureStmt
+from stabcheck.tableau import _boxed
 
-from helpers import exact_to_numpy, random_protocol_source, random_rational_hermitian, teleport_source
+from helpers import cluster_wire_source, exact_to_numpy, random_protocol_source, random_rational_hermitian, teleport_source
 
 CORPUS_ONE_WIRE = ["teleport.qpr", "teleport_noX.qpr", "teleport_noZ.qpr", "identity.qpr", "identity_hh.qpr"]
 CORPUS_TWO_WIRE = ["swap_cnot.qpr", "swap_wires.qpr"]
@@ -46,6 +48,17 @@ def diag(n, x):
 
 def plus(n, x, y):
     return circuit_for(BasisElement(n, "plus", x, y))
+
+
+def image_rows(images, n):
+    """The 2n boxed rows a run's images stand for, laid out as Tableau.rows:
+    the images of X_q, then of Z_q, with X_q and Z_q for an unmoved wire."""
+    moved, x_images, z_images = images
+    xs = {bit: image for bit, *image in x_images}
+    zs = {bit: image for bit, *image in z_images}
+    assert moved == sum(xs) == sum(zs)
+    rows = [tuple(xs.get(1 << q, (1 << q, 0, 0))) for q in range(n)]
+    return _boxed(n, rows + [tuple(zs.get(1 << q, (0, 1 << q, 0))) for q in range(n)])
 
 
 class TestLower:
@@ -85,33 +98,28 @@ class TestLower:
             assert len(program.ops) == len(ops)
             for got, want in zip(program.ops, ops):
                 if want[0] == "u":
-                    assert got[0] == "u" and got[1].trace == want[1]
-                    assert got[1].rows == run_circuit(program.n_wires, want[1]).rows
+                    assert got[0] == "u" and got[2] == tuple(want[1])
+                    assert image_rows(got[1], program.n_wires) == run_circuit(program.n_wires, want[1]).rows
                 else:
                     assert got == want
             assert program.drops == tuple(drops)
             assert program.denominator == 2 ** sum(isinstance(s, MeasureStmt) for s in ast.body)
 
-    def test_choi_lowering_prepends_bell_pairs_at_full_width(self):
+    def test_choi_walk_starts_from_bell_pairs_and_runs_the_plain_ops(self, monkeypatch):
         rng = random.Random(14)
         asts = [parse(teleport_source(2))] + [parse(random_protocol_source(rng, shuffle=True)) for _ in range(100)]
+        walk, walks = checker._walk, []
+        monkeypatch.setattr(checker, "_walk", lambda program, prep, merge: walks.append((program, prep, merge)) or [])
         for ast in asts:
-            plain, choi = lower(ast), lower(ast, choi=True)
-            n = len(ast.qubits)
-            assert choi.refs == tuple(range(n, n + ast.n_in)) and choi.n_wires == n + ast.n_in
-            bell = [g for r, q in zip(choi.refs, plain.inputs) for g in (("H", r), ("CNOT", r, q))]
-            ops = list(plain.ops)
-            if ops[0][0] != "u":
-                ops.insert(0, ("u", run_circuit(n, [])))
-            assert choi.ops[0][1].trace == bell + ops[0][1].trace
-            assert len(choi.ops) == len(ops)
-            for got, want in zip(choi.ops, ops):
-                if want[0] == "u":
-                    assert got[1].n == n + ast.n_in
-                else:
-                    assert got == want
-            assert choi.drops[-len(plain.drops):] == plain.drops
-            assert choi.denominator == plain.denominator
+            program = lower(ast)
+            n, width = len(ast.qubits), len(ast.qubits) + ast.n_in
+            assert program.n_wires == n
+            bell = [g for r, q in zip(range(n, width), program.inputs) for g in (("H", r), ("CNOT", r, q))]
+            # The walk of a program with no ops returns its start rows.
+            (_, start, _, _), = walk(dataclasses.replace(program, ops=(), drops=()), None, True)
+            assert _boxed(width, start) == run_circuit(width, bell).rows
+            fingerprint(ast)
+            assert walks.pop() == (program, None, True)
 
 
 class TestRunProtocol:
@@ -256,6 +264,14 @@ class TestCheckEquivalence:
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatchError):
             check_equivalence(builtin_identity(1), builtin_identity(2))
+
+    def test_merged_branch_limit(self, monkeypatch):
+        # A cluster wire of k sites keeps all 2^k branches until its
+        # corrections, at the end.
+        monkeypatch.setattr(checker, "MERGED_BRANCH_LIMIT", 16)
+        assert check_equivalence(parse(cluster_wire_source(4)), builtin_identity(1)).equivalent
+        with pytest.raises(checker.BranchLimitError, match=r"more than 2\^4 live branches.*MERGED_BRANCH_LIMIT"):
+            check_equivalence(parse(cluster_wire_source(6)), builtin_identity(1))
 
 
 class TestOracleAgreement:

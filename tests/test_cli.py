@@ -5,13 +5,17 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import stabcheck
-from stabcheck import ArityMismatchError, builtin_identity, check_equivalence, parse
+from stabcheck import ArityMismatchError, builtin_identity, check_equivalence, checker, parse, protocol
+from stabcheck import cli as cli_mod
 from stabcheck.cli import corpus_path, main
+
+from helpers import cluster_wire_source
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +54,7 @@ def run_fresh(*argv):
 TELEPORT = str(corpus_path("teleport.qpr"))
 NO_X = str(corpus_path("teleport_noX.qpr"))
 NO_Z = str(corpus_path("teleport_noZ.qpr"))
+IDENTITY = str(corpus_path("identity.qpr"))
 
 
 class TestCheck:
@@ -150,6 +155,42 @@ class TestCheck:
         assert time.perf_counter() - start < 5.0
         assert code == 2
         assert "2^1102" in err and "limit of 2^20" in err
+
+    def test_merged_branch_limit_exits_2(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(checker, "MERGED_BRANCH_LIMIT", 16)
+        wire = tmp_path / "cluster.qpr"
+        wire.write_text(cluster_wire_source(6))
+        code, out, err = run_cli(capsys, "check", str(wire), "--identity", "1")
+        assert code == 2 and out == ""
+        assert "more than 2^4 live branches" in err and "MERGED_BRANCH_LIMIT" in err
+
+    @pytest.mark.parametrize(
+        "argv,sides",
+        [
+            (("check", TELEPORT, IDENTITY, "--json"), ["teleport", "identity"]),
+            (("check", TELEPORT, IDENTITY, "--json", "--verify"), ["teleport", "identity"]),
+            (("check", TELEPORT, "--identity", "1"), ["teleport", "identity_1"]),
+            (("sim", TELEPORT, "--input", "plus:0,1"), ["teleport"]),
+        ],
+        ids=["check", "check-verify", "check-identity", "sim"],
+    )
+    def test_each_side_is_validated_at_most_once_and_lowered_once(self, capsys, monkeypatch, argv, sides):
+        validated, lowered = [], []
+
+        def counted(calls, function):
+            def wrapper(ast):
+                calls.append(ast.name)
+                return function(ast)
+            return wrapper
+
+        counted_validate = counted(validated, protocol.validate)
+        for module in (protocol, cli_mod, checker):
+            monkeypatch.setattr(module, "validate", counted_validate)
+        monkeypatch.setattr(checker, "_lower", counted(lowered, checker._lower))
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert sorted(lowered) == sorted(sides)
+        assert set(validated) <= set(sides) and all(count == 1 for count in Counter(validated).values())
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["check"]) == 2
@@ -276,12 +317,10 @@ class TestWarnings:
 
 
 def test_internal_failures_exit_3(capsys, monkeypatch):
-    import stabcheck.cli as cli_mod
-
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic fault")
 
-    monkeypatch.setattr(cli_mod.checker, "check_equivalence", boom)
+    monkeypatch.setattr(cli_mod.checker, "_verdict", boom)
     code, _, err = run_cli(capsys, "check", TELEPORT, "--identity", "1")
     assert code == 3
     assert "internal error" in err

@@ -25,10 +25,12 @@ from stabcheck.protocol import GateStmt, IfGateStmt
 from stabcheck.tableau import _boxed
 
 from helpers import (
+    cluster_wire_source,
     random_protocol_source,
     reference_choi,
     reference_counterexample,
     reference_fingerprint,
+    reference_lower,
     reference_run_protocol,
     reference_walk,
     teleport_source,
@@ -155,6 +157,24 @@ def test_teleport_4_against_identity(drop):
     verdict = check_equivalence(parse(teleport_source(4, drop)), builtin_identity(4))
     assert verdict.equivalent == (drop is None)
     if drop is not None:
+        assert verdict.counterexample.value_lhs != verdict.counterexample.value_rhs
+
+
+@pytest.mark.parametrize("k", [2, 4, 6, 8])
+def test_cluster_wire_is_the_identity(k):
+    # Every byproduct correction comes after the last measurement, so all
+    # 2^k branches stay live until then.
+    ast = parse(cluster_wire_source(k))
+    assert check_equivalence(ast, builtin_identity(1)).equivalent
+    if k <= 4:
+        assert_dense_agrees(ast, fingerprint(ast))
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_dropping_a_correction_from_a_cluster_wire_is_refuted(k):
+    for j in range(k):
+        verdict = check_equivalence(parse(cluster_wire_source(k, drop=j)), builtin_identity(1))
+        assert not verdict.equivalent, j
         assert verdict.counterexample.value_lhs != verdict.counterexample.value_rhs
 
 
@@ -346,6 +366,7 @@ def _walk_sources():
     sources = [corpus_path(name).read_text(encoding="utf-8") for name in CORPUS]
     for n in (1, 2, 3, 4):
         sources += [teleport_source(n, drop) for drop in (None, *(f"{p}{k}" for p in "XZ" for k in range(n)))]
+    sources += [cluster_wire_source(k) for k in range(2, 7)]
     sources += [random_protocol_source(rng, shuffle=i % 2 == 1) for i in range(300)]
     return sources + [MEASURED_TWICE]
 
@@ -354,12 +375,14 @@ def test_walk_matches_reference_walk():
     branches = 0
     for source in _walk_sources():
         ast = parse(source)
-        assert checker._choi(ast, None) == reference_choi(ast, None), source
+        program = checker.lower(ast)
+        assert checker._choi(program, None) == reference_choi(ast, None), source
         # The merged branches themselves: a merge that went wrong can leave
         # the Choi coefficients as they are, spread over more branches.
-        program = checker.lower(ast, choi=True)
-        merged = [(w, _boxed(program.n_wires, rows), bits) for w, rows, _, bits in checker._walk(program, None, True)]
-        assert merged == [(w, t.rows, bits) for w, t, _, bits in reference_walk(program, None, True)], source
+        width = program.n_wires + ast.n_in
+        merged = [(w, _boxed(width, rows), bits) for w, rows, _, bits in checker._walk(program, None, True)]
+        want = reference_walk(reference_lower(ast, choi=True), None, True)
+        assert merged == [(w, t.rows, bits) for w, t, _, bits in want], source
         if ast.n_in > 2:
             continue
         for circ in enumerate_basis(ast.n_in):
