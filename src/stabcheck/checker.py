@@ -2,17 +2,27 @@
 
 A protocol is validated and lowered once, to one Program, then run once on
 its Choi state: every input wire starts in a Bell pair with a reference
-wire of its own.  Measurements fork the run into branches of exact dyadic
-probability; a measured wire nobody touches again is reset to |0>, and
-branches that then agree on state and on the classical bits still to be
-read are merged.
-Discarded wires never need a density matrix: the elements of a branch's
-stabilizer group supported on the outputs and references fix the channel's
-Choi state as exact Pauli coefficients.  The fingerprint row of each basis
-input follows from those and the input's own stabilizer group, so the table
-is an invertible linear image of the coefficients.  Two protocols are
-therefore equivalent exactly when their coefficients are equal, and tables
-are built only to name the first differing entry, or when asked for.
+wire of its own.  Discarded wires never need a density matrix: the
+elements of the state's stabilizer group supported on the outputs and
+references fix the channel's Choi state as exact Pauli coefficients.  The
+fingerprint row of each basis input follows from those and the input's own
+stabilizer group, so the table is an invertible linear image of the
+coefficients.  Two protocols are therefore equivalent exactly when their
+Choi states are equal, and tables are built only to name the first
+differing entry, or when asked for.
+
+Two deciders compare the Choi states.  When every classical bit controls
+only X, Y or Z, deferred measurement (Nielsen & Chuang 4.4) turns the
+protocol into one Clifford circuit on one pure state, with no branches
+(_deferred).  Its Choi state is the reduced state on the references and
+outputs, which the signed subgroup supported there fixes (Fattal et al.,
+quant-ph/0406168), so the verdict compares the canonical forms of the two
+subgroups (_reduced).  When a bit controls H, P or CNOT, the controlled
+gate is not Clifford, and the Choi state is walked instead: measurements
+fork the run into branches of exact dyadic probability, a measured wire
+nobody touches again is reset to |0>, and branches that then agree on
+state and on the classical bits still to be read are merged.  The verdict
+then compares the Choi coefficients.
 
 The walk keeps each branch's state as the tableau module's engine rows, a
 list of (x, z, ph) int triples, and calls its kernels, each of which
@@ -23,7 +33,7 @@ numpy is imported only by the dense oracle at the end of the module.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
@@ -73,8 +83,14 @@ class ArityMismatchError(ValueError):
 
 
 class BudgetExceededError(ValueError):
-    def __init__(self, work: int, budget: int):
-        super().__init__(f"fingerprint needs {work} exact entries, over the budget of {budget}")
+    def __init__(self, work: int, budget: int, differ: bool = False):
+        if differ:
+            super().__init__(
+                f"the two sides differ; naming a counterexample needs a budget of {work} exact entries, "
+                f"over the budget of {budget}"
+            )
+        else:
+            super().__init__(f"fingerprint needs {work} exact entries, over the budget of {budget}")
         self.work = work
         self.budget = budget
 
@@ -129,15 +145,20 @@ class Counterexample:
 class Verdict:
     equivalent: bool
     counterexample: Counterexample | None = None
-    # The (lhs, rhs) channels that were compared, as _choi returns them.
-    _channels: tuple | None = field(default=None, compare=False, repr=False)
+    # Returns the (lhs, rhs) channels, as _choi returns them, of the states
+    # that were compared.
+    _channels: Callable[[], tuple] | None = field(default=None, compare=False, repr=False)
+    # DEFERRED, or "branch walk: " and why the walk was needed.
+    decider: str | None = field(default=None, compare=False)
 
     @property
     def fingerprints(self) -> tuple[SuperopFingerprint, SuperopFingerprint] | None:
-        """Both sides' tables, built from the compared channels when read."""
+        """Both sides' tables, built from the compared states when read; a
+        table over the budget the verdict was asked with raises
+        BudgetExceededError."""
         if self._channels is None:
             return None
-        return tuple(map(_table, self._channels))
+        return tuple(map(_table, self._channels()))
 
 
 @dataclass(frozen=True)
@@ -151,9 +172,11 @@ class Program:
     any width from n_wires up, as the Choi walk's reference wires need.
     reset is set when the measurement is the last statement touching a wire
     that is not an output, so the wire is a discarded Z eigenstate from then
-    on.  drops[i] lists the bits that no statement after ops[i] reads.  A
-    branch's probability is an integer weight over denominator, 2 to the
-    number of measurements.
+    on: the branch walk resets it to |0>, and deferred measurement uses the
+    wire itself as the control of the bit's corrections, where any other
+    measurement needs an ancilla.  drops[i] lists the bits that no
+    statement after ops[i] reads.  A branch's probability is an integer
+    weight over denominator, 2 to the number of measurements.
     """
 
     n_wires: int
@@ -242,6 +265,12 @@ def _prep_gates(program: Program, input_prep: BasisCircuit) -> list[tuple]:
     return [(g[0], *(program.inputs[q] for q in g[1:])) for g in input_prep.gates]
 
 
+def _bell(program: Program) -> list[tuple]:
+    """Reference wire n_wires + j into a Bell pair with input j."""
+    w = program.n_wires
+    return [g for j, q in enumerate(program.inputs) for g in (("H", w + j), ("CNOT", w + j, q))]
+
+
 def _walk(program: Program, input_prep: BasisCircuit | None, merge: bool) -> list[tuple[int, list, tuple, dict]]:
     """Branches as (weight, rows, outcomes, bits), weight over program.denominator.
 
@@ -259,8 +288,7 @@ def _walk(program: Program, input_prep: BasisCircuit | None, merge: bool) -> lis
     """
     w = program.n_wires
     if input_prep is None:
-        bell = [g for j, q in enumerate(program.inputs) for g in (("H", w + j), ("CNOT", w + j, q))]
-        rows = _circuit(w + len(program.inputs), bell)
+        rows = _circuit(w + len(program.inputs), _bell(program))
     else:
         # run_circuit checks the gates, which come from outside the program.
         rows = _triples(run_circuit(w, _prep_gates(program, input_prep)).rows)
@@ -324,6 +352,82 @@ def _merged(live: list[tuple[int, list, tuple, dict]], drop: tuple[int, ...], n:
             group = by_state.values()
         merged += map(tuple, group)
     return merged
+
+
+def _walk_reason(program: Program) -> str | None:
+    """Why the program needs the branch walk, as "bit c controls G" for
+    the first if that applies H, P or CNOT; None when _deferred can run it."""
+    for op in program.ops:
+        if op[0] == "if" and op[2] in ("H", "P", "CNOT"):
+            return f"bit {program.cbits[op[1]]} controls {op[2]}"
+    return None
+
+
+def _deferred(program: Program) -> list:
+    """The rows of one pure state whose reduced state on the references and
+    outputs is the Choi state, for a program no _walk_reason stops.
+
+    Deferred measurement: the Bell pairs of _bell, then every op as gates
+    in time order, composed once.  A measurement marked reset leaves its
+    wire as the control of its bit, since nothing touches the wire again;
+    any other copies the wire onto a fresh ancilla after the references
+    (CNOT wire, ancilla), which dephases the wire as the measurement does,
+    and the ancilla is the control.  if c then X, Z or Y b becomes that
+    Pauli controlled by c's wire: CNOT; H b, CNOT, H b; or P^3 b, CNOT, P b.
+    Controls are only ever read in the Z basis, so measuring them all at
+    the end, as tracing them out does, gives the protocol's channel.
+    """
+    gates = _bell(program)
+    width = program.n_wires + len(program.inputs)
+    control: dict[int, int] = {}
+    for op in program.ops:
+        if op[0] == "u":
+            gates += op[2]
+        elif op[0] == "m":
+            _, q, c, reset = op
+            if reset:
+                control[c] = q
+            else:
+                gates.append(("CNOT", q, width))
+                control[c] = width
+                width += 1
+        else:
+            _, c, gate, (b,) = op
+            cnot = ("CNOT", control[c], b)
+            if gate == "X":
+                gates.append(cnot)
+            elif gate == "Z":
+                gates += (("H", b), cnot, ("H", b))
+            else:
+                gates += (("P", b),) * 3 + (cnot, ("P", b))
+    return _circuit(width, gates)
+
+
+def _reduced(program: Program, rows: list) -> tuple:
+    """The canonical form of the Choi state the _deferred rows purify.
+
+    It is the _echelon basis of the subgroup supported on the references
+    and outputs, renumbered as (references, outputs in order) and padded
+    with identity rows to that many, so two programs' forms are equal
+    exactly when their Choi states are.
+    """
+    n = len(rows) >> 1
+    base = program.n_wires
+    order = [*range(base, base + len(program.inputs)), *program.outputs]
+    position = {1 << w: 1 << i for i, w in enumerate(order)}
+    generators = []
+    for x, z, ph in _supported(rows[n:], n, sum(position)):
+        mapped = []
+        for bits in (x, z):
+            out = 0
+            while bits:
+                low = bits & -bits
+                out |= position[low]
+                bits ^= low
+            mapped.append(out)
+        generators.append((*mapped, ph))
+    m = len(order)
+    return _echelon(generators + [(0, 0, 0)] * (m - len(generators)), m)
 
 
 def _trace(program: Program, prep: list[tuple], outcomes: tuple[int, ...]) -> list[tuple]:
@@ -400,7 +504,7 @@ def _input_generators(n_in: int) -> tuple[tuple[tuple[int, int, int], ...], ...]
     return tuple(tuple(_circuit(n_in, circ.gates)[n_in:]) for circ in enumerate_basis(n_in))
 
 
-def _choi(program: Program, budget: int | None) -> tuple[int, int, int, dict[int, dict[int, int]]]:
+def _choi(program: Program, budget: int | None, state: list | None = None) -> tuple[int, int, int, dict[int, dict[int, int]]]:
     """The channel's Choi state as (n_in, n_out, denominator, choi).
 
     The protocol runs once on its Choi state J: reference wire j starts in
@@ -410,18 +514,24 @@ def _choi(program: Program, budget: int | None) -> tuple[int, int, int, dict[int
     number q.  Tr((A x P) J) adds, over the merged branches, weight x the
     sign of +-(A x P) in the branch's stabilizer group, where it lies in
     the subgroup supported on outputs and references, and 0 elsewhere.
+    Given the _deferred rows as state, that is the one branch, of weight 1
+    over denominator 1, and nothing is walked.
     """
     n_in, n_out = len(program.inputs), len(program.outputs)
     work = 4 ** n_in * 4 ** n_out
     if budget is not None and work > budget:
         raise BudgetExceededError(work, budget)
 
+    if state is None:
+        branches, denominator = _walk(program, None, merge=True), program.denominator
+    else:
+        branches, denominator = [(1, state, (), {})], 1
     base = program.n_wires  # reference wire j is base + j
-    n = base + n_in
     wires = sum(1 << w for w in program.outputs) | ((1 << n_in) - 1) << base
     shifts = [(w, 2 * (n_out - 1 - j)) for j, w in enumerate(program.outputs)]
     choi: dict[int, dict[int, int]] = {}
-    for weight, rows, _, _ in _walk(program, None, merge=True):
+    for weight, rows, _, _ in branches:
+        n = len(rows) >> 1
         for x, z, sign in _group(_supported(rows[n:], n, wires)):
             index = 0
             for w, shift in shifts:
@@ -429,7 +539,7 @@ def _choi(program: Program, budget: int | None) -> tuple[int, int, int, dict[int
             ax, az = x >> base, z >> base
             coeffs = choi.setdefault(ax << n_in | az, {})
             coeffs[index] = coeffs.get(index, 0) + (-sign if (ax & az).bit_count() & 1 else sign) * weight
-    return n_in, n_out, program.denominator, choi
+    return n_in, n_out, denominator, choi
 
 
 def _rows(channel) -> Iterator[list[int]]:
@@ -463,10 +573,12 @@ def _table(channel) -> SuperopFingerprint:
 def fingerprint(ast: ProtocolAST, budget: int | None = DEFAULT_BUDGET) -> SuperopFingerprint:
     """Exact table of output-Pauli expectations for every basis input.
 
-    The rows come from one walk over the protocol's Choi state (_choi); no
+    The rows come from the protocol's Choi state (_choi), on its _deferred
+    state or, when a bit controls H, P or CNOT, from the merged walk; no
     basis input is run on its own.
     """
-    return _table(_choi(lower(ast), budget))
+    program = lower(ast)
+    return _table(_choi(program, budget, None if _walk_reason(program) else _deferred(program)))
 
 
 def _scaled(channel, denominator: int) -> dict[tuple[int, int], int]:
@@ -482,12 +594,15 @@ def check_equivalence(
 ) -> Verdict:
     """Decide on the Choi states; exact, no tolerance anywhere.
 
-    The fingerprint table is an invertible linear image of the Choi
-    coefficients, so the two sides are equivalent exactly when their
-    nonzero coefficients agree once both are put over the larger
-    denominator (both are powers of two); no table is built then.
-    Otherwise the rows of both tables are built a pair at a time, and the
-    counterexample is the first entry, in table order, where they differ.
+    When no bit on either side controls H, P or CNOT, the sides are
+    equivalent exactly when the _reduced forms of their _deferred states
+    are equal, which needs no budget.  Otherwise both sides are walked, and
+    they are equivalent exactly when their nonzero Choi coefficients agree
+    once both are put over the larger denominator (both are powers of two).
+    No table is built for an equivalent pair.  Otherwise the rows of both
+    tables are built a pair at a time, and the counterexample is the first
+    entry, in table order, where they differ; past the budget, that raises
+    BudgetExceededError saying that the sides differ.
     """
     if lhs.n_in != rhs.n_in or lhs.n_out != rhs.n_out:
         raise ArityMismatchError(
@@ -496,20 +611,39 @@ def check_equivalence(
     return _verdict(lower(lhs), lower(rhs), budget)
 
 
+# The decider that Verdict.decider names when no bit controls H, P or CNOT.
+DEFERRED = "deferred measurement"
+
+
 def _verdict(lhs: Program, rhs: Program, budget: int | None) -> Verdict:
-    ch_l = _choi(lhs, budget)
-    ch_r = _choi(rhs, budget)
+    reason = _walk_reason(lhs) or _walk_reason(rhs)
+    if reason is not None:
+        return _compared(_choi(lhs, budget), _choi(rhs, budget), f"branch walk: {reason}")
+    states = _deferred(lhs), _deferred(rhs)
+    if _reduced(lhs, states[0]) == _reduced(rhs, states[1]):
+        return Verdict(True, None, lambda: (_choi(lhs, budget, states[0]), _choi(rhs, budget, states[1])), DEFERRED)
+    try:
+        channels = _choi(lhs, budget, states[0]), _choi(rhs, budget, states[1])
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(exc.work, exc.budget, differ=True) from None
+    return _compared(*channels, DEFERRED)
+
+
+def _compared(ch_l: tuple, ch_r: tuple, decider: str) -> Verdict:
+    """The verdict on two channels as _choi returns them: equivalent when
+    their nonzero coefficients agree over the larger denominator, else the
+    first entry, in table order, where their tables differ."""
     d_l, d_r = ch_l[2], ch_r[2]
     denominator = max(d_l, d_r)
     if _scaled(ch_l, denominator) == _scaled(ch_r, denominator):
-        return Verdict(True, None, (ch_l, ch_r))
+        return Verdict(True, None, lambda: (ch_l, ch_r), decider)
     s_l, s_r = denominator // d_l, denominator // d_r
     for k, (row_l, row_r) in enumerate(zip(_rows(ch_l), _rows(ch_r))):
         for q, (a, b) in enumerate(zip(row_l, row_r)):
             if a * s_l != b * s_r:
                 element = basis_element(ch_l[0], k)
                 ce = Counterexample(element, local_observable(ch_l[1], q), Fraction(a, d_l), Fraction(b, d_r))
-                return Verdict(False, ce, (ch_l, ch_r))
+                return Verdict(False, ce, lambda: (ch_l, ch_r), decider)
     raise AssertionError("Choi states differ but no table entry does")
 
 

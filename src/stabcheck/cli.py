@@ -95,6 +95,7 @@ def _cmd_check(args) -> int:
     try:
         programs = checker._lower(lhs), checker._lower(rhs)
         verdict = checker._verdict(*programs, budget=args.budget)
+        tables = verdict.fingerprints if args.verify else None
     except (checker.BudgetExceededError, checker.BranchLimitError) as exc:
         raise UserError(str(exc)) from None
 
@@ -103,7 +104,7 @@ def _cmd_check(args) -> int:
 
         from . import dense
 
-        for ast, program, exact in zip((lhs, rhs), programs, verdict.fingerprints):
+        for ast, program, exact in zip((lhs, rhs), programs, tables):
             try:
                 oracle = checker._fingerprint_dense(program)
             except checker.DenseLimitError as exc:
@@ -124,9 +125,10 @@ def _cmd_check(args) -> int:
         "entries": entries,
         "verdict": "equivalent" if verdict.equivalent else "counterexample",
         "counterexample": None,
+        "decider": verdict.decider,
         "timing_ms": round(elapsed_ms, 3),
     }
-    lines = [f"check: {args.lhs} vs {rhs_label}"]
+    lines = [f"check: {args.lhs} vs {rhs_label}", f"decider: {verdict.decider}"]
     if verdict.equivalent:
         lines += ["decided on the Choi states: every exact Pauli coefficient agrees", "verdict: EQUIVALENT"]
         _emit(report, args.json, lines)
@@ -298,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--identity", type=int, metavar="N", help="compare against the N-qubit identity")
     p_check.add_argument("--verify", action="store_true", help="cross-check fingerprints against the dense oracle")
     p_check.add_argument("--budget", type=int, default=checker.DEFAULT_BUDGET, metavar="K",
-                         help="maximum number of exact fingerprint entries")
+                         help="maximum number of exact fingerprint entries, for tables and the branch walk")
     p_check.set_defaults(func=_cmd_check)
 
     p_sim = sub.add_parser("sim", parents=[common], help="enumerate the branches of one protocol run")

@@ -310,7 +310,8 @@ def _circuit(n: int, gates) -> list:
     CHP: bit r of xs[q] (zs[q]) is row r's X (Z) bit on qubit q, and bit r
     of lo and hi are the low and high bits of row r's phase.  A gate
     updates a few of these ints for all 2n rows at once, and the columns
-    are transposed into rows once, at the end.
+    are transposed into rows once, at the end: rows start as those of
+    |0...0>, and only the columns the gates changed are transposed.
     """
     xs = [1 << q for q in range(n)]
     zs = [1 << (n + q) for q in range(n)]
@@ -336,10 +337,13 @@ def _circuit(n: int, gates) -> list:
             xs[t] ^= xs[q]
             zs[q] ^= zs[t]
 
-    x_rows = [0] * (2 * n)
-    z_rows = [0] * (2 * n)
-    for by_row, columns in ((x_rows, xs), (z_rows, zs)):
+    x_rows = [1 << q for q in range(n)] + [0] * n
+    z_rows = [0] * n + [1 << q for q in range(n)]
+    for by_row, columns, first in ((x_rows, xs, 0), (z_rows, zs, n)):
         for q, column in enumerate(columns):
+            if column == 1 << (first + q):
+                continue
+            by_row[first + q] ^= 1 << q
             while column:
                 low = column & -column
                 by_row[low.bit_length() - 1] |= 1 << q

@@ -205,6 +205,21 @@ def cluster_wire_source(k: int, drop: int | None = None) -> str:
     return f"protocol cluster_{k} {{\n  " + "\n  ".join(decls + body) + f"\n  output w{k};\n}}\n"
 
 
+def h_controlled_cluster_wire_source(k: int) -> str:
+    """cluster_wire_source(k) with one more correction, if s1 then H w0, on
+    the discarded first site: the channel is the same, but a bit now
+    controls H, so only the branch walk decides it."""
+    return cluster_wire_source(k).replace("\n  output", "\n  if s1 then H w0;\n  output")
+
+
+def with_h_control(source: str) -> str:
+    """A one-statement-per-line source with a bit that controls H: wire q0,
+    which every random_protocol_source has, is measured into a new bit hc
+    at the end, and hc controls an H on q0."""
+    source = source.replace("{\n", "{\n  cbit hc;\n", 1)
+    return source.replace("\n  output", "\n  measure q0 -> hc;\n  if hc then H q0;\n  output")
+
+
 def random_protocol_source(rng: random.Random, name: str = "rand", shuffle: bool = False) -> str:
     """A valid random protocol: 1-2 inputs, 0-2 ancillas, up to 3 measurements
     into fresh classical bits, conditional X/Y/Z on bits already written, and

@@ -32,7 +32,15 @@ from stabcheck.dense import density_from_branches, pauli_expect_dense, run_dense
 from stabcheck.protocol import GateStmt, IfGateStmt, MeasureStmt
 from stabcheck.tableau import _boxed
 
-from helpers import cluster_wire_source, exact_to_numpy, random_protocol_source, random_rational_hermitian, teleport_source
+from helpers import (
+    cluster_wire_source,
+    exact_to_numpy,
+    h_controlled_cluster_wire_source,
+    random_protocol_source,
+    random_rational_hermitian,
+    teleport_source,
+    with_h_control,
+)
 
 CORPUS_ONE_WIRE = ["teleport.qpr", "teleport_noX.qpr", "teleport_noZ.qpr", "identity.qpr", "identity_hh.qpr"]
 CORPUS_TWO_WIRE = ["swap_cnot.qpr", "swap_wires.qpr"]
@@ -118,8 +126,14 @@ class TestLower:
             # The walk of a program with no ops returns its start rows.
             (_, start, _, _), = walk(dataclasses.replace(program, ops=(), drops=()), None, True)
             assert _boxed(width, start) == run_circuit(width, bell).rows
+            # Deferred measurement tabulates a program whose bits control
+            # only X, Y and Z without a walk; one more bit that controls H
+            # makes fingerprint walk it.
             fingerprint(ast)
-            assert walks.pop() == (program, None, True)
+            assert walks == []
+            walked = parse(with_h_control(random_protocol_source(rng, shuffle=True)))
+            fingerprint(walked)
+            assert walks.pop() == (lower(walked), None, True)
 
 
 class TestRunProtocol:
@@ -267,11 +281,54 @@ class TestCheckEquivalence:
 
     def test_merged_branch_limit(self, monkeypatch):
         # A cluster wire of k sites keeps all 2^k branches until its
-        # corrections, at the end.
+        # corrections, at the end.  Deferred measurement decides the plain
+        # wire without branching, so the wire has a bit that controls H.
         monkeypatch.setattr(checker, "MERGED_BRANCH_LIMIT", 16)
-        assert check_equivalence(parse(cluster_wire_source(4)), builtin_identity(1)).equivalent
+        assert check_equivalence(parse(h_controlled_cluster_wire_source(4)), builtin_identity(1)).equivalent
         with pytest.raises(checker.BranchLimitError, match=r"more than 2\^4 live branches.*MERGED_BRANCH_LIMIT"):
-            check_equivalence(parse(cluster_wire_source(6)), builtin_identity(1))
+            check_equivalence(parse(h_controlled_cluster_wire_source(6)), builtin_identity(1))
+
+
+class TestDeferredMeasurement:
+    def test_teleport_100_is_the_identity(self):
+        verdict = check_equivalence(parse(teleport_source(100)), builtin_identity(100))
+        assert verdict.equivalent and verdict.decider == checker.DEFERRED
+
+    def test_cluster_wire_64_is_the_identity_and_every_drop_is_refuted(self):
+        assert check_equivalence(parse(cluster_wire_source(64)), builtin_identity(1)).equivalent
+        for j in range(64):
+            verdict = check_equivalence(parse(cluster_wire_source(64, drop=j)), builtin_identity(1))
+            assert not verdict.equivalent, j
+            assert verdict.counterexample.value_lhs != verdict.counterexample.value_rhs
+
+    def test_a_difference_past_the_budget_says_the_sides_differ(self):
+        with pytest.raises(BudgetExceededError, match="the two sides differ") as caught:
+            check_equivalence(parse(teleport_source(100, "Z0")), builtin_identity(100))
+        assert caught.value.work == 4 ** 200 and str(4 ** 200) in str(caught.value)
+
+    def test_an_equivalent_pair_needs_no_budget_but_its_tables_do(self):
+        verdict = check_equivalence(load("teleport.qpr"), builtin_identity(1), budget=4)
+        assert verdict.equivalent
+        with pytest.raises(BudgetExceededError, match="fingerprint needs 16 exact entries"):
+            verdict.fingerprints
+
+    def test_the_decider_is_named(self):
+        walked = parse(h_controlled_cluster_wire_source(2))
+        assert check_equivalence(load("teleport.qpr"), builtin_identity(1)).decider == "deferred measurement"
+        assert check_equivalence(walked, builtin_identity(1)).decider == "branch walk: bit s1 controls H"
+        assert check_equivalence(builtin_identity(1), walked).decider == "branch walk: bit s1 controls H"
+
+    def test_only_measurements_not_marked_reset_take_an_ancilla(self):
+        # teleport.qpr's two measured wires are never touched again;
+        # measuring a wire that is used later copies it onto an ancilla.
+        program = lower(load("teleport.qpr"))
+        assert len(checker._deferred(program)) == 2 * (program.n_wires + 1)
+        ast = parse("protocol p { qubit a: input; cbit m; measure a -> m; if m then Z a; output a; }")
+        program = lower(ast)
+        assert len(checker._deferred(program)) == 2 * (program.n_wires + 1 + 1)
+        # Z on a wire just measured in Z changes nothing.
+        dephase = parse("protocol q { qubit a: input; cbit m; measure a -> m; output a; }")
+        assert check_equivalence(ast, dephase).equivalent
 
 
 class TestOracleAgreement:

@@ -15,7 +15,7 @@ from stabcheck import ArityMismatchError, builtin_identity, check_equivalence, c
 from stabcheck import cli as cli_mod
 from stabcheck.cli import corpus_path, main
 
-from helpers import cluster_wire_source
+from helpers import h_controlled_cluster_wire_source
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +82,18 @@ class TestCheck:
         _, report, _ = run_json(capsys, "check", NO_Z, "--identity", "1")
         assert report["entries"] == 16
 
+    def test_report_names_the_decider(self, capsys, tmp_path):
+        _, out, _ = run_cli(capsys, "check", TELEPORT, "--identity", "1")
+        assert "decider: deferred measurement" in out
+        _, report, _ = run_json(capsys, "check", NO_Z, "--identity", "1")
+        assert report["decider"] == "deferred measurement"
+        wire = tmp_path / "cluster.qpr"
+        wire.write_text(h_controlled_cluster_wire_source(2))
+        _, out, _ = run_cli(capsys, "check", str(wire), "--identity", "1")
+        assert "decider: branch walk: bit s1 controls H" in out
+        _, report, _ = run_json(capsys, "check", str(wire), "--identity", "1")
+        assert report["decider"] == "branch walk: bit s1 controls H"
+
     def test_two_files(self, capsys):
         code, _, _ = run_cli(capsys, "check", str(corpus_path("swap_cnot.qpr")), str(corpus_path("swap_wires.qpr")))
         assert code == 0
@@ -136,7 +148,9 @@ class TestCheck:
         assert err == f"{exc.value}\n"
 
     def test_budget_exceeded_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "check", TELEPORT, "--identity", "1", "--budget", "4")
+        # Deferred measurement decides an equivalent pair with no table, so
+        # the pair differs, and naming its counterexample needs 16 entries.
+        code, _, err = run_cli(capsys, "check", NO_Z, "--identity", "1", "--budget", "4")
         assert code == 2
         assert "budget" in err
 
@@ -159,7 +173,7 @@ class TestCheck:
     def test_merged_branch_limit_exits_2(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(checker, "MERGED_BRANCH_LIMIT", 16)
         wire = tmp_path / "cluster.qpr"
-        wire.write_text(cluster_wire_source(6))
+        wire.write_text(h_controlled_cluster_wire_source(6))
         code, out, err = run_cli(capsys, "check", str(wire), "--identity", "1")
         assert code == 2 and out == ""
         assert "more than 2^4 live branches" in err and "MERGED_BRANCH_LIMIT" in err

@@ -57,6 +57,13 @@ def assert_dense_agrees(ast, fp):
     assert np.max(np.abs(exact - fingerprint_dense(ast))) < TOL
 
 
+def walked_verdict(lhs, rhs):
+    """The verdict of the merged branch walk alone: both sides' _choi,
+    compared as check_equivalence compares walked channels."""
+    channels = checker._choi(checker.lower(lhs), None), checker._choi(checker.lower(rhs), None)
+    return checker._compared(*channels, "branch walk")
+
+
 def test_corpus_matches_reference():
     asts = {name: load(name) for name in CORPUS}
     refs = {name: reference_fingerprint(ast) for name, ast in asts.items()}
@@ -254,6 +261,8 @@ def test_transforms_keep_equivalence(transform):
         lhs, rhs = parse(source), parse(changed)
         assert check_equivalence(lhs, rhs).equivalent, changed
         assert check_equivalence(rhs, lhs).equivalent, changed
+        assert check_equivalence(lhs, rhs).decider == checker.DEFERRED
+        assert walked_verdict(lhs, rhs).equivalent, changed
         if transform is add_discarded_ancilla:
             # The sides' Choi coefficients sit over different denominators.
             assert checker.lower(rhs).denominator == 2 * checker.lower(lhs).denominator
@@ -345,6 +354,60 @@ def test_deleting_one_correction_is_refuted(name):
         verdict = check_equivalence(ast, mutant)
         assert not verdict.equivalent, (name, i)
         assert_replays(ast, mutant, verdict.counterexample)
+        assert verdict.decider == checker.DEFERRED
+        assert walked_verdict(ast, mutant) == verdict
+
+
+# ---------------------------------------------------------------------------
+# Three deciders on one set of pairs: deferred measurement (check_equivalence
+# on protocols whose bits control only X, Y and Z), the merged branch walk
+# (_choi called directly) and the reference tabulation in helpers.
+
+
+def _three_way_pairs():
+    asts = [load(name) for name in CORPUS]
+    pairs = [(a, b) for a in asts for b in asts if a.n_in == b.n_in and a.n_out == b.n_out]
+    pairs += [(a, builtin_identity(a.n_in)) for a in asts if a.n_in == a.n_out]
+    for n in (1, 2, 3, 4):
+        for drop in (None, *(f"{p}{k}" for p in "XZ" for k in range(n))):
+            pairs.append((parse(teleport_source(n, drop)), builtin_identity(n)))
+    for k in range(2, 9):
+        for drop in (None, *range(k)):
+            pairs.append((parse(cluster_wire_source(k, drop)), builtin_identity(1)))
+    rng = random.Random(1213)
+    for i in range(300):
+        source = random_protocol_source(rng, shuffle=i % 2 == 1)
+        pairs.append((parse(source), parse(_without_one_statement(rng, source))))
+    return pairs
+
+
+def test_deferred_walk_and_reference_agree():
+    # The reference tabulation runs every basis input on its own, which
+    # takes seconds from n_in = 3 on, so it is compared up to n_in = 2;
+    # test_teleport_n_matches_reference covers teleport_3 itself.
+    refuted = referenced = 0
+    for i, (lhs, rhs) in enumerate(_three_way_pairs()):
+        label = (lhs.name, rhs.name, i)
+        verdict = check_equivalence(lhs, rhs, budget=None)
+        assert verdict.decider == checker.DEFERRED, label
+        walked = walked_verdict(lhs, rhs)
+        assert (verdict.equivalent, verdict.counterexample) == (walked.equivalent, walked.counterexample), label
+        tables = verdict.fingerprints
+        assert tables == walked.fingerprints, label
+        refuted += not verdict.equivalent
+        if lhs.n_in <= 2:
+            refs = reference_fingerprint(lhs), reference_fingerprint(rhs)
+            assert tables == refs, label
+            want = reference_counterexample(*refs)
+            ce = verdict.counterexample
+            assert (want is None) == verdict.equivalent, label
+            if want is not None:
+                assert (ce.basis_element, ce.observable, ce.value_lhs, ce.value_rhs) == want, label
+            referenced += 1
+            if i % 10 == 0:
+                assert_dense_agrees(lhs, tables[0])
+                assert_dense_agrees(rhs, tables[1])
+    assert referenced > 300 and 100 < refuted
 
 
 # ---------------------------------------------------------------------------
