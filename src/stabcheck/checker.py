@@ -11,24 +11,24 @@ coefficients.  Two protocols are therefore equivalent exactly when their
 Choi states are equal, and tables are built only to name the first
 differing entry, or when asked for.
 
-Two deciders compare the Choi states.  When every classical bit controls
-only X, Y or Z, deferred measurement (Nielsen & Chuang 4.4) turns the
-protocol into one Clifford circuit on one pure state, with no branches
-(_deferred).  Its Choi state is the reduced state on the references and
-outputs, which the signed subgroup supported there fixes (Fattal et al.,
-quant-ph/0406168), so the verdict compares the canonical forms of the two
-subgroups (_reduced).  When a bit controls H, P or CNOT, the controlled
-gate is not Clifford, and the Choi state is walked instead: measurements
-fork the run into branches of exact dyadic probability, a measured wire
-nobody touches again is reset to |0>, and branches that then agree on
-state and on the classical bits still to be read are merged.  The verdict
-then compares the Choi coefficients.
+Deferred measurement (Nielsen & Chuang 4.4) turns the protocol into one
+Clifford circuit, with no branches (_deferred).  A bit that controls H, P
+or CNOT cannot become a control wire, since the controlled gate is not
+Clifford; the circuit is then composed once for each assignment of those
+bits, with their ifs applied classically, and each assignment's control
+wires are measured for its values at the end, which gives it its exact
+dyadic weight.  The Choi state is the weighted sum of the reduced states
+on the references and outputs.  One state on each side is fixed by its
+signed subgroup supported there (Fattal et al., quant-ph/0406168), so the
+verdict compares the canonical forms of the two subgroups (_reduced);
+otherwise it compares the Choi coefficients.
 
-The walk keeps each branch's state as the tableau module's engine rows, a
-list of (x, z, ph) int triples, and calls its kernels, each of which
-returns a new list.  PauliString and Tableau objects appear only where the
-public API hands them out: run_protocol's branches and counterexamples.
-numpy is imported only by the dense oracle at the end of the module.
+run_protocol, and so sim, walks one basis input's branches instead.  States
+are the tableau module's engine rows, lists of (x, z, ph) int triples, and
+the kernels each return a new list.  PauliString and Tableau objects appear
+only where the public API hands them out: run_protocol's branches and
+counterexamples.  numpy is imported only by the dense oracle at the end of
+the module.
 """
 
 from __future__ import annotations
@@ -64,13 +64,10 @@ DEFAULT_BUDGET = 4 ** 10
 # The dense oracle holds every branch's state vector: up to 2^(wires +
 # measurements) amplitudes, 16 MB at this limit.
 DENSE_LIMIT = 2 ** 20
-# run_protocol, and so sim, lists every branch without merging; past this
-# many it stops.
+# run_protocol, and so sim, lists every branch; past this many it stops.
+# Deferred measurement composes one state per assignment of the bits that
+# control H, P or CNOT, at most this many.
 BRANCH_LIMIT = 2 ** 12
-# The merged walk of check and fingerprint holds at most this many live
-# branches; a 16-site cluster-state wire with deferred corrections needs all
-# of them, and about 500 MB.
-MERGED_BRANCH_LIMIT = 2 ** 16
 
 _LETTERS = "IXYZ"
 # Output-Pauli digit (I, X, Y, Z = 0..3) of a wire's bits (x << 1) | z.  The
@@ -104,11 +101,11 @@ class DenseLimitError(ValueError):
 
 
 class BranchLimitError(ValueError):
-    def __init__(self, merged: bool = False):
-        if merged:
+    def __init__(self, controls: int | None = None):
+        if controls is not None:
             super().__init__(
-                f"the merged walk would hold more than 2^{MERGED_BRANCH_LIMIT.bit_length() - 1} live branches, "
-                "over its limit of MERGED_BRANCH_LIMIT"
+                f"{controls} bits control H, P or CNOT, so deferred measurement needs 2^{controls} runs, "
+                f"over its limit of 2^{BRANCH_LIMIT.bit_length() - 1}"
             )
         else:
             super().__init__(
@@ -148,7 +145,8 @@ class Verdict:
     # Returns the (lhs, rhs) channels, as _choi returns them, of the states
     # that were compared.
     _channels: Callable[[], tuple] | None = field(default=None, compare=False, repr=False)
-    # DEFERRED, or "branch walk: " and why the walk was needed.
+    # DEFERRED, or "branch walk: " and the first bit that controls H, P or
+    # CNOT, whose values _deferred then enumerates.
     decider: str | None = field(default=None, compare=False)
 
     @property
@@ -165,18 +163,14 @@ class Verdict:
 class Program:
     """A validated protocol lowered to integer wire and classical-bit indices.
 
-    ops holds ("u", images, gates), ("if", bit, gate, wires) and
-    ("m", wire, bit, reset).  gates is one maximal run of plain gates and
-    images the run's Clifford as tableau._images gives it, composed once at
-    lowering.  Images touch only the wires the run moves, so they hold at
-    any width from n_wires up, as the Choi walk's reference wires need.
-    reset is set when the measurement is the last statement touching a wire
-    that is not an output, so the wire is a discarded Z eigenstate from then
-    on: the branch walk resets it to |0>, and deferred measurement uses the
-    wire itself as the control of the bit's corrections, where any other
-    measurement needs an ancilla.  drops[i] lists the bits that no
-    statement after ops[i] reads.  A branch's probability is an integer
-    weight over denominator, 2 to the number of measurements.
+    ops holds ("u", gates), ("if", bit, gate, wires) and ("m", wire, bit,
+    reset).  gates is one maximal run of plain gates.  reset is set when
+    the measurement is the last statement touching a wire that is not an
+    output, so the wire is a discarded Z eigenstate from then on, and
+    deferred measurement uses the wire itself as the control of the bit's
+    corrections, where any other measurement needs an ancilla.  A branch's
+    probability is an integer weight over denominator, 2 to the number of
+    measurements.
     """
 
     n_wires: int
@@ -184,7 +178,6 @@ class Program:
     outputs: tuple[int, ...]
     cbits: tuple[str, ...]
     ops: tuple[tuple, ...]
-    drops: tuple[tuple[int, ...], ...]
     denominator: int
 
 
@@ -202,14 +195,13 @@ def _lower(ast: ProtocolAST) -> Program:
 
     One backward pass, in which the first use met is the last use.  Outputs
     count as used at the end, so they are never reset.  A run of plain gates
-    is gathered as ("u", its gates in reverse) and composed at the end.
+    is gathered in reverse and turned round at the end.
     """
     wire = {q.name: i for i, q in enumerate(ast.qubits)}
     bit = {c.name: i for i, c in enumerate(ast.cbits)}
     outputs = tuple(wire[o.name] for o in ast.outputs)
-    used_wires, used_bits = set(outputs), set()
+    used_wires = set(outputs)
     ops: list[tuple] = []
-    drops: list[tuple[int, ...]] = []
     run = None
     for stmt in reversed(ast.body):
         if isinstance(stmt, GateStmt):
@@ -225,7 +217,6 @@ def _lower(ast: ProtocolAST) -> Program:
             if run is None:
                 run = []
                 ops.append(("u", run))
-                drops.append(())
             run.append(gate)
             continue
         run = None
@@ -238,20 +229,12 @@ def _lower(ast: ProtocolAST) -> Program:
             q = wire[stmt.qubit.name]
             ops.append(("m", q, c, q not in used_wires))
             used_wires.add(q)
-        drops.append(() if c in used_bits else (c,))
-        used_bits.add(c)
-    n_wires = len(wire)
-    for i, op in enumerate(ops):
-        if op[0] == "u":
-            gates = tuple(reversed(op[1]))
-            ops[i] = ("u", _images(_circuit(n_wires, gates), n_wires), gates)
     return Program(
-        n_wires=n_wires,
+        n_wires=len(wire),
         inputs=tuple(wire[name] for name in ast.input_names),
         outputs=outputs,
         cbits=tuple(c.name for c in ast.cbits),
-        ops=tuple(reversed(ops)),
-        drops=tuple(reversed(drops)),
+        ops=tuple(("u", tuple(reversed(op[1]))) if op[0] == "u" else op for op in reversed(ops)),
         denominator=1 << sum(op[0] == "m" for op in ops),
     )
 
@@ -265,50 +248,31 @@ def _prep_gates(program: Program, input_prep: BasisCircuit) -> list[tuple]:
     return [(g[0], *(program.inputs[q] for q in g[1:])) for g in input_prep.gates]
 
 
-def _bell(program: Program) -> list[tuple]:
-    """Reference wire n_wires + j into a Bell pair with input j."""
-    w = program.n_wires
-    return [g for j, q in enumerate(program.inputs) for g in (("H", w + j), ("CNOT", w + j, q))]
-
-
-def _walk(program: Program, input_prep: BasisCircuit | None, merge: bool) -> list[tuple[int, list, tuple, dict]]:
+def _walk(program: Program, input_prep: BasisCircuit) -> list[tuple[int, list, tuple, dict]]:
     """Branches as (weight, rows, outcomes, bits), weight over program.denominator.
 
-    rows is the branch's state as engine rows.  input_prep prepares the
-    inputs; with None, reference wire n_wires + j starts in a Bell pair
-    with input j (H ref; CNOT ref, input), so the walk runs on the Choi
-    state, n_wires + n_in wires wide.  The walk is breadth first and
+    rows is the branch's state as engine rows, from input_prep on the
+    inputs.  Each gate run is composed once per walk, into the images that
+    _composed maps every branch through.  The walk is breadth first and
     expands outcome 0 before 1, which lists the branches in depth-first
-    order.  With merge, a wire is reset to |0> after a measurement marked
-    reset, bits in drops are forgotten, and branches that then agree on
-    canonical form and remaining bits are combined by adding their weights;
-    outcomes stay empty.  More than BRANCH_LIMIT branches, or
-    MERGED_BRANCH_LIMIT with merge, raise BranchLimitError before they are
-    built.
+    order.  More than BRANCH_LIMIT branches raise BranchLimitError before
+    they are built.
     """
-    w = program.n_wires
-    if input_prep is None:
-        rows = _circuit(w + len(program.inputs), _bell(program))
-    else:
-        # run_circuit checks the gates, which come from outside the program.
-        rows = _triples(run_circuit(w, _prep_gates(program, input_prep)).rows)
-    n = len(rows) >> 1
-    limit = MERGED_BRANCH_LIMIT if merge else BRANCH_LIMIT
-
+    n = program.n_wires
+    # run_circuit checks the gates, which come from outside the program.
+    rows = _triples(run_circuit(n, _prep_gates(program, input_prep)).rows)
     live = [(program.denominator, rows, (), {})]
-    for op, drop in zip(program.ops, program.drops):
+    for op in program.ops:
         if op[0] == "u":
-            live = [(weight, _composed(rows, op[1]), outcomes, bits) for weight, rows, outcomes, bits in live]
-            continue
-        if op[0] == "if":
+            images = _images(_circuit(n, op[1]), n)
+            live = [(weight, _composed(rows, images), outcomes, bits) for weight, rows, outcomes, bits in live]
+        elif op[0] == "if":
             c, g = op[1], (op[2], *op[3])
             live = [
                 (weight, _gated(rows, g) if bits[c] else rows, outcomes, bits) for weight, rows, outcomes, bits in live
             ]
-            reset = False
         else:
-            _, q, c, reset = op
-            reset = reset and merge
+            _, q, c, _ = op
             forked = []
             for weight, rows, outcomes, bits in live:
                 pivot, forced = _z_pivot(rows, n, q)
@@ -316,73 +280,58 @@ def _walk(program: Program, input_prep: BasisCircuit | None, merge: bool) -> lis
                     choices = (forced,)
                 else:
                     choices, weight = (0, 1), weight >> 1
-                if len(forked) + len(choices) > limit:
-                    raise BranchLimitError(merge)
+                if len(forked) + len(choices) > BRANCH_LIMIT:
+                    raise BranchLimitError()
                 for b in choices:
                     after = rows if pivot is None else _collapsed(rows, n, q, pivot, b)
-                    if reset and b:
-                        after = _gated(after, ("X", q))
-                    forked.append((weight, after, outcomes if merge else outcomes + (b,), {**bits, c: b}))
+                    forked.append((weight, after, outcomes + (b,), {**bits, c: b}))
             live = forked
-        if merge and (reset or drop):
-            live = _merged(live, drop, n)
     return live
 
 
-def _merged(live: list[tuple[int, list, tuple, dict]], drop: tuple[int, ...], n: int) -> list[tuple[int, list, tuple, dict]]:
-    """Forget the dropped bits, then combine branches equal in bits and state.
-
-    Branches are grouped by their bits first, so only a group of two or
-    more needs canonical forms: the echelon rows of the n-wire states.
-    """
-    by_bits: dict[tuple, list] = {}
-    for weight, rows, outcomes, bits in live:
-        bits = {c: b for c, b in bits.items() if c not in drop}
-        by_bits.setdefault(tuple(bits.items()), []).append([weight, rows, outcomes, bits])
-    merged = []
-    for group in by_bits.values():
-        if len(group) > 1:
-            by_state: dict[tuple, list] = {}
-            for branch in group:
-                key = _echelon(branch[1][n:], n)
-                if key in by_state:
-                    by_state[key][0] += branch[0]
-                else:
-                    by_state[key] = branch
-            group = by_state.values()
-        merged += map(tuple, group)
-    return merged
-
-
 def _walk_reason(program: Program) -> str | None:
-    """Why the program needs the branch walk, as "bit c controls G" for
-    the first if that applies H, P or CNOT; None when _deferred can run it."""
+    """Why _deferred enumerates values, as "bit c controls G" for the first
+    if that applies H, P or CNOT; None when it composes one state."""
     for op in program.ops:
         if op[0] == "if" and op[2] in ("H", "P", "CNOT"):
             return f"bit {program.cbits[op[1]]} controls {op[2]}"
     return None
 
 
-def _deferred(program: Program) -> list:
-    """The rows of one pure state whose reduced state on the references and
-    outputs is the Choi state, for a program no _walk_reason stops.
+def _deferred(program: Program) -> list[tuple[int, list]]:
+    """States (weight, rows) whose weighted reduced states on the references
+    and outputs sum to the Choi state; the weights sum to its denominator.
 
-    Deferred measurement: the Bell pairs of _bell, then every op as gates
-    in time order, composed once.  A measurement marked reset leaves its
-    wire as the control of its bit, since nothing touches the wire again;
-    any other copies the wire onto a fresh ancilla after the references
-    (CNOT wire, ancilla), which dephases the wire as the measurement does,
-    and the ancilla is the control.  if c then X, Z or Y b becomes that
-    Pauli controlled by c's wire: CNOT; H b, CNOT, H b; or P^3 b, CNOT, P b.
-    Controls are only ever read in the Z basis, so measuring them all at
-    the end, as tracing them out does, gives the protocol's channel.
+    Deferred measurement: the Bell pairs (H ref; CNOT ref, input for
+    reference wire n_wires + j and input j), then every op as gates in time
+    order.  A measurement marked reset leaves its wire as the control of
+    its bit, since nothing touches the wire again; any other copies the
+    wire onto a fresh ancilla after the references (CNOT wire, ancilla),
+    which dephases the wire as the measurement does, and the ancilla is the
+    control.  if c then X, Z or Y b becomes that Pauli controlled by c's
+    wire: CNOT; H b, CNOT, H b; or P^3 b, CNOT, P b.  Controls are only
+    ever read in the Z basis, so measuring them all at the end, as tracing
+    them out does, gives the protocol's channel.
+
+    The bits G that control H, P or CNOT stay classical.  For each of the
+    2^|G| assignments, the gates are composed once, with each if of a bit
+    in G kept only where the bit is 1, and the controls of G are measured
+    at the end for the assigned values: a random outcome halves the weight
+    (which starts at 2^|G|) and a forced wrong one drops the assignment.
+    More than BRANCH_LIMIT assignments raise BranchLimitError first.
     """
-    gates = _bell(program)
-    width = program.n_wires + len(program.inputs)
+    base = program.n_wires
+    gates = [g for j, q in enumerate(program.inputs) for g in (("H", base + j), ("CNOT", base + j, q))]
+    width = base + len(program.inputs)
+    classical = sorted({op[1] for op in program.ops if op[0] == "if" and op[2] in ("H", "P", "CNOT")})
+    if 1 << len(classical) > BRANCH_LIMIT:
+        raise BranchLimitError(len(classical))
     control: dict[int, int] = {}
+    # (position in gates, bit, gate) of each if of a bit in classical.
+    guarded: list[tuple[int, int, tuple]] = []
     for op in program.ops:
         if op[0] == "u":
-            gates += op[2]
+            gates += op[1]
         elif op[0] == "m":
             _, q, c, reset = op
             if reset:
@@ -391,6 +340,8 @@ def _deferred(program: Program) -> list:
                 gates.append(("CNOT", q, width))
                 control[c] = width
                 width += 1
+        elif op[1] in classical:
+            guarded.append((len(gates), op[1], (op[2], *op[3])))
         else:
             _, c, gate, (b,) = op
             cnot = ("CNOT", control[c], b)
@@ -400,11 +351,31 @@ def _deferred(program: Program) -> list:
                 gates += (("H", b), cnot, ("H", b))
             else:
                 gates += (("P", b),) * 3 + (cnot, ("P", b))
-    return _circuit(width, gates)
+
+    states = []
+    for assignment in range(1 << len(classical)):
+        value = {c: assignment >> i & 1 for i, c in enumerate(classical)}
+        run, done = [], 0
+        for at, c, g in guarded:
+            run += gates[done:at]
+            done = at
+            if value[c]:
+                run.append(g)
+        rows, weight = _circuit(width, run + gates[done:]), 1 << len(classical)
+        for c in classical:
+            pivot, forced = _z_pivot(rows, width, control[c])
+            if pivot is not None:
+                rows, weight = _collapsed(rows, width, control[c], pivot, value[c]), weight >> 1
+            elif forced != value[c]:
+                break
+        else:
+            states.append((weight, rows))
+    return states
 
 
 def _reduced(program: Program, rows: list) -> tuple:
-    """The canonical form of the Choi state the _deferred rows purify.
+    """The canonical form of the Choi state that one _deferred state's rows
+    purify.
 
     It is the _echelon basis of the subgroup supported on the references
     and outputs, renumbered as (references, outputs in order) and padded
@@ -439,7 +410,7 @@ def _trace(program: Program, prep: list[tuple], outcomes: tuple[int, ...]) -> li
     measured = iter(outcomes)
     for op in program.ops:
         if op[0] == "u":
-            trace += op[2]
+            trace += op[1]
         elif op[0] == "if":
             if bits[op[1]]:
                 trace.append((op[2], *op[3]))
@@ -460,7 +431,7 @@ def run_protocol(ast: ProtocolAST, input_prep: BasisCircuit) -> list[BranchOutco
 
 
 def _run(program: Program, input_prep: BasisCircuit) -> list[BranchOutcome]:
-    branches = _walk(program, input_prep, merge=False)
+    branches = _walk(program, input_prep)
     n, prep = program.n_wires, _prep_gates(program, input_prep)
     return [
         BranchOutcome(
@@ -504,33 +475,28 @@ def _input_generators(n_in: int) -> tuple[tuple[tuple[int, int, int], ...], ...]
     return tuple(tuple(_circuit(n_in, circ.gates)[n_in:]) for circ in enumerate_basis(n_in))
 
 
-def _choi(program: Program, budget: int | None, state: list | None = None) -> tuple[int, int, int, dict[int, dict[int, int]]]:
-    """The channel's Choi state as (n_in, n_out, denominator, choi).
+def _choi(program: Program, budget: int | None, states: list[tuple[int, list]]) -> tuple[int, int, int, dict[int, dict[int, int]]]:
+    """The channel's Choi state J as (n_in, n_out, denominator, choi), from
+    the program's _deferred states.
 
-    The protocol runs once on its Choi state J: reference wire j starts in
-    a Bell pair with input j (_walk with no input_prep).  choi[A][q] times
+    Reference wire j starts in a Bell pair with input j.  choi[A][q] times
     denominator is (-1)^#Y(A) Tr((A x P_q) J), for A a Pauli on the
     references keyed as its x bits over its z bits, and P_q output Pauli
-    number q.  Tr((A x P) J) adds, over the merged branches, weight x the
-    sign of +-(A x P) in the branch's stabilizer group, where it lies in
-    the subgroup supported on outputs and references, and 0 elsewhere.
-    Given the _deferred rows as state, that is the one branch, of weight 1
-    over denominator 1, and nothing is walked.
+    number q.  Tr((A x P) J) adds, over the states, weight x the sign of
+    +-(A x P) in the state's stabilizer group, where it lies in the
+    subgroup supported on outputs and references, and 0 elsewhere; the
+    denominator is the sum of the weights.
     """
     n_in, n_out = len(program.inputs), len(program.outputs)
     work = 4 ** n_in * 4 ** n_out
     if budget is not None and work > budget:
         raise BudgetExceededError(work, budget)
 
-    if state is None:
-        branches, denominator = _walk(program, None, merge=True), program.denominator
-    else:
-        branches, denominator = [(1, state, (), {})], 1
     base = program.n_wires  # reference wire j is base + j
     wires = sum(1 << w for w in program.outputs) | ((1 << n_in) - 1) << base
     shifts = [(w, 2 * (n_out - 1 - j)) for j, w in enumerate(program.outputs)]
     choi: dict[int, dict[int, int]] = {}
-    for weight, rows, _, _ in branches:
+    for weight, rows in states:
         n = len(rows) >> 1
         for x, z, sign in _group(_supported(rows[n:], n, wires)):
             index = 0
@@ -539,7 +505,7 @@ def _choi(program: Program, budget: int | None, state: list | None = None) -> tu
             ax, az = x >> base, z >> base
             coeffs = choi.setdefault(ax << n_in | az, {})
             coeffs[index] = coeffs.get(index, 0) + (-sign if (ax & az).bit_count() & 1 else sign) * weight
-    return n_in, n_out, denominator, choi
+    return n_in, n_out, sum(weight for weight, _ in states), choi
 
 
 def _rows(channel) -> Iterator[list[int]]:
@@ -573,12 +539,11 @@ def _table(channel) -> SuperopFingerprint:
 def fingerprint(ast: ProtocolAST, budget: int | None = DEFAULT_BUDGET) -> SuperopFingerprint:
     """Exact table of output-Pauli expectations for every basis input.
 
-    The rows come from the protocol's Choi state (_choi), on its _deferred
-    state or, when a bit controls H, P or CNOT, from the merged walk; no
-    basis input is run on its own.
+    The rows come from the protocol's Choi state (_choi) on its _deferred
+    states; no basis input is run on its own.
     """
     program = lower(ast)
-    return _table(_choi(program, budget, None if _walk_reason(program) else _deferred(program)))
+    return _table(_choi(program, budget, _deferred(program)))
 
 
 def _scaled(channel, denominator: int) -> dict[tuple[int, int], int]:
@@ -594,12 +559,11 @@ def check_equivalence(
 ) -> Verdict:
     """Decide on the Choi states; exact, no tolerance anywhere.
 
-    When no bit on either side controls H, P or CNOT, the sides are
-    equivalent exactly when the _reduced forms of their _deferred states
-    are equal, which needs no budget.  Otherwise both sides are walked, and
-    they are equivalent exactly when their nonzero Choi coefficients agree
-    once both are put over the larger denominator (both are powers of two).
-    No table is built for an equivalent pair.  Otherwise the rows of both
+    When each side has one _deferred state, the sides are equivalent
+    exactly when the _reduced forms of those states are equal, which needs
+    no budget.  Otherwise they are equivalent exactly when their nonzero
+    Choi coefficients agree once both are put over the larger denominator
+    (both are powers of two).  No table is built for an equivalent pair.  Otherwise the rows of both
     tables are built a pair at a time, and the counterexample is the first
     entry, in table order, where they differ; past the budget, that raises
     BudgetExceededError saying that the sides differ.
@@ -617,16 +581,18 @@ DEFERRED = "deferred measurement"
 
 def _verdict(lhs: Program, rhs: Program, budget: int | None) -> Verdict:
     reason = _walk_reason(lhs) or _walk_reason(rhs)
-    if reason is not None:
-        return _compared(_choi(lhs, budget), _choi(rhs, budget), f"branch walk: {reason}")
+    decider = DEFERRED if reason is None else f"branch walk: {reason}"
     states = _deferred(lhs), _deferred(rhs)
-    if _reduced(lhs, states[0]) == _reduced(rhs, states[1]):
-        return Verdict(True, None, lambda: (_choi(lhs, budget, states[0]), _choi(rhs, budget, states[1])), DEFERRED)
+    single = len(states[0]) == len(states[1]) == 1
+    if single and _reduced(lhs, states[0][0][1]) == _reduced(rhs, states[1][0][1]):
+        return Verdict(True, None, lambda: (_choi(lhs, budget, states[0]), _choi(rhs, budget, states[1])), decider)
     try:
         channels = _choi(lhs, budget, states[0]), _choi(rhs, budget, states[1])
     except BudgetExceededError as exc:
+        if not single:
+            raise
         raise BudgetExceededError(exc.work, exc.budget, differ=True) from None
-    return _compared(*channels, DEFERRED)
+    return _compared(*channels, decider)
 
 
 def _compared(ch_l: tuple, ch_r: tuple, decider: str) -> Verdict:
@@ -683,7 +649,7 @@ def _run_dense(program: Program, input_state: np.ndarray) -> list[tuple[float, n
             op = program.ops[i]
             i += 1
             if op[0] == "u":
-                for gate in op[2]:
+                for gate in op[1]:
                     state = dense.apply_gate_dense(state, n_total, *gate)
             elif op[0] == "if":
                 if env[op[1]]:

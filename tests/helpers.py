@@ -205,11 +205,13 @@ def cluster_wire_source(k: int, drop: int | None = None) -> str:
     return f"protocol cluster_{k} {{\n  " + "\n  ".join(decls + body) + f"\n  output w{k};\n}}\n"
 
 
-def h_controlled_cluster_wire_source(k: int) -> str:
-    """cluster_wire_source(k) with one more correction, if s1 then H w0, on
-    the discarded first site: the channel is the same, but a bit now
-    controls H, so only the branch walk decides it."""
-    return cluster_wire_source(k).replace("\n  output", "\n  if s1 then H w0;\n  output")
+def h_controlled_cluster_wire_source(k: int, drop: int | None = None, controls: int = 1) -> str:
+    """cluster_wire_source(k, drop) with more corrections, if s_j then H w0
+    for j = 1..controls, on the discarded first site: the channel is the
+    same, but those bits now control H, so deferred measurement enumerates
+    their values."""
+    guarded = "".join(f"\n  if s{j} then H w0;" for j in range(1, controls + 1))
+    return cluster_wire_source(k, drop).replace("\n  output", guarded + "\n  output")
 
 
 def with_h_control(source: str) -> str:
@@ -218,6 +220,21 @@ def with_h_control(source: str) -> str:
     at the end, and hc controls an H on q0."""
     source = source.replace("{\n", "{\n  cbit hc;\n", 1)
     return source.replace("\n  output", "\n  measure q0 -> hc;\n  if hc then H q0;\n  output")
+
+
+def with_classical_controls(rng: random.Random, source: str) -> str:
+    """random_protocol_source's source with each if rewritten, at even odds,
+    to control H or P on its wire, or a CNOT from it onto another wire."""
+    wires = re.findall(r"qubit (\w+):", source)
+
+    def rewrite(match: re.Match) -> str:
+        bit, wire = match.groups()
+        gate = rng.choice(("H", "P", "CNOT") if len(wires) > 1 else ("H", "P"))
+        if gate == "CNOT":
+            return f"if {bit} then CNOT {wire}, {rng.choice([w for w in wires if w != wire])};"
+        return f"if {bit} then {gate} {wire};"
+
+    return re.sub(r"if (\w+) then [XYZ] (\w+);", lambda m: rewrite(m) if rng.random() < 0.5 else m.group(), source)
 
 
 def random_protocol_source(rng: random.Random, name: str = "rand", shuffle: bool = False) -> str:
@@ -440,14 +457,17 @@ def _parse_args(p: _Parser) -> tuple[Ident, ...]:
 # ---------------------------------------------------------------------------
 # The reference walk: checker._walk, _merged, _choi and run_protocol, and the
 # tableau functions they called, kept as they were when the walk still ran
-# on PauliString rows and Tableau copies, each renamed with a reference_
-# prefix.  Row products go through reference_product, a copy of the
+# on PauliString rows and Tableau copies, and check still walked the Choi
+# state and merged its branches, each renamed with a reference_ prefix.
+# Row products go through reference_product, a copy of the
 # PauliString.__mul__ of that time, so no kernel of the engine takes part.
 # The walk reads reference_lower's programs: checker.lower and Program as
 # they were when each gate run was a Tableau from run_circuit and the Choi
 # walk had a lowering of its own, with the Bell pairs put in its first run.
-# reference_choi and reference_run_protocol must agree exactly with
-# checker._choi and run_protocol.
+# reference_run_protocol must agree exactly with run_protocol, and
+# reference_choi, over 2^measurements, must hold the same exact values as
+# checker._choi on the deferred states, over 2^(bits that control H, P or
+# CNOT).
 
 
 @dataclass(frozen=True)

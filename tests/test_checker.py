@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -58,17 +59,6 @@ def plus(n, x, y):
     return circuit_for(BasisElement(n, "plus", x, y))
 
 
-def image_rows(images, n):
-    """The 2n boxed rows a run's images stand for, laid out as Tableau.rows:
-    the images of X_q, then of Z_q, with X_q and Z_q for an unmoved wire."""
-    moved, x_images, z_images = images
-    xs = {bit: image for bit, *image in x_images}
-    zs = {bit: image for bit, *image in z_images}
-    assert moved == sum(xs) == sum(zs)
-    rows = [tuple(xs.get(1 << q, (1 << q, 0, 0))) for q in range(n)]
-    return _boxed(n, rows + [tuple(zs.get(1 << q, (0, 1 << q, 0))) for q in range(n)])
-
-
 class TestLower:
     def test_each_gate_run_becomes_one_op(self):
         rng = random.Random(13)
@@ -79,20 +69,17 @@ class TestLower:
             wire = {q.name: i for i, q in enumerate(ast.qubits)}
             bit = {c.name: i for i, c in enumerate(ast.cbits)}
             outputs = {o.name for o in ast.outputs}
-            ops, drops, run = [], [], None
+            ops, run = [], None
             for i, stmt in enumerate(ast.body):
                 rest = ast.body[i + 1 :]
                 if isinstance(stmt, GateStmt):
                     if run is None:
                         run = []
                         ops.append(("u", run))
-                        drops.append(())
                     run.append((stmt.gate, *(wire[a.name] for a in stmt.args)))
                     continue
                 run = None
                 c = stmt.cbit.name
-                read_later = any(isinstance(s, IfGateStmt) and s.cbit.name == c for s in rest)
-                drops.append(() if read_later else (bit[c],))
                 if isinstance(stmt, IfGateStmt):
                     ops.append(("if", bit[c], stmt.gate, tuple(wire[a.name] for a in stmt.args)))
                 else:
@@ -103,37 +90,26 @@ class TestLower:
                     ops.append(("m", wire[q], bit[c], q not in outputs and not touched_later))
 
             program = lower(ast)
-            assert len(program.ops) == len(ops)
-            for got, want in zip(program.ops, ops):
-                if want[0] == "u":
-                    assert got[0] == "u" and got[2] == tuple(want[1])
-                    assert image_rows(got[1], program.n_wires) == run_circuit(program.n_wires, want[1]).rows
-                else:
-                    assert got == want
-            assert program.drops == tuple(drops)
+            assert program.ops == tuple(("u", tuple(op[1])) if op[0] == "u" else op for op in ops)
             assert program.denominator == 2 ** sum(isinstance(s, MeasureStmt) for s in ast.body)
 
     def test_choi_walk_starts_from_bell_pairs_and_runs_the_plain_ops(self, monkeypatch):
         rng = random.Random(14)
         asts = [parse(teleport_source(2))] + [parse(random_protocol_source(rng, shuffle=True)) for _ in range(100)]
-        walk, walks = checker._walk, []
-        monkeypatch.setattr(checker, "_walk", lambda program, prep, merge: walks.append((program, prep, merge)) or [])
+        walks = []
+        monkeypatch.setattr(checker, "_walk", lambda *args: walks.append(args) or [])
         for ast in asts:
             program = lower(ast)
             n, width = len(ast.qubits), len(ast.qubits) + ast.n_in
             assert program.n_wires == n
             bell = [g for r, q in zip(range(n, width), program.inputs) for g in (("H", r), ("CNOT", r, q))]
-            # The walk of a program with no ops returns its start rows.
-            (_, start, _, _), = walk(dataclasses.replace(program, ops=(), drops=()), None, True)
-            assert _boxed(width, start) == run_circuit(width, bell).rows
-            # Deferred measurement tabulates a program whose bits control
-            # only X, Y and Z without a walk; one more bit that controls H
-            # makes fingerprint walk it.
+            # Deferred measurement of a program with no ops leaves the Bell rows.
+            (weight, start), = checker._deferred(dataclasses.replace(program, ops=()))
+            assert weight == 1 and _boxed(width, start) == run_circuit(width, bell).rows
+            # fingerprint walks no branch, also when a bit controls H.
             fingerprint(ast)
+            fingerprint(parse(with_h_control(random_protocol_source(rng, shuffle=True))))
             assert walks == []
-            walked = parse(with_h_control(random_protocol_source(rng, shuffle=True)))
-            fingerprint(walked)
-            assert walks.pop() == (lower(walked), None, True)
 
 
 class TestRunProtocol:
@@ -279,14 +255,14 @@ class TestCheckEquivalence:
         with pytest.raises(ArityMismatchError):
             check_equivalence(builtin_identity(1), builtin_identity(2))
 
-    def test_merged_branch_limit(self, monkeypatch):
-        # A cluster wire of k sites keeps all 2^k branches until its
-        # corrections, at the end.  Deferred measurement decides the plain
-        # wire without branching, so the wire has a bit that controls H.
-        monkeypatch.setattr(checker, "MERGED_BRANCH_LIMIT", 16)
-        assert check_equivalence(parse(h_controlled_cluster_wire_source(4)), builtin_identity(1)).equivalent
-        with pytest.raises(checker.BranchLimitError, match=r"more than 2\^4 live branches.*MERGED_BRANCH_LIMIT"):
-            check_equivalence(parse(h_controlled_cluster_wire_source(6)), builtin_identity(1))
+    def test_classical_control_limit(self, monkeypatch):
+        # Deferred measurement composes one state per assignment of the
+        # bits that control H, P or CNOT; past BRANCH_LIMIT it builds none.
+        monkeypatch.setattr(checker, "BRANCH_LIMIT", 16)
+        assert check_equivalence(parse(h_controlled_cluster_wire_source(6, controls=4)), builtin_identity(1)).equivalent
+        monkeypatch.setattr(checker, "_circuit", None)
+        with pytest.raises(checker.BranchLimitError, match=r"^5 bits control H, P or CNOT.* limit of 2\^4$"):
+            check_equivalence(parse(h_controlled_cluster_wire_source(6, controls=5)), builtin_identity(1))
 
 
 class TestDeferredMeasurement:
@@ -322,13 +298,63 @@ class TestDeferredMeasurement:
         # teleport.qpr's two measured wires are never touched again;
         # measuring a wire that is used later copies it onto an ancilla.
         program = lower(load("teleport.qpr"))
-        assert len(checker._deferred(program)) == 2 * (program.n_wires + 1)
+        (_, rows), = checker._deferred(program)
+        assert len(rows) == 2 * (program.n_wires + 1)
         ast = parse("protocol p { qubit a: input; cbit m; measure a -> m; if m then Z a; output a; }")
         program = lower(ast)
-        assert len(checker._deferred(program)) == 2 * (program.n_wires + 1 + 1)
+        (_, rows), = checker._deferred(program)
+        assert len(rows) == 2 * (program.n_wires + 1 + 1)
         # Z on a wire just measured in Z changes nothing.
         dephase = parse("protocol q { qubit a: input; cbit m; measure a -> m; output a; }")
         assert check_equivalence(ast, dephase).equivalent
+
+
+class TestClassicalControls:
+    """Bits that control H, P or CNOT: _deferred composes one state per
+    assignment of their values."""
+
+    FORCED = "protocol f {{ qubit a: input; qubit f: zero; cbit m; {flip}measure f -> m; if m then H a; output a; }}"
+
+    def test_a_forced_outcome_keeps_one_assignment(self):
+        # A fresh |0> measures 0, so the H never runs; after X it always does.
+        stays = lower(parse(self.FORCED.format(flip="")))
+        flips = lower(parse(self.FORCED.format(flip="X f; ")))
+        assert [weight for weight, _ in checker._deferred(stays)] == [2]
+        assert [weight for weight, _ in checker._deferred(flips)] == [2]
+        verdict = check_equivalence(parse(self.FORCED.format(flip="")), builtin_identity(1))
+        assert verdict.equivalent and verdict.decider == "branch walk: bit m controls H"
+        verdict = check_equivalence(parse(self.FORCED.format(flip="X f; ")), builtin_identity(1))
+        assert not verdict.equivalent
+        assert verdict.counterexample.value_lhs != verdict.counterexample.value_rhs
+
+    def test_a_bit_that_controls_h_and_a_pauli(self):
+        # H X = Z H, so either order of the two corrections is one channel.
+        def source(corrections):
+            return parse(
+                "protocol c { qubit a: input; qubit f: zero; cbit m; H f; measure f -> m; "
+                + " ".join(f"if m then {g} a;" for g in corrections) + " output a; }"
+            )
+
+        xh, hz = source("XH"), source("HZ")
+        assert [weight for weight, _ in checker._deferred(lower(xh))] == [1, 1]
+        assert check_equivalence(xh, hz).equivalent
+        for lhs, rhs in ((source("H"), hz), (xh, source("H")), (source("X"), xh)):
+            verdict = check_equivalence(lhs, rhs)
+            assert not verdict.equivalent
+            ce = verdict.counterexample
+            assert ce.value_lhs != ce.value_rhs
+        exact = np.array([[float(v) for v in row] for row in fingerprint(xh).table])
+        assert np.max(np.abs(exact - fingerprint_dense(xh))) < 1e-9
+
+    def test_h_controlled_cluster_wire_64_is_the_identity_and_every_drop_is_refuted(self):
+        start = time.perf_counter()
+        verdict = check_equivalence(parse(h_controlled_cluster_wire_source(64)), builtin_identity(1))
+        assert time.perf_counter() - start < 1.0
+        assert verdict.equivalent and verdict.decider == "branch walk: bit s1 controls H"
+        for j in range(64):
+            verdict = check_equivalence(parse(h_controlled_cluster_wire_source(64, drop=j)), builtin_identity(1))
+            assert not verdict.equivalent, j
+            assert verdict.counterexample.value_lhs != verdict.counterexample.value_rhs
 
 
 class TestOracleAgreement:

@@ -170,13 +170,13 @@ class TestCheck:
         assert code == 2
         assert "2^1102" in err and "limit of 2^20" in err
 
-    def test_merged_branch_limit_exits_2(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setattr(checker, "MERGED_BRANCH_LIMIT", 16)
+    def test_classical_control_limit_exits_2(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(checker, "BRANCH_LIMIT", 16)
         wire = tmp_path / "cluster.qpr"
-        wire.write_text(h_controlled_cluster_wire_source(6))
+        wire.write_text(h_controlled_cluster_wire_source(6, controls=5))
         code, out, err = run_cli(capsys, "check", str(wire), "--identity", "1")
         assert code == 2 and out == ""
-        assert "more than 2^4 live branches" in err and "MERGED_BRANCH_LIMIT" in err
+        assert "5 bits control H, P or CNOT" in err and "limit of 2^4" in err
 
     @pytest.mark.parametrize(
         "argv,sides",

@@ -1,8 +1,10 @@
-"""fingerprint against the reference tabulation in helpers, and branch merging."""
+"""fingerprint against the reference tabulation in helpers, and deferred
+measurement against the reference walk."""
 
 import dataclasses
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from stabcheck.cli import corpus_path
 from stabcheck.dense import TOL
 
 from stabcheck.protocol import GateStmt, IfGateStmt
-from stabcheck.tableau import _boxed
 
 from helpers import (
     cluster_wire_source,
@@ -30,10 +31,10 @@ from helpers import (
     reference_choi,
     reference_counterexample,
     reference_fingerprint,
-    reference_lower,
     reference_run_protocol,
-    reference_walk,
     teleport_source,
+    with_classical_controls,
+    with_h_control,
 )
 
 CORPUS = sorted(p.name for p in corpus_path("identity.qpr").parent.glob("*.qpr"))
@@ -57,11 +58,20 @@ def assert_dense_agrees(ast, fp):
     assert np.max(np.abs(exact - fingerprint_dense(ast))) < TOL
 
 
-def walked_verdict(lhs, rhs):
-    """The verdict of the merged branch walk alone: both sides' _choi,
-    compared as check_equivalence compares walked channels."""
-    channels = checker._choi(checker.lower(lhs), None), checker._choi(checker.lower(rhs), None)
-    return checker._compared(*channels, "branch walk")
+def coefficient_verdict(lhs, rhs):
+    """The verdict of the Choi coefficients alone: both sides' _choi on
+    their _deferred states, compared as check_equivalence compares more
+    than one state, never by _reduced forms."""
+    programs = checker.lower(lhs), checker.lower(rhs)
+    channels = [checker._choi(program, None, checker._deferred(program)) for program in programs]
+    return checker._compared(*channels, "coefficients")
+
+
+def choi_fractions(channel):
+    """A channel as _choi or reference_choi gives it: its nonzero
+    coefficients as exact fractions, whatever its denominator."""
+    n_in, n_out, denominator, choi = channel
+    return n_in, n_out, {(a, q): Fraction(c, denominator) for a, coeffs in choi.items() for q, c in coeffs.items() if c}
 
 
 def test_corpus_matches_reference():
@@ -148,7 +158,6 @@ def test_measured_wire_used_again_is_not_reset(use_again):
 def test_discarded_measured_wires_are_reset():
     program = checker.lower(load("teleport.qpr"))
     assert [op[3] for op in program.ops if op[0] == "m"] == [True, True]
-    assert program.drops[-2:] == ((program.cbits.index("m1"),), (program.cbits.index("m0"),))
 
 
 @pytest.mark.parametrize("drop", ["X0", "X1", "X2", "Z0", "Z1", "Z2"])
@@ -183,13 +192,6 @@ def test_dropping_a_correction_from_a_cluster_wire_is_refuted(k):
         verdict = check_equivalence(parse(cluster_wire_source(k, drop=j)), builtin_identity(1))
         assert not verdict.equivalent, j
         assert verdict.counterexample.value_lhs != verdict.counterexample.value_rhs
-
-
-def test_teleport_3_merges_to_one_branch_per_input():
-    program = checker.lower(parse(teleport_source(3)))
-    for circ in enumerate_basis(3):
-        (weight, _, _, bits), = checker._walk(program, circ, merge=True)
-        assert weight == 2 ** 6 and bits == {}
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +264,7 @@ def test_transforms_keep_equivalence(transform):
         assert check_equivalence(lhs, rhs).equivalent, changed
         assert check_equivalence(rhs, lhs).equivalent, changed
         assert check_equivalence(lhs, rhs).decider == checker.DEFERRED
-        assert walked_verdict(lhs, rhs).equivalent, changed
+        assert coefficient_verdict(lhs, rhs).equivalent, changed
         if transform is add_discarded_ancilla:
             # The sides' Choi coefficients sit over different denominators.
             assert checker.lower(rhs).denominator == 2 * checker.lower(lhs).denominator
@@ -355,13 +357,14 @@ def test_deleting_one_correction_is_refuted(name):
         assert not verdict.equivalent, (name, i)
         assert_replays(ast, mutant, verdict.counterexample)
         assert verdict.decider == checker.DEFERRED
-        assert walked_verdict(ast, mutant) == verdict
+        assert coefficient_verdict(ast, mutant) == verdict
 
 
 # ---------------------------------------------------------------------------
 # Three deciders on one set of pairs: deferred measurement (check_equivalence
-# on protocols whose bits control only X, Y and Z), the merged branch walk
-# (_choi called directly) and the reference tabulation in helpers.
+# on protocols whose bits control only X, Y and Z, by _reduced forms), the
+# Choi coefficients of the same states (coefficient_verdict) and the
+# reference tabulation in helpers.
 
 
 def _three_way_pairs():
@@ -390,10 +393,10 @@ def test_deferred_walk_and_reference_agree():
         label = (lhs.name, rhs.name, i)
         verdict = check_equivalence(lhs, rhs, budget=None)
         assert verdict.decider == checker.DEFERRED, label
-        walked = walked_verdict(lhs, rhs)
-        assert (verdict.equivalent, verdict.counterexample) == (walked.equivalent, walked.counterexample), label
+        compared = coefficient_verdict(lhs, rhs)
+        assert (verdict.equivalent, verdict.counterexample) == (compared.equivalent, compared.counterexample), label
         tables = verdict.fingerprints
-        assert tables == walked.fingerprints, label
+        assert tables == compared.fingerprints, label
         refuted += not verdict.equivalent
         if lhs.n_in <= 2:
             refs = reference_fingerprint(lhs), reference_fingerprint(rhs)
@@ -435,17 +438,14 @@ def _walk_sources():
 
 
 def test_walk_matches_reference_walk():
+    # _choi sums its deferred states over 2^(bits that control H, P or
+    # CNOT), the reference walk its merged branches over 2^measurements.
     branches = 0
     for source in _walk_sources():
         ast = parse(source)
         program = checker.lower(ast)
-        assert checker._choi(program, None) == reference_choi(ast, None), source
-        # The merged branches themselves: a merge that went wrong can leave
-        # the Choi coefficients as they are, spread over more branches.
-        width = program.n_wires + ast.n_in
-        merged = [(w, _boxed(width, rows), bits) for w, rows, _, bits in checker._walk(program, None, True)]
-        want = reference_walk(reference_lower(ast, choi=True), None, True)
-        assert merged == [(w, t.rows, bits) for w, t, _, bits in want], source
+        got = checker._choi(program, None, checker._deferred(program))
+        assert choi_fractions(got) == choi_fractions(reference_choi(ast, None)), source
         if ast.n_in > 2:
             continue
         for circ in enumerate_basis(ast.n_in):
@@ -456,3 +456,28 @@ def test_walk_matches_reference_walk():
                 assert (g.state.n, g.state.rows, g.state.trace) == (w.state.n, w.state.rows, w.state.trace), source
                 branches += 1
     assert branches > 5000
+
+
+def test_classical_controls_match_reference():
+    # Bits that control H, P or CNOT: the deferred states of each value
+    # assignment against the reference walk and the reference tabulation.
+    rng = random.Random(2026)
+    sources = [with_classical_controls(rng, random_protocol_source(rng, shuffle=i % 2 == 1)) for i in range(900)]
+    sources += [with_h_control(random_protocol_source(rng, shuffle=True)) for _ in range(150)]
+    controlled = refuted = 0
+    for i, source in enumerate(sources):
+        ast = parse(source)
+        program = checker.lower(ast)
+        got = checker._choi(program, None, checker._deferred(program))
+        assert choi_fractions(got) == choi_fractions(reference_choi(ast, None)), source
+        reference = reference_fingerprint(ast)
+        table = fingerprint(ast)
+        assert table == reference, source
+        if i % 25 == 0:
+            assert_dense_agrees(ast, table)
+        if i % 5 == 0:
+            mutant = parse(_without_one_statement(rng, source))
+            assert_same_verdict(ast, mutant, reference, reference_fingerprint(mutant))
+            refuted += not check_equivalence(ast, mutant).equivalent
+        controlled += checker._walk_reason(program) is not None
+    assert controlled > 350 and refuted > 100
