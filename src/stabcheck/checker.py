@@ -145,8 +145,8 @@ class Verdict:
     # Returns the (lhs, rhs) channels, as _choi returns them, of the states
     # that were compared.
     _channels: Callable[[], tuple] | None = field(default=None, compare=False, repr=False)
-    # DEFERRED, or "branch walk: " and the first bit that controls H, P or
-    # CNOT, whose values _deferred then enumerates.
+    # DEFERRED, or DEFERRED + " over 2^k assignments: bit c controls G" for
+    # the k bits that control H, P or CNOT, whose values _deferred enumerates.
     decider: str | None = field(default=None, compare=False)
 
     @property
@@ -289,13 +289,13 @@ def _walk(program: Program, input_prep: BasisCircuit) -> list[tuple[int, list, t
     return live
 
 
-def _walk_reason(program: Program) -> str | None:
-    """Why _deferred enumerates values, as "bit c controls G" for the first
-    if that applies H, P or CNOT; None when it composes one state."""
-    for op in program.ops:
-        if op[0] == "if" and op[2] in ("H", "P", "CNOT"):
-            return f"bit {program.cbits[op[1]]} controls {op[2]}"
-    return None
+def _assignments(program: Program) -> str | None:
+    """Why _deferred enumerates values, as "2^k assignments: bit c controls G"
+    (k bits control H, P or CNOT; c is the first); None if it composes one."""
+    guarded = [op for op in program.ops if op[0] == "if" and op[2] in ("H", "P", "CNOT")]
+    if not guarded:
+        return None
+    return f"2^{len({op[1] for op in guarded})} assignments: bit {program.cbits[guarded[0][1]]} controls {guarded[0][2]}"
 
 
 def _deferred(program: Program) -> list[tuple[int, list]]:
@@ -580,8 +580,8 @@ DEFERRED = "deferred measurement"
 
 
 def _verdict(lhs: Program, rhs: Program, budget: int | None) -> Verdict:
-    reason = _walk_reason(lhs) or _walk_reason(rhs)
-    decider = DEFERRED if reason is None else f"branch walk: {reason}"
+    reason = _assignments(lhs) or _assignments(rhs)
+    decider = DEFERRED if reason is None else f"{DEFERRED} over {reason}"
     states = _deferred(lhs), _deferred(rhs)
     single = len(states[0]) == len(states[1]) == 1
     if single and _reduced(lhs, states[0][0][1]) == _reduced(rhs, states[1][0][1]):

@@ -23,6 +23,9 @@ controlled single corrections, and finally names its output wires:
 
 '#' starts a line comment.  Only H, P, X, Y, Z and CNOT are accepted, which
 keeps every expressible protocol inside the efficiently checkable fragment.
+
+Each line is lexed by one regex, except that a line holding one gate statement
+where a statement may start is matched whole, to one token and its GateStmt.
 """
 
 from __future__ import annotations
@@ -37,14 +40,23 @@ KEYWORDS = frozenset({"protocol", "qubit", "cbit", "input", "zero", "measure", "
 # Whitespace matches nothing, so finditer steps over it without a match;
 # comments match unnamed and are skipped.  Any other character no part
 # accepts is "bad".
-_TOKEN_RE = re.compile(r"#.*|(?P<arrow>->)|(?P<punct>[{}:;,])|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>[^ \t\r])")
+_NAME = "[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN_RE = re.compile(r"#.*|(?P<arrow>->)|(?P<punct>[{}:;,])|(?P<name>" + _NAME + r")|(?P<bad>[^ \t\r])")
+# A line that is one gate statement, blanks and a comment: gate and 1-2 args.
+_GATE_LINE_RE = re.compile(rf"[ \t]*({'|'.join(GATE_NAMES)})[ \t]+({_NAME})[ \t]*(?:,[ \t]*({_NAME})[ \t]*)?;[ \t]*(?:#.*)?")
 
 
-@dataclass(frozen=True)
+# SourceSpan, Ident and GateStmt are built per name or statement, so __init__
+# fills __dict__ directly, not by the frozen one's object.__setattr__ per field.
+@dataclass(frozen=True, init=False)
 class SourceSpan:
     line: int
     col_start: int
     col_end: int
+
+    def __init__(self, line: int, col_start: int, col_end: int) -> None:
+        d = self.__dict__
+        d["line"], d["col_start"], d["col_end"] = line, col_start, col_end
 
     def __str__(self) -> str:
         return f"line {self.line}, col {self.col_start}"
@@ -67,10 +79,14 @@ class ParseError(Exception):
         self.diagnostic = Diagnostic("error", message, span)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Ident:
     name: str
     span: SourceSpan = field(compare=False)
+
+    def __init__(self, name: str, span: SourceSpan) -> None:
+        d = self.__dict__
+        d["name"], d["span"] = name, span
 
 
 @dataclass(frozen=True)
@@ -86,11 +102,15 @@ class CbitDecl:
     span: SourceSpan = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GateStmt:
     gate: str
     args: tuple[Ident, ...]
     span: SourceSpan = field(compare=False)
+
+    def __init__(self, gate: str, args: tuple[Ident, ...], span: SourceSpan) -> None:
+        d = self.__dict__
+        d["gate"], d["args"], d["span"] = gate, args, span
 
 
 @dataclass(frozen=True)
@@ -134,8 +154,9 @@ class ProtocolAST:
 
 
 # A token is a plain (kind, text, line, col) tuple; kind is "name", "punct",
-# "arrow" or, for the last token only, "eof".
-_Token = tuple[str, str, int, int]
+# "arrow" or, for the last token only, "eof".  A whole gate line becomes one
+# 5-tuple: its gate-name token plus the GateStmt the line parses to.
+_Token = tuple[str, str, int, int] | tuple[str, str, int, int, GateStmt]
 
 
 def _tokenize(source: str) -> list[_Token]:
@@ -144,6 +165,20 @@ def _tokenize(source: str) -> list[_Token]:
     # splitlines also breaks at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029.
     lines = source.splitlines() or [""]
     for lineno, line in enumerate(lines, start=1):
+        # Only where a statement may start, so the parser never meets it where it
+        # takes a plain name; elsewhere it raises the gate name's own error.
+        gate_line = _GATE_LINE_RE.fullmatch(line)
+        if gate_line and (not tokens or tokens[-1][1] in (";", "{") or len(tokens[-1]) == 5):
+            gate, first, second = gate_line.groups()
+            if first not in KEYWORDS and second not in KEYWORDS:
+                col = gate_line.start(1) + 1
+                start = gate_line.start(2) + 1
+                args = (Ident(first, SourceSpan(lineno, start, start + len(first))),)
+                if second is not None:
+                    start = gate_line.start(3) + 1
+                    args += (Ident(second, SourceSpan(lineno, start, start + len(second))),)
+                append(("name", gate, lineno, col, GateStmt(gate, args, SourceSpan(lineno, col, col + len(gate)))))
+                continue
         for match in _TOKEN_RE.finditer(line):
             kind = match.lastgroup
             if kind is None:
@@ -216,6 +251,10 @@ def parse(source: str) -> ProtocolAST:
         tok = tokens[i]
         text = tok[1]
         if text in GATE_NAMES:
+            if len(tok) == 5:  # a whole gate line, parsed by _tokenize
+                body.append(tok[4])
+                i += 1
+                continue
             cbit = None
             i += 1
         elif text == "if":

@@ -289,10 +289,16 @@ class TestDeferredMeasurement:
             verdict.fingerprints
 
     def test_the_decider_is_named(self):
-        walked = parse(h_controlled_cluster_wire_source(2))
+        enumerated = parse(h_controlled_cluster_wire_source(2))
+        named = "deferred measurement over 2^1 assignments: bit s1 controls H"
         assert check_equivalence(load("teleport.qpr"), builtin_identity(1)).decider == "deferred measurement"
-        assert check_equivalence(walked, builtin_identity(1)).decider == "branch walk: bit s1 controls H"
-        assert check_equivalence(builtin_identity(1), walked).decider == "branch walk: bit s1 controls H"
+        assert check_equivalence(enumerated, builtin_identity(1)).decider == named
+        assert check_equivalence(builtin_identity(1), enumerated).decider == named
+        # k counts the bits that control H, P or CNOT, not their ifs.
+        source = h_controlled_cluster_wire_source(4, controls=3)
+        three = parse(source.replace("\n  output", "\n  if s2 then P w0;\n  output"))
+        named = "deferred measurement over 2^3 assignments: bit s1 controls H"
+        assert check_equivalence(three, builtin_identity(1)).decider == named
 
     def test_only_measurements_not_marked_reset_take_an_ancilla(self):
         # teleport.qpr's two measured wires are never touched again;
@@ -322,7 +328,7 @@ class TestClassicalControls:
         assert [weight for weight, _ in checker._deferred(stays)] == [2]
         assert [weight for weight, _ in checker._deferred(flips)] == [2]
         verdict = check_equivalence(parse(self.FORCED.format(flip="")), builtin_identity(1))
-        assert verdict.equivalent and verdict.decider == "branch walk: bit m controls H"
+        assert verdict.equivalent and verdict.decider == "deferred measurement over 2^1 assignments: bit m controls H"
         verdict = check_equivalence(parse(self.FORCED.format(flip="X f; ")), builtin_identity(1))
         assert not verdict.equivalent
         assert verdict.counterexample.value_lhs != verdict.counterexample.value_rhs
@@ -350,7 +356,7 @@ class TestClassicalControls:
         start = time.perf_counter()
         verdict = check_equivalence(parse(h_controlled_cluster_wire_source(64)), builtin_identity(1))
         assert time.perf_counter() - start < 1.0
-        assert verdict.equivalent and verdict.decider == "branch walk: bit s1 controls H"
+        assert verdict.equivalent and verdict.decider == "deferred measurement over 2^1 assignments: bit s1 controls H"
         for j in range(64):
             verdict = check_equivalence(parse(h_controlled_cluster_wire_source(64, drop=j)), builtin_identity(1))
             assert not verdict.equivalent, j

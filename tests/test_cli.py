@@ -90,9 +90,9 @@ class TestCheck:
         wire = tmp_path / "cluster.qpr"
         wire.write_text(h_controlled_cluster_wire_source(2))
         _, out, _ = run_cli(capsys, "check", str(wire), "--identity", "1")
-        assert "decider: branch walk: bit s1 controls H" in out
+        assert "decider: deferred measurement over 2^1 assignments: bit s1 controls H" in out
         _, report, _ = run_json(capsys, "check", str(wire), "--identity", "1")
-        assert report["decider"] == "branch walk: bit s1 controls H"
+        assert report["decider"] == "deferred measurement over 2^1 assignments: bit s1 controls H"
 
     def test_two_files(self, capsys):
         code, _, _ = run_cli(capsys, "check", str(corpus_path("swap_cnot.qpr")), str(corpus_path("swap_wires.qpr")))

@@ -479,5 +479,5 @@ def test_classical_controls_match_reference():
             mutant = parse(_without_one_statement(rng, source))
             assert_same_verdict(ast, mutant, reference, reference_fingerprint(mutant))
             refuted += not check_equivalence(ast, mutant).equivalent
-        controlled += checker._walk_reason(program) is not None
+        controlled += checker._assignments(program) is not None
     assert controlled > 350 and refuted > 100

@@ -1,7 +1,10 @@
 """Parser, validator and pretty-printer for the .qpr format."""
 
 import dataclasses
+import inspect
+import pickle
 import random
+from copy import deepcopy
 
 import pytest
 
@@ -9,8 +12,11 @@ from stabcheck import ParseError, builtin_identity, parse, pretty_print, validat
 from stabcheck.cli import corpus_path
 from stabcheck.protocol import (
     GateStmt,
+    Ident,
     IfGateStmt,
     MeasureStmt,
+    SourceSpan,
+    _tokenize,
     errors_of,
 )
 
@@ -299,7 +305,131 @@ FIXED_LAYOUTS = [
     _HEAD + "  H",
     # Qubits named like gates.
     "protocol p {\n  qubit H: input;\n  qubit X: zero;\n  H H;\n  CNOT H, X;\n  X X;\n  output H, X;\n}\n",
+    # A gate line where no statement may start: after "then", "output a,",
+    # "output a;", "}" and a declaration name.
+    _HEAD + "  measure b -> m;\n  if m then\n  X a;\n  output a;\n}\n",
+    _HEAD + "  H a;\n  output a,\n  H b;\n}\n",
+    _HEAD + "  H a;\n  output a;\n  H b;\n}\n",
+    _HEAD + "  output a;\n}\n  H a;\n",
+    "protocol p {\n  qubit\n  H a;\n  output a;\n}\n",
+    # A keyword argument on a line of its own, also after a gate line.
+    _HEAD + "  H a;\n  H output;\n  output a;\n}\n",
+    _HEAD + "  H a;\n  CNOT a, then;\n  output a;\n}\n",
+    # Trailing comments, tabs and no blanks around a gate line.
+    _HEAD + "  H a;  # flip\n  CNOT a, b;# no space\n  output a;\n}\n",
+    _HEAD + "\tCNOT\ta\t,\tb\t;\t\n\tH\ta;\t# tab\n  output a;\n}\n",
+    _HEAD + "H a;\nCNOT a,b;\n  output a;\n}\n",
+    # A gate line among the declarations.
+    "protocol p {\n  qubit a: input;\n  H a;\n  qubit c: zero;\n  output a;\n}\n",
+    # A gate line first, and right after "{" on the line before.
+    "H a;\nprotocol p {\n  qubit a: input;\n  output a;\n}\n",
+    "protocol p {\n  H a;\n  output a;\n}\n",
+    "protocol {\n  H a;\n}\n",
+    # A gate line after a line of several statements ending in a gate.
+    _HEAD + "  measure b -> m; H a;\n  CNOT a, b;\n  output a;\n}\n",
 ]
+
+
+def _circuit_source(rng: random.Random, name: str) -> str:
+    """A random 100-200 gate circuit on three wires, pretty-printed, like the
+    sources a compiler-rewrite check reads."""
+    wires = ["a", "b", "c"]
+    body = []
+    for _ in range(rng.randint(100, 200)):
+        gate = rng.choice(("H", "P", "X", "Y", "Z", "CNOT"))
+        body.append(f"{gate} {', '.join(rng.sample(wires, 2) if gate == 'CNOT' else [rng.choice(wires)])};")
+    decls = " ".join(f"qubit {w}: input;" for w in wires)
+    return pretty_print(parse(f"protocol {name} {{ {decls} {' '.join(body)} output a, b, c; }}"))
+
+
+def test_front_end_matches_reference_parser_on_two_edits():
+    rng = random.Random(1414)
+    bases = [load(name) for name in CORPUS] + [teleport_source(n) for n in range(1, 4)]
+    bases += [random_protocol_source(rng, shuffle=i % 2 == 1) for i in range(40)]
+    bases += [_circuit_source(rng, f"circuit_{i}") for i in range(8)]
+    corrupted = [_corrupt(rng, bases[i % len(bases)]) for i in range(2000)]
+    corrupted = [_corrupt(rng, source) if source else source for source in corrupted]
+    errors = 0
+    for source in bases + corrupted:
+        want = _outcome(reference_parse, source)
+        assert _outcome(parse, source) == want, repr(source)
+        errors += want[0] == "ParseError"
+    assert 1000 < errors < len(corrupted)
+
+
+class TestGateLineToken:
+    """A line holding one gate statement, where a statement may start, is
+    lexed to one token carrying its GateStmt."""
+
+    def test_a_pretty_printed_gate_line_is_one_token(self):
+        for ast in (parse(teleport_source(3)), parse(_circuit_source(random.Random(5), "c"))):
+            source = pretty_print(ast)
+            tokens = _tokenize(source)
+            per_line = [[tok for tok in tokens if tok[2] == n] for n in range(1, len(source.splitlines()) + 1)]
+            gate_lines = [line for line in per_line if line[0][1] in ("H", "P", "X", "Y", "Z", "CNOT")]
+            assert len(gate_lines) == sum(isinstance(stmt, GateStmt) for stmt in ast.body) > 0
+            assert all(len(line) == 1 and len(line[0]) == 5 for line in gate_lines)
+            assert tuple(line[0][4] for line in gate_lines) == tuple(s for s in ast.body if isinstance(s, GateStmt))
+            # Every other line is lexed token by token.
+            assert all(len(tok) == 4 for line in per_line if line not in gate_lines for tok in line)
+
+    def test_a_gate_line_after_then_is_lexed_token_by_token(self):
+        tokens = _tokenize("  measure b -> m;\n  if m then\n  X a;\n  H a;\n")
+        plain = [("name", "X", 3, 3), ("name", "a", 3, 5), ("punct", ";", 3, 6)]
+        assert [tok for tok in tokens if tok[2] == 3] == plain
+        # The next line follows a ";", so it is one token again.
+        assert tokens[-2][:4] == ("name", "H", 4, 3) and len(tokens[-2]) == 5 and tokens[-1][0] == "eof"
+
+
+_SPAN = SourceSpan(1, 2, 3)
+_SPAN_REPR = "SourceSpan(line=1, col_start=2, col_end=3)"
+# Each hot node, its field names, a change for dataclasses.replace, its repr.
+_HOT_NODES = [
+    (_SPAN, ("line", "col_start", "col_end"), {"col_end": 9}, _SPAN_REPR),
+    (Ident("a", _SPAN), ("name", "span"), {"name": "b"}, f"Ident(name='a', span={_SPAN_REPR})"),
+    (
+        GateStmt("H", (Ident("a", _SPAN),), _SPAN),
+        ("gate", "args", "span"),
+        {"gate": "X"},
+        f"GateStmt(gate='H', args=(Ident(name='a', span={_SPAN_REPR}),), span={_SPAN_REPR})",
+    ),
+]
+
+
+class TestHotNodes:
+    """SourceSpan, Ident and GateStmt keep every dataclass behaviour under
+    their hand-written __init__."""
+
+    @pytest.mark.parametrize("node, names, change, text", _HOT_NODES)
+    def test_dataclass_contract(self, node, names, change, text):
+        cls = type(node)
+        assert tuple(f.name for f in dataclasses.fields(cls)) == names
+        assert tuple(inspect.signature(cls).parameters) == names
+        assert cls(**{name: getattr(node, name) for name in names}) == node
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, getattr(node, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.extra = 1
+        changed = dataclasses.replace(node, **change)
+        assert changed != node and all(getattr(changed, k) == v for k, v in change.items())
+        assert _with_spans(dataclasses.replace(node)) == _with_spans(node)
+        assert repr(node) == text
+        for copy in (pickle.loads(pickle.dumps(node)), deepcopy(node)):
+            assert type(copy) is cls and copy == node and hash(copy) == hash(node)
+            assert _with_spans(copy) == _with_spans(node)
+
+    def test_equality_and_hash_ignore_spans(self):
+        other = SourceSpan(2, 3, 4)
+        ident, moved = Ident("a", _SPAN), Ident("a", other)
+        assert ident == moved and hash(ident) == hash(moved) and ident != Ident("b", other)
+        stmt = GateStmt("CNOT", (ident, Ident("b", other)), SourceSpan(1, 1, 5))
+        assert stmt == GateStmt("CNOT", (moved, Ident("b", SourceSpan(7, 7, 8))), other)
+        assert hash(stmt) == hash(GateStmt("CNOT", (moved, Ident("b", _SPAN)), other))
+        assert stmt != GateStmt("CNOT", (moved, moved), other)
+        assert _SPAN != other and hash(SourceSpan(2, 3, 4)) == hash(other)
 
 
 def test_front_end_matches_reference_parser():
