@@ -61,8 +61,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_BUDGET = 4 ** 10
-# The dense oracle holds every branch's state vector: up to 2^(wires +
-# measurements) amplitudes, 16 MB at this limit.
+# The dense oracle holds every branch's state vector for a chunk of inputs:
+# 2^(wires + measurements) amplitudes per input, at most this many in all,
+# 16 MB at this limit.
 DENSE_LIMIT = 2 ** 20
 # run_protocol, and so sim, lists every branch; past this many it stops.
 # Deferred measurement composes one state per assignment of the bits that
@@ -618,60 +619,81 @@ def _compared(ch_l: tuple, ch_r: tuple, decider: str) -> Verdict:
 # and arbitrary input states; they validate, never decide.
 
 
-def _run_dense(program: Program, input_state: np.ndarray) -> list[tuple[float, np.ndarray]]:
+def _run_dense(program: Program, states: np.ndarray) -> np.ndarray:
+    """Every branch of every state in a stack (B, 2^n_wires), as one array
+    (branches, B, 2^n_wires).
+
+    One walk serves the whole stack: each gate is one call on the last axis.
+    A measurement forks each branch into its projections on outcomes 0 and
+    1, in that order, with no renormalization, so a branch's squared norm is
+    its probability and a branch of probability zero is all zeros.  Breadth
+    first, branch i's outcomes are the binary digits of i, which lists the
+    branches in depth-first order.  An if acts on the branches whose bit is
+    set.
+    """
     import numpy as np
 
     from . import dense
 
-    n_total = program.n_wires
-    if program.denominator << n_total > DENSE_LIMIT:
-        raise DenseLimitError(n_total + program.denominator.bit_length() - 1)
-    n_in = len(program.inputs)
-    input_state = np.asarray(input_state, dtype=complex)
-    if input_state.shape != (1 << n_in,):
-        raise ValueError("input state dimension does not match the input arity")
-
-    full = np.zeros(1 << n_total, dtype=complex)
-    for part in range(1 << n_in):
-        idx = 0
-        for j, pos in enumerate(program.inputs):
-            if (part >> (n_in - 1 - j)) & 1:
-                idx |= 1 << (n_total - 1 - pos)
-        full[idx] = input_state[part]
-
-    # Depth first with outcome 0 before 1, from an explicit stack of
-    # (next op, state, probability, bits).
-    results: list[tuple[float, np.ndarray]] = []
-    stack = [(0, full, 1.0, {})]
-    while stack:
-        i, state, prob, env = stack.pop()
-        while i < len(program.ops):
-            op = program.ops[i]
-            i += 1
-            if op[0] == "u":
-                for gate in op[1]:
-                    state = dense.apply_gate_dense(state, n_total, *gate)
-            elif op[0] == "if":
-                if env[op[1]]:
-                    state = dense.apply_gate_dense(state, n_total, op[2], *op[3])
-            else:
-                forks = []
-                for bit in (0, 1):
-                    try:
-                        nxt, p = dense.project_z(state, n_total, op[1], bit)
-                    except dense.ZeroProbabilityError:
-                        continue
-                    forks.append((i, nxt, prob * p, {**env, op[2]: bit}))
-                stack += reversed(forks)
-                break
+    n = program.n_wires
+    _dense_log_size(program)
+    live = states[None]
+    bits = np.zeros((1, len(program.cbits)), dtype=bool)
+    index = np.arange(1 << n)
+    for op in program.ops:
+        if op[0] == "u":
+            for gate in op[1]:
+                live = dense.apply_gate_dense(live, n, *gate)
+        elif op[0] == "if":
+            # live is the walk's own array here: a measurement wrote the bit.
+            chosen = bits[:, op[1]]
+            live[chosen] = dense.apply_gate_dense(live[chosen], n, op[2], *op[3])
         else:
-            results.append((prob, state))
-    return results
+            outcome = ((index >> (n - 1 - op[1])) & 1) == np.array([[0], [1]])
+            live = (live[:, None] * outcome[:, None]).reshape((-1,) + live.shape[1:])
+            bits = np.repeat(bits, 2, axis=0)
+            bits[1::2, op[2]] = True
+    return live
+
+
+def _dense_log_size(program: Program) -> int:
+    """log2 of the amplitudes one input's branches take, 2^(wires +
+    measurements); past DENSE_LIMIT, DenseLimitError."""
+    log_size = program.n_wires + program.denominator.bit_length() - 1
+    if 1 << log_size > DENSE_LIMIT:
+        raise DenseLimitError(log_size)
+    return log_size
+
+
+def _embedded(program: Program, states: np.ndarray) -> np.ndarray:
+    """A stack of input-wire states (B, 2^n_in) on all wires, the others |0>."""
+    import numpy as np
+
+    n, n_in = program.n_wires, len(program.inputs)
+    part = np.arange(1 << n_in)
+    index = np.zeros_like(part)
+    for j, pos in enumerate(program.inputs):
+        index |= ((part >> (n_in - 1 - j)) & 1) << (n - 1 - pos)
+    full = np.zeros((len(states), 1 << n), dtype=complex)
+    full[:, index] = states
+    return full
 
 
 def run_protocol_dense(ast: ProtocolAST, input_state: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    """Branch-complete dense execution from an arbitrary input-wire state."""
-    return _run_dense(lower(ast), input_state)
+    """Branch-complete dense execution from an arbitrary input-wire state.
+
+    Branches come back as (probability, normalized state), depth first with
+    outcome 0 before 1; those of probability below 1e-12 are dropped.
+    """
+    import numpy as np
+
+    program = lower(ast)
+    input_state = np.asarray(input_state, dtype=complex)
+    if input_state.shape != (1 << len(program.inputs),):
+        raise ValueError("input state dimension does not match the input arity")
+    branches = _run_dense(program, _embedded(program, input_state[None]))[:, 0]
+    probs = np.sum(np.abs(branches) ** 2, axis=1)
+    return [(float(p), state / np.sqrt(p)) for p, state in zip(probs, branches) if p >= 1e-12]
 
 
 def fingerprint_dense(ast: ProtocolAST) -> np.ndarray:
@@ -680,15 +702,25 @@ def fingerprint_dense(ast: ProtocolAST) -> np.ndarray:
 
 
 def _fingerprint_dense(program: Program) -> np.ndarray:
+    """The table in floating point.  The basis inputs, as state vectors,
+    go through _run_dense in chunks that keep their branches within
+    DENSE_LIMIT amplitudes, and each input's density matrix on the outputs
+    gives its row of expectations."""
     import numpy as np
 
     from . import dense
 
-    n_in, n_out = len(program.inputs), len(program.outputs)
-    table = np.zeros((4 ** n_in, 4 ** n_out))
-    for k, circ in enumerate(enumerate_basis(n_in)):
-        prep, _ = dense.run_dense(n_in, circ.gates)
-        rho = dense.density_from_branches(_run_dense(program, prep), program.outputs)
-        for q in range(4 ** n_out):
-            table[k, q] = dense.pauli_expect_dense(rho, local_observable(n_out, q))
+    # At least 1, since _dense_log_size checks that one input fits.
+    chunk = DENSE_LIMIT >> _dense_log_size(program)
+    n_in = len(program.inputs)
+    rows = []
+    for start in range(0, 4 ** n_in, chunk):
+        elements = [basis_element(n_in, k) for k in range(start, min(start + chunk, 4 ** n_in))]
+        branches = _run_dense(program, _embedded(program, dense.element_states(elements)))
+        rows.append(dense.pauli_expectations(dense.mixed_density(branches, program.outputs)))
+    table = np.concatenate(rows)
+    # Column 0 is the expectation of the identity: each input's total probability.
+    worst = table[np.abs(table[:, 0] - 1.0).argmax(), 0]
+    if abs(worst - 1.0) > dense.TOL:
+        raise ValueError(f"branch probabilities sum to {worst}, not 1")
     return table

@@ -36,18 +36,22 @@ def zero_state(n: int) -> np.ndarray:
 
 
 def _apply_1q(state: np.ndarray, n: int, q: int, mat: np.ndarray) -> np.ndarray:
-    psi = state.reshape((2,) * n)
-    psi = np.tensordot(mat, psi, axes=([1], [q]))
-    return np.moveaxis(psi, 0, q).reshape(-1)
+    # Axis 1 is qubit q; the leading axes and the qubits before q fold into
+    # axis 0.  Elementwise, since a stacked 2x2 matmul is slower on the
+    # dense oracle's stacks of many short rows.
+    psi = state.reshape(-1, 2, 1 << (n - 1 - q))
+    a, b = psi[:, 0], psi[:, 1]
+    return np.stack((mat[0, 0] * a + mat[0, 1] * b, mat[1, 0] * a + mat[1, 1] * b), axis=1).reshape(state.shape)
 
 
 def _apply_cnot(state: np.ndarray, n: int, c: int, t: int) -> np.ndarray:
     idx = np.arange(1 << n)
     cbit = (idx >> (n - 1 - c)) & 1
-    return state[idx ^ (cbit << (n - 1 - t))]
+    return state[..., idx ^ (cbit << (n - 1 - t))]
 
 
 def apply_gate_dense(state: np.ndarray, n: int, gate: str, *qubits: int) -> np.ndarray:
+    """The gate on the last axis of state, (..., 2^n): a state or a stack of them."""
     if gate == "CNOT":
         if qubits[0] == qubits[1]:
             raise ValueError("CNOT control and target must differ")
@@ -66,6 +70,19 @@ def project_z(state: np.ndarray, n: int, q: int, outcome: int) -> tuple[np.ndarr
     if prob < 1e-12:
         raise ZeroProbabilityError(f"outcome {outcome} on qubit {q} has probability zero")
     return picked / math.sqrt(prob), prob
+
+
+def element_states(elements) -> np.ndarray:
+    """The state vectors of basis elements of one qubit count n, as a stack
+    (len(elements), 2^n): |x>, (|x> + |y>)/sqrt 2 or (|x> + i|y>)/sqrt 2."""
+    states = np.zeros((len(elements), 1 << elements[0].n), dtype=complex)
+    for state, element in zip(states, elements):
+        if element.kind == "diag":
+            state[element.x] = 1.0
+        else:
+            state[element.x] = 1 / math.sqrt(2)
+            state[element.y] = (1j if element.kind == "iplus" else 1) / math.sqrt(2)
+    return states
 
 
 def run_dense(n: int, trace, outcomes=(), initial_state: np.ndarray | None = None) -> tuple[np.ndarray, float]:
@@ -98,12 +115,20 @@ def run_dense(n: int, trace, outcomes=(), initial_state: np.ndarray | None = Non
 
 def reduced_density(state: np.ndarray, keep) -> np.ndarray:
     """Partial trace of |state><state| keeping the given qubits, in order."""
-    n = int(round(math.log2(len(state))))
+    return mixed_density(np.asarray(state)[None, None], keep)[0]
+
+
+def mixed_density(branches: np.ndarray, keep) -> np.ndarray:
+    """Each input's density matrix on the kept qubits, in order, summed over
+    branches: branches is (branches, inputs, 2^n), with each state's squared
+    norm its weight; the result is (inputs, 2^k, 2^k)."""
+    n_branches, n_inputs, dim = branches.shape
+    n = dim.bit_length() - 1
     keep = list(keep)
     rest = [q for q in range(n) if q not in keep]
-    psi = np.transpose(state.reshape((2,) * n), axes=keep + rest)
-    block = psi.reshape(1 << len(keep), 1 << len(rest))
-    return block @ block.conj().T
+    psi = branches.reshape((n_branches, n_inputs) + (2,) * n)
+    psi = psi.transpose(1, *(2 + q for q in keep), 0, *(2 + q for q in rest)).reshape(n_inputs, 1 << len(keep), -1)
+    return psi @ psi.conj().transpose(0, 2, 1)
 
 
 def density_from_branches(branches, keep) -> np.ndarray:
@@ -155,6 +180,31 @@ def pauli_expect_dense(dm: np.ndarray, obs: PauliString) -> float:
     if abs(val.imag) >= TOL:
         raise ValueError("expectation has a non-negligible imaginary part")
     return val.real
+
+
+# Row p, for p = I, X, Y, Z, holds P_p[b, a] at column 2a + b, so contracting
+# it with one qubit's (row a, column b) axes of a density matrix gives Tr(P_p rho).
+_PAULI_PAIRS = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
+
+
+def pauli_expectations(dms: np.ndarray) -> np.ndarray:
+    """Tr(P dm) for each of a stack of k-qubit density matrices (B, 2^k, 2^k)
+    and each of the 4^k Hermitian Paulis P with sign +1, as a real (B, 4^k)
+    array.  The index of P is base four, I, X, Y, Z = 0..3, with qubit 0 the
+    most significant digit, as in checker.local_observable.  Each qubit is one
+    contraction with _PAULI_PAIRS; the imaginary parts must vanish within
+    tolerance."""
+    n_dms, dim = dms.shape[:2]
+    k = dim.bit_length() - 1
+    pairs = dms.reshape((n_dms,) + (2,) * (2 * k))
+    pairs = pairs.transpose(0, *(ax for j in range(1, k + 1) for ax in (j, k + j))).reshape((n_dms,) + (4,) * k)
+    for _ in range(k):
+        # Each step contracts the first qubit left and appends its Pauli axis.
+        pairs = np.tensordot(pairs, _PAULI_PAIRS, axes=([1], [1]))
+    values = pairs.reshape(n_dms, 4 ** k)
+    if np.abs(values.imag).max() >= TOL:
+        raise ValueError("expectation has a non-negligible imaginary part")
+    return values.real
 
 
 def pauli_expect_state(state: np.ndarray, obs: PauliString) -> float:

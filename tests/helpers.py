@@ -1,6 +1,6 @@
 """Shared test utilities: random circuits, branch walkers, exact matrices,
-and frozen reference copies of the front end, the lowering and the branch
-walk."""
+and frozen reference copies of the front end, the lowering, the branch walk
+and the dense oracle."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from typing import Callable
 import numpy as np
 
 from stabcheck import PauliString, SuperopFingerprint, apply_gate, enumerate_basis, expectation, measure_z, run_protocol
+from stabcheck import checker, dense
 from stabcheck.basis import BASIS_ORDER_TAG, BasisCircuit, ExactComplex
 from stabcheck.checker import (
     _DIGIT,
@@ -20,6 +21,8 @@ from stabcheck.checker import (
     BranchLimitError,
     BranchOutcome,
     BudgetExceededError,
+    DenseLimitError,
+    Program,
     _group,
     local_observable,
 )
@@ -902,3 +905,100 @@ def reference_choi(ast: ProtocolAST, budget: int | None) -> tuple[int, int, int,
             coeffs = choi.setdefault(ax << n_in | az, {})
             coeffs[index] = coeffs.get(index, 0) + (-sign if (ax & az).bit_count() & 1 else sign) * weight
     return n_in, n_out, program.denominator, choi
+
+
+# ---------------------------------------------------------------------------
+# The reference dense oracle: the walk of one input at a time, from an
+# explicit stack of normalized branches, and the table built from one
+# density matrix and one Pauli matrix per entry.  It keeps its own copies of
+# the gate kernels and of the partial trace it was written with.
+# fingerprint_dense and run_protocol_dense must agree with it within 1e-12.
+
+
+def _reference_gate_dense(state: np.ndarray, n: int, gate: str, *qubits: int) -> np.ndarray:
+    if gate == "CNOT":
+        c, t = qubits
+        idx = np.arange(1 << n)
+        return state[idx ^ (((idx >> (n - 1 - c)) & 1) << (n - 1 - t))]
+    psi = np.tensordot(dense._GATE_1Q[gate], state.reshape((2,) * n), axes=([1], [qubits[0]]))
+    return np.moveaxis(psi, 0, qubits[0]).reshape(-1)
+
+
+def _reference_density(branches: list[tuple[float, np.ndarray]], n: int, keep: list[int]) -> np.ndarray:
+    rest = [q for q in range(n) if q not in keep]
+    acc = np.zeros((1 << len(keep), 1 << len(keep)), dtype=complex)
+    for prob, state in branches:
+        block = np.transpose(state.reshape((2,) * n), axes=keep + rest).reshape(1 << len(keep), -1)
+        acc += prob * (block @ block.conj().T)
+    total = sum(prob for prob, _ in branches)
+    if abs(total - 1.0) > dense.TOL:
+        raise ValueError(f"branch probabilities sum to {total}, not 1")
+    return acc
+
+
+def reference_run_dense(program: Program, input_state: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    n_total = program.n_wires
+    if program.denominator << n_total > checker.DENSE_LIMIT:
+        raise DenseLimitError(n_total + program.denominator.bit_length() - 1)
+    n_in = len(program.inputs)
+    input_state = np.asarray(input_state, dtype=complex)
+    if input_state.shape != (1 << n_in,):
+        raise ValueError("input state dimension does not match the input arity")
+
+    full = np.zeros(1 << n_total, dtype=complex)
+    for part in range(1 << n_in):
+        idx = 0
+        for j, pos in enumerate(program.inputs):
+            if (part >> (n_in - 1 - j)) & 1:
+                idx |= 1 << (n_total - 1 - pos)
+        full[idx] = input_state[part]
+
+    # Depth first with outcome 0 before 1, from an explicit stack of
+    # (next op, state, probability, bits).
+    results: list[tuple[float, np.ndarray]] = []
+    stack = [(0, full, 1.0, {})]
+    while stack:
+        i, state, prob, env = stack.pop()
+        while i < len(program.ops):
+            op = program.ops[i]
+            i += 1
+            if op[0] == "u":
+                for gate in op[1]:
+                    state = _reference_gate_dense(state, n_total, *gate)
+            elif op[0] == "if":
+                if env[op[1]]:
+                    state = _reference_gate_dense(state, n_total, op[2], *op[3])
+            else:
+                forks = []
+                for bit in (0, 1):
+                    try:
+                        nxt, p = dense.project_z(state, n_total, op[1], bit)
+                    except dense.ZeroProbabilityError:
+                        continue
+                    forks.append((i, nxt, prob * p, {**env, op[2]: bit}))
+                stack += reversed(forks)
+                break
+        else:
+            results.append((prob, state))
+    return results
+
+
+def reference_basis_state(circ: BasisCircuit) -> np.ndarray:
+    """The state that a basis circuit prepares from |0...0>."""
+    n = circ.element.n
+    state = np.zeros(1 << n, dtype=complex)
+    state[0] = 1.0
+    for gate in circ.gates:
+        state = _reference_gate_dense(state, n, *gate)
+    return state
+
+
+def reference_fingerprint_dense(program: Program) -> np.ndarray:
+    n_in, n_out = len(program.inputs), len(program.outputs)
+    table = np.zeros((4 ** n_in, 4 ** n_out))
+    for k, circ in enumerate(enumerate_basis(n_in)):
+        branches = reference_run_dense(program, reference_basis_state(circ))
+        rho = _reference_density(branches, program.n_wires, list(program.outputs))
+        for q in range(4 ** n_out):
+            table[k, q] = dense.pauli_expect_dense(rho, local_observable(n_out, q))
+    return table

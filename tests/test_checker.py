@@ -371,6 +371,21 @@ class TestOracleAgreement:
             oracle = fingerprint_dense(ast)
             assert np.max(np.abs(exact - oracle)) < 1e-9, name
 
+    def test_oracle_checks_each_inputs_total_probability(self, monkeypatch):
+        # Without its last branch, teleport keeps 3/4 of each input's probability.
+        run_dense = checker._run_dense
+        monkeypatch.setattr(checker, "_run_dense", lambda program, states: run_dense(program, states)[:-1])
+        with pytest.raises(ValueError, match="branch probabilities sum to 0.7"):
+            fingerprint_dense(load("teleport.qpr"))
+
+    def test_oracle_refuses_teleport_5(self):
+        # 15 wires and 10 measurements: 2^25 amplitudes for one basis input.
+        ast = parse(teleport_source(5))
+        with pytest.raises(checker.DenseLimitError, match=r"2\^25 amplitudes, over its limit of 2\^20"):
+            fingerprint_dense(ast)
+        with pytest.raises(checker.DenseLimitError):
+            run_protocol_dense(ast, np.eye(32)[0])
+
 
 def superop_dense(ast, matrix) -> np.ndarray:
     """Apply a protocol to an arbitrary Hermitian input, dense all the way.

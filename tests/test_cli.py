@@ -15,7 +15,7 @@ from stabcheck import ArityMismatchError, builtin_identity, check_equivalence, c
 from stabcheck import cli as cli_mod
 from stabcheck.cli import corpus_path, main
 
-from helpers import h_controlled_cluster_wire_source
+from helpers import h_controlled_cluster_wire_source, teleport_source
 
 
 def run_cli(capsys, *argv):
@@ -38,17 +38,17 @@ def deep_protocol(tmp_path, rounds=1100):
     return str(deep)
 
 
-def run_python(code, *argv):
-    """Exit code, stdout and stderr of python -c code in a new interpreter."""
+def run_python(*args):
+    """Exit code, stdout and stderr of python with these arguments in a new interpreter."""
     src = str(Path(stabcheck.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60)
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=60)
     return done.returncode, done.stdout, done.stderr
 
 
 def run_fresh(*argv):
     """Exit code, stdout and stderr of the command in a new interpreter."""
-    return run_python("from stabcheck.cli import entry; entry()", *argv)
+    return run_python("-c", "from stabcheck.cli import entry; entry()", *argv)
 
 
 TELEPORT = str(corpus_path("teleport.qpr"))
@@ -170,6 +170,27 @@ class TestCheck:
         assert code == 2
         assert "2^1102" in err and "limit of 2^20" in err
 
+    def test_verify_refuses_teleport_5(self, capsys, tmp_path):
+        # 15 wires and 10 measurements: 2^25 amplitudes for one basis input.
+        path = tmp_path / "teleport_5.qpr"
+        path.write_text(teleport_source(5))
+        code, out, err = run_cli(capsys, "check", str(path), "--identity", "5", "--verify")
+        assert code == 2 and out == ""
+        assert "2^25" in err and "limit of 2^20" in err
+
+    def test_verify_reports_an_oracle_mismatch(self, capsys, monkeypatch):
+        oracle = checker._fingerprint_dense
+
+        def perturbed(program):
+            table = oracle(program)
+            table[1, 2] += 1e-6
+            return table
+
+        monkeypatch.setattr(checker, "_fingerprint_dense", perturbed)
+        code, out, err = run_cli(capsys, "check", TELEPORT, "--identity", "1", "--verify")
+        assert code == 3 and out == ""
+        assert "oracle cross-check failed" in err
+
     def test_classical_control_limit_exits_2(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(checker, "BRANCH_LIMIT", 16)
         wire = tmp_path / "cluster.qpr"
@@ -235,7 +256,12 @@ class TestCheck:
             f"verify = cli.main(['check', {TELEPORT!r}, '--identity', '1', '--json', '--verify'])",
             "print(plain, loaded, verify, 'numpy' in sys.modules, file=sys.stderr)",
         ])
-        assert run_python(code)[2].split() == ["0", "False", "0", "True"]
+        assert run_python("-c", code)[2].split() == ["0", "False", "0", "True"]
+
+    def test_python_m_stabcheck_runs_the_cli(self):
+        code, out, err = run_python("-m", "stabcheck", "check", TELEPORT, "--identity", "1")
+        assert (code, err) == (0, "")
+        assert "EQUIVALENT" in out
 
     def test_json_deterministic(self, capsys):
         _, r1, _ = run_json(capsys, "check", NO_Z, "--identity", "1")

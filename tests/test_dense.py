@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from stabcheck import PauliString, density_from_branches, pauli_expect_dense, run_dense
-from stabcheck.dense import ZeroProbabilityError, reduced_density
+from stabcheck.checker import local_observable
+from stabcheck.dense import _GATE_1Q, ZeroProbabilityError, apply_gate_dense, pauli_expectations, reduced_density
 
 from helpers import enumerate_circuit_branches, random_circuit
 
@@ -51,6 +52,45 @@ class TestRunDense:
         want[0] = INV_SQRT2      # |000>
         want[1] = 1j * INV_SQRT2  # |001>
         assert np.allclose(state, want)
+
+
+def gate_matrix(n: int, gate: str, *qubits: int) -> np.ndarray:
+    """The gate's 2^n x 2^n matrix as Kronecker products, qubit 0 first."""
+
+    def kron(factors: dict) -> np.ndarray:
+        mat = np.eye(1)
+        for q in range(n):
+            mat = np.kron(mat, factors.get(q, np.eye(2)))
+        return mat
+
+    if gate == "CNOT":
+        c, t = qubits
+        return kron({c: np.diag([1, 0])}) + kron({c: np.diag([0, 1]), t: _GATE_1Q["X"]})
+    return kron({qubits[0]: _GATE_1Q[gate]})
+
+
+class TestApplyGateDenseStack:
+    def test_stack_matches_row_by_row(self):
+        # A stack (2, 3, 2^n) takes each gate row by row, and each row as the
+        # gate's full matrix would.
+        rng = np.random.default_rng(41)
+        for n in range(1, 5):
+            stack = rng.normal(size=(2, 3, 1 << n)) + 1j * rng.normal(size=(2, 3, 1 << n))
+            gates = [(g, q) for g in "HPXYZ" for q in range(n)]
+            gates += [("CNOT", c, t) for c in range(n) for t in range(n) if c != t]
+            for gate in gates:
+                got = apply_gate_dense(stack, n, *gate)
+                assert got.shape == stack.shape
+                for row, state in zip(got.reshape(6, -1), stack.reshape(6, -1)):
+                    assert np.allclose(row, apply_gate_dense(state, n, *gate), rtol=0, atol=1e-12), (n, gate)
+                    assert np.allclose(row, gate_matrix(n, *gate) @ state, rtol=0, atol=1e-12), (n, gate)
+
+    def test_stack_checks_gates(self):
+        stack = np.ones((3, 4), dtype=complex)
+        with pytest.raises(ValueError, match="must differ"):
+            apply_gate_dense(stack, 2, "CNOT", 1, 1)
+        with pytest.raises(ValueError, match="unknown gate"):
+            apply_gate_dense(stack, 2, "T", 0)
 
 
 class TestDensityFromBranches:
@@ -122,3 +162,24 @@ class TestPauliExpectDense:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             pauli_expect_dense(np.eye(4, dtype=complex) / 4, PauliString.from_label("+X"))
+
+
+class TestPauliExpectations:
+    def test_columns_match_pauli_expect_dense(self):
+        # Column q is the expectation of local_observable(k, q), for a stack
+        # of random Hermitian matrices.
+        rng = np.random.default_rng(43)
+        for k in range(1, 4):
+            dim = 1 << k
+            raw = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+            dms = raw + raw.conj().transpose(0, 2, 1)
+            got = pauli_expectations(dms)
+            assert got.shape == (3, 4 ** k)
+            for dm, row in zip(dms, got):
+                want = [pauli_expect_dense(dm, local_observable(k, q)) for q in range(4 ** k)]
+                assert np.allclose(row, want, rtol=0, atol=1e-12)
+
+    def test_rejects_imaginary_expectations(self):
+        # Tr(Y |0><1|) = i.
+        with pytest.raises(ValueError, match="imaginary"):
+            pauli_expectations(np.array([[[0, 1], [0, 0]]], dtype=complex))

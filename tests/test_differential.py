@@ -17,6 +17,7 @@ from stabcheck import (
     fingerprint_dense,
     parse,
     run_protocol,
+    run_protocol_dense,
 )
 from stabcheck import checker
 from stabcheck.basis import basis_index
@@ -29,8 +30,11 @@ from helpers import (
     cluster_wire_source,
     random_protocol_source,
     reference_choi,
+    reference_basis_state,
     reference_counterexample,
     reference_fingerprint,
+    reference_fingerprint_dense,
+    reference_run_dense,
     reference_run_protocol,
     teleport_source,
     with_classical_controls,
@@ -481,3 +485,72 @@ def test_classical_controls_match_reference():
             refuted += not check_equivalence(ast, mutant).equivalent
         controlled += checker._assignments(program) is not None
     assert controlled > 350 and refuted > 100
+
+
+# ---------------------------------------------------------------------------
+# The batched dense oracle against the reference oracle, which walks one
+# input at a time.
+
+
+def _dense_sources():
+    """Every corpus file, identity:1..3, teleport_1..2 with each one
+    correction dropped and with all of them dropped, cluster wires k = 2..6
+    and 200 fixed-seed random protocols, every other one with shuffled
+    declarations."""
+    asts = [load(name) for name in CORPUS] + [builtin_identity(n) for n in (1, 2, 3)]
+    for n in (1, 2):
+        asts += [parse(teleport_source(n, drop)) for drop in (None, *(f"{g}{k}" for g in "XZ" for k in range(n)))]
+        asts.append(parse(re.sub(r"\n  if .*;", "", teleport_source(n))))
+    asts += [parse(cluster_wire_source(k)) for k in range(2, 7)]
+    rng = random.Random(1515)
+    asts += [parse(random_protocol_source(rng, shuffle=i % 2 == 1)) for i in range(200)]
+    return asts
+
+
+def test_fingerprint_dense_matches_reference():
+    for ast in _dense_sources():
+        got, want = fingerprint_dense(ast), reference_fingerprint_dense(checker.lower(ast))
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12, ast.name
+
+
+def test_run_protocol_dense_matches_reference():
+    # Every basis input, and one random input per protocol.
+    rng = np.random.default_rng(1516)
+    for ast in _dense_sources():
+        program = checker.lower(ast)
+        inputs = [reference_basis_state(circ) for circ in enumerate_basis(ast.n_in)]
+        state = rng.normal(size=1 << ast.n_in) + 1j * rng.normal(size=1 << ast.n_in)
+        inputs.append(state / np.linalg.norm(state))
+        for state in inputs:
+            got, want = run_protocol_dense(ast, state), reference_run_dense(program, state)
+            assert len(got) == len(want), ast.name
+            for (p, branch), (q, ref) in zip(got, want):
+                assert abs(p - q) < 1e-12 and np.max(np.abs(branch - ref)) < 1e-12, ast.name
+
+
+@pytest.mark.parametrize(
+    "ast,limit,chunks",
+    [
+        # 4 wires and 2 measurements: 2^6 amplitudes per input, 16 inputs.
+        pytest.param(load("entanglement_swap.qpr"), 3 << 6, [3, 3, 3, 3, 3, 1], id="entanglement_swap"),
+        # 6 wires and 4 measurements: 2^10 amplitudes per input, 16 inputs.
+        pytest.param(parse(teleport_source(2)), 1 << 12, [4, 4, 4, 4], id="teleport_2"),
+        pytest.param(builtin_identity(3), 1 << 4, [2] * 32, id="identity_3"),
+    ],
+)
+def test_chunked_tables_are_unchanged(monkeypatch, ast, limit, chunks):
+    whole = fingerprint_dense(ast)
+    sizes = []
+    run_dense = checker._run_dense
+
+    def counted(program, states):
+        branches = run_dense(program, states)
+        assert branches.size <= limit
+        sizes.append(len(states))
+        return branches
+
+    monkeypatch.setattr(checker, "DENSE_LIMIT", limit)
+    monkeypatch.setattr(checker, "_run_dense", counted)
+    assert np.max(np.abs(fingerprint_dense(ast) - whole)) < 1e-12
+    assert sizes == chunks
