@@ -44,6 +44,7 @@ from .protocol import GateStmt, IfGateStmt, ProtocolAST, errors_of, validate
 from .tableau import (
     PauliString,
     Tableau,
+    _DIGIT,
     _boxed,
     _circuit,
     _collapsed,
@@ -71,9 +72,6 @@ DENSE_LIMIT = 2 ** 20
 BRANCH_LIMIT = 2 ** 12
 
 _LETTERS = "IXYZ"
-# Output-Pauli digit (I, X, Y, Z = 0..3) of a wire's bits (x << 1) | z.  The
-# digits of a product of Paulis are the XOR of the factors' digits.
-_DIGIT = (0, 3, 1, 2)
 
 
 class ArityMismatchError(ValueError):

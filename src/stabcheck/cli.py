@@ -95,7 +95,8 @@ def _cmd_check(args) -> int:
     try:
         programs = checker._lower(lhs), checker._lower(rhs)
         verdict = checker._verdict(*programs, budget=args.budget)
-        tables = verdict.fingerprints if args.verify else None
+        # Both channels, so a table over the budget fails before the oracle runs.
+        channels = verdict._channels() if args.verify else None
     except (checker.BudgetExceededError, checker.BranchLimitError) as exc:
         raise UserError(str(exc)) from None
 
@@ -104,12 +105,13 @@ def _cmd_check(args) -> int:
 
         from . import dense
 
-        for ast, program, exact in zip((lhs, rhs), programs, tables):
+        for ast, program, channel in zip((lhs, rhs), programs, channels):
             try:
                 oracle = checker._fingerprint_dense(program)
             except checker.DenseLimitError as exc:
                 raise UserError(f"--verify on {ast.name}: {exc}") from None
-            table = np.array([[float(v) for v in row] for row in exact.table])
+            # Rows over a power-of-two denominator: exact in floating point.
+            table = np.array(list(checker._rows(channel)), dtype=float) / channel[2]
             err = float(np.max(np.abs(table - oracle)))
             if err > dense.TOL:
                 raise RuntimeError(f"oracle cross-check failed for {ast.name}: max deviation {err}")
@@ -300,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--identity", type=int, metavar="N", help="compare against the N-qubit identity")
     p_check.add_argument("--verify", action="store_true", help="cross-check fingerprints against the dense oracle")
     p_check.add_argument("--budget", type=int, default=checker.DEFAULT_BUDGET, metavar="K",
-                         help="maximum number of exact fingerprint entries, for tables and the branch walk")
+                         help="maximum number of exact table entries and Choi coefficients")
     p_check.set_defaults(func=_cmd_check)
 
     p_sim = sub.add_parser("sim", parents=[common], help="enumerate the branches of one protocol run")

@@ -3,16 +3,20 @@
 Only used to validate the exact engine at desk scale (n up to about 10);
 verdicts never come from here.  Indexing matches the package convention:
 qubit 0 is the most significant bit of an amplitude index.
+
+Every mixture of branches, one input's or a stack of inputs', is one
+mixed_density, and every Pauli expectation, one or all 4^k of them, is one
+per-qubit contraction (_contract) with the rows of _PAULI_PAIRS; no Pauli
+matrix is ever built.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from .tableau import PauliString
+from .tableau import _DIGIT, PauliString
 
 TOL = 1e-9
 
@@ -138,36 +142,37 @@ def density_from_branches(branches, keep) -> np.ndarray:
     to 1 within tolerance and all states must share one qubit count.
     """
     branches = list(branches)
-    keep = list(keep)
     if not branches:
         raise ValueError("no branches supplied")
     dim = len(branches[0][1])
-    total = 0.0
-    acc = np.zeros((1 << len(keep), 1 << len(keep)), dtype=complex)
-    for prob, state in branches:
-        if len(state) != dim:
-            raise ValueError("branch states disagree on qubit count")
-        total += prob
-        acc += prob * reduced_density(np.asarray(state, dtype=complex), keep)
+    if any(len(state) != dim for _, state in branches):
+        raise ValueError("branch states disagree on qubit count")
+    total = sum((prob for prob, _ in branches), 0.0)
     if abs(total - 1.0) > TOL:
         raise ValueError(f"branch probabilities sum to {total}, not 1")
-    return acc
+    # Each branch is its own input to mixed_density, so any real weights work.
+    states = np.array([state for _, state in branches], dtype=complex)
+    probs = np.array([prob for prob, _ in branches], dtype=float)
+    return np.tensordot(probs, mixed_density(states[None], keep), axes=1)
 
 
-@functools.lru_cache(maxsize=None)
-def pauli_matrix(obs: PauliString) -> np.ndarray:
-    """Dense matrix of a PauliString (qubit 0 is the first kron factor)."""
-    mat = np.array([[1]], dtype=complex)
-    for q in range(obs.n):
-        xb = (obs.x_bits >> q) & 1
-        zb = (obs.z_bits >> q) & 1
-        factor = np.eye(2, dtype=complex)
-        if xb:
-            factor = factor @ _GATE_1Q["X"]
-        if zb:
-            factor = factor @ _GATE_1Q["Z"]
-        mat = np.kron(mat, factor)
-    return (1j ** obs.phase_exp) * mat
+# Row p, for p = I, X, Y, Z, holds P_p[b, a] at column 2a + b, so contracting
+# it with one qubit's (row a, column b) axes of a density matrix gives Tr(P_p rho).
+_PAULI_PAIRS = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
+
+
+def _contract(dms: np.ndarray, rows) -> np.ndarray:
+    """Tr(P dm) for each of a stack of k-qubit density matrices (B, 2^k, 2^k)
+    and each P_0 x ... x P_(k-1), P_j among the _PAULI_PAIRS rows in rows[j]:
+    a complex (B, number of Ps) array, qubit 0's index the most significant."""
+    n_dms, k = len(dms), len(rows)
+    pairs = dms.reshape((n_dms,) + (2,) * (2 * k))
+    pairs = pairs.transpose(0, *(ax for j in range(1, k + 1) for ax in (j, k + j)))
+    for row in reversed(rows):
+        # Each step contracts the last qubit left, as one 2-D matmul, and
+        # moves its Pauli axis in front of the axes after the stack's.
+        pairs = (pairs.reshape(-1, 4) @ row.T).reshape(n_dms, -1, len(row)).transpose(0, 2, 1)
+    return pairs.reshape(n_dms, -1)
 
 
 def pauli_expect_dense(dm: np.ndarray, obs: PauliString) -> float:
@@ -176,32 +181,20 @@ def pauli_expect_dense(dm: np.ndarray, obs: PauliString) -> float:
         raise ValueError("observable must be Hermitian")
     if dm.shape != (1 << obs.n, 1 << obs.n):
         raise ValueError("density matrix dimension mismatch")
-    val = complex(np.trace(pauli_matrix(obs) @ dm))
+    digits = (_DIGIT[((obs.x_bits >> q) & 1) << 1 | ((obs.z_bits >> q) & 1)] for q in range(obs.n))
+    val = obs.sign * complex(_contract(dm[None], [_PAULI_PAIRS[d : d + 1] for d in digits])[0, 0])
     if abs(val.imag) >= TOL:
         raise ValueError("expectation has a non-negligible imaginary part")
     return val.real
-
-
-# Row p, for p = I, X, Y, Z, holds P_p[b, a] at column 2a + b, so contracting
-# it with one qubit's (row a, column b) axes of a density matrix gives Tr(P_p rho).
-_PAULI_PAIRS = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
 
 
 def pauli_expectations(dms: np.ndarray) -> np.ndarray:
     """Tr(P dm) for each of a stack of k-qubit density matrices (B, 2^k, 2^k)
     and each of the 4^k Hermitian Paulis P with sign +1, as a real (B, 4^k)
     array.  The index of P is base four, I, X, Y, Z = 0..3, with qubit 0 the
-    most significant digit, as in checker.local_observable.  Each qubit is one
-    contraction with _PAULI_PAIRS; the imaginary parts must vanish within
-    tolerance."""
-    n_dms, dim = dms.shape[:2]
-    k = dim.bit_length() - 1
-    pairs = dms.reshape((n_dms,) + (2,) * (2 * k))
-    pairs = pairs.transpose(0, *(ax for j in range(1, k + 1) for ax in (j, k + j))).reshape((n_dms,) + (4,) * k)
-    for _ in range(k):
-        # Each step contracts the first qubit left and appends its Pauli axis.
-        pairs = np.tensordot(pairs, _PAULI_PAIRS, axes=([1], [1]))
-    values = pairs.reshape(n_dms, 4 ** k)
+    most significant digit, as in checker.local_observable.  The imaginary
+    parts must vanish within tolerance."""
+    values = _contract(dms, [_PAULI_PAIRS] * (dms.shape[1].bit_length() - 1))
     if np.abs(values.imag).max() >= TOL:
         raise ValueError("expectation has a non-negligible imaginary part")
     return values.real
@@ -209,9 +202,5 @@ def pauli_expectations(dms: np.ndarray) -> np.ndarray:
 
 def pauli_expect_state(state: np.ndarray, obs: PauliString) -> float:
     """<state|obs|state> for a pure state."""
-    if not obs.is_hermitian:
-        raise ValueError("observable must be Hermitian")
-    val = complex(np.vdot(state, pauli_matrix(obs) @ state))
-    if abs(val.imag) >= TOL:
-        raise ValueError("expectation has a non-negligible imaginary part")
-    return val.real
+    state = np.asarray(state)
+    return pauli_expect_dense(np.outer(state, state.conj()), obs)

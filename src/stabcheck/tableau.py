@@ -31,6 +31,9 @@ GATE_NAMES = ("H", "P", "X", "Y", "Z", "CNOT")
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
 _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
+# Pauli digit (I, X, Y, Z = 0..3) of one qubit's bits (x << 1) | z.  The
+# digits of a product of Paulis are the XOR of the factors' digits.
+_DIGIT = (0, 3, 1, 2)
 
 
 @dataclass(frozen=True)

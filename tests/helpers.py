@@ -4,6 +4,7 @@ and the dense oracle."""
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass
@@ -911,8 +912,9 @@ def reference_choi(ast: ProtocolAST, budget: int | None) -> tuple[int, int, int,
 # The reference dense oracle: the walk of one input at a time, from an
 # explicit stack of normalized branches, and the table built from one
 # density matrix and one Pauli matrix per entry.  It keeps its own copies of
-# the gate kernels and of the partial trace it was written with.
-# fingerprint_dense and run_protocol_dense must agree with it within 1e-12.
+# the gate kernels, of the partial trace and of the Kronecker-built Pauli
+# matrices it was written with.  fingerprint_dense and run_protocol_dense
+# must agree with it within 1e-12.
 
 
 def _reference_gate_dense(state: np.ndarray, n: int, gate: str, *qubits: int) -> np.ndarray:
@@ -934,6 +936,33 @@ def _reference_density(branches: list[tuple[float, np.ndarray]], n: int, keep: l
     if abs(total - 1.0) > dense.TOL:
         raise ValueError(f"branch probabilities sum to {total}, not 1")
     return acc
+
+
+# Bounded, and large enough for every Pauli on up to three qubits.
+@functools.lru_cache(maxsize=256)
+def _reference_pauli_matrix(obs: PauliString) -> np.ndarray:
+    """Dense matrix of a PauliString (qubit 0 is the first kron factor)."""
+    mat = np.array([[1]], dtype=complex)
+    for q in range(obs.n):
+        factor = np.eye(2, dtype=complex)
+        if (obs.x_bits >> q) & 1:
+            factor = factor @ dense._GATE_1Q["X"]
+        if (obs.z_bits >> q) & 1:
+            factor = factor @ dense._GATE_1Q["Z"]
+        mat = np.kron(mat, factor)
+    return (1j ** obs.phase_exp) * mat
+
+
+def reference_pauli_expect(dm: np.ndarray, obs: PauliString) -> float:
+    """trace(obs . dm) through obs's dense matrix."""
+    if not obs.is_hermitian:
+        raise ValueError("observable must be Hermitian")
+    if dm.shape != (1 << obs.n, 1 << obs.n):
+        raise ValueError("density matrix dimension mismatch")
+    val = complex(np.trace(_reference_pauli_matrix(obs) @ dm))
+    if abs(val.imag) >= dense.TOL:
+        raise ValueError("expectation has a non-negligible imaginary part")
+    return val.real
 
 
 def reference_run_dense(program: Program, input_state: np.ndarray) -> list[tuple[float, np.ndarray]]:
@@ -1000,5 +1029,5 @@ def reference_fingerprint_dense(program: Program) -> np.ndarray:
         branches = reference_run_dense(program, reference_basis_state(circ))
         rho = _reference_density(branches, program.n_wires, list(program.outputs))
         for q in range(4 ** n_out):
-            table[k, q] = dense.pauli_expect_dense(rho, local_observable(n_out, q))
+            table[k, q] = reference_pauli_expect(rho, local_observable(n_out, q))
     return table

@@ -1,6 +1,7 @@
 """Dense oracle: trace replay, branch mixing, Pauli expectations."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from stabcheck import PauliString, density_from_branches, pauli_expect_dense, ru
 from stabcheck.checker import local_observable
 from stabcheck.dense import _GATE_1Q, ZeroProbabilityError, apply_gate_dense, pauli_expectations, reduced_density
 
-from helpers import enumerate_circuit_branches, random_circuit
+from helpers import enumerate_circuit_branches, hermitian_paulis, random_circuit
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -162,6 +163,20 @@ class TestPauliExpectDense:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             pauli_expect_dense(np.eye(4, dtype=complex) / 4, PauliString.from_label("+X"))
+
+    def test_keeps_no_matrices(self):
+        # Whatever one call leaves behind adds up over all 256 Paulis at k = 4.
+        dm = np.eye(16, dtype=complex) / 16
+        observables = hermitian_paulis(4)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for obs in observables:
+                pauli_expect_dense(dm, obs)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 64 * 1024
 
 
 class TestPauliExpectations:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from stabcheck import (
+    PauliString,
     builtin_identity,
     check_equivalence,
     enumerate_basis,
@@ -22,7 +23,7 @@ from stabcheck import (
 from stabcheck import checker
 from stabcheck.basis import basis_index
 from stabcheck.cli import corpus_path
-from stabcheck.dense import TOL
+from stabcheck.dense import TOL, pauli_expect_dense, pauli_expect_state, pauli_expectations
 
 from stabcheck.protocol import GateStmt, IfGateStmt
 
@@ -34,6 +35,7 @@ from helpers import (
     reference_counterexample,
     reference_fingerprint,
     reference_fingerprint_dense,
+    reference_pauli_expect,
     reference_run_dense,
     reference_run_protocol,
     teleport_source,
@@ -554,3 +556,31 @@ def test_chunked_tables_are_unchanged(monkeypatch, ast, limit, chunks):
     monkeypatch.setattr(checker, "_run_dense", counted)
     assert np.max(np.abs(fingerprint_dense(ast) - whole)) < 1e-12
     assert sizes == chunks
+
+
+# ---------------------------------------------------------------------------
+# The dense Pauli kernel against the reference's Kronecker-built matrices.
+
+
+def test_pauli_expectations_match_reference():
+    # Every Pauli on k = 1..3 qubits with either sign, so -Y and -XZ among
+    # them, on random Hermitian matrices and random pure states.
+    rng = np.random.default_rng(1616)
+    for k in (1, 2, 3):
+        dim = 1 << k
+        raw = rng.normal(size=(4, dim, dim)) + 1j * rng.normal(size=(4, dim, dim))
+        dms = raw + raw.conj().transpose(0, 2, 1)
+        states = rng.normal(size=(4, dim)) + 1j * rng.normal(size=(4, dim))
+        table = pauli_expectations(dms)
+        for q in range(4 ** k):
+            plus = checker.local_observable(k, q)
+            minus = PauliString(k, plus.x_bits, plus.z_bits, plus.phase_exp + 2)
+            assert minus.sign == -1
+            for dm, row in zip(dms, table):
+                assert abs(row[q] - reference_pauli_expect(dm, plus)) < 1e-12
+                for obs in (plus, minus):
+                    assert abs(pauli_expect_dense(dm, obs) - reference_pauli_expect(dm, obs)) < 1e-12
+            for state in states:
+                rho = np.outer(state, state.conj())
+                for obs in (plus, minus):
+                    assert abs(pauli_expect_state(state, obs) - reference_pauli_expect(rho, obs)) < 1e-12
