@@ -497,10 +497,15 @@ def _choi(program: Program, budget: int | None, states: list[tuple[int, list]]) 
     choi: dict[int, dict[int, int]] = {}
     for weight, rows in states:
         n = len(rows) >> 1
-        for x, z, sign in _group(_supported(rows[n:], n, wires)):
+        generators = _supported(rows[n:], n, wires)
+        # An element's output index is the XOR of its generators' (_DIGIT).
+        indices = [0]
+        for x, z, _ in generators:
             index = 0
             for w, shift in shifts:
                 index |= _DIGIT[((x >> w) & 1) << 1 | ((z >> w) & 1)] << shift
+            indices += [i ^ index for i in indices]
+        for (x, z, sign), index in zip(_group(generators), indices):
             ax, az = x >> base, z >> base
             coeffs = choi.setdefault(ax << n_in | az, {})
             coeffs[index] = coeffs.get(index, 0) + (-sign if (ax & az).bit_count() & 1 else sign) * weight
@@ -545,12 +550,6 @@ def fingerprint(ast: ProtocolAST, budget: int | None = DEFAULT_BUDGET) -> Supero
     return _table(_choi(program, budget, _deferred(program)))
 
 
-def _scaled(channel, denominator: int) -> dict[tuple[int, int], int]:
-    _, _, d, choi = channel
-    scale = denominator // d
-    return {(a, q): c * scale for a, coeffs in choi.items() for q, c in coeffs.items() if c}
-
-
 def check_equivalence(
     lhs: ProtocolAST,
     rhs: ProtocolAST,
@@ -560,12 +559,13 @@ def check_equivalence(
 
     When each side has one _deferred state, the sides are equivalent
     exactly when the _reduced forms of those states are equal, which needs
-    no budget.  Otherwise they are equivalent exactly when their nonzero
-    Choi coefficients agree once both are put over the larger denominator
-    (both are powers of two).  No table is built for an equivalent pair.  Otherwise the rows of both
-    tables are built a pair at a time, and the counterexample is the first
-    entry, in table order, where they differ; past the budget, that raises
-    BudgetExceededError saying that the sides differ.
+    no budget.  Otherwise they are equivalent exactly when their Choi
+    coefficients agree once both are put over the larger denominator (both
+    are powers of two), and no table is built.  For a pair that differs,
+    the rows of the difference of the two tables are summed from the
+    coefficients' differences alone (_compared), and the counterexample is
+    the first entry, in table order, where the tables differ; past the
+    budget, that raises BudgetExceededError saying that the sides differ.
     """
     if lhs.n_in != rhs.n_in or lhs.n_out != rhs.n_out:
         raise ArityMismatchError(
@@ -595,20 +595,49 @@ def _verdict(lhs: Program, rhs: Program, budget: int | None) -> Verdict:
 
 
 def _compared(ch_l: tuple, ch_r: tuple, decider: str) -> Verdict:
-    """The verdict on two channels as _choi returns them: equivalent when
-    their nonzero coefficients agree over the larger denominator, else the
-    first entry, in table order, where their tables differ."""
-    d_l, d_r = ch_l[2], ch_r[2]
-    denominator = max(d_l, d_r)
-    if _scaled(ch_l, denominator) == _scaled(ch_r, denominator):
+    """The verdict on two channels as _choi returns them.
+
+    Both sides' coefficients are put over the larger denominator and only
+    their nonzero differences are kept, as diff[A][q]: none means
+    equivalent.  Otherwise a row of the difference of the tables sums diff
+    over the basis input's group, as _rows sums choi, and the counterexample
+    is its first nonzero entry in table order, with each side's value summed
+    from its own coefficients at that entry alone.  An input's group holds
+    Paulis with X-part 0 or the OR of its generators' X-parts.  The diag
+    inputs come first, and they read every X-part-0 difference through an
+    invertible transform, so a later row is reached only when no difference
+    has X-part 0, and one whose X-part no difference has is skipped.
+    """
+    n_in, n_out, d_l, choi_l = ch_l
+    d_r, choi_r = ch_r[2], ch_r[3]
+    s_l, s_r = max(d_l, d_r) // d_l, max(d_l, d_r) // d_r
+    diff: dict[int, dict[int, int]] = {}
+    for a in choi_l.keys() | choi_r.keys():
+        left, right = choi_l.get(a, {}), choi_r.get(a, {})
+        row = {q: c for q in left.keys() | right.keys() if (c := left.get(q, 0) * s_l - right.get(q, 0) * s_r)}
+        if row:
+            diff[a] = row
+    if not diff:
         return Verdict(True, None, lambda: (ch_l, ch_r), decider)
-    s_l, s_r = denominator // d_l, denominator // d_r
-    for k, (row_l, row_r) in enumerate(zip(_rows(ch_l), _rows(ch_r))):
-        for q, (a, b) in enumerate(zip(row_l, row_r)):
-            if a * s_l != b * s_r:
-                element = basis_element(ch_l[0], k)
-                ce = Counterexample(element, local_observable(ch_l[1], q), Fraction(a, d_l), Fraction(b, d_r))
-                return Verdict(False, ce, lambda: (ch_l, ch_r), decider)
+    x_parts = {a >> n_in for a in diff}
+    for k, gens in enumerate(_input_generators(n_in)):
+        x_part = 0
+        for x, _, _ in gens:
+            x_part |= x
+        if x_part not in x_parts:
+            continue
+        group = [(x << n_in | z, sign) for x, z, sign in _group(gens)]
+        sums: dict[int, int] = {}
+        for a, sign in group:
+            for q, c in diff.get(a, {}).items():
+                sums[q] = sums.get(q, 0) + sign * c
+        differing = [q for q, c in sums.items() if c]
+        if differing:
+            q = min(differing)
+            value_l, value_r = (sum(sign * choi.get(a, {}).get(q, 0) for a, sign in group) for choi in (choi_l, choi_r))
+            element = basis_element(n_in, k)
+            ce = Counterexample(element, local_observable(n_out, q), Fraction(value_l, d_l), Fraction(value_r, d_r))
+            return Verdict(False, ce, lambda: (ch_l, ch_r), decider)
     raise AssertionError("Choi states differ but no table entry does")
 
 

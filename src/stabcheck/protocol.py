@@ -48,6 +48,8 @@ _GATE_LINE_RE = re.compile(rf"[ \t]*({'|'.join(GATE_NAMES)})[ \t]+({_NAME})[ \t]
 
 # SourceSpan, Ident and GateStmt are built per name or statement, so __init__
 # fills __dict__ directly, not by the frozen one's object.__setattr__ per field.
+# The parser gives an Ident or GateStmt a compact (line, col) position for its
+# span; _CompactSpan.span turns it into the SourceSpan when it is first read.
 @dataclass(frozen=True, init=False)
 class SourceSpan:
     line: int
@@ -79,12 +81,30 @@ class ParseError(Exception):
         self.diagnostic = Diagnostic("error", message, span)
 
 
+class _CompactSpan:
+    """The span property of a node whose span may be stored as a (line, col)
+    position: its SourceSpan is as wide as the node's text, the field that
+    _TEXT names.  A SourceSpan stored as such is returned as it is."""
+
+    _TEXT: str
+
+    @property
+    def span(self) -> SourceSpan:
+        d = self.__dict__
+        span = d["span"]
+        if type(span) is tuple:
+            line, col = span
+            span = d["span"] = SourceSpan(line, col, col + len(d[self._TEXT]))
+        return span
+
+
 @dataclass(frozen=True, init=False)
-class Ident:
+class Ident(_CompactSpan):
     name: str
     span: SourceSpan = field(compare=False)
+    _TEXT = "name"
 
-    def __init__(self, name: str, span: SourceSpan) -> None:
+    def __init__(self, name: str, span: SourceSpan | tuple[int, int]) -> None:
         d = self.__dict__
         d["name"], d["span"] = name, span
 
@@ -103,12 +123,13 @@ class CbitDecl:
 
 
 @dataclass(frozen=True, init=False)
-class GateStmt:
+class GateStmt(_CompactSpan):
     gate: str
     args: tuple[Ident, ...]
     span: SourceSpan = field(compare=False)
+    _TEXT = "gate"
 
-    def __init__(self, gate: str, args: tuple[Ident, ...], span: SourceSpan) -> None:
+    def __init__(self, gate: str, args: tuple[Ident, ...], span: SourceSpan | tuple[int, int]) -> None:
         d = self.__dict__
         d["gate"], d["args"], d["span"] = gate, args, span
 
@@ -172,12 +193,10 @@ def _tokenize(source: str) -> list[_Token]:
             gate, first, second = gate_line.groups()
             if first not in KEYWORDS and second not in KEYWORDS:
                 col = gate_line.start(1) + 1
-                start = gate_line.start(2) + 1
-                args = (Ident(first, SourceSpan(lineno, start, start + len(first))),)
+                args = (Ident(first, (lineno, gate_line.start(2) + 1)),)
                 if second is not None:
-                    start = gate_line.start(3) + 1
-                    args += (Ident(second, SourceSpan(lineno, start, start + len(second))),)
-                append(("name", gate, lineno, col, GateStmt(gate, args, SourceSpan(lineno, col, col + len(gate)))))
+                    args += (Ident(second, (lineno, gate_line.start(3) + 1)),)
+                append(("name", gate, lineno, col, GateStmt(gate, args, (lineno, col))))
                 continue
         for match in _TOKEN_RE.finditer(line):
             kind = match.lastgroup
@@ -208,7 +227,7 @@ def _ident(tok: _Token, what: str) -> Ident:
     if kind != "name" or text in KEYWORDS:
         _expect(tok, "name", what=what)
         raise ParseError(f"{text!r} is a reserved word", _span(tok))
-    return Ident(text, SourceSpan(line, col, col + len(text)))
+    return Ident(text, (line, col))
 
 
 def parse(source: str) -> ProtocolAST:
@@ -339,25 +358,28 @@ def validate(ast: ProtocolAST) -> list[Diagnostic]:
     if not ast.outputs:
         error("empty output set", ast.span)
 
-    def check_gate_args(gate: str, args: tuple[Ident, ...], span: SourceSpan) -> None:
+    # Spans are read only for a diagnostic: most are parsed positions, each
+    # decoded when first read.
+    def check_gate_args(stmt: GateStmt | IfGateStmt) -> None:
+        gate, args = stmt.gate, stmt.args
         if gate not in GATE_NAMES:
-            error(f"{gate!r} is not a Clifford gate", span)
+            error(f"{gate!r} is not a Clifford gate", stmt.span)
             return
         expected = 2 if gate == "CNOT" else 1
         if len(args) != expected:
-            error(f"{gate} takes {expected} qubit argument(s), got {len(args)}", span)
+            error(f"{gate} takes {expected} qubit argument(s), got {len(args)}", stmt.span)
         for arg in args:
             if arg.name not in qubit_names:
                 error(f"{arg.name!r} is not a declared qubit", arg.span)
         if gate == "CNOT" and len(args) == 2 and args[0].name == args[1].name:
-            error("CNOT control and target must differ", span)
+            error("CNOT control and target must differ", stmt.span)
 
     written: dict[str, int] = {}
     measured: set[str] = set()
     read: set[str] = set()
     for stmt in ast.body:
         if isinstance(stmt, GateStmt):
-            check_gate_args(stmt.gate, stmt.args, stmt.span)
+            check_gate_args(stmt)
         elif isinstance(stmt, MeasureStmt):
             if stmt.qubit.name not in qubit_names:
                 error(f"{stmt.qubit.name!r} is not a declared qubit", stmt.qubit.span)
@@ -377,7 +399,7 @@ def validate(ast: ProtocolAST) -> list[Diagnostic]:
             elif stmt.cbit.name not in written:
                 error(f"classical bit {stmt.cbit.name!r} is read before it is written", stmt.cbit.span)
             read.add(stmt.cbit.name)
-            check_gate_args(stmt.gate, stmt.args, stmt.span)
+            check_gate_args(stmt)
 
     for cb in ast.cbits:
         if cb.name not in written:

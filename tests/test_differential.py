@@ -166,11 +166,39 @@ def test_discarded_measured_wires_are_reset():
     assert [op[3] for op in program.ops if op[0] == "m"] == [True, True]
 
 
+def assert_first_difference(verdict):
+    """The counterexample is the first entry, in table order, where the
+    verdict's own tables differ."""
+    ce = verdict.counterexample
+    want = reference_counterexample(*verdict.fingerprints)
+    assert (ce.basis_element, ce.observable, ce.value_lhs, ce.value_rhs) == want
+
+
 @pytest.mark.parametrize("drop", ["X0", "X1", "X2", "Z0", "Z1", "Z2"])
 def test_dropping_a_correction_from_teleport_3_is_refuted(drop):
     verdict = check_equivalence(parse(teleport_source(3, drop)), builtin_identity(3))
     assert not verdict.equivalent
     assert verdict.counterexample.value_lhs != verdict.counterexample.value_rhs
+    assert_first_difference(verdict)
+
+
+def test_deleting_a_first_phase_gate_is_refuted_on_a_superposition():
+    # Z or P as a wire's first gate only rephases a basis state, so the two
+    # circuits' tables agree on every diag row and differ on plus/iplus rows.
+    rng = random.Random(1717)
+    wires = ["a", "b", "c"]
+    decls = " ".join(f"qubit {w}: input;" for w in wires)
+    for i in range(12):
+        body = []
+        for _ in range(rng.randint(5, 40)):
+            gate = rng.choice(("H", "P", "X", "Y", "Z", "CNOT"))
+            body.append(f"{gate} {', '.join(rng.sample(wires, 2) if gate == 'CNOT' else [rng.choice(wires)])};")
+        deleted = f"{rng.choice(('Z', 'P'))} {rng.choice(wires)};"
+        lhs, rhs = (parse(f"protocol c{i} {{ {decls} {' '.join(gates)} output a, b, c; }}") for gates in ([deleted, *body], body))
+        verdict = check_equivalence(lhs, rhs)
+        assert not verdict.equivalent
+        assert verdict.counterexample.basis_element.kind != "diag"
+        assert_first_difference(verdict)
 
 
 @pytest.mark.parametrize("drop", [None, "X3", "Z0"])

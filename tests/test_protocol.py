@@ -393,6 +393,15 @@ _HOT_NODES = [
         {"gate": "X"},
         f"GateStmt(gate='H', args=(Ident(name='a', span={_SPAN_REPR}),), span={_SPAN_REPR})",
     ),
+    # Parsed from a gate line, so its spans are compact positions, not yet read.
+    (
+        parse("protocol p {\n  qubit a: input;\n  qubit b: input;\n  CNOT a, b;\n  output a, b;\n}\n").body[0],
+        ("gate", "args", "span"),
+        {"gate": "X"},
+        "GateStmt(gate='CNOT', args=(Ident(name='a', span=SourceSpan(line=4, col_start=8, col_end=9)), "
+        "Ident(name='b', span=SourceSpan(line=4, col_start=11, col_end=12))), "
+        "span=SourceSpan(line=4, col_start=3, col_end=7))",
+    ),
 ]
 
 
@@ -403,6 +412,8 @@ class TestHotNodes:
     @pytest.mark.parametrize("node, names, change, text", _HOT_NODES)
     def test_dataclass_contract(self, node, names, change, text):
         cls = type(node)
+        # Copied before anything reads a span, which may still be a compact position.
+        copies = (pickle.loads(pickle.dumps(node)), deepcopy(node))
         assert tuple(f.name for f in dataclasses.fields(cls)) == names
         assert tuple(inspect.signature(cls).parameters) == names
         assert cls(**{name: getattr(node, name) for name in names}) == node
@@ -417,7 +428,7 @@ class TestHotNodes:
         assert changed != node and all(getattr(changed, k) == v for k, v in change.items())
         assert _with_spans(dataclasses.replace(node)) == _with_spans(node)
         assert repr(node) == text
-        for copy in (pickle.loads(pickle.dumps(node)), deepcopy(node)):
+        for copy in copies:
             assert type(copy) is cls and copy == node and hash(copy) == hash(node)
             assert _with_spans(copy) == _with_spans(node)
 
@@ -438,10 +449,16 @@ def test_front_end_matches_reference_parser():
     bases += [random_protocol_source(rng, shuffle=i % 2 == 1) for i in range(200)]
     bases += [pretty_print(parse(source)) for source in bases]
     corrupted = [_corrupt(rng, bases[i % len(bases)]) for i in range(3000)]
-    errors = 0
+    errors = invalid = 0
     for source in FIXED_LAYOUTS + bases + corrupted:
         want = _outcome(reference_parse, source)
         assert _outcome(parse, source) == want, repr(source)
         errors += want[0] == "ParseError"
+        if want[0] != "ParseError":
+            # Diagnostics compare their spans, which validate reads only for them.
+            diagnostics = validate(reference_parse(source))
+            assert validate(parse(source)) == diagnostics, repr(source)
+            invalid += bool(errors_of(diagnostics))
     # Both paths are exercised: most corruptions break the syntax, some do not.
     assert 1000 < errors < len(corrupted)
+    assert invalid > 50
