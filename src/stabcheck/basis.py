@@ -15,6 +15,7 @@ work here is exact: Fractions for scalars, ExactComplex for entries.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -214,12 +215,12 @@ def basis_element(n: int, index: int) -> BasisElement:
     npairs = dim * (dim - 1) // 2
     kind = "plus" if rank < npairs else "iplus"
     rank %= npairs
-    # Undo basis_index's pair rank: dim - 1 - x pairs start with x.
-    x = 0
-    while rank >= dim - 1 - x:
-        rank -= dim - 1 - x
-        x += 1
-    return BasisElement(n, kind, x, x + 1 + rank)
+    # Undo basis_index's pair rank: the pairs from x on number m(m+1)/2,
+    # m = dim - 1 - x, so x's m is the least with m(m+1)/2 >= npairs - rank.
+    m = (math.isqrt(8 * (npairs - rank) - 7) + 1) // 2
+    x = dim - 1 - m
+    # Past the pairs before x, the rank counts the y after x + 1.
+    return BasisElement(n, kind, x, x + 1 + rank - x * (2 * dim - x - 1) // 2)
 
 
 def element_matrix(e: BasisElement) -> list[list[ExactComplex]]:
@@ -304,27 +305,43 @@ def decompose_by_solve(matrix) -> list[Fraction]:
     m = coerce_matrix(matrix)
     _require_hermitian(m)
     dim = len(m)
-    n = dim.bit_length() - 1
-    columns = [hermitian_coords(element_matrix(c.element)) for c in enumerate_basis(n)]
-    rhs = hermitian_coords(m)
     size = dim * dim
-    aug = [[columns[k][r] for k in range(size)] + [rhs[r]] for r in range(size)]
-    return _solve_exact(aug, size)
+    # Column k of the system holds basis element k's coordinates.
+    columns = _basis_coords(dim.bit_length() - 1)
+    aug = [[*row, b] for row, b in zip(zip(*columns), hermitian_coords(m))]
+    if _eliminate(aug, size) < size:
+        raise ValueError("singular basis matrix")
+    return [row[size] for row in aug]
 
 
-def _solve_exact(aug: list[list[Fraction]], size: int) -> list[Fraction]:
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
+def _basis_coords(n: int) -> list[list[Fraction]]:
+    """The hermitian_coords of every basis element, in enumerate_basis order."""
+    return [hermitian_coords(element_matrix(c.element)) for c in enumerate_basis(n)]
+
+
+def _eliminate(rows: list[list], cols: int) -> int:
+    """Gauss-Jordan elimination over the rationals on the first cols columns
+    of rows, in place; returns the rank.
+
+    The pivot rows come first, in column order, each scaled to a leading 1
+    that is the only nonzero entry of its column; a square system of full
+    rank is thereby solved in the columns past cols.
+    """
+    rank = 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
-            raise ValueError("singular basis matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][size] for r in range(size)]
+            continue
+        inv = Fraction(1, rows[pivot][col])
+        top = [v * inv for v in rows[pivot]]
+        rows[pivot] = rows[rank]
+        rows[rank] = top
+        for r, row in enumerate(rows):
+            if r != rank and row[col]:
+                factor = row[col]
+                rows[r] = [a - factor * b for a, b in zip(row, top)]
+        rank += 1
+    return rank
 
 
 def recompose(coefficients, n: int) -> list[list[ExactComplex]]:
@@ -348,37 +365,7 @@ def span_rank(n: int) -> int:
     """Exact rank over the rationals of the 4^n basis-coordinate matrix."""
     if not 1 <= n <= 3:
         raise ValueError("span_rank supports n from 1 to 3")
-    circuits = enumerate_basis(n)
-    # Entries doubled so everything is an integer; scaling keeps the rank.
-    mat = []
-    for circ in circuits:
-        mat.append([int(2 * v) for v in hermitian_coords(element_matrix(circ.element))])
-    return _rank_fraction_free(mat)
-
-
-def _rank_fraction_free(mat: list[list[int]]) -> int:
-    """Bareiss elimination rank of an integer matrix."""
-    m = [row[:] for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    rank = 0
-    prev = 1
-    for col in range(cols):
-        pivot = next((r for r in range(rank, rows) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for r in range(rank + 1, rows):
-            for c in range(cols):
-                if c == col:
-                    continue
-                m[r][c] = (m[r][c] * m[rank][col] - m[r][col] * m[rank][c]) // prev
-            m[r][col] = 0
-        prev = m[rank][col]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return _eliminate(_basis_coords(n), 4 ** n)
 
 
 def count_stabilizer_states(n: int) -> int:

@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import TYPE_CHECKING
 
-from .basis import BASIS_ORDER_TAG, BasisCircuit, BasisElement, basis_element, enumerate_basis
+from .basis import BASIS_ORDER_TAG, BasisCircuit, BasisElement, basis_element, circuit_for
 from .protocol import GateStmt, IfGateStmt, ProtocolAST, errors_of, validate
 from .tableau import (
     PauliString,
@@ -70,8 +70,6 @@ DENSE_LIMIT = 2 ** 20
 # Deferred measurement composes one state per assignment of the bits that
 # control H, P or CNOT, at most this many.
 BRANCH_LIMIT = 2 ** 12
-
-_LETTERS = "IXYZ"
 
 
 class ArityMismatchError(ValueError):
@@ -444,17 +442,10 @@ def _run(program: Program, input_prep: BasisCircuit) -> list[BranchOutcome]:
 
 
 def local_observable(n_out: int, pauli_index: int) -> PauliString:
-    """The same Pauli expressed on the output wires alone."""
-    x = z = phase = 0
-    for j in range(n_out):
-        digit = (pauli_index // 4 ** (n_out - 1 - j)) % 4
-        letter = _LETTERS[digit]
-        xb = 1 if letter in ("X", "Y") else 0
-        zb = 1 if letter in ("Z", "Y") else 0
-        x |= xb << j
-        z |= zb << j
-        phase += xb & zb
-    return PauliString(n_out, x, z, phase % 4)
+    """Output Pauli number pauli_index on the output wires alone: its base-4
+    digits, first output most significant, are I, X, Y, Z = 0..3."""
+    letters = "".join("IXYZ"[pauli_index >> 2 * j & 3] for j in reversed(range(n_out)))
+    return PauliString.from_label(letters)
 
 
 def _group(generators) -> list[tuple[int, int, int]]:
@@ -467,11 +458,13 @@ def _group(generators) -> list[tuple[int, int, int]]:
 
 
 @cache
-def _input_generators(n_in: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Each basis input's stabilizer generators as (x, z, phase_exp), in
-    enumerate_basis order.  The cache lives as long as the process, so it
-    keeps n_in generators per input, not the 2^n_in-element groups."""
-    return tuple(tuple(_circuit(n_in, circ.gates)[n_in:]) for circ in enumerate_basis(n_in))
+def _input_generators(n_in: int, k: int) -> tuple[tuple[int, int, int], ...]:
+    """Basis input k's stabilizer generators as (x, z, phase_exp), k in
+    enumerate_basis order.  Each input is built when a row first reads it,
+    so a scan that stops at an early row builds only the inputs before it.
+    The cache lives as long as the process and holds one entry per input
+    built: n_in generators, not the 2^n_in-element group."""
+    return tuple(_circuit(n_in, circuit_for(basis_element(n_in, k)).gates)[n_in:])
 
 
 def _choi(program: Program, budget: int | None, states: list[tuple[int, list]]) -> tuple[int, int, int, dict[int, dict[int, int]]]:
@@ -524,9 +517,9 @@ def _rows(channel) -> Iterator[list[int]]:
     group, or 0, so the row sums choi over that group's 2^n_in elements.
     """
     n_in, n_out, _, choi = channel
-    for gens in _input_generators(n_in):
+    for k in range(4 ** n_in):
         sums = [0] * 4 ** n_out
-        for x, z, sign in _group(gens):
+        for x, z, sign in _group(_input_generators(n_in, k)):
             for q, c in choi.get(x << n_in | z, {}).items():
                 sums[q] += sign * c
         yield sums
@@ -620,7 +613,8 @@ def _compared(ch_l: tuple, ch_r: tuple, decider: str) -> Verdict:
     if not diff:
         return Verdict(True, None, lambda: (ch_l, ch_r), decider)
     x_parts = {a >> n_in for a in diff}
-    for k, gens in enumerate(_input_generators(n_in)):
+    for k in range(4 ** n_in):
+        gens = _input_generators(n_in, k)
         x_part = 0
         for x, _, _ in gens:
             x_part |= x

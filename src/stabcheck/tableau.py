@@ -177,25 +177,15 @@ class Tableau:
             for j in range(i + 1, n):
                 if not stabs[i].commutes(stabs[j]):
                     raise ValueError(f"stabilizer rows {i} and {j} anticommute")
+        # A dependent set leaves an all-identity row in its echelon form.  It
+        # breaks the pairing below too, so it is named first.
+        if any(not (x | z) for x, z, _ in _echelon(_triples(stabs), n)):
+            raise ValueError("stabilizer rows are GF(2) dependent")
         for i in range(n):
             for j in range(n):
                 anti = not self.rows[i].commutes(stabs[j])
                 if anti != (i == j):
                     raise ValueError(f"symplectic pairing broken at ({i}, {j})")
-        if _gf2_rank([(r.x_bits << n) | r.z_bits for r in stabs]) != n:
-            raise ValueError("stabilizer rows are GF(2) dependent")
-
-
-def _gf2_rank(vectors: list[int]) -> int:
-    rank = 0
-    pivots: list[int] = []
-    for v in vectors:
-        for p in pivots:
-            v = min(v, v ^ p)
-        if v:
-            pivots.append(v)
-            rank += 1
-    return rank
 
 
 def new_zero_state(n: int) -> Tableau:
@@ -438,8 +428,8 @@ def _supported(stabs: list, n: int, wires: int) -> list:
     off the wire mask wires.
 
     The rows are reduced by GF(2) elimination on the columns outside wires,
-    pivoting on each reduced row's highest bit as _gf2_rank does; the rows
-    left with no support there generate the subgroup, signs included.
+    each kept row pivoting on its highest bit there; the rows left with no
+    support there generate the subgroup, signs included.
     """
     off = ((1 << n) - 1) & ~wires
     pivots: list[tuple[int, tuple]] = []

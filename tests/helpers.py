@@ -730,8 +730,8 @@ def reference_supported_subgroup(t: Tableau, wires: int) -> list[PauliString]:
     """Generators of the stabilizer elements that act as I off a wire mask.
 
     The rows are reduced by GF(2) elimination on the columns outside wires,
-    pivoting on each reduced row's highest bit as _gf2_rank does; the rows
-    left with no support there generate the subgroup, signs included.  It
+    each kept row pivoting on its highest bit there; the rows left with no
+    support there generate the subgroup, signs included.  It
     has at most 2^popcount(wires) elements.
     """
     off = ((1 << t.n) - 1) & ~wires

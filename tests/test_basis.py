@@ -20,7 +20,7 @@ from stabcheck import (
     span_rank,
     sum_state_circuit,
 )
-from stabcheck.basis import ExactComplex, basis_element, basis_index, parse_element_spec, _rank_fraction_free
+from stabcheck.basis import ExactComplex, basis_element, basis_index, parse_element_spec, _eliminate
 from stabcheck.dense import run_dense
 
 from helpers import exact_to_numpy, random_rational_hermitian
@@ -217,7 +217,7 @@ class TestSpanRank:
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 6)
             mat = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-            got = _rank_fraction_free(mat)
+            got = _eliminate([row[:] for row in mat], cols)
             want = np.linalg.matrix_rank(np.array(mat, dtype=float))
             assert got == want
 

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +38,7 @@ from helpers import (
     cluster_wire_source,
     exact_to_numpy,
     h_controlled_cluster_wire_source,
+    output_observable,
     random_protocol_source,
     random_rational_hermitian,
     teleport_source,
@@ -255,6 +257,23 @@ class TestCheckEquivalence:
         with pytest.raises(ArityMismatchError):
             check_equivalence(builtin_identity(1), builtin_identity(2))
 
+    def test_a_first_row_difference_builds_only_the_inputs_it_reads(self):
+        # 8 inputs and one output, 4^9 entries: within the default budget,
+        # and the tables differ in row 0, so no other basis input is built.
+        decls = "".join(f"  qubit q{i}: input;\n" for i in range(8))
+        lhs = parse(f"protocol a {{\n{decls}  output q0;\n}}\n")
+        rhs = parse(f"protocol b {{\n{decls}  H q0;\n  output q0;\n}}\n")
+        checker._input_generators.cache_clear()
+        tracemalloc.start()
+        try:
+            verdict = check_equivalence(lhs, rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ce = verdict.counterexample
+        assert (ce.basis_element, str(ce.observable), ce.value_lhs, ce.value_rhs) == (BasisElement(8, "diag", 0), "+X", 0, 1)
+        assert peak < 5 * 2 ** 20
+
     def test_classical_control_limit(self, monkeypatch):
         # Deferred measurement composes one state per assignment of the
         # bits that control H, P or CNOT; past BRANCH_LIMIT it builds none.
@@ -448,3 +467,9 @@ class TestLocalObservable:
         assert str(local_observable(2, 3)) == "+IZ"
         assert str(local_observable(2, 4)) == "+XI"
         assert str(local_observable(2, 15)) == "+ZZ"
+
+    @pytest.mark.parametrize("n_out", [1, 2, 3])
+    def test_matches_the_reference_on_the_identity(self, n_out):
+        ast = builtin_identity(n_out)
+        for q in range(4 ** n_out):
+            assert local_observable(n_out, q) == output_observable(ast, q)

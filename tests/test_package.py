@@ -1,0 +1,75 @@
+"""The package's public surface: every exported name, and which load lazily."""
+
+import stabcheck
+
+# Frozen on purpose: a change that drops or renames a public name fails here.
+PUBLIC_NAMES = [
+    "BASIS_ORDER_TAG",
+    "ArityMismatchError",
+    "BasisCircuit",
+    "BasisElement",
+    "BranchOutcome",
+    "BudgetExceededError",
+    "Counterexample",
+    "Diagnostic",
+    "ExactComplex",
+    "MeasurementResolution",
+    "ParseError",
+    "PauliString",
+    "ProtocolAST",
+    "SourceSpan",
+    "SuperopFingerprint",
+    "Tableau",
+    "Verdict",
+    "ZeroProbabilityError",
+    "apply_gate",
+    "builtin_identity",
+    "canonical_form",
+    "check_equivalence",
+    "corpus_path",
+    "count_stabilizer_states",
+    "decompose",
+    "decompose_by_solve",
+    "density_from_branches",
+    "element_matrix",
+    "enumerate_basis",
+    "expectation",
+    "fingerprint",
+    "fingerprint_dense",
+    "ghz_circuit",
+    "hermitian_coords",
+    "main",
+    "measure_z",
+    "new_zero_state",
+    "parse",
+    "pauli_expect_dense",
+    "pretty_print",
+    "recompose",
+    "run_circuit",
+    "run_dense",
+    "run_protocol",
+    "run_protocol_dense",
+    "span_rank",
+    "sum_state_circuit",
+    "tensor",
+    "validate",
+]
+
+# The dense oracle's names, which need numpy and so are imported on first use.
+DENSE_NAMES = ["ZeroProbabilityError", "density_from_branches", "pauli_expect_dense", "run_dense"]
+
+
+def test_all_is_the_frozen_list():
+    assert stabcheck.__all__ == PUBLIC_NAMES
+
+
+def test_every_public_name_resolves_and_the_dense_ones_lazily():
+    assert [name for name in PUBLIC_NAMES if name not in vars(stabcheck)] == DENSE_NAMES
+    for name in PUBLIC_NAMES:
+        assert hasattr(stabcheck, name), name
+    from stabcheck import dense
+
+    for name in DENSE_NAMES:
+        assert getattr(stabcheck, name) is getattr(dense, name)
+        # Resolved through the module's __getattr__ each time, never cached.
+        assert name not in vars(stabcheck)

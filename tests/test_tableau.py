@@ -7,6 +7,7 @@ import pytest
 
 from stabcheck import (
     PauliString,
+    Tableau,
     apply_gate,
     canonical_form,
     expectation,
@@ -113,6 +114,36 @@ class TestApplyGate:
             ops = random_circuit(rng, n, 30, rng.randint(0, 2))
             for t, _, _ in enumerate_circuit_branches(new_zero_state(n), ops):
                 t.assert_valid()
+
+
+class TestAssertValid:
+    @staticmethod
+    def tableau(destabilizers, stabilizers):
+        rows = [PauliString.from_label(r) if isinstance(r, str) else r for r in destabilizers + stabilizers]
+        return Tableau(len(stabilizers), rows, [])
+
+    def test_a_valid_tableau_passes(self):
+        self.tableau(["+XI", "+IX"], ["+ZI", "-IZ"]).assert_valid()
+
+    @pytest.mark.parametrize(
+        "destabilizers, stabilizers, message",
+        [
+            (["+XI"], ["+ZI", "+IZ"], "must hold 2n rows"),
+            (["+XI", "+IX"], ["+ZI", "+IZI"], "row width mismatch"),
+            (["+XI", "+IX"], ["+ZI", PauliString(2, 0, 0b10, 1)], "not a signed Hermitian Pauli"),
+            (["+ZI", "+IX"], ["+XI", "+ZZ"], "stabilizer rows 0 and 1 anticommute"),
+            # Commuting pairwise, each set is GF(2) dependent: a repeated
+            # row, a row equal to -1 times another, and a product of two.
+            (["+XI", "+IX"], ["+ZI", "+ZI"], "GF\\(2\\) dependent"),
+            (["+XI", "+IX"], ["+ZZ", "-ZZ"], "GF\\(2\\) dependent"),
+            (["+XII", "+IXI", "+IIX"], ["+ZII", "+IZI", "-ZZI"], "GF\\(2\\) dependent"),
+            (["+IX", "+XI"], ["+ZI", "+IZ"], "symplectic pairing broken at \\(0, 0\\)"),
+            (["+XI", "+XX"], ["+ZI", "+IZ"], "symplectic pairing broken at \\(1, 0\\)"),
+        ],
+    )
+    def test_each_broken_invariant_is_rejected(self, destabilizers, stabilizers, message):
+        with pytest.raises(ValueError, match=message):
+            self.tableau(destabilizers, stabilizers).assert_valid()
 
 
 class TestRunCircuit:
