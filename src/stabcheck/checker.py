@@ -40,7 +40,7 @@ from functools import cache, partial
 from typing import TYPE_CHECKING
 
 from .basis import BASIS_ORDER_TAG, BasisCircuit, BasisElement, basis_element, circuit_for
-from .protocol import GateStmt, IfGateStmt, ProtocolAST, errors_of, validate
+from .protocol import GateStmt, IfGateStmt, ProtocolAST, _stored_body, errors_of, validate
 from .tableau import (
     PauliString,
     Tableau,
@@ -200,32 +200,36 @@ def _lower(ast: ProtocolAST) -> Program:
     used_wires = set(outputs)
     ops: list[tuple] = []
     run = None
-    for stmt in reversed(ast.body):
-        if isinstance(stmt, GateStmt):
+    for stmt in reversed(_stored_body(ast)):
+        if type(stmt) is tuple:  # a compact gate line
+            gate, first, second = stmt[0], stmt[3], stmt[5]
+        elif isinstance(stmt, GateStmt):
             args = stmt.args
-            q = wire[args[0].name]
-            used_wires.add(q)
-            if len(args) == 1:
-                gate = (stmt.gate, q)
-            else:
-                t = wire[args[1].name]
-                used_wires.add(t)
-                gate = (stmt.gate, q, t)
-            if run is None:
-                run = []
-                ops.append(("u", run))
-            run.append(gate)
-            continue
-        run = None
-        c = bit[stmt.cbit.name]
-        if isinstance(stmt, IfGateStmt):
-            wires = tuple(wire[a.name] for a in stmt.args)
-            ops.append(("if", c, stmt.gate, wires))
-            used_wires.update(wires)
+            gate, first, second = stmt.gate, args[0].name, args[1].name if len(args) == 2 else None
         else:
-            q = wire[stmt.qubit.name]
-            ops.append(("m", q, c, q not in used_wires))
-            used_wires.add(q)
+            run = None
+            c = bit[stmt.cbit.name]
+            if isinstance(stmt, IfGateStmt):
+                wires = tuple(wire[a.name] for a in stmt.args)
+                ops.append(("if", c, stmt.gate, wires))
+                used_wires.update(wires)
+            else:
+                q = wire[stmt.qubit.name]
+                ops.append(("m", q, c, q not in used_wires))
+                used_wires.add(q)
+            continue
+        q = wire[first]
+        used_wires.add(q)
+        if second is None:
+            op = (gate, q)
+        else:
+            t = wire[second]
+            used_wires.add(t)
+            op = (gate, q, t)
+        if run is None:
+            run = []
+            ops.append(("u", run))
+        run.append(op)
     return Program(
         n_wires=len(wire),
         inputs=tuple(wire[name] for name in ast.input_names),

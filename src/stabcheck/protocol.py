@@ -25,7 +25,10 @@ controlled single corrections, and finally names its output wires:
 keeps every expressible protocol inside the efficiently checkable fragment.
 
 Each line is lexed by one regex, except that a line holding one gate statement
-where a statement may start is matched whole, to one token and its GateStmt.
+where a statement may start is matched whole, to one token.  That line stays a
+compact tuple in the parsed body until ProtocolAST.body is first read, which
+builds its GateStmt; validate and the checker's lowering read the compact form,
+so a parse-check-lower path builds no node for it.
 """
 
 from __future__ import annotations
@@ -46,10 +49,10 @@ _TOKEN_RE = re.compile(r"#.*|(?P<arrow>->)|(?P<punct>[{}:;,])|(?P<name>" + _NAME
 _GATE_LINE_RE = re.compile(rf"[ \t]*({'|'.join(GATE_NAMES)})[ \t]+({_NAME})[ \t]*(?:,[ \t]*({_NAME})[ \t]*)?;[ \t]*(?:#.*)?")
 
 
-# SourceSpan, Ident and GateStmt are built per name or statement, so __init__
-# fills __dict__ directly, not by the frozen one's object.__setattr__ per field.
-# The parser gives an Ident or GateStmt a compact (line, col) position for its
-# span; _CompactSpan.span turns it into the SourceSpan when it is first read.
+# SourceSpan and Ident are built per name, so __init__ fills __dict__ directly,
+# not by the frozen one's object.__setattr__ per field.  The parser gives an
+# Ident a compact (line, col) position for its span; _CompactSpan.span turns it
+# into the SourceSpan when it is first read.
 @dataclass(frozen=True, init=False)
 class SourceSpan:
     line: int
@@ -82,11 +85,9 @@ class ParseError(Exception):
 
 
 class _CompactSpan:
-    """The span property of a node whose span may be stored as a (line, col)
-    position: its SourceSpan is as wide as the node's text, the field that
-    _TEXT names.  A SourceSpan stored as such is returned as it is."""
-
-    _TEXT: str
+    """The span property of Ident, whose span may be stored as a (line, col)
+    position: its SourceSpan is as wide as the name.  A SourceSpan stored as
+    such is returned as it is."""
 
     @property
     def span(self) -> SourceSpan:
@@ -94,7 +95,7 @@ class _CompactSpan:
         span = d["span"]
         if type(span) is tuple:
             line, col = span
-            span = d["span"] = SourceSpan(line, col, col + len(d[self._TEXT]))
+            span = d["span"] = SourceSpan(line, col, col + len(d["name"]))
         return span
 
 
@@ -102,7 +103,6 @@ class _CompactSpan:
 class Ident(_CompactSpan):
     name: str
     span: SourceSpan = field(compare=False)
-    _TEXT = "name"
 
     def __init__(self, name: str, span: SourceSpan | tuple[int, int]) -> None:
         d = self.__dict__
@@ -122,16 +122,11 @@ class CbitDecl:
     span: SourceSpan = field(compare=False)
 
 
-@dataclass(frozen=True, init=False)
-class GateStmt(_CompactSpan):
+@dataclass(frozen=True)
+class GateStmt:
     gate: str
     args: tuple[Ident, ...]
     span: SourceSpan = field(compare=False)
-    _TEXT = "gate"
-
-    def __init__(self, gate: str, args: tuple[Ident, ...], span: SourceSpan | tuple[int, int]) -> None:
-        d = self.__dict__
-        d["gate"], d["args"], d["span"] = gate, args, span
 
 
 @dataclass(frozen=True)
@@ -152,12 +147,49 @@ class IfGateStmt:
 Statement = GateStmt | MeasureStmt | IfGateStmt
 
 
+class _CompactBody(tuple):
+    """A parsed body: each whole gate line is still a compact statement
+    (gate, line, col, first, col1, second, col2), second None and col2 0 for
+    a one-argument gate; every other statement is its node."""
+
+
+def _node(stmt: Statement | tuple) -> Statement:
+    """The GateStmt of a compact statement, with the spans parse gives it;
+    any node as it is."""
+    if type(stmt) is not tuple:
+        return stmt
+    gate, line, col, first, col1, second, col2 = stmt
+    args = (Ident(first, (line, col1)),)
+    if second is not None:
+        args += (Ident(second, (line, col2)),)
+    return GateStmt(gate, args, SourceSpan(line, col, col + len(gate)))
+
+
+class _LazyBody:
+    """The body property of ProtocolAST: a compact body becomes its tuple of
+    statements when first read.  A body of any other type is returned as it
+    is, so a caller gets back what it passed."""
+
+    @property
+    def body(self) -> tuple[Statement, ...]:
+        d = self.__dict__
+        body = d["body"]
+        if type(body) is _CompactBody:
+            body = d["body"] = tuple(map(_node, body))
+        return body
+
+    @body.setter
+    def body(self, body: tuple[Statement, ...]) -> None:
+        # Reached only by the frozen dataclass's __init__, through object.__setattr__.
+        self.__dict__["body"] = body
+
+
 @dataclass(frozen=True)
-class ProtocolAST:
+class ProtocolAST(_LazyBody):
     name: str
     qubits: tuple[QubitDecl, ...]
     cbits: tuple[CbitDecl, ...]
-    body: tuple[Statement, ...]
+    body: tuple[Statement, ...] = field()  # so _LazyBody's property is not its default
     outputs: tuple[Ident, ...]
     span: SourceSpan = field(compare=False)
 
@@ -176,8 +208,8 @@ class ProtocolAST:
 
 # A token is a plain (kind, text, line, col) tuple; kind is "name", "punct",
 # "arrow" or, for the last token only, "eof".  A whole gate line becomes one
-# 5-tuple: its gate-name token plus the GateStmt the line parses to.
-_Token = tuple[str, str, int, int] | tuple[str, str, int, int, GateStmt]
+# 5-tuple: its gate-name token plus the compact statement of the line.
+_Token = tuple[str, str, int, int] | tuple[str, str, int, int, tuple]
 
 
 def _tokenize(source: str) -> list[_Token]:
@@ -192,11 +224,9 @@ def _tokenize(source: str) -> list[_Token]:
         if gate_line and (not tokens or tokens[-1][1] in (";", "{") or len(tokens[-1]) == 5):
             gate, first, second = gate_line.groups()
             if first not in KEYWORDS and second not in KEYWORDS:
-                col = gate_line.start(1) + 1
-                args = (Ident(first, (lineno, gate_line.start(2) + 1)),)
-                if second is not None:
-                    args += (Ident(second, (lineno, gate_line.start(3) + 1)),)
-                append(("name", gate, lineno, col, GateStmt(gate, args, (lineno, col))))
+                start = gate_line.start  # -1 for an absent second argument
+                col = start(1) + 1
+                append(("name", gate, lineno, col, (gate, lineno, col, first, start(2) + 1, second, start(3) + 1)))
                 continue
         for match in _TOKEN_RE.finditer(line):
             kind = match.lastgroup
@@ -265,7 +295,7 @@ def parse(source: str) -> ProtocolAST:
         _expect(tokens[i + 2], "punct", ";")
         i += 3
 
-    body: list[Statement] = []
+    body: list[Statement | tuple] = []
     while True:
         tok = tokens[i]
         text = tok[1]
@@ -330,10 +360,16 @@ def parse(source: str) -> ProtocolAST:
         name=name_tok[1],
         qubits=tuple(qubits),
         cbits=tuple(cbits),
-        body=tuple(body),
+        body=_CompactBody(body),
         outputs=tuple(outputs),
         span=_span(name_tok),
     )
+
+
+def _stored_body(ast: ProtocolAST) -> tuple[Statement | tuple, ...]:
+    """The body as stored, without building it: a parsed body's whole gate
+    lines are still the compact tuples that _CompactBody describes."""
+    return ast.__dict__["body"]
 
 
 def validate(ast: ProtocolAST) -> list[Diagnostic]:
@@ -377,7 +413,14 @@ def validate(ast: ProtocolAST) -> list[Diagnostic]:
     written: dict[str, int] = {}
     measured: set[str] = set()
     read: set[str] = set()
-    for stmt in ast.body:
+    for stmt in _stored_body(ast):
+        if type(stmt) is tuple:
+            # A compact gate line that is clean needs no node; any other is
+            # built, so its diagnostics are those of its GateStmt.
+            gate, _, _, first, _, second, _ = stmt
+            if first in qubit_names and (second in qubit_names and second != first if gate == "CNOT" else second is None):
+                continue
+            stmt = _node(stmt)
         if isinstance(stmt, GateStmt):
             check_gate_args(stmt)
         elif isinstance(stmt, MeasureStmt):

@@ -186,6 +186,10 @@ class Tableau:
                 anti = not self.rows[i].commutes(stabs[j])
                 if anti != (i == j):
                     raise ValueError(f"symplectic pairing broken at ({i}, {j})")
+        for i in range(n):
+            for j in range(i + 1, n):
+                if not self.rows[i].commutes(self.rows[j]):
+                    raise ValueError(f"destabilizer rows {i} and {j} anticommute")
 
 
 def new_zero_state(n: int) -> Tableau:

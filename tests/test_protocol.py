@@ -8,14 +8,19 @@ from copy import deepcopy
 
 import pytest
 
-from stabcheck import ParseError, builtin_identity, parse, pretty_print, validate
+from stabcheck import ParseError, builtin_identity, check_equivalence, cli, parse, pretty_print, validate
+from stabcheck.checker import lower
 from stabcheck.cli import corpus_path
 from stabcheck.protocol import (
     GateStmt,
     Ident,
     IfGateStmt,
     MeasureStmt,
+    ProtocolAST,
     SourceSpan,
+    _CompactBody,
+    _node,
+    _stored_body,
     _tokenize,
     errors_of,
 )
@@ -359,7 +364,7 @@ def test_front_end_matches_reference_parser_on_two_edits():
 
 class TestGateLineToken:
     """A line holding one gate statement, where a statement may start, is
-    lexed to one token carrying its GateStmt."""
+    lexed to one token carrying its compact statement."""
 
     def test_a_pretty_printed_gate_line_is_one_token(self):
         for ast in (parse(teleport_source(3)), parse(_circuit_source(random.Random(5), "c"))):
@@ -369,7 +374,9 @@ class TestGateLineToken:
             gate_lines = [line for line in per_line if line[0][1] in ("H", "P", "X", "Y", "Z", "CNOT")]
             assert len(gate_lines) == sum(isinstance(stmt, GateStmt) for stmt in ast.body) > 0
             assert all(len(line) == 1 and len(line[0]) == 5 for line in gate_lines)
-            assert tuple(line[0][4] for line in gate_lines) == tuple(s for s in ast.body if isinstance(s, GateStmt))
+            # Each payload, once built, is the GateStmt of the body, spans included.
+            payloads = tuple(_with_spans(_node(line[0][4])) for line in gate_lines)
+            assert payloads == tuple(_with_spans(s) for s in parse(source).body if isinstance(s, GateStmt))
             # Every other line is lexed token by token.
             assert all(len(tok) == 4 for line in per_line if line not in gate_lines for tok in line)
 
@@ -393,7 +400,7 @@ _HOT_NODES = [
         {"gate": "X"},
         f"GateStmt(gate='H', args=(Ident(name='a', span={_SPAN_REPR}),), span={_SPAN_REPR})",
     ),
-    # Parsed from a gate line, so its spans are compact positions, not yet read.
+    # Parsed from a gate line, so its argument spans are compact positions, not yet read.
     (
         parse("protocol p {\n  qubit a: input;\n  qubit b: input;\n  CNOT a, b;\n  output a, b;\n}\n").body[0],
         ("gate", "args", "span"),
@@ -406,8 +413,8 @@ _HOT_NODES = [
 
 
 class TestHotNodes:
-    """SourceSpan, Ident and GateStmt keep every dataclass behaviour under
-    their hand-written __init__."""
+    """SourceSpan and Ident keep every dataclass behaviour under their
+    hand-written __init__, and GateStmt as built from a compact statement."""
 
     @pytest.mark.parametrize("node, names, change, text", _HOT_NODES)
     def test_dataclass_contract(self, node, names, change, text):
@@ -456,9 +463,88 @@ def test_front_end_matches_reference_parser():
         errors += want[0] == "ParseError"
         if want[0] != "ParseError":
             # Diagnostics compare their spans, which validate reads only for them.
+            # validate reads a compact body as it is stored, and a read one node by node.
             diagnostics = validate(reference_parse(source))
             assert validate(parse(source)) == diagnostics, repr(source)
+            read = parse(source)
+            read.body
+            assert validate(read) == diagnostics, repr(source)
             invalid += bool(errors_of(diagnostics))
     # Both paths are exercised: most corruptions break the syntax, some do not.
     assert 1000 < errors < len(corrupted)
     assert invalid > 50
+
+
+def _unread(ast: ProtocolAST) -> bool:
+    return type(_stored_body(ast)) is _CompactBody
+
+
+class TestLazyBody:
+    """A parsed body keeps its gate lines compact until ast.body is read;
+    an AST whose body was never read behaves as one whose body was."""
+
+    SOURCES = [load(name) for name in CORPUS] + [teleport_source(3), _circuit_source(random.Random(9), "c")]
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_equal_and_hash_as_the_reference_parse(self, source):
+        want = reference_parse(source)
+        ast = parse(source)
+        assert _unread(ast) and ast == want and not _unread(ast)
+        ast = parse(source)
+        assert hash(ast) == hash(want) and not _unread(ast)
+        assert _with_spans(ast) == _with_spans(want)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_copies_replace_and_repr_match_the_read_ast(self, source):
+        ast, read = parse(source), parse(source)
+        read.body
+        copies = [pickle.loads(pickle.dumps(ast, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies.append(deepcopy(ast))
+        assert _unread(ast) and all(map(_unread, copies))
+        for copy in copies:
+            assert type(copy) is ProtocolAST and copy == read and hash(copy) == hash(read)
+            assert _with_spans(copy) == _with_spans(read)
+        replaced = dataclasses.replace(parse(source))
+        assert _with_spans(replaced) == _with_spans(read)
+        assert repr(parse(source)) == repr(read)
+
+    def test_a_given_body_comes_back_as_given(self):
+        ast = parse(load("teleport.qpr"))
+        for body in (tuple(ast.body), list(ast.body), (), []):
+            given = ProtocolAST(ast.name, ast.qubits, ast.cbits, body, ast.outputs, ast.span)
+            assert given.body is body
+            assert dataclasses.replace(ast, body=body).body is body
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                given.body = ast.body
+            assert given.body is body
+
+    def test_lowering_a_compact_body_matches_lowering_the_read_one(self):
+        rng = random.Random(31)
+        sources = self.SOURCES + [random_protocol_source(rng, shuffle=i % 2 == 1) for i in range(100)]
+        for source in sources:
+            ast, read = parse(source), parse(source)
+            read.body
+            assert lower(ast) == lower(read) and _unread(ast), source
+
+
+def test_a_check_builds_no_gate_node(monkeypatch, tmp_path, capsys):
+    """Parse, check and lower read each gate line in its compact form."""
+    built = []
+    init = GateStmt.__init__
+    monkeypatch.setattr(GateStmt, "__init__", lambda self, *args, **kwargs: built.append(args) or init(self, *args, **kwargs))
+    rng = random.Random(19)
+    a, b = _circuit_source(rng, "a"), _circuit_source(rng, "b")
+    built.clear()
+    for lhs, rhs in ((a, a), (a, b)):
+        asts = parse(lhs), parse(rhs)
+        check_equivalence(*asts)
+        lower(asts[0])
+        assert all(map(_unread, asts))
+    paths = [tmp_path / "a.qpr", tmp_path / "b.qpr"]
+    for path, source in zip(paths, (a, b)):
+        path.write_text(source, encoding="utf-8")
+    assert cli.main(["check", "--json", *map(str, paths)]) == 1
+    capsys.readouterr()
+    assert built == []
+    # The counter sees a read body build its nodes.
+    assert len(parse(a).body) == len(built) > 100

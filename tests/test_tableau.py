@@ -132,6 +132,8 @@ class TestAssertValid:
             (["+XI", "+IX"], ["+ZI", "+IZI"], "row width mismatch"),
             (["+XI", "+IX"], ["+ZI", PauliString(2, 0, 0b10, 1)], "not a signed Hermitian Pauli"),
             (["+ZI", "+IX"], ["+XI", "+ZZ"], "stabilizer rows 0 and 1 anticommute"),
+            # Paired with the stabilizers, but XI and ZX anticommute.
+            (["+XI", "+ZX"], ["+ZI", "+IZ"], "destabilizer rows 0 and 1 anticommute"),
             # Commuting pairwise, each set is GF(2) dependent: a repeated
             # row, a row equal to -1 times another, and a product of two.
             (["+XI", "+IX"], ["+ZI", "+ZI"], "GF\\(2\\) dependent"),
