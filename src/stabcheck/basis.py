@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .tableau import Tableau, canonical_form, new_zero_state, apply_gate, run_circuit
+from .tableau import Tableau, _circuit, _echelon, _gated, run_circuit
 
 BASIS_ORDER_TAG = "diag,plus,iplus:lex:trace1"
 
@@ -375,18 +375,17 @@ def count_stabilizer_states(n: int) -> int:
     moves: list[tuple] = [("H", q) for q in range(n)]
     moves += [("P", q) for q in range(n)]
     moves += [("CNOT", c, t) for c in range(n) for t in range(n) if c != t]
-    start = new_zero_state(n)
-    seen = {canonical_form(start)}
-    frontier = [start]
+    # States are their stabilizer rows, keyed by their _echelon form.
+    frontier = [_circuit(n, ())[n:]]
+    seen = {_echelon(frontier[0], n)}
     while frontier:
         nxt = []
-        for state in frontier:
+        for rows in frontier:
             for move in moves:
-                succ = apply_gate(state.copy(), move[0], *move[1:])
-                key = canonical_form(succ)
+                succ = _gated(rows, move)
+                key = _echelon(succ, n)
                 if key not in seen:
                     seen.add(key)
-                    succ.trace.clear()
                     nxt.append(succ)
         frontier = nxt
     return len(seen)

@@ -46,6 +46,7 @@ from .tableau import (
     Tableau,
     _DIGIT,
     _boxed,
+    _check_gate,
     _circuit,
     _collapsed,
     _composed,
@@ -53,9 +54,7 @@ from .tableau import (
     _gated,
     _images,
     _supported,
-    _triples,
     _z_pivot,
-    run_circuit,
 )
 
 if TYPE_CHECKING:
@@ -241,27 +240,28 @@ def _lower(ast: ProtocolAST) -> Program:
 
 
 def _prep_gates(program: Program, input_prep: BasisCircuit) -> list[tuple]:
-    """input_prep's gates moved onto the program's input wires."""
-    if input_prep.element.n != len(program.inputs):
-        raise ValueError(
-            f"input preparation is for {input_prep.element.n} qubit(s), protocol takes {len(program.inputs)}"
-        )
+    """input_prep's gates, each checked as run_circuit checks it on the
+    inputs, moved onto the program's input wires."""
+    n_in = len(program.inputs)
+    if input_prep.element.n != n_in:
+        raise ValueError(f"input preparation is for {input_prep.element.n} qubit(s), protocol takes {n_in}")
+    for g in input_prep.gates:
+        _check_gate(n_in, g)
     return [(g[0], *(program.inputs[q] for q in g[1:])) for g in input_prep.gates]
 
 
-def _walk(program: Program, input_prep: BasisCircuit) -> list[tuple[int, list, tuple, dict]]:
+def _walk(program: Program, prep: list[tuple]) -> list[tuple[int, list, tuple, dict]]:
     """Branches as (weight, rows, outcomes, bits), weight over program.denominator.
 
-    rows is the branch's state as engine rows, from input_prep on the
-    inputs.  Each gate run is composed once per walk, into the images that
+    rows is the branch's state as engine rows, from prep, the _prep_gates of
+    the input.  Each gate run is composed once per walk, into the images that
     _composed maps every branch through.  The walk is breadth first and
     expands outcome 0 before 1, which lists the branches in depth-first
     order.  More than BRANCH_LIMIT branches raise BranchLimitError before
     they are built.
     """
     n = program.n_wires
-    # run_circuit checks the gates, which come from outside the program.
-    rows = _triples(run_circuit(n, _prep_gates(program, input_prep)).rows)
+    rows = _circuit(n, prep)
     live = [(program.denominator, rows, (), {})]
     for op in program.ops:
         if op[0] == "u":
@@ -432,7 +432,6 @@ def run_protocol(ast: ProtocolAST, input_prep: BasisCircuit) -> list[BranchOutco
 
 
 def _run(program: Program, input_prep: BasisCircuit) -> list[BranchOutcome]:
-    branches = _walk(program, input_prep)
     n, prep = program.n_wires, _prep_gates(program, input_prep)
     return [
         BranchOutcome(
@@ -441,7 +440,7 @@ def _run(program: Program, input_prep: BasisCircuit) -> list[BranchOutcome]:
             outcomes,
             {program.cbits[c]: b for c, b in bits.items()},
         )
-        for weight, rows, outcomes, bits in branches
+        for weight, rows, outcomes, bits in _walk(program, prep)
     ]
 
 
@@ -471,30 +470,35 @@ def _input_generators(n_in: int, k: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(_circuit(n_in, circuit_for(basis_element(n_in, k)).gates)[n_in:])
 
 
-def _choi(program: Program, budget: int | None, states: list[tuple[int, list]]) -> tuple[int, int, int, dict[int, dict[int, int]]]:
+def _forms(program: Program) -> list[tuple[int, tuple]]:
+    """The program's _deferred states as (weight, _reduced form)."""
+    return [(weight, _reduced(program, rows)) for weight, rows in _deferred(program)]
+
+
+def _choi(program: Program, budget: int | None, forms: list[tuple[int, tuple]]) -> tuple[int, int, int, dict[int, dict[int, int]]]:
     """The channel's Choi state J as (n_in, n_out, denominator, choi), from
-    the program's _deferred states.
+    the program's _forms.
 
     Reference wire j starts in a Bell pair with input j.  choi[A][q] times
     denominator is (-1)^#Y(A) Tr((A x P_q) J), for A a Pauli on the
     references keyed as its x bits over its z bits, and P_q output Pauli
     number q.  Tr((A x P) J) adds, over the states, weight x the sign of
     +-(A x P) in the state's stabilizer group, where it lies in the
-    subgroup supported on outputs and references, and 0 elsewhere; the
-    denominator is the sum of the weights.
+    subgroup supported on outputs and references, whose generators the
+    _reduced form holds, and 0 elsewhere; the denominator is the sum of
+    the weights.
     """
     n_in, n_out = len(program.inputs), len(program.outputs)
     work = 4 ** n_in * 4 ** n_out
     if budget is not None and work > budget:
         raise BudgetExceededError(work, budget)
 
-    base = program.n_wires  # reference wire j is base + j
-    wires = sum(1 << w for w in program.outputs) | ((1 << n_in) - 1) << base
-    shifts = [(w, 2 * (n_out - 1 - j)) for j, w in enumerate(program.outputs)]
+    # A form's wire n_in + j is output j, and its wires below n_in the references.
+    mask = (1 << n_in) - 1
+    shifts = [(n_in + j, 2 * (n_out - 1 - j)) for j in range(n_out)]
     choi: dict[int, dict[int, int]] = {}
-    for weight, rows in states:
-        n = len(rows) >> 1
-        generators = _supported(rows[n:], n, wires)
+    for weight, form in forms:
+        generators = [g for g in form if g[0] | g[1]]  # without the padding
         # An element's output index is the XOR of its generators' (_DIGIT).
         indices = [0]
         for x, z, _ in generators:
@@ -503,10 +507,10 @@ def _choi(program: Program, budget: int | None, states: list[tuple[int, list]]) 
                 index |= _DIGIT[((x >> w) & 1) << 1 | ((z >> w) & 1)] << shift
             indices += [i ^ index for i in indices]
         for (x, z, sign), index in zip(_group(generators), indices):
-            ax, az = x >> base, z >> base
+            ax, az = x & mask, z & mask
             coeffs = choi.setdefault(ax << n_in | az, {})
             coeffs[index] = coeffs.get(index, 0) + (-sign if (ax & az).bit_count() & 1 else sign) * weight
-    return n_in, n_out, sum(weight for weight, _ in states), choi
+    return n_in, n_out, sum(weight for weight, _ in forms), choi
 
 
 def _rows(channel) -> Iterator[list[int]]:
@@ -540,11 +544,11 @@ def _table(channel) -> SuperopFingerprint:
 def fingerprint(ast: ProtocolAST, budget: int | None = DEFAULT_BUDGET) -> SuperopFingerprint:
     """Exact table of output-Pauli expectations for every basis input.
 
-    The rows come from the protocol's Choi state (_choi) on its _deferred
-    states; no basis input is run on its own.
+    The rows come from the protocol's Choi state (_choi) on its _forms; no
+    basis input is run on its own.
     """
     program = lower(ast)
-    return _table(_choi(program, budget, _deferred(program)))
+    return _table(_choi(program, budget, _forms(program)))
 
 
 def check_equivalence(
@@ -578,12 +582,12 @@ DEFERRED = "deferred measurement"
 def _verdict(lhs: Program, rhs: Program, budget: int | None) -> Verdict:
     reason = _assignments(lhs) or _assignments(rhs)
     decider = DEFERRED if reason is None else f"{DEFERRED} over {reason}"
-    states = _deferred(lhs), _deferred(rhs)
-    single = len(states[0]) == len(states[1]) == 1
-    if single and _reduced(lhs, states[0][0][1]) == _reduced(rhs, states[1][0][1]):
-        return Verdict(True, None, lambda: (_choi(lhs, budget, states[0]), _choi(rhs, budget, states[1])), decider)
+    forms = _forms(lhs), _forms(rhs)
+    single = len(forms[0]) == len(forms[1]) == 1
+    if single and forms[0][0][1] == forms[1][0][1]:
+        return Verdict(True, None, lambda: (_choi(lhs, budget, forms[0]), _choi(rhs, budget, forms[1])), decider)
     try:
-        channels = _choi(lhs, budget, states[0]), _choi(rhs, budget, states[1])
+        channels = _choi(lhs, budget, forms[0]), _choi(rhs, budget, forms[1])
     except BudgetExceededError as exc:
         if not single:
             raise

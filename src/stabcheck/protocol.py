@@ -49,10 +49,9 @@ _TOKEN_RE = re.compile(r"#.*|(?P<arrow>->)|(?P<punct>[{}:;,])|(?P<name>" + _NAME
 _GATE_LINE_RE = re.compile(rf"[ \t]*({'|'.join(GATE_NAMES)})[ \t]+({_NAME})[ \t]*(?:,[ \t]*({_NAME})[ \t]*)?;[ \t]*(?:#.*)?")
 
 
-# SourceSpan and Ident are built per name, so __init__ fills __dict__ directly,
-# not by the frozen one's object.__setattr__ per field.  The parser gives an
-# Ident a compact (line, col) position for its span; _CompactSpan.span turns it
-# into the SourceSpan when it is first read.
+# A SourceSpan is built for each name parsed outside a gate line, so its
+# __init__ fills __dict__ directly, not by the frozen one's
+# object.__setattr__ per field.
 @dataclass(frozen=True, init=False)
 class SourceSpan:
     line: int
@@ -84,29 +83,10 @@ class ParseError(Exception):
         self.diagnostic = Diagnostic("error", message, span)
 
 
-class _CompactSpan:
-    """The span property of Ident, whose span may be stored as a (line, col)
-    position: its SourceSpan is as wide as the name.  A SourceSpan stored as
-    such is returned as it is."""
-
-    @property
-    def span(self) -> SourceSpan:
-        d = self.__dict__
-        span = d["span"]
-        if type(span) is tuple:
-            line, col = span
-            span = d["span"] = SourceSpan(line, col, col + len(d["name"]))
-        return span
-
-
-@dataclass(frozen=True, init=False)
-class Ident(_CompactSpan):
+@dataclass(frozen=True)
+class Ident:
     name: str
     span: SourceSpan = field(compare=False)
-
-    def __init__(self, name: str, span: SourceSpan | tuple[int, int]) -> None:
-        d = self.__dict__
-        d["name"], d["span"] = name, span
 
 
 @dataclass(frozen=True)
@@ -159,9 +139,9 @@ def _node(stmt: Statement | tuple) -> Statement:
     if type(stmt) is not tuple:
         return stmt
     gate, line, col, first, col1, second, col2 = stmt
-    args = (Ident(first, (line, col1)),)
+    args = (Ident(first, SourceSpan(line, col1, col1 + len(first))),)
     if second is not None:
-        args += (Ident(second, (line, col2)),)
+        args += (Ident(second, SourceSpan(line, col2, col2 + len(second))),)
     return GateStmt(gate, args, SourceSpan(line, col, col + len(gate)))
 
 
@@ -251,13 +231,16 @@ def _expect(tok: _Token, kind: str, text: str | None = None, what: str | None = 
         raise ParseError(f"expected {what or repr(text)}, found {tok[1] or 'end of input'!r}", _span(tok))
 
 
-def _ident(tok: _Token, what: str) -> Ident:
-    """A fresh name: any name but a keyword; what names it in the error."""
-    kind, text, line, col = tok
-    if kind != "name" or text in KEYWORDS:
+def _name(tok: _Token, what: str) -> str:
+    """A fresh name's text: any name but a keyword; what names it in the error."""
+    if tok[0] != "name" or tok[1] in KEYWORDS:
         _expect(tok, "name", what=what)
-        raise ParseError(f"{text!r} is a reserved word", _span(tok))
-    return Ident(text, (line, col))
+        raise ParseError(f"{tok[1]!r} is a reserved word", _span(tok))
+    return tok[1]
+
+
+def _ident(tok: _Token, what: str) -> Ident:
+    return Ident(_name(tok, what), _span(tok))
 
 
 def parse(source: str) -> ProtocolAST:
@@ -278,20 +261,21 @@ def parse(source: str) -> ProtocolAST:
     qubits: list[QubitDecl] = []
     cbits: list[CbitDecl] = []
     while tokens[i][1] in ("qubit", "cbit"):
-        ident = _ident(tokens[i + 1], "a declaration name")
-        if ident.name in declared:
-            raise ParseError(f"duplicate declaration of {ident.name!r}", ident.span)
-        declared.add(ident.name)
+        decl = tokens[i + 1]
+        name = _name(decl, "a declaration name")
+        if name in declared:
+            raise ParseError(f"duplicate declaration of {name!r}", _span(decl))
+        declared.add(name)
         if tokens[i][1] == "qubit":
             _expect(tokens[i + 2], "punct", ":")
             init = tokens[i + 3]
             _expect(init, "name", what="'input' or 'zero'")
             if init[1] not in ("input", "zero"):
                 raise ParseError("qubit initializer must be 'input' or 'zero'", _span(init))
-            qubits.append(QubitDecl(ident.name, init[1], ident.span))
+            qubits.append(QubitDecl(name, init[1], _span(decl)))
             i += 2
         else:
-            cbits.append(CbitDecl(ident.name, ident.span))
+            cbits.append(CbitDecl(name, _span(decl)))
         _expect(tokens[i + 2], "punct", ";")
         i += 3
 
@@ -394,8 +378,15 @@ def validate(ast: ProtocolAST) -> list[Diagnostic]:
     if not ast.outputs:
         error("empty output set", ast.span)
 
-    # Spans are read only for a diagnostic: most are parsed positions, each
-    # decoded when first read.
+    # parse rejects these, but a caller may build the declarations.
+    declared: set[str] = set()
+    for decl in (*ast.qubits, *ast.cbits):
+        if decl.name in declared:
+            error(f"duplicate declaration of {decl.name!r}", decl.span)
+        declared.add(decl.name)
+        if isinstance(decl, QubitDecl) and decl.init not in ("input", "zero"):
+            error("qubit initializer must be 'input' or 'zero'", decl.span)
+
     def check_gate_args(stmt: GateStmt | IfGateStmt) -> None:
         gate, args = stmt.gate, stmt.args
         if gate not in GATE_NAMES:

@@ -25,7 +25,7 @@ from stabcheck import (
     run_circuit,
     run_protocol_dense,
 )
-from stabcheck.basis import BasisElement, circuit_for, element_matrix
+from stabcheck.basis import BasisCircuit, BasisElement, circuit_for, element_matrix
 from stabcheck import checker
 from stabcheck.checker import local_observable, lower
 from stabcheck.cli import corpus_path
@@ -158,6 +158,15 @@ class TestRunProtocol:
         ast = parse("protocol p { qubit a: input; if m then X a; output a; }")
         with pytest.raises(ValueError):
             run_protocol(ast, diag(1, 0))
+
+    def test_checks_prep_gates_on_the_inputs_before_moving_them(self):
+        # -1 would name the last input wire, and 5 no wire, once moved.
+        for gates in ((("X", -1),), (("X", 5),)):
+            with pytest.raises(ValueError) as want:
+                run_circuit(2, gates)
+            with pytest.raises(ValueError) as got:
+                run_protocol(builtin_identity(2), BasisCircuit(BasisElement(2, "diag", 0), gates))
+            assert str(got.value) == str(want.value)
 
     def test_branch_limit(self, monkeypatch):
         monkeypatch.setattr(checker, "BRANCH_LIMIT", 8)

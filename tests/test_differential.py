@@ -66,10 +66,10 @@ def assert_dense_agrees(ast, fp):
 
 def coefficient_verdict(lhs, rhs):
     """The verdict of the Choi coefficients alone: both sides' _choi on
-    their _deferred states, compared as check_equivalence compares more
-    than one state, never by _reduced forms."""
+    their _forms, compared as check_equivalence compares more than one
+    state, never by comparing the _reduced forms themselves."""
     programs = checker.lower(lhs), checker.lower(rhs)
-    channels = [checker._choi(program, None, checker._deferred(program)) for program in programs]
+    channels = [checker._choi(program, None, checker._forms(program)) for program in programs]
     return checker._compared(*channels, "coefficients")
 
 
@@ -478,7 +478,7 @@ def test_walk_matches_reference_walk():
     for source in _walk_sources():
         ast = parse(source)
         program = checker.lower(ast)
-        got = checker._choi(program, None, checker._deferred(program))
+        got = checker._choi(program, None, checker._forms(program))
         assert choi_fractions(got) == choi_fractions(reference_choi(ast, None)), source
         if ast.n_in > 2:
             continue
@@ -502,7 +502,7 @@ def test_classical_controls_match_reference():
     for i, source in enumerate(sources):
         ast = parse(source)
         program = checker.lower(ast)
-        got = checker._choi(program, None, checker._deferred(program))
+        got = checker._choi(program, None, checker._forms(program))
         assert choi_fractions(got) == choi_fractions(reference_choi(ast, None)), source
         reference = reference_fingerprint(ast)
         table = fingerprint(ast)

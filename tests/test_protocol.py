@@ -12,11 +12,14 @@ from stabcheck import ParseError, builtin_identity, check_equivalence, cli, pars
 from stabcheck.checker import lower
 from stabcheck.cli import corpus_path
 from stabcheck.protocol import (
+    CbitDecl,
+    Diagnostic,
     GateStmt,
     Ident,
     IfGateStmt,
     MeasureStmt,
     ProtocolAST,
+    QubitDecl,
     SourceSpan,
     _CompactBody,
     _node,
@@ -161,6 +164,23 @@ class TestValidate:
         diags = validate(ast)
         assert errors_of(diags) == []
         assert any(d.severity == "warning" and "never read" in d.message for d in diags)
+
+    def test_caller_built_declarations_are_checked(self):
+        # parse rejects each of these; an AST built by a caller reaches validate.
+        ast = parse("protocol p { qubit a: input; qubit b: zero; H b; output a; }")
+        a, b = ast.qubits
+        span = SourceSpan(9, 1, 2)
+        for qubits, cbits, message in (
+            ((a, b, QubitDecl("a", "zero", span)), (), "duplicate declaration of 'a'"),
+            ((a, b), (CbitDecl("b", span),), "duplicate declaration of 'b'"),
+            ((a, QubitDecl("b", "one", span)), (), "qubit initializer must be 'input' or 'zero'"),
+        ):
+            built = dataclasses.replace(ast, qubits=qubits, cbits=cbits)
+            assert Diagnostic("error", message, span) in validate(built)
+            with pytest.raises(ValueError, match=message):
+                lower(built)
+            with pytest.raises(ValueError, match=message):
+                check_equivalence(built, builtin_identity(1))
 
     def test_remeasure_warns(self):
         ast = parse(
@@ -400,7 +420,7 @@ _HOT_NODES = [
         {"gate": "X"},
         f"GateStmt(gate='H', args=(Ident(name='a', span={_SPAN_REPR}),), span={_SPAN_REPR})",
     ),
-    # Parsed from a gate line, so its argument spans are compact positions, not yet read.
+    # Built from a compact gate line when the body is read.
     (
         parse("protocol p {\n  qubit a: input;\n  qubit b: input;\n  CNOT a, b;\n  output a, b;\n}\n").body[0],
         ("gate", "args", "span"),
@@ -413,13 +433,13 @@ _HOT_NODES = [
 
 
 class TestHotNodes:
-    """SourceSpan and Ident keep every dataclass behaviour under their
-    hand-written __init__, and GateStmt as built from a compact statement."""
+    """SourceSpan keeps every dataclass behaviour under its hand-written
+    __init__, and GateStmt and its Idents as built from a compact statement."""
 
     @pytest.mark.parametrize("node, names, change, text", _HOT_NODES)
     def test_dataclass_contract(self, node, names, change, text):
         cls = type(node)
-        # Copied before anything reads a span, which may still be a compact position.
+        # Copied before the checks below read the node.
         copies = (pickle.loads(pickle.dumps(node)), deepcopy(node))
         assert tuple(f.name for f in dataclasses.fields(cls)) == names
         assert tuple(inspect.signature(cls).parameters) == names
@@ -548,3 +568,27 @@ def test_a_check_builds_no_gate_node(monkeypatch, tmp_path, capsys):
     assert built == []
     # The counter sees a read body build its nodes.
     assert len(parse(a).body) == len(built) > 100
+
+
+def test_a_parse_builds_an_ident_per_name_outside_gate_lines(monkeypatch):
+    """Declarations build no Ident; each measure, if and output name builds one."""
+    built = []
+    init = Ident.__init__
+    monkeypatch.setattr(Ident, "__init__", lambda self, *args, **kwargs: init(self, *args, **kwargs) or built.append(self.name))
+    parse(load("teleport.qpr"))
+    assert built == ["psi", "m0", "a", "m1", "m1", "b", "m0", "b", "b"]
+    for source in (teleport_source(3), _circuit_source(random.Random(23), "c")):
+        built.clear()
+        ast = parse(source)
+        names = [name for stmt in _stored_body(ast) if type(stmt) is not tuple for name in _names(stmt)]
+        assert built == names + [o.name for o in ast.outputs]
+    # The counter sees a read body build the Idents of its gate lines.
+    built.clear()
+    gates = [stmt for stmt in ast.body if isinstance(stmt, GateStmt)]
+    assert len(built) == sum(len(stmt.args) for stmt in gates) > 100
+
+
+def _names(stmt):
+    if isinstance(stmt, MeasureStmt):
+        return [stmt.qubit.name, stmt.cbit.name]
+    return [stmt.cbit.name, *(arg.name for arg in stmt.args)]
