@@ -138,8 +138,8 @@ class Counterexample:
 class Verdict:
     equivalent: bool
     counterexample: Counterexample | None = None
-    # Returns the (lhs, rhs) channels, as _choi returns them, of the states
-    # that were compared.
+    # Returns the (lhs, rhs) channels, as _choi returns them (flat maps from
+    # a Pauli's key to its coefficient), of the states that were compared.
     _channels: Callable[[], tuple] | None = field(default=None, compare=False, repr=False)
     # DEFERRED, or DEFERRED + " over 2^k assignments: bit c controls G" for
     # the k bits that control H, P or CNOT, whose values _deferred enumerates.
@@ -475,42 +475,45 @@ def _forms(program: Program) -> list[tuple[int, tuple]]:
     return [(weight, _reduced(program, rows)) for weight, rows in _deferred(program)]
 
 
-def _choi(program: Program, budget: int | None, forms: list[tuple[int, tuple]]) -> tuple[int, int, int, dict[int, dict[int, int]]]:
-    """The channel's Choi state J as (n_in, n_out, denominator, choi), from
-    the program's _forms.
+def _choi(program: Program, budget: int | None, forms: list[tuple[int, tuple]]) -> tuple[int, int, int, dict[int, int]]:
+    """The channel's Choi state J as (n_in, n_out, denominator, choi), from the program's _forms.
 
-    Reference wire j starts in a Bell pair with input j.  choi[A][q] times
-    denominator is (-1)^#Y(A) Tr((A x P_q) J), for A a Pauli on the
-    references keyed as its x bits over its z bits, and P_q output Pauli
-    number q.  Tr((A x P) J) adds, over the states, weight x the sign of
-    +-(A x P) in the state's stabilizer group, where it lies in the
-    subgroup supported on outputs and references, whose generators the
-    _reduced form holds, and 0 elsewhere; the denominator is the sum of
-    the weights.
+    Reference wire j starts in a Bell pair with input j.  choi[A x P] times
+    denominator is Tr((A x P) J), keyed as the _reduced form holds the
+    Pauli, x | z << (n_in + n_out), A on the references below wire n_in and
+    P on the outputs above (see _split).  Tr((A x P) J) adds, over the
+    states, weight x the sign of +-(A x P) in the state's stabilizer group,
+    where it lies in the subgroup supported on outputs and references,
+    whose generators the form holds, and 0 elsewhere; the denominator is
+    the sum of the weights.
     """
     n_in, n_out = len(program.inputs), len(program.outputs)
     work = 4 ** n_in * 4 ** n_out
     if budget is not None and work > budget:
         raise BudgetExceededError(work, budget)
 
-    # A form's wire n_in + j is output j, and its wires below n_in the references.
-    mask = (1 << n_in) - 1
-    shifts = [(n_in + j, 2 * (n_out - 1 - j)) for j in range(n_out)]
-    choi: dict[int, dict[int, int]] = {}
+    m = n_in + n_out
+    choi: dict[int, int] = {}
     for weight, form in forms:
-        generators = [g for g in form if g[0] | g[1]]  # without the padding
-        # An element's output index is the XOR of its generators' (_DIGIT).
-        indices = [0]
-        for x, z, _ in generators:
-            index = 0
-            for w, shift in shifts:
-                index |= _DIGIT[((x >> w) & 1) << 1 | ((z >> w) & 1)] << shift
-            indices += [i ^ index for i in indices]
-        for (x, z, sign), index in zip(_group(generators), indices):
-            ax, az = x & mask, z & mask
-            coeffs = choi.setdefault(ax << n_in | az, {})
-            coeffs[index] = coeffs.get(index, 0) + (-sign if (ax & az).bit_count() & 1 else sign) * weight
+        for x, z, sign in _group([g for g in form if g[0] | g[1]]):  # without the padding
+            key = x | z << m
+            choi[key] = choi.get(key, 0) + sign * weight
     return n_in, n_out, sum(weight for weight, _ in forms), choi
+
+
+def _split(key: int, n_in: int, n_out: int) -> tuple[int, int, int]:
+    """A _choi key as (A's key ax << n_in | az, the key less A's bits, (-1)^#Y(A))."""
+    m, mask = n_in + n_out, (1 << n_in) - 1
+    ax, az = key & mask, key >> m & mask
+    return ax << n_in | az, key & ~(mask | mask << m), -1 if (ax & az).bit_count() & 1 else 1
+
+
+def _number(key: int, n_in: int, n_out: int) -> int:
+    """The column q of a _choi key's output Pauli: its _DIGITs, first output most significant."""
+    m, q = n_in + n_out, 0
+    for w in range(n_in, m):
+        q = q << 2 | _DIGIT[(key >> w & 1) << 1 | (key >> (m + w) & 1)]
+    return q
 
 
 def _rows(channel) -> Iterator[list[int]]:
@@ -522,13 +525,18 @@ def _rows(channel) -> Iterator[list[int]]:
         Tr(P E(rho)) = sum_A <A>_rho (-1)^#Y(A) Tr((A x P) J),
 
     and <A>_rho of a basis input is the sign of +-A in its stabilizer
-    group, or 0, so the row sums choi over that group's 2^n_in elements.
+    group, or 0, so the row sums choi, signed and grouped by reference key
+    once per table (_split, _number), over that group's 2^n_in elements.
     """
     n_in, n_out, _, choi = channel
+    by_reference: dict[int, list[tuple[int, int]]] = {}
+    for key, c in choi.items():
+        a, _, y = _split(key, n_in, n_out)
+        by_reference.setdefault(a, []).append((_number(key, n_in, n_out), y * c))
     for k in range(4 ** n_in):
         sums = [0] * 4 ** n_out
         for x, z, sign in _group(_input_generators(n_in, k)):
-            for q, c in choi.get(x << n_in | z, {}).items():
+            for q, c in by_reference.get(x << n_in | z, ()):
                 sums[q] += sign * c
         yield sums
 
@@ -598,12 +606,14 @@ def _verdict(lhs: Program, rhs: Program, budget: int | None) -> Verdict:
 def _compared(ch_l: tuple, ch_r: tuple, decider: str) -> Verdict:
     """The verdict on two channels as _choi returns them.
 
-    Both sides' coefficients are put over the larger denominator and only
-    their nonzero differences are kept, as diff[A][q]: none means
-    equivalent.  Otherwise a row of the difference of the tables sums diff
-    over the basis input's group, as _rows sums choi, and the counterexample
-    is its first nonzero entry in table order, with each side's value summed
-    from its own coefficients at that entry alone.  An input's group holds
+    Only changed entries are read: with equal denominators, the keys of the
+    items the two maps do not share, else every key, both sides put over
+    the larger denominator.  Nonzero differences are kept as diff[A][the
+    key less A's bits] (_split): none means equivalent.  Otherwise a row of
+    the difference of the tables sums diff over the basis input's group, as
+    _rows sums choi, and the counterexample is its first nonzero entry in
+    table order (only those entries are numbered, by _number), with each
+    side's value looked up by key in its own map.  An input's group holds
     Paulis with X-part 0 or the OR of its generators' X-parts.  The diag
     inputs come first, and they read every X-part-0 difference through an
     invertible transform, so a later row is reached only when no difference
@@ -612,12 +622,12 @@ def _compared(ch_l: tuple, ch_r: tuple, decider: str) -> Verdict:
     n_in, n_out, d_l, choi_l = ch_l
     d_r, choi_r = ch_r[2], ch_r[3]
     s_l, s_r = max(d_l, d_r) // d_l, max(d_l, d_r) // d_r
+    changed = {key for key, _ in choi_l.items() ^ choi_r.items()} if d_l == d_r else choi_l.keys() | choi_r.keys()
     diff: dict[int, dict[int, int]] = {}
-    for a in choi_l.keys() | choi_r.keys():
-        left, right = choi_l.get(a, {}), choi_r.get(a, {})
-        row = {q: c for q in left.keys() | right.keys() if (c := left.get(q, 0) * s_l - right.get(q, 0) * s_r)}
-        if row:
-            diff[a] = row
+    for key in changed:
+        if c := choi_l.get(key, 0) * s_l - choi_r.get(key, 0) * s_r:
+            a, p, y = _split(key, n_in, n_out)
+            diff.setdefault(a, {})[p] = y * c
     if not diff:
         return Verdict(True, None, lambda: (ch_l, ch_r), decider)
     x_parts = {a >> n_in for a in diff}
@@ -628,15 +638,16 @@ def _compared(ch_l: tuple, ch_r: tuple, decider: str) -> Verdict:
             x_part |= x
         if x_part not in x_parts:
             continue
-        group = [(x << n_in | z, sign) for x, z, sign in _group(gens)]
+        group = _group(gens)
         sums: dict[int, int] = {}
-        for a, sign in group:
-            for q, c in diff.get(a, {}).items():
-                sums[q] = sums.get(q, 0) + sign * c
-        differing = [q for q, c in sums.items() if c]
+        for x, z, sign in group:
+            for p, c in diff.get(x << n_in | z, {}).items():
+                sums[p] = sums.get(p, 0) + sign * c
+        differing = [p for p, c in sums.items() if c]
         if differing:
-            q = min(differing)
-            value_l, value_r = (sum(sign * choi.get(a, {}).get(q, 0) for a, sign in group) for choi in (choi_l, choi_r))
+            q, p = min((_number(p, n_in, n_out), p) for p in differing)
+            keys = [(x | z << n_in + n_out | p, -sign if (x & z).bit_count() & 1 else sign) for x, z, sign in group]
+            value_l, value_r = (sum(sign * choi.get(key, 0) for key, sign in keys) for choi in (choi_l, choi_r))
             element = basis_element(n_in, k)
             ce = Counterexample(element, local_observable(n_out, q), Fraction(value_l, d_l), Fraction(value_r, d_r))
             return Verdict(False, ce, lambda: (ch_l, ch_r), decider)

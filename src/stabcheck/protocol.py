@@ -384,6 +384,10 @@ def validate(ast: ProtocolAST) -> list[Diagnostic]:
         if decl.name in declared:
             error(f"duplicate declaration of {decl.name!r}", decl.span)
         declared.add(decl.name)
+        if decl.name in KEYWORDS:
+            error(f"{decl.name!r} is a reserved word", decl.span)
+        elif not (decl.name.isascii() and decl.name.isidentifier()):
+            error(f"{decl.name!r} is not a name", decl.span)
         if isinstance(decl, QubitDecl) and decl.init not in ("input", "zero"):
             error("qubit initializer must be 'input' or 'zero'", decl.span)
 

@@ -29,6 +29,7 @@ from stabcheck.protocol import GateStmt, IfGateStmt
 
 from helpers import (
     cluster_wire_source,
+    h_controlled_cluster_wire_source,
     random_protocol_source,
     reference_choi,
     reference_basis_state,
@@ -75,9 +76,28 @@ def coefficient_verdict(lhs, rhs):
 
 def choi_fractions(channel):
     """A channel as _choi or reference_choi gives it: its nonzero
-    coefficients as exact fractions, whatever its denominator."""
+    coefficients as exact fractions keyed (A, q) as reference_choi keys
+    them, whatever its denominator.
+
+    _choi's flat key x | z << (n_in + n_out), the references below wire
+    n_in, is read here without the checker's own conversion: A is its
+    reference x bits over its z bits, q has output j's letter (I, X, Y, Z
+    as 0..3) as base-4 digit n_out - 1 - j, and the coefficient takes the
+    (-1)^#Y(A) that reference_choi's holds."""
     n_in, n_out, denominator, choi = channel
-    return n_in, n_out, {(a, q): Fraction(c, denominator) for a, coeffs in choi.items() for q, c in coeffs.items() if c}
+    if all(isinstance(coeffs, dict) for coeffs in choi.values()):
+        nested = choi.items()
+    else:
+        m, letter = n_in + n_out, {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}
+        nested = []
+        for key, c in choi.items():
+            xs = [key >> w & 1 for w in range(m)]
+            zs = [key >> (m + w) & 1 for w in range(m)]
+            a = int("".join(map(str, xs[:n_in][::-1] + zs[:n_in][::-1])), 2)
+            q = sum(letter[xs[n_in + j], zs[n_in + j]] * 4 ** (n_out - 1 - j) for j in range(n_out))
+            ys = sum(xs[w] and zs[w] for w in range(n_in))
+            nested.append((a, {q: (-1) ** ys * c}))
+    return n_in, n_out, {(a, q): Fraction(c, denominator) for a, coeffs in nested for q, c in coeffs.items() if c}
 
 
 def test_corpus_matches_reference():
@@ -300,7 +320,8 @@ def test_transforms_keep_equivalence(transform):
         assert check_equivalence(lhs, rhs).decider == checker.DEFERRED
         assert coefficient_verdict(lhs, rhs).equivalent, changed
         if transform is add_discarded_ancilla:
-            # The sides' Choi coefficients sit over different denominators.
+            # The ancilla's measurement doubles the Program denominator; the
+            # _choi denominators, over the deferred states, stay equal.
             assert checker.lower(rhs).denominator == 2 * checker.lower(lhs).denominator
 
 
@@ -416,6 +437,29 @@ def _three_way_pairs():
         source = random_protocol_source(rng, shuffle=i % 2 == 1)
         pairs.append((parse(source), parse(_without_one_statement(rng, source))))
     return pairs
+
+
+@pytest.mark.parametrize("drop", ["X0", "X1", "X2", "Z0", "Z1", "Z2"])
+def test_teleport_3_counterexamples_match_the_tables_and_the_dense_oracle(drop):
+    # At n_in = 3 the reference tabulation is too slow to run here, so the
+    # counterexample that _compared names from the coefficient differences
+    # is checked against the tables _rows builds and against the dense oracle.
+    lhs, rhs = parse(teleport_source(3, drop)), builtin_identity(3)
+    verdict = check_equivalence(lhs, rhs)
+    assert_first_difference(verdict)
+    assert_replays(lhs, rhs, verdict.counterexample)
+
+
+@pytest.mark.parametrize("drop", range(6))
+def test_sides_over_different_choi_denominators(drop):
+    # Two bits that control H give the left side four deferred states over
+    # a denominator of 4; identity:1 has one state over 1.
+    lhs, rhs = parse(h_controlled_cluster_wire_source(6, drop=drop, controls=2)), builtin_identity(1)
+    programs = checker.lower(lhs), checker.lower(rhs)
+    assert [checker._choi(program, None, checker._forms(program))[2] for program in programs] == [4, 1]
+    ce = check_equivalence(lhs, rhs).counterexample
+    want = reference_counterexample(reference_fingerprint(lhs), reference_fingerprint(rhs))
+    assert (ce.basis_element, ce.observable, ce.value_lhs, ce.value_rhs) == want
 
 
 def test_deferred_walk_and_reference_agree():

@@ -182,6 +182,27 @@ class TestValidate:
             with pytest.raises(ValueError, match=message):
                 check_equivalence(built, builtin_identity(1))
 
+    def test_caller_built_names_are_checked(self):
+        # parse rejects a keyword or a non-name, so pretty_print could not round-trip either.
+        ast = parse("protocol p { qubit a: input; output a; }")
+        span = ast.qubits[0].span
+        for name, message in (
+            ("output", "'output' is a reserved word"),
+            ("a b", "'a b' is not a name"),
+            ("é", "'é' is not a name"),
+            ("1a", "'1a' is not a name"),
+        ):
+            built = dataclasses.replace(ast, qubits=(QubitDecl(name, "input", span),), outputs=(Ident(name, span),))
+            assert validate(built) == [Diagnostic("error", message, span)]
+            with pytest.raises(ValueError, match=message):
+                lower(built)
+            with pytest.raises(ValueError, match=message):
+                check_equivalence(built, builtin_identity(1))
+        built = dataclasses.replace(ast, cbits=(CbitDecl("then", span),))
+        assert Diagnostic("error", "'then' is a reserved word", span) in validate(built)
+        with pytest.raises(ParseError, match="'output' is a reserved word"):
+            parse(pretty_print(dataclasses.replace(ast, qubits=(QubitDecl("output", "input", span),))))
+
     def test_remeasure_warns(self):
         ast = parse(
             "protocol p { qubit a: input; cbit m; cbit k; measure a -> m; measure a -> k;"
