@@ -200,11 +200,11 @@ def _lower(ast: ProtocolAST) -> Program:
     ops: list[tuple] = []
     run = None
     for stmt in reversed(_stored_body(ast)):
-        if type(stmt) is tuple:  # a compact gate line
-            gate, first, second = stmt[0], stmt[3], stmt[5]
+        if type(stmt) is tuple:
+            gates = stmt[2]
         elif isinstance(stmt, GateStmt):
-            args = stmt.args
-            gate, first, second = stmt.gate, args[0].name, args[1].name if len(args) == 2 else None
+            names = [a.name for a in stmt.args] + [None]
+            gates = ((stmt.gate, names[0], names[1]),)
         else:
             run = None
             c = bit[stmt.cbit.name]
@@ -217,18 +217,18 @@ def _lower(ast: ProtocolAST) -> Program:
                 ops.append(("m", q, c, q not in used_wires))
                 used_wires.add(q)
             continue
-        q = wire[first]
-        used_wires.add(q)
-        if second is None:
-            op = (gate, q)
-        else:
-            t = wire[second]
-            used_wires.add(t)
-            op = (gate, q, t)
         if run is None:
             run = []
             ops.append(("u", run))
-        run.append(op)
+        for gate, first, second in reversed(gates):
+            q = wire[first]
+            used_wires.add(q)
+            if second is None:
+                run.append((gate, q))
+            else:
+                t = wire[second]
+                used_wires.add(t)
+                run.append((gate, q, t))
     return Program(
         n_wires=len(wire),
         inputs=tuple(wire[name] for name in ast.input_names),
@@ -617,17 +617,22 @@ def _compared(ch_l: tuple, ch_r: tuple, decider: str) -> Verdict:
     Paulis with X-part 0 or the OR of its generators' X-parts.  The diag
     inputs come first, and they read every X-part-0 difference through an
     invertible transform, so a later row is reached only when no difference
-    has X-part 0, and one whose X-part no difference has is skipped.
+    has X-part 0, and one whose X-part no difference has is skipped.  So the
+    X-part-0 differences are taken first, and the others only if none is nonzero.
     """
     n_in, n_out, d_l, choi_l = ch_l
     d_r, choi_r = ch_r[2], ch_r[3]
     s_l, s_r = max(d_l, d_r) // d_l, max(d_l, d_r) // d_r
     changed = {key for key, _ in choi_l.items() ^ choi_r.items()} if d_l == d_r else choi_l.keys() | choi_r.keys()
-    diff: dict[int, dict[int, int]] = {}
-    for key in changed:
-        if c := choi_l.get(key, 0) * s_l - choi_r.get(key, 0) * s_r:
-            a, p, y = _split(key, n_in, n_out)
-            diff.setdefault(a, {})[p] = y * c
+    mask = (1 << n_in) - 1
+    for keys in ((key for key in changed if not key & mask), (key for key in changed if key & mask)):
+        diff: dict[int, dict[int, int]] = {}
+        for key in keys:
+            if c := choi_l.get(key, 0) * s_l - choi_r.get(key, 0) * s_r:
+                a, p, y = _split(key, n_in, n_out)
+                diff.setdefault(a, {})[p] = y * c
+        if diff:
+            break
     if not diff:
         return Verdict(True, None, lambda: (ch_l, ch_r), decider)
     x_parts = {a >> n_in for a in diff}

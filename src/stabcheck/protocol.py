@@ -24,17 +24,18 @@ controlled single corrections, and finally names its output wires:
 '#' starts a line comment.  Only H, P, X, Y, Z and CNOT are accepted, which
 keeps every expressible protocol inside the efficiently checkable fragment.
 
-Each line is lexed by one regex, except that a line holding one gate statement
-where a statement may start is matched whole, to one token.  That line stays a
-compact tuple in the parsed body until ProtocolAST.body is first read, which
-builds its GateStmt; validate and the checker's lowering read the compact form,
-so a parse-check-lower path builds no node for it.
+Each line is lexed by one regex, except that a run of whole gate lines where a
+statement may start is matched a line at a time by a second, to one token.  The
+run stays one compact entry in the parsed body until ProtocolAST.body is first
+read, which builds its GateStmts; validate and the checker's lowering read the
+compact entry, so a parse-check-lower path builds no node for it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .tableau import GATE_NAMES
 
@@ -45,8 +46,9 @@ KEYWORDS = frozenset({"protocol", "qubit", "cbit", "input", "zero", "measure", "
 # accepts is "bad".
 _NAME = "[A-Za-z_][A-Za-z0-9_]*"
 _TOKEN_RE = re.compile(r"#.*|(?P<arrow>->)|(?P<punct>[{}:;,])|(?P<name>" + _NAME + r")|(?P<bad>[^ \t\r])")
-# A line that is one gate statement, blanks and a comment: gate and 1-2 args.
-_GATE_LINE_RE = re.compile(rf"[ \t]*({'|'.join(GATE_NAMES)})[ \t]+({_NAME})[ \t]*(?:,[ \t]*({_NAME})[ \t]*)?;[ \t]*(?:#.*)?")
+# A whole gate line: one gate statement with 1-2 non-keyword arguments, blanks, a comment.
+_ARG = rf"(?!(?:{'|'.join(sorted(KEYWORDS))})(?![A-Za-z0-9_])){_NAME}"
+_GATE_LINE_RE = re.compile(rf"[ \t]*({'|'.join(GATE_NAMES)})[ \t]+({_ARG})[ \t]*(?:,[ \t]*({_ARG})[ \t]*)?;[ \t]*(?:#.*)?")
 
 
 # A SourceSpan is built for each name parsed outside a gate line, so its
@@ -128,21 +130,24 @@ Statement = GateStmt | MeasureStmt | IfGateStmt
 
 
 class _CompactBody(tuple):
-    """A parsed body: each whole gate line is still a compact statement
-    (gate, line, col, first, col1, second, col2), second None and col2 0 for
-    a one-argument gate; every other statement is its node."""
+    """A parsed body: each run of whole gate lines is still one compact entry
+    (line, texts, gates): its first line number, line texts and each line's
+    _GATE_LINE_RE groups (gate, first, second); every other statement is its node."""
 
 
-def _node(stmt: Statement | tuple) -> Statement:
-    """The GateStmt of a compact statement, with the spans parse gives it;
-    any node as it is."""
-    if type(stmt) is not tuple:
-        return stmt
-    gate, line, col, first, col1, second, col2 = stmt
-    args = (Ident(first, SourceSpan(line, col1, col1 + len(first))),)
-    if second is not None:
-        args += (Ident(second, SourceSpan(line, col2, col2 + len(second))),)
-    return GateStmt(gate, args, SourceSpan(line, col, col + len(gate)))
+def _nodes(run: tuple) -> list[GateStmt]:
+    """A compact run's GateStmts, with the spans parse gives them, found again
+    by matching each line."""
+    line, texts, _ = run
+    nodes = []
+    for lineno, text in enumerate(texts, line):
+        match = _GATE_LINE_RE.fullmatch(text)
+        _, (g0, g1), (a0, a1), (b0, b1) = match.regs  # (-1, -1) for an absent second argument
+        args = (Ident(match[2], SourceSpan(lineno, a0 + 1, a1 + 1)),)
+        if b0 >= 0:
+            args += (Ident(match[3], SourceSpan(lineno, b0 + 1, b1 + 1)),)
+        nodes.append(GateStmt(match[1], args, SourceSpan(lineno, g0 + 1, g1 + 1)))
+    return nodes
 
 
 class _LazyBody:
@@ -155,7 +160,7 @@ class _LazyBody:
         d = self.__dict__
         body = d["body"]
         if type(body) is _CompactBody:
-            body = d["body"] = tuple(map(_node, body))
+            body = d["body"] = tuple(node for s in body for node in (_nodes(s) if type(s) is tuple else (s,)))
         return body
 
     @body.setter
@@ -187,8 +192,8 @@ class ProtocolAST(_LazyBody):
 
 
 # A token is a plain (kind, text, line, col) tuple; kind is "name", "punct",
-# "arrow" or, for the last token only, "eof".  A whole gate line becomes one
-# 5-tuple: its gate-name token plus the compact statement of the line.
+# "arrow" or, for the last token only, "eof".  A run of whole gate lines
+# becomes one 5-tuple: its first gate-name token plus the run's compact entry.
 _Token = tuple[str, str, int, int] | tuple[str, str, int, int, tuple]
 
 
@@ -197,17 +202,23 @@ def _tokenize(source: str) -> list[_Token]:
     append = tokens.append
     # splitlines also breaks at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029.
     lines = source.splitlines() or [""]
-    for lineno, line in enumerate(lines, start=1):
+    fullmatch = _GATE_LINE_RE.fullmatch
+    numbered = enumerate(lines, start=1)
+    for lineno, line in numbered:
         # Only where a statement may start, so the parser never meets it where it
-        # takes a plain name; elsewhere it raises the gate name's own error.
-        gate_line = _GATE_LINE_RE.fullmatch(line)
+        # takes a plain name; elsewhere it raises the first gate name's own error.
+        gate_line = fullmatch(line)
         if gate_line and (not tokens or tokens[-1][1] in (";", "{") or len(tokens[-1]) == 5):
-            gate, first, second = gate_line.groups()
-            if first not in KEYWORDS and second not in KEYWORDS:
-                start = gate_line.start  # -1 for an absent second argument
-                col = start(1) + 1
-                append(("name", gate, lineno, col, (gate, lineno, col, first, start(2) + 1, second, start(3) + 1)))
-                continue
+            start, col, gates = lineno, gate_line.start(1) + 1, [gate_line.groups()]
+            # The run takes the gate lines after it; the line that ends it is lexed below.
+            for lineno, line in numbered:
+                gate_line = fullmatch(line)
+                if not gate_line:
+                    break
+                gates.append(gate_line.groups())
+            append(("name", gates[0][0], start, col, (start, lines[start - 1 : start - 1 + len(gates)], gates)))
+            if gate_line:  # the run ends the source
+                break
         for match in _TOKEN_RE.finditer(line):
             kind = match.lastgroup
             if kind is None:
@@ -284,7 +295,7 @@ def parse(source: str) -> ProtocolAST:
         tok = tokens[i]
         text = tok[1]
         if text in GATE_NAMES:
-            if len(tok) == 5:  # a whole gate line, parsed by _tokenize
+            if len(tok) == 5:  # a run of whole gate lines, parsed by _tokenize
                 body.append(tok[4])
                 i += 1
                 continue
@@ -351,8 +362,8 @@ def parse(source: str) -> ProtocolAST:
 
 
 def _stored_body(ast: ProtocolAST) -> tuple[Statement | tuple, ...]:
-    """The body as stored, without building it: a parsed body's whole gate
-    lines are still the compact tuples that _CompactBody describes."""
+    """The body as stored, without building it: a parsed body's runs of
+    whole gate lines are still the compact entries that _CompactBody describes."""
     return ast.__dict__["body"]
 
 
@@ -410,12 +421,14 @@ def validate(ast: ProtocolAST) -> list[Diagnostic]:
     read: set[str] = set()
     for stmt in _stored_body(ast):
         if type(stmt) is tuple:
-            # A compact gate line that is clean needs no node; any other is
-            # built, so its diagnostics are those of its GateStmt.
-            gate, _, _, first, _, second, _ = stmt
-            if first in qubit_names and (second in qubit_names and second != first if gate == "CNOT" else second is None):
-                continue
-            stmt = _node(stmt)
+            # A clean run needs no node; any other is built, so its
+            # diagnostics are those of its GateStmts.
+            for gate, first, second in stmt[2]:
+                if not (first in qubit_names and (second in qubit_names and second != first if gate == "CNOT" else second is None)):
+                    for node in _nodes(stmt):
+                        check_gate_args(node)
+                    break
+            continue
         if isinstance(stmt, GateStmt):
             check_gate_args(stmt)
         elif isinstance(stmt, MeasureStmt):
@@ -479,6 +492,8 @@ def pretty_print(ast: ProtocolAST) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The AST is frozen, so one per n is shared; a process checks few arities.
+@lru_cache(maxsize=16)
 def builtin_identity(n: int) -> ProtocolAST:
     """The n-wire protocol that does nothing: every input is an output."""
     if n < 1:

@@ -462,6 +462,28 @@ def test_sides_over_different_choi_denominators(drop):
     assert (ce.basis_element, ce.observable, ce.value_lhs, ce.value_rhs) == want
 
 
+def test_refutations_from_diag_differences_and_from_the_rest_match_reference():
+    # _compared keeps first the differences whose reference Pauli has X-part
+    # 0, the only ones the diag inputs read, and all of them only when none of
+    # those differs; both branches name the reference's first differing entry.
+    rng = random.Random(2024)
+    pairs = []
+    for i in range(120):
+        source = random_protocol_source(rng, shuffle=i % 2 == 1)
+        pairs.append((parse(source), parse(_without_one_statement(rng, source))))
+    pairs += [(parse(h_controlled_cluster_wire_source(6, drop=j, controls=2)), builtin_identity(1)) for j in range(6)]
+    kinds = set()
+    for lhs, rhs in pairs:
+        verdict = check_equivalence(lhs, rhs)
+        want = reference_counterexample(reference_fingerprint(lhs), reference_fingerprint(rhs))
+        assert verdict.equivalent == (want is None)
+        if want is not None:
+            ce = verdict.counterexample
+            assert (ce.basis_element, ce.observable, ce.value_lhs, ce.value_rhs) == want
+            kinds.add(ce.basis_element.kind == "diag")
+    assert kinds == {True, False}
+
+
 def test_deferred_walk_and_reference_agree():
     # The reference tabulation runs every basis input on its own, which
     # takes seconds from n_in = 3 on, so it is compared up to n_in = 2;

@@ -5,6 +5,7 @@ import inspect
 import pickle
 import random
 from copy import deepcopy
+from itertools import groupby
 
 import pytest
 
@@ -22,12 +23,14 @@ from stabcheck.protocol import (
     QubitDecl,
     SourceSpan,
     _CompactBody,
-    _node,
+    _nodes,
     _stored_body,
     _tokenize,
     errors_of,
 )
+from stabcheck.tableau import GATE_NAMES
 
+from helpers import _tokenize as reference_tokenize
 from helpers import random_protocol_source, reference_parse, teleport_source
 
 CORPUS = [
@@ -239,6 +242,21 @@ class TestBuiltinIdentity:
         with pytest.raises(ValueError):
             builtin_identity(0)
 
+    def test_one_ast_per_n_is_shared(self):
+        assert builtin_identity(2) is builtin_identity(2)
+        assert builtin_identity(2) is not builtin_identity(3)
+
+    def test_reading_the_body_leaves_it_a_fresh_parse(self):
+        source = "protocol identity_2 {\n  qubit q0: input;\n  qubit q1: input;\n  output q0, q1;\n}\n"
+        builtin_identity(2).body
+        assert builtin_identity(2) == parse(source)
+        assert _with_spans(builtin_identity(2)) == _with_spans(parse(source))
+
+    def test_every_call_below_one_raises(self):
+        for n in (0, 0, -1, 0):
+            with pytest.raises(ValueError, match="at least one qubit"):
+                builtin_identity(n)
+
 
 def _random_valid_source(rng: random.Random) -> str:
     n_inputs = rng.randint(1, 2)
@@ -373,15 +391,28 @@ FIXED_LAYOUTS = [
     "protocol {\n  H a;\n}\n",
     # A gate line after a line of several statements ending in a gate.
     _HEAD + "  measure b -> m; H a;\n  CNOT a, b;\n  output a;\n}\n",
+    # A run of gate lines broken by a blank line, a comment-only line and a
+    # measure line.
+    _HEAD + "  H a;\n  X b;\n\n  CNOT a, b;\n  Z a;\n  output a;\n}\n",
+    _HEAD + "  H a;\n  X b;\n  # between\n  CNOT a, b;\n  Z a;\n  output a;\n}\n",
+    _HEAD + "  H a;\n  X b;\n  measure b -> m;\n  CNOT a, b;\n  if m then X a;\n  output a;\n}\n",
+    # A keyword inside a run.
+    _HEAD + "  H a;\n  H output;\n  H b;\n  output a;\n}\n",
+    # A run whose lines are split by \r, \v and \u2028.
+    _HEAD + "  H a;\r  X b;\v  CNOT a, b;\u2028  Z a;\n  output a;\n}\n",
+    # A run starting at a gate line after "then".
+    _HEAD + "  measure b -> m;\n  if m then\n  X a;\n  H a;\n  Y b;\n  output a;\n}\n",
+    # A run that validate must build and check gate by gate.
+    _HEAD + "  H a;\n  H c;\n  CNOT a, a;\n  X a, b;\n  CNOT a;\n  output a;\n}\n",
 ]
 
 
-def _circuit_source(rng: random.Random, name: str) -> str:
-    """A random 100-200 gate circuit on three wires, pretty-printed, like the
-    sources a compiler-rewrite check reads."""
+def _circuit_source(rng: random.Random, name: str, gates: int | None = None) -> str:
+    """A random circuit of the given gates, else 100-200, on three wires,
+    pretty-printed, like the sources a compiler-rewrite check reads."""
     wires = ["a", "b", "c"]
     body = []
-    for _ in range(rng.randint(100, 200)):
+    for _ in range(rng.randint(100, 200) if gates is None else gates):
         gate = rng.choice(("H", "P", "X", "Y", "Z", "CNOT"))
         body.append(f"{gate} {', '.join(rng.sample(wires, 2) if gate == 'CNOT' else [rng.choice(wires)])};")
     decls = " ".join(f"qubit {w}: input;" for w in wires)
@@ -403,23 +434,41 @@ def test_front_end_matches_reference_parser_on_two_edits():
     assert 1000 < errors < len(corrupted)
 
 
+def _gate_line_runs(source: str) -> list[list[int]]:
+    """The line numbers of each maximal run of gate lines, in a source with
+    one statement per line."""
+    numbered = enumerate(source.splitlines(), start=1)
+    runs = groupby(numbered, lambda item: item[1].split()[0] in GATE_NAMES)
+    return [[n for n, _ in run] for gate, run in runs if gate]
+
+
 class TestGateLineToken:
-    """A line holding one gate statement, where a statement may start, is
-    lexed to one token carrying its compact statement."""
+    """A maximal run of lines each holding one gate statement, starting where
+    a statement may start, is lexed to one token carrying its compact entry."""
 
     def test_a_pretty_printed_gate_line_is_one_token(self):
         for ast in (parse(teleport_source(3)), parse(_circuit_source(random.Random(5), "c"))):
             source = pretty_print(ast)
             tokens = _tokenize(source)
-            per_line = [[tok for tok in tokens if tok[2] == n] for n in range(1, len(source.splitlines()) + 1)]
-            gate_lines = [line for line in per_line if line[0][1] in ("H", "P", "X", "Y", "Z", "CNOT")]
-            assert len(gate_lines) == sum(isinstance(stmt, GateStmt) for stmt in ast.body) > 0
-            assert all(len(line) == 1 and len(line[0]) == 5 for line in gate_lines)
-            # Each payload, once built, is the GateStmt of the body, spans included.
-            payloads = tuple(_with_spans(_node(line[0][4])) for line in gate_lines)
+            runs = [tok for tok in tokens if len(tok) == 5]
+            # One token per maximal run, at its first line, with a gate per line.
+            want = _gate_line_runs(source)
+            assert [(tok[2], len(tok[4][2])) for tok in runs] == [(run[0], len(run)) for run in want]
+            assert sum(map(len, want)) == sum(isinstance(stmt, GateStmt) for stmt in ast.body) > 0
+            # Each payload, once built, is the body's GateStmts, spans included.
+            payloads = tuple(_with_spans(node) for tok in runs for node in _nodes(tok[4]))
             assert payloads == tuple(_with_spans(s) for s in parse(source).body if isinstance(s, GateStmt))
             # Every other line is lexed token by token.
-            assert all(len(tok) == 4 for line in per_line if line not in gate_lines for tok in line)
+            gate_lines = {n for run in want for n in run}
+            assert all(len(tok) == 4 for tok in tokens if tok[2] not in gate_lines)
+
+    def test_the_token_count_is_one_per_run_plus_the_tokens_outside_runs(self):
+        # Counted, not timed: a lexer that expanded runs again fails here.
+        for source in (_circuit_source(random.Random(150), "c", gates=150), teleport_source(3)):
+            runs = _gate_line_runs(source)
+            gate_lines = {n for run in runs for n in run}
+            outside = [tok for tok in reference_tokenize(source) if tok.span.line not in gate_lines]
+            assert len(_tokenize(source)) == len(outside) + len(runs)
 
     def test_a_gate_line_after_then_is_lexed_token_by_token(self):
         tokens = _tokenize("  measure b -> m;\n  if m then\n  X a;\n  H a;\n")
