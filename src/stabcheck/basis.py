@@ -117,14 +117,17 @@ class BasisCircuit:
 
 
 def parse_element_spec(spec: str, n: int) -> BasisElement:
-    """Parse CLI-style element descriptors like 'diag:0' or 'plus:0,3'."""
+    """Parse CLI-style element descriptors: diag:X, plus:X,Y or iplus:X,Y."""
+    kind, _, labels = spec.partition(":")
     try:
-        kind, _, labels = spec.partition(":")
-        if kind == "diag":
-            return BasisElement(n, "diag", int(labels))
-        x_str, y_str = labels.split(",")
-        return BasisElement(n, kind, int(x_str), int(y_str))
-    except (ValueError, TypeError) as exc:
+        values = [int(label) for label in labels.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != {"diag": 1, "plus": 2, "iplus": 2}.get(kind):
+        raise ValueError(f"bad basis element spec {spec!r}: expected diag:X, plus:X,Y or iplus:X,Y")
+    try:
+        return BasisElement(n, kind, *values)
+    except ValueError as exc:
         raise ValueError(f"bad basis element spec {spec!r}: {exc}") from None
 
 

@@ -1,15 +1,15 @@
 """Superoperator equality by exact fingerprinting over the stabilizer basis.
 
-A protocol is validated and lowered once, to one Program, then run once on
-its Choi state: every input wire starts in a Bell pair with a reference
-wire of its own.  Discarded wires never need a density matrix: the
-elements of the state's stabilizer group supported on the outputs and
-references fix the channel's Choi state as exact Pauli coefficients.  The
-fingerprint row of each basis input follows from those and the input's own
-stabilizer group, so the table is an invertible linear image of the
-coefficients.  Two protocols are therefore equivalent exactly when their
-Choi states are equal, and tables are built only to name the first
-differing entry, or when asked for.
+A protocol is validated and lowered in one pass, to one Program
+(protocol.lower), then run once on its Choi state: every input wire starts
+in a Bell pair with a reference wire of its own.  Discarded wires never
+need a density matrix: the elements of the state's stabilizer group
+supported on the outputs and references fix the channel's Choi state as
+exact Pauli coefficients.  The fingerprint row of each basis input follows
+from those and the input's own stabilizer group, so the table is an
+invertible linear image of the coefficients.  Two protocols are therefore
+equivalent exactly when their Choi states are equal, and tables are built
+only to name the first differing entry, or when asked for.
 
 Deferred measurement (Nielsen & Chuang 4.4) turns the protocol into one
 Clifford circuit, with no branches (_deferred).  A bit that controls H, P
@@ -40,7 +40,7 @@ from functools import cache, partial
 from typing import TYPE_CHECKING
 
 from .basis import BASIS_ORDER_TAG, BasisCircuit, BasisElement, basis_element, circuit_for
-from .protocol import GateStmt, IfGateStmt, ProtocolAST, _stored_body, errors_of, validate
+from .protocol import Program, ProtocolAST, lower
 from .tableau import (
     PauliString,
     Tableau,
@@ -155,90 +155,6 @@ class Verdict:
         return tuple(map(_table, self._channels()))
 
 
-@dataclass(frozen=True)
-class Program:
-    """A validated protocol lowered to integer wire and classical-bit indices.
-
-    ops holds ("u", gates), ("if", bit, gate, wires) and ("m", wire, bit,
-    reset).  gates is one maximal run of plain gates.  reset is set when
-    the measurement is the last statement touching a wire that is not an
-    output, so the wire is a discarded Z eigenstate from then on, and
-    deferred measurement uses the wire itself as the control of the bit's
-    corrections, where any other measurement needs an ancilla.  A branch's
-    probability is an integer weight over denominator, 2 to the number of
-    measurements.
-    """
-
-    n_wires: int
-    inputs: tuple[int, ...]
-    outputs: tuple[int, ...]
-    cbits: tuple[str, ...]
-    ops: tuple[tuple, ...]
-    denominator: int
-
-
-def lower(ast: ProtocolAST) -> Program:
-    """Validate once and lower; raises ValueError listing every error."""
-    errs = errors_of(validate(ast))
-    if errs:
-        listing = "; ".join(d.message for d in errs)
-        raise ValueError(f"protocol {ast.name!r} failed validation: {listing}")
-    return _lower(ast)
-
-
-def _lower(ast: ProtocolAST) -> Program:
-    """Lower a protocol that validate has passed; nothing is checked again.
-
-    One backward pass, in which the first use met is the last use.  Outputs
-    count as used at the end, so they are never reset.  A run of plain gates
-    is gathered in reverse and turned round at the end.
-    """
-    wire = {q.name: i for i, q in enumerate(ast.qubits)}
-    bit = {c.name: i for i, c in enumerate(ast.cbits)}
-    outputs = tuple(wire[o.name] for o in ast.outputs)
-    used_wires = set(outputs)
-    ops: list[tuple] = []
-    run = None
-    for stmt in reversed(_stored_body(ast)):
-        if type(stmt) is tuple:
-            gates = stmt[2]
-        elif isinstance(stmt, GateStmt):
-            names = [a.name for a in stmt.args] + [None]
-            gates = ((stmt.gate, names[0], names[1]),)
-        else:
-            run = None
-            c = bit[stmt.cbit.name]
-            if isinstance(stmt, IfGateStmt):
-                wires = tuple(wire[a.name] for a in stmt.args)
-                ops.append(("if", c, stmt.gate, wires))
-                used_wires.update(wires)
-            else:
-                q = wire[stmt.qubit.name]
-                ops.append(("m", q, c, q not in used_wires))
-                used_wires.add(q)
-            continue
-        if run is None:
-            run = []
-            ops.append(("u", run))
-        for gate, first, second in reversed(gates):
-            q = wire[first]
-            used_wires.add(q)
-            if second is None:
-                run.append((gate, q))
-            else:
-                t = wire[second]
-                used_wires.add(t)
-                run.append((gate, q, t))
-    return Program(
-        n_wires=len(wire),
-        inputs=tuple(wire[name] for name in ast.input_names),
-        outputs=outputs,
-        cbits=tuple(c.name for c in ast.cbits),
-        ops=tuple(("u", tuple(reversed(op[1]))) if op[0] == "u" else op for op in reversed(ops)),
-        denominator=1 << sum(op[0] == "m" for op in ops),
-    )
-
-
 def _prep_gates(program: Program, input_prep: BasisCircuit) -> list[tuple]:
     """input_prep's gates, each checked as run_circuit checks it on the
     inputs, moved onto the program's input wires."""
@@ -273,7 +189,7 @@ def _walk(program: Program, prep: list[tuple]) -> list[tuple[int, list, tuple, d
                 (weight, _gated(rows, g) if bits[c] else rows, outcomes, bits) for weight, rows, outcomes, bits in live
             ]
         else:
-            _, q, c, _ = op
+            _, q, c = op
             forked = []
             for weight, rows, outcomes, bits in live:
                 pivot, forced = _z_pivot(rows, n, q)
@@ -304,11 +220,13 @@ def _deferred(program: Program) -> list[tuple[int, list]]:
     and outputs sum to the Choi state; the weights sum to its denominator.
 
     Deferred measurement: the Bell pairs (H ref; CNOT ref, input for
-    reference wire n_wires + j and input j), then every op as gates in time
-    order.  A measurement marked reset leaves its wire as the control of
-    its bit, since nothing touches the wire again; any other copies the
-    wire onto a fresh ancilla after the references (CNOT wire, ancilla),
-    which dephases the wire as the measurement does, and the ancilla is the
+    reference wire n_wires + j and input j), then every op as gates in
+    time order.  A measurement of a wire that is not an output and that no
+    later op touches leaves the wire as the control of its bit, since the
+    wire is a discarded Z eigenstate from then on; one backward scan over
+    the ops finds these.  Any other measurement copies the wire onto a
+    fresh ancilla after the references (CNOT wire, ancilla), which
+    dephases the wire as the measurement does, and the ancilla is the
     control.  if c then X, Z or Y b becomes that Pauli controlled by c's
     wire: CNOT; H b, CNOT, H b; or P^3 b, CNOT, P b.  Controls are only
     ever read in the Z basis, so measuring them all at the end, as tracing
@@ -327,15 +245,28 @@ def _deferred(program: Program) -> list[tuple[int, list]]:
     classical = sorted({op[1] for op in program.ops if op[0] == "if" and op[2] in ("H", "P", "CNOT")})
     if 1 << len(classical) > BRANCH_LIMIT:
         raise BranchLimitError(len(classical))
+    # The ops index of each measurement whose wire is its bit's control.
+    reset: set[int] = set()
+    if program.denominator > 1:
+        used = set(program.outputs)
+        for i in reversed(range(len(program.ops))):
+            op = program.ops[i]
+            if op[0] == "u":
+                used.update(w for g in op[1] for w in g[1:])
+            elif op[0] == "if":
+                used.update(op[3])
+            elif op[1] not in used:
+                reset.add(i)
+                used.add(op[1])
     control: dict[int, int] = {}
     # (position in gates, bit, gate) of each if of a bit in classical.
     guarded: list[tuple[int, int, tuple]] = []
-    for op in program.ops:
+    for i, op in enumerate(program.ops):
         if op[0] == "u":
             gates += op[1]
         elif op[0] == "m":
-            _, q, c, reset = op
-            if reset:
+            _, q, c = op
+            if i in reset:
                 control[c] = q
             else:
                 gates.append(("CNOT", q, width))

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import basis as basis_mod
 from . import checker
-from .protocol import ParseError, ProtocolAST, builtin_identity, errors_of, parse, validate
+from .protocol import ParseError, Program, ProtocolAST, _checked, builtin_identity, errors_of, lower, parse
 from .tableau import canonical_form
 
 EXIT_OK = 0
@@ -37,7 +37,7 @@ def corpus_path(name: str) -> Path:
     return Path(str(resources.files("stabcheck") / "corpus" / name))
 
 
-def _load_protocol(path_text: str) -> ProtocolAST:
+def _load_protocol(path_text: str) -> tuple[ProtocolAST, Program]:
     path = Path(path_text)
     try:
         source = path.read_text(encoding="utf-8")
@@ -47,14 +47,13 @@ def _load_protocol(path_text: str) -> ProtocolAST:
         ast = parse(source)
     except ParseError as exc:
         raise UserError(exc.diagnostic.render(str(path))) from None
-    diags = validate(ast)
+    diags, program = _checked(ast)
     for diag in diags:
         if diag.severity == "warning":
             print(diag.render(str(path)), file=sys.stderr)
-    errs = errors_of(diags)
-    if errs:
-        raise UserError("\n".join(d.render(str(path)) for d in errs))
-    return ast
+    if program is None:
+        raise UserError("\n".join(d.render(str(path)) for d in errors_of(diags)))
+    return ast, program
 
 
 def _emit(report: dict, as_json: bool, text_lines: list[str]) -> None:
@@ -71,7 +70,9 @@ def _frac(value: Fraction) -> str:
 
 def _cmd_check(args) -> int:
     started = time.perf_counter()
-    lhs = _load_protocol(args.lhs)
+    if args.budget < 0:
+        raise UserError("--budget takes a non-negative entry count")
+    lhs, lhs_program = _load_protocol(args.lhs)
     if args.identity is not None:
         if args.rhs is not None:
             raise UserError("give either a second protocol file or --identity, not both")
@@ -80,7 +81,7 @@ def _cmd_check(args) -> int:
             raise UserError("--identity takes a positive qubit count")
         rhs_label, rhs_name, rhs_arity = f"identity:{n}", f"identity_{n}", (n, n)
     elif args.rhs is not None:
-        rhs = _load_protocol(args.rhs)
+        rhs, rhs_program = _load_protocol(args.rhs)
         rhs_label, rhs_name, rhs_arity = args.rhs, rhs.name, (rhs.n_in, rhs.n_out)
     else:
         raise UserError("need a second protocol file or --identity N")
@@ -91,10 +92,10 @@ def _cmd_check(args) -> int:
         )
     if args.identity is not None:
         rhs = builtin_identity(n)
+        rhs_program = lower(rhs)
 
     try:
-        programs = checker._lower(lhs), checker._lower(rhs)
-        verdict = checker._verdict(*programs, budget=args.budget)
+        verdict = checker._verdict(lhs_program, rhs_program, budget=args.budget)
         # Both channels, so a table over the budget fails before the oracle runs.
         channels = verdict._channels() if args.verify else None
     except (checker.BudgetExceededError, checker.BranchLimitError) as exc:
@@ -105,7 +106,7 @@ def _cmd_check(args) -> int:
 
         from . import dense
 
-        for ast, program, channel in zip((lhs, rhs), programs, channels):
+        for ast, program, channel in zip((lhs, rhs), (lhs_program, rhs_program), channels):
             try:
                 oracle = checker._fingerprint_dense(program)
             except checker.DenseLimitError as exc:
@@ -157,14 +158,14 @@ def _cmd_check(args) -> int:
 
 def _cmd_sim(args) -> int:
     started = time.perf_counter()
-    ast = _load_protocol(args.path)
+    ast, program = _load_protocol(args.path)
     try:
         element = basis_mod.parse_element_spec(args.input, ast.n_in)
     except ValueError as exc:
         raise UserError(str(exc)) from None
     circuit = basis_mod.circuit_for(element)
     try:
-        branches = checker._run(checker._lower(ast), circuit)
+        branches = checker._run(program, circuit)
     except checker.BranchLimitError as exc:
         raise UserError(f"sim on {ast.name}: {exc}") from None
 

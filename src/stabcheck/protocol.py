@@ -1,4 +1,4 @@
-"""Parser and validator for the .qpr protocol format.
+"""Parser, validator and lowering for the .qpr protocol format.
 
 A protocol declares qubits (input wires or |0> ancillas) and classical bits,
 then runs Clifford gates, Z measurements into classical bits, and classically
@@ -27,8 +27,8 @@ keeps every expressible protocol inside the efficiently checkable fragment.
 Each line is lexed by one regex, except that a run of whole gate lines where a
 statement may start is matched a line at a time by a second, to one token.  The
 run stays one compact entry in the parsed body until ProtocolAST.body is first
-read, which builds its GateStmts; validate and the checker's lowering read the
-compact entry, so a parse-check-lower path builds no node for it.
+read, which builds its GateStmts; _checked, the one pass behind validate and
+lower, reads the compact entry, so a parse-check-lower path builds no node for it.
 """
 
 from __future__ import annotations
@@ -367,16 +367,35 @@ def _stored_body(ast: ProtocolAST) -> tuple[Statement | tuple, ...]:
     return ast.__dict__["body"]
 
 
-def validate(ast: ProtocolAST) -> list[Diagnostic]:
-    """Collect every rule violation; an empty error list means runnable.
+@dataclass(frozen=True)
+class Program:
+    """A validated protocol lowered to integer wire and classical-bit indices.
 
-    Errors guarantee the equivalence engine cannot hit a gate, arity or
-    classical-bit failure at run time.  Warnings flag legal but suspicious
-    constructs (re-measuring a qubit, a classical bit nobody reads).
+    ops holds ("u", gates), ("if", bit, gate, wires) and ("m", wire, bit).
+    gates is one maximal run of plain gates, each (gate, *wires).  A
+    branch's probability is an integer weight over denominator, 2 to the
+    number of measurements.
+    """
+
+    n_wires: int
+    inputs: tuple[int, ...]
+    outputs: tuple[int, ...]
+    cbits: tuple[str, ...]
+    ops: tuple[tuple, ...]
+    denominator: int
+
+
+def _checked(ast: ProtocolAST) -> tuple[list[Diagnostic], Program | None]:
+    """validate's diagnostics, and the lowered Program when none is an error.
+
+    One forward pass checks each statement and lowers it, with one wire and
+    one bit table; a name missing from them lowers to None, which an error
+    discards with the rest.  A clean run lowers from its gate triples; a run
+    with a diagnostic builds its GateStmts, whose diagnostics are its own.
     """
     diags: list[Diagnostic] = []
-    qubit_names = {q.name for q in ast.qubits}
-    cbit_names = {c.name for c in ast.cbits}
+    wire = {q.name: i for i, q in enumerate(ast.qubits)}
+    bit = {c.name: i for i, c in enumerate(ast.cbits)}
 
     def error(message: str, span: SourceSpan) -> None:
         diags.append(Diagnostic("error", message, span))
@@ -411,46 +430,60 @@ def validate(ast: ProtocolAST) -> list[Diagnostic]:
         if len(args) != expected:
             error(f"{gate} takes {expected} qubit argument(s), got {len(args)}", stmt.span)
         for arg in args:
-            if arg.name not in qubit_names:
+            if arg.name not in wire:
                 error(f"{arg.name!r} is not a declared qubit", arg.span)
         if gate == "CNOT" and len(args) == 2 and args[0].name == args[1].name:
             error("CNOT control and target must differ", stmt.span)
 
-    written: dict[str, int] = {}
+    ops: list[tuple] = []
+    run = None  # the gates of the open ("u", gates) op
+    written: set[str] = set()
     measured: set[str] = set()
     read: set[str] = set()
     for stmt in _stored_body(ast):
-        if type(stmt) is tuple:
-            # A clean run needs no node; any other is built, so its
-            # diagnostics are those of its GateStmts.
+        if type(stmt) is tuple or isinstance(stmt, GateStmt):
+            if run is None:
+                run = []
+                ops.append(("u", run))
+            if type(stmt) is not tuple:
+                check_gate_args(stmt)
+                run.append((stmt.gate, *(wire.get(arg.name) for arg in stmt.args)))
+                continue
             for gate, first, second in stmt[2]:
-                if not (first in qubit_names and (second in qubit_names and second != first if gate == "CNOT" else second is None)):
-                    for node in _nodes(stmt):
-                        check_gate_args(node)
-                    break
+                if second is None:
+                    if first in wire and gate != "CNOT":
+                        run.append((gate, wire[first]))
+                        continue
+                elif first in wire and second in wire and second != first and gate == "CNOT":
+                    run.append((gate, wire[first], wire[second]))
+                    continue
+                for node in _nodes(stmt):
+                    check_gate_args(node)
+                break
             continue
-        if isinstance(stmt, GateStmt):
-            check_gate_args(stmt)
-        elif isinstance(stmt, MeasureStmt):
-            if stmt.qubit.name not in qubit_names:
+        run = None
+        if isinstance(stmt, MeasureStmt):
+            if stmt.qubit.name not in wire:
                 error(f"{stmt.qubit.name!r} is not a declared qubit", stmt.qubit.span)
             elif stmt.qubit.name in measured:
                 warning(f"qubit {stmt.qubit.name!r} is measured again", stmt.qubit.span)
-            if stmt.cbit.name not in cbit_names:
+            if stmt.cbit.name not in bit:
                 error(f"{stmt.cbit.name!r} is not a declared classical bit", stmt.cbit.span)
             elif stmt.cbit.name in written:
                 error(f"classical bit {stmt.cbit.name!r} is written more than once", stmt.cbit.span)
             else:
-                written[stmt.cbit.name] = 1
-            if stmt.qubit.name in qubit_names:
+                written.add(stmt.cbit.name)
+            if stmt.qubit.name in wire:
                 measured.add(stmt.qubit.name)
+            ops.append(("m", wire.get(stmt.qubit.name), bit.get(stmt.cbit.name)))
         else:
-            if stmt.cbit.name not in cbit_names:
+            if stmt.cbit.name not in bit:
                 error(f"{stmt.cbit.name!r} is not a declared classical bit", stmt.cbit.span)
             elif stmt.cbit.name not in written:
                 error(f"classical bit {stmt.cbit.name!r} is read before it is written", stmt.cbit.span)
             read.add(stmt.cbit.name)
             check_gate_args(stmt)
+            ops.append(("if", bit.get(stmt.cbit.name), stmt.gate, tuple(wire.get(arg.name) for arg in stmt.args)))
 
     for cb in ast.cbits:
         if cb.name not in written:
@@ -460,13 +493,41 @@ def validate(ast: ProtocolAST) -> list[Diagnostic]:
 
     seen_out: set[str] = set()
     for out in ast.outputs:
-        if out.name not in qubit_names:
+        if out.name not in wire:
             error(f"output qubit {out.name!r} was never declared", out.span)
         if out.name in seen_out:
             error(f"output qubit {out.name!r} listed twice", out.span)
         seen_out.add(out.name)
 
-    return diags
+    if any(d.severity == "error" for d in diags):
+        return diags, None
+    return diags, Program(
+        n_wires=len(wire),
+        inputs=tuple(wire[name] for name in ast.input_names),
+        outputs=tuple(wire[out.name] for out in ast.outputs),
+        cbits=tuple(bit),
+        ops=tuple(("u", tuple(op[1])) if op[0] == "u" else op for op in ops),
+        denominator=1 << sum(op[0] == "m" for op in ops),
+    )
+
+
+def validate(ast: ProtocolAST) -> list[Diagnostic]:
+    """Collect every rule violation; an empty error list means runnable.
+
+    Errors guarantee the equivalence engine cannot hit a gate, arity or
+    classical-bit failure at run time.  Warnings flag legal but suspicious
+    constructs (re-measuring a qubit, a classical bit nobody reads).
+    """
+    return _checked(ast)[0]
+
+
+def lower(ast: ProtocolAST) -> Program:
+    """Validate and lower in one pass; raises ValueError listing every error."""
+    diags, program = _checked(ast)
+    if program is None:
+        listing = "; ".join(d.message for d in errors_of(diags))
+        raise ValueError(f"protocol {ast.name!r} failed validation: {listing}")
+    return program
 
 
 def errors_of(diags: list[Diagnostic]) -> list[Diagnostic]:

@@ -30,6 +30,7 @@ from stabcheck.checker import (
 from stabcheck.protocol import (
     KEYWORDS,
     CbitDecl,
+    Diagnostic,
     GateStmt,
     Ident,
     IfGateStmt,
@@ -40,6 +41,7 @@ from stabcheck.protocol import (
     SourceSpan,
     Statement,
     errors_of,
+    lower,
     validate,
 )
 from stabcheck.tableau import GATE_NAMES, MeasurementResolution, Tableau, _check_gate, new_zero_state, run_circuit
@@ -459,6 +461,120 @@ def _parse_args(p: _Parser) -> tuple[Ident, ...]:
 
 
 # ---------------------------------------------------------------------------
+# The reference validator: protocol.validate as it was when it ran as a pass
+# of its own, before lowering, reading the body node by node.
+# protocol.validate must agree with it on every diagnostic, in order, with
+# its message and span.
+
+
+def reference_validate(ast: ProtocolAST) -> list[Diagnostic]:
+    """Collect every rule violation; an empty error list means runnable."""
+    diags: list[Diagnostic] = []
+    qubit_names = {q.name for q in ast.qubits}
+    cbit_names = {c.name for c in ast.cbits}
+
+    def error(message: str, span: SourceSpan) -> None:
+        diags.append(Diagnostic("error", message, span))
+
+    def warning(message: str, span: SourceSpan) -> None:
+        diags.append(Diagnostic("warning", message, span))
+
+    if ast.n_in == 0:
+        error("protocol declares no input qubits", ast.span)
+    if not ast.outputs:
+        error("empty output set", ast.span)
+
+    declared: set[str] = set()
+    for decl in (*ast.qubits, *ast.cbits):
+        if decl.name in declared:
+            error(f"duplicate declaration of {decl.name!r}", decl.span)
+        declared.add(decl.name)
+        if decl.name in KEYWORDS:
+            error(f"{decl.name!r} is a reserved word", decl.span)
+        elif not (decl.name.isascii() and decl.name.isidentifier()):
+            error(f"{decl.name!r} is not a name", decl.span)
+        if isinstance(decl, QubitDecl) and decl.init not in ("input", "zero"):
+            error("qubit initializer must be 'input' or 'zero'", decl.span)
+
+    def check_gate_args(stmt: GateStmt | IfGateStmt) -> None:
+        gate, args = stmt.gate, stmt.args
+        if gate not in GATE_NAMES:
+            error(f"{gate!r} is not a Clifford gate", stmt.span)
+            return
+        expected = 2 if gate == "CNOT" else 1
+        if len(args) != expected:
+            error(f"{gate} takes {expected} qubit argument(s), got {len(args)}", stmt.span)
+        for arg in args:
+            if arg.name not in qubit_names:
+                error(f"{arg.name!r} is not a declared qubit", arg.span)
+        if gate == "CNOT" and len(args) == 2 and args[0].name == args[1].name:
+            error("CNOT control and target must differ", stmt.span)
+
+    written: dict[str, int] = {}
+    measured: set[str] = set()
+    read: set[str] = set()
+    for stmt in ast.body:
+        if isinstance(stmt, GateStmt):
+            check_gate_args(stmt)
+        elif isinstance(stmt, MeasureStmt):
+            if stmt.qubit.name not in qubit_names:
+                error(f"{stmt.qubit.name!r} is not a declared qubit", stmt.qubit.span)
+            elif stmt.qubit.name in measured:
+                warning(f"qubit {stmt.qubit.name!r} is measured again", stmt.qubit.span)
+            if stmt.cbit.name not in cbit_names:
+                error(f"{stmt.cbit.name!r} is not a declared classical bit", stmt.cbit.span)
+            elif stmt.cbit.name in written:
+                error(f"classical bit {stmt.cbit.name!r} is written more than once", stmt.cbit.span)
+            else:
+                written[stmt.cbit.name] = 1
+            if stmt.qubit.name in qubit_names:
+                measured.add(stmt.qubit.name)
+        else:
+            if stmt.cbit.name not in cbit_names:
+                error(f"{stmt.cbit.name!r} is not a declared classical bit", stmt.cbit.span)
+            elif stmt.cbit.name not in written:
+                error(f"classical bit {stmt.cbit.name!r} is read before it is written", stmt.cbit.span)
+            read.add(stmt.cbit.name)
+            check_gate_args(stmt)
+
+    for cb in ast.cbits:
+        if cb.name not in written:
+            error(f"classical bit {cb.name!r} is never written by a measurement", cb.span)
+        elif cb.name not in read:
+            warning(f"classical bit {cb.name!r} is never read", cb.span)
+
+    seen_out: set[str] = set()
+    for out in ast.outputs:
+        if out.name not in qubit_names:
+            error(f"output qubit {out.name!r} was never declared", out.span)
+        if out.name in seen_out:
+            error(f"output qubit {out.name!r} listed twice", out.span)
+        seen_out.add(out.name)
+
+    return diags
+
+
+def assert_checked_as_reference(ast: ProtocolAST) -> list[Diagnostic]:
+    """Assert that validate(ast) equals reference_validate(ast), and that
+    lower raises, listing the errors, exactly when that list holds one;
+    return the list.  ast is validated and lowered before the reference
+    reads its body, so a compact body is checked as parse stored it."""
+    got = validate(ast)
+    try:
+        program, raised = lower(ast), None
+    except ValueError as exc:
+        program, raised = None, str(exc)
+    want = reference_validate(ast)
+    assert got == want
+    errs = errors_of(want)
+    if errs:
+        assert raised == f"protocol {ast.name!r} failed validation: {'; '.join(d.message for d in errs)}"
+    else:
+        assert raised is None and isinstance(program, Program)
+    return want
+
+
+# ---------------------------------------------------------------------------
 # The reference walk: checker._walk, _merged, _choi and run_protocol, and the
 # tableau functions they called, kept as they were when the walk still ran
 # on PauliString rows and Tableau copies, and check still walked the Choi
@@ -506,7 +622,7 @@ class ReferenceProgram:
 
 def reference_lower(ast: ProtocolAST, choi: bool = False) -> ReferenceProgram:
     """Validate once and lower; raises ValueError listing every error."""
-    errs = errors_of(validate(ast))
+    errs = errors_of(reference_validate(ast))
     if errs:
         listing = "; ".join(d.message for d in errs)
         raise ValueError(f"protocol {ast.name!r} failed validation: {listing}")

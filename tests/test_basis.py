@@ -135,6 +135,16 @@ class TestEnumerateBasis:
             parse_element_spec("plus:3", 2)
         with pytest.raises(ValueError):
             parse_element_spec("wobble:0,1", 2)
+        # A malformed spec names the accepted forms; a label out of range keeps BasisElement's message.
+        forms = "expected diag:X, plus:X,Y or iplus:X,Y"
+        for spec in ("iplus:0", "plus:a,b", "plus:3", "wobble:0,1", "diag:0,1", "diag:", "diag", "plus:0,1,2", ""):
+            with pytest.raises(ValueError) as exc:
+                parse_element_spec(spec, 2)
+            assert str(exc.value) == f"bad basis element spec {spec!r}: {forms}"
+        for spec, message in (("diag:4", "label out of range"), ("plus:1,0", "two-label kinds need 0 <= x < y < 2^n")):
+            with pytest.raises(ValueError) as exc:
+                parse_element_spec(spec, 2)
+            assert str(exc.value) == f"bad basis element spec {spec!r}: {message}"
 
 
 class TestElementMatrix:

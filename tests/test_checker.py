@@ -71,7 +71,7 @@ class TestLower:
             wire = {q.name: i for i, q in enumerate(ast.qubits)}
             bit = {c.name: i for i, c in enumerate(ast.cbits)}
             outputs = {o.name for o in ast.outputs}
-            ops, run = [], None
+            ops, run, ancillas = [], None, 0
             for i, stmt in enumerate(ast.body):
                 rest = ast.body[i + 1 :]
                 if isinstance(stmt, GateStmt):
@@ -89,11 +89,15 @@ class TestLower:
                     touched_later = any(
                         q == s.qubit.name if isinstance(s, MeasureStmt) else q in {a.name for a in s.args} for s in rest
                     )
-                    ops.append(("m", wire[q], bit[c], q not in outputs and not touched_later))
+                    ops.append(("m", wire[q], bit[c]))
+                    # A measured wire that is an output or is touched later is copied onto an ancilla.
+                    ancillas += q in outputs or touched_later
 
             program = lower(ast)
             assert program.ops == tuple(("u", tuple(op[1])) if op[0] == "u" else op for op in ops)
             assert program.denominator == 2 ** sum(isinstance(s, MeasureStmt) for s in ast.body)
+            for _, rows in checker._deferred(program):
+                assert len(rows) == 2 * (program.n_wires + ast.n_in + ancillas)
 
     def test_choi_walk_starts_from_bell_pairs_and_runs_the_plain_ops(self, monkeypatch):
         rng = random.Random(14)

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import time
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -154,6 +153,14 @@ class TestCheck:
         assert code == 2
         assert "budget" in err
 
+    def test_negative_budget_exits_2(self, capsys):
+        # It was taken, and a refuted pair reported "over the budget of -5".
+        code, out, err = run_cli(capsys, "check", NO_Z, "--identity", "1", "--budget", "-5")
+        assert code == 2 and out == ""
+        assert err == "--budget takes a non-negative entry count\n"
+        code, _, err = run_cli(capsys, "check", NO_Z, "--identity", "1", "--budget", "0")
+        assert code == 2 and "over the budget of 0" in err
+
     def test_deep_measurement_chain(self, capsys, tmp_path):
         # 1,100 random measurements of one ancilla: the branch walk once
         # recursed per measurement and exited 3 past the recursion limit.
@@ -210,22 +217,19 @@ class TestCheck:
         ids=["check", "check-verify", "check-identity", "sim"],
     )
     def test_each_side_is_validated_at_most_once_and_lowered_once(self, capsys, monkeypatch, argv, sides):
-        validated, lowered = [], []
+        # validate, lower and the CLI's loading all run the one pass, _checked.
+        passes = []
+        checked = protocol._checked
 
-        def counted(calls, function):
-            def wrapper(ast):
-                calls.append(ast.name)
-                return function(ast)
-            return wrapper
+        def counted(ast):
+            passes.append(ast.name)
+            return checked(ast)
 
-        counted_validate = counted(validated, protocol.validate)
-        for module in (protocol, cli_mod, checker):
-            monkeypatch.setattr(module, "validate", counted_validate)
-        monkeypatch.setattr(checker, "_lower", counted(lowered, checker._lower))
+        for module in (protocol, cli_mod):
+            monkeypatch.setattr(module, "_checked", counted)
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert sorted(lowered) == sorted(sides)
-        assert set(validated) <= set(sides) and all(count == 1 for count in Counter(validated).values())
+        assert sorted(passes) == sorted(sides)
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["check"]) == 2

@@ -28,6 +28,7 @@ from stabcheck.dense import TOL, pauli_expect_dense, pauli_expect_state, pauli_e
 from stabcheck.protocol import GateStmt, IfGateStmt
 
 from helpers import (
+    assert_checked_as_reference,
     cluster_wire_source,
     h_controlled_cluster_wire_source,
     random_protocol_source,
@@ -36,6 +37,7 @@ from helpers import (
     reference_counterexample,
     reference_fingerprint,
     reference_fingerprint_dense,
+    reference_lower,
     reference_pauli_expect,
     reference_run_dense,
     reference_run_protocol,
@@ -133,6 +135,48 @@ def _without_one_statement(rng, source):
     return "\n".join(lines).replace("protocol rand", "protocol mutant") + "\n"
 
 
+def _without_one_line(rng, source):
+    """source less one random declaration or body line, so most results are
+    invalid: an undeclared qubit or bit, a bit read before it is written, no inputs."""
+    lines = source.splitlines()
+    # Line 0 opens the protocol; the last two hold the outputs and the closing brace.
+    del lines[rng.randrange(1, len(lines) - 2)]
+    return "\n".join(lines) + "\n"
+
+
+def test_diagnostics_and_lowering_match_reference_validate():
+    rng = random.Random(2323)
+    invalid = warned = 0
+    for i in range(300):
+        source = random_protocol_source(rng, shuffle=i % 2 == 1)
+        if i % 3 == 0:
+            source = with_classical_controls(rng, source)
+        for text in (source, _without_one_statement(rng, source), _without_one_line(rng, source)):
+            diagnostics = assert_checked_as_reference(parse(text))
+            invalid += any(d.severity == "error" for d in diagnostics)
+            warned += any(d.severity == "warning" for d in diagnostics)
+    assert invalid > 100 and warned > 100
+
+
+def test_deferred_ancillas_match_reference_reset():
+    # A measurement takes an ancilla in deferred measurement exactly when
+    # the reference lowering does not mark it reset.
+    rng = random.Random(2424)
+    several = 0
+    for i in range(600):
+        source = random_protocol_source(rng, shuffle=i % 4 >= 2)
+        if i % 2:
+            source = with_classical_controls(rng, source)
+        ast = parse(source)
+        program = checker.lower(ast)
+        ancillas = sum(op[0] == "m" and not op[3] for op in reference_lower(ast).ops)
+        states = checker._deferred(program)
+        several += len(states) > 1
+        for _, rows in states:
+            assert len(rows) == 2 * (program.n_wires + len(program.inputs) + ancillas), source
+    assert several > 30
+
+
 def test_random_protocols_match_reference():
     # 260 pairs: a random protocol and the same protocol less one gate or correction.
     rng = random.Random(1112)
@@ -176,14 +220,18 @@ def test_shuffled_declarations_match_reference():
 def test_measured_wire_used_again_is_not_reset(use_again):
     cbits = "cbit m; cbit n;" if "-> n" in use_again else "cbit m;"
     ast = parse(f"protocol p {{ qubit a: input; qubit b: zero; {cbits} measure a -> m; {use_again} output b; }}")
-    first = next(op for op in checker.lower(ast).ops if op[0] == "m")
-    assert first[3] is False
+    program = checker.lower(ast)
+    # Only the first measurement's wire is touched later, so it alone takes an ancilla.
+    (_, rows), = checker._deferred(program)
+    assert len(rows) == 2 * (program.n_wires + len(program.inputs) + 1)
     assert fingerprint(ast) == reference_fingerprint(ast)
 
 
 def test_discarded_measured_wires_are_reset():
     program = checker.lower(load("teleport.qpr"))
-    assert [op[3] for op in program.ops if op[0] == "m"] == [True, True]
+    # Both measured wires are their bits' controls: no ancilla.
+    (_, rows), = checker._deferred(program)
+    assert len(rows) == 2 * (program.n_wires + len(program.inputs))
 
 
 def assert_first_difference(verdict):

@@ -1,5 +1,7 @@
 """The package's public surface: every exported name, and which load lazily."""
 
+from pathlib import Path
+
 import stabcheck
 
 # Frozen on purpose: a change that drops or renames a public name fails here.
@@ -73,3 +75,14 @@ def test_every_public_name_resolves_and_the_dense_ones_lazily():
         assert getattr(stabcheck, name) is getattr(dense, name)
         # Resolved through the module's __getattr__ each time, never cached.
         assert name not in vars(stabcheck)
+
+
+def test_only_protocol_knows_the_compact_body():
+    """The parsed body's compact gate runs are read by protocol.py alone."""
+    from stabcheck import checker
+
+    assert {"GateStmt", "IfGateStmt", "MeasureStmt", "_stored_body"}.isdisjoint(vars(checker))
+    for path in sorted(Path(stabcheck.__file__).parent.glob("*.py")):
+        if path.name != "protocol.py":
+            text = path.read_text(encoding="utf-8")
+            assert [name for name in ("_stored_body", "_CompactBody", "_nodes", '__dict__["body"]') if name in text] == [], path.name

@@ -31,7 +31,7 @@ from stabcheck.protocol import (
 from stabcheck.tableau import GATE_NAMES
 
 from helpers import _tokenize as reference_tokenize
-from helpers import random_protocol_source, reference_parse, teleport_source
+from helpers import assert_checked_as_reference, random_protocol_source, reference_parse, teleport_source
 
 CORPUS = [
     "teleport.qpr",
@@ -563,6 +563,61 @@ def test_front_end_matches_reference_parser():
     # Both paths are exercised: most corruptions break the syntax, some do not.
     assert 1000 < errors < len(corrupted)
     assert invalid > 50
+
+
+def test_validate_matches_reference_on_fixed_layouts():
+    checked = 0
+    for source in FIXED_LAYOUTS:
+        try:
+            ast = parse(source)
+        except ParseError:
+            continue
+        assert _unread(ast)
+        assert_checked_as_reference(ast)
+        read = parse(source)
+        read.body
+        assert_checked_as_reference(read)
+        checked += 1
+    # The invalid run is among them.
+    assert errors_of(validate(parse(FIXED_LAYOUTS[-1]))) and checked > 20
+
+
+def test_validate_matches_reference_on_caller_built_asts():
+    ast = parse(load("teleport.qpr"))
+    psi, a, b = (Ident(q.name, q.span) for q in ast.qubits)
+    m0, m1 = (Ident(c.name, c.span) for c in ast.cbits)
+    span, c, m2 = SourceSpan(30, 3, 4), Ident("c", SourceSpan(30, 5, 6)), Ident("m2", SourceSpan(31, 9, 11))
+    body = ast.body
+    cases = [
+        # An unknown gate, plain and controlled.
+        {"body": body + (GateStmt("T", (b,), span), IfGateStmt(m0, "S", (b,), span))},
+        # Wrong arities.
+        {"body": body + (GateStmt("H", (a, b), span), GateStmt("CNOT", (a,), span), GateStmt("X", (), span))},
+        {"body": body + (IfGateStmt(m1, "CNOT", (b,), span), IfGateStmt(m1, "Z", (a, b), span))},
+        # An undeclared qubit and bit.
+        {"body": body + (GateStmt("H", (c,), span), MeasureStmt(c, m2, span), IfGateStmt(m2, "X", (c,), span))},
+        # A CNOT on one wire.
+        {"body": body + (GateStmt("CNOT", (a, a), span), IfGateStmt(m0, "CNOT", (b, b), span))},
+        # A bit read before it is written, and one written twice.
+        {"body": (IfGateStmt(m0, "X", (b,), span),) + body},
+        {"body": body + (MeasureStmt(b, m0, span), MeasureStmt(a, m1, span))},
+        # Duplicate, keyword and non-name declarations, and a bad initializer.
+        {"qubits": ast.qubits + (QubitDecl("a", "zero", span),), "cbits": ast.cbits + (CbitDecl("psi", span),)},
+        {"qubits": ast.qubits + (QubitDecl("then", "zero", span), QubitDecl("2b", "zero", span))},
+        {"qubits": (ast.qubits[0], QubitDecl("a", "plus", span), ast.qubits[2])},
+        # Undeclared and repeated outputs, and none.
+        {"outputs": (b, c, b, c)},
+        {"outputs": ()},
+        # No inputs.
+        {"qubits": tuple(dataclasses.replace(q, init="zero") for q in ast.qubits)},
+    ]
+    for change in cases:
+        assert errors_of(assert_checked_as_reference(dataclasses.replace(ast, **change))), change
+    # A compact body whose gate runs name an undeclared qubit.
+    compact = parse(load("teleport.qpr"))
+    built = ProtocolAST(compact.name, compact.qubits[:2], compact.cbits, _stored_body(compact), compact.outputs, compact.span)
+    assert _unread(built)
+    assert errors_of(assert_checked_as_reference(built))
 
 
 def _unread(ast: ProtocolAST) -> bool:
