@@ -27,8 +27,8 @@ run_protocol, and so sim, walks one basis input's branches instead.  States
 are the tableau module's engine rows, lists of (x, z, ph) int triples, and
 the kernels each return a new list.  PauliString and Tableau objects appear
 only where the public API hands them out: run_protocol's branches and
-counterexamples.  numpy is imported only by the dense oracle at the end of
-the module.
+counterexamples.  numpy is imported only at the end of the module, by the
+dense oracle and by _cross_check, which compares a table with it (--verify).
 """
 
 from __future__ import annotations
@@ -480,12 +480,19 @@ def _table(channel) -> SuperopFingerprint:
     return SuperopFingerprint(n_in, n_out, BASIS_ORDER_TAG, table)
 
 
+def _check_budget(budget: int | None) -> None:
+    """A budget is None, for no limit, or an entry count from 0 up; a negative count raises ValueError."""
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget takes None or a non-negative entry count, not {budget}")
+
+
 def fingerprint(ast: ProtocolAST, budget: int | None = DEFAULT_BUDGET) -> SuperopFingerprint:
     """Exact table of output-Pauli expectations for every basis input.
 
     The rows come from the protocol's Choi state (_choi) on its _forms; no
     basis input is run on its own.
     """
+    _check_budget(budget)
     program = lower(ast)
     return _table(_choi(program, budget, _forms(program)))
 
@@ -507,6 +514,7 @@ def check_equivalence(
     the first entry, in table order, where the tables differ; past the
     budget, that raises BudgetExceededError saying that the sides differ.
     """
+    _check_budget(budget)
     if lhs.n_in != rhs.n_in or lhs.n_out != rhs.n_out:
         raise ArityMismatchError(
             f"arity mismatch: {lhs.name} is {lhs.n_in}->{lhs.n_out}, {rhs.name} is {rhs.n_in}->{rhs.n_out}"
@@ -700,3 +708,19 @@ def _fingerprint_dense(program: Program) -> np.ndarray:
     if abs(worst - 1.0) > dense.TOL:
         raise ValueError(f"branch probabilities sum to {worst}, not 1")
     return table
+
+
+def _cross_check(name: str, program: Program, channel: tuple) -> None:
+    """Compare the table of the program's channel, as _choi returns it, with
+    the dense oracle's: RuntimeError naming the side past dense.TOL, and
+    DenseLimitError past DENSE_LIMIT (_fingerprint_dense)."""
+    import numpy as np
+
+    from . import dense
+
+    oracle = _fingerprint_dense(program)
+    # Rows over a power-of-two denominator: exact in floating point.
+    table = np.array(list(_rows(channel)), dtype=float) / channel[2]
+    err = float(np.max(np.abs(table - oracle)))
+    if err > dense.TOL:
+        raise RuntimeError(f"oracle cross-check failed for {name}: max deviation {err}")

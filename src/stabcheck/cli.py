@@ -2,8 +2,10 @@
 
 Exit codes: 0 success or equivalent, 1 counterexample found, 2 user error
 (bad arguments, parse or validation failure, out-of-range sizes), 3 internal
-error (including a failed --verify cross-check).  numpy is imported only
-by the --verify paths, which run the dense oracle.
+error (including a failed --verify cross-check).  Each command returns its
+exit code, report and text lines; main times it, adds "command" and
+"timing_ms" to the report and prints one of the two.  Only basis --verify
+imports numpy here; check --verify calls checker._cross_check.
 """
 
 from __future__ import annotations
@@ -64,12 +66,7 @@ def _emit(report: dict, as_json: bool, text_lines: list[str]) -> None:
             print(line)
 
 
-def _frac(value: Fraction) -> str:
-    return str(value)
-
-
-def _cmd_check(args) -> int:
-    started = time.perf_counter()
+def _cmd_check(args) -> tuple[int, dict, list[str]]:
     if args.budget < 0:
         raise UserError("--budget takes a non-negative entry count")
     lhs, lhs_program = _load_protocol(args.lhs)
@@ -102,25 +99,14 @@ def _cmd_check(args) -> int:
         raise UserError(str(exc)) from None
 
     if args.verify:
-        import numpy as np
-
-        from . import dense
-
         for ast, program, channel in zip((lhs, rhs), (lhs_program, rhs_program), channels):
             try:
-                oracle = checker._fingerprint_dense(program)
+                checker._cross_check(ast.name, program, channel)
             except checker.DenseLimitError as exc:
                 raise UserError(f"--verify on {ast.name}: {exc}") from None
-            # Rows over a power-of-two denominator: exact in floating point.
-            table = np.array(list(checker._rows(channel)), dtype=float) / channel[2]
-            err = float(np.max(np.abs(table - oracle)))
-            if err > dense.TOL:
-                raise RuntimeError(f"oracle cross-check failed for {ast.name}: max deviation {err}")
 
     entries = 4 ** lhs.n_in * 4 ** lhs.n_out
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
     report = {
-        "command": "check",
         "lhs": args.lhs,
         "rhs": rhs_label,
         "n_in": lhs.n_in,
@@ -129,35 +115,31 @@ def _cmd_check(args) -> int:
         "verdict": "equivalent" if verdict.equivalent else "counterexample",
         "counterexample": None,
         "decider": verdict.decider,
-        "timing_ms": round(elapsed_ms, 3),
     }
     lines = [f"check: {args.lhs} vs {rhs_label}", f"decider: {verdict.decider}"]
     if verdict.equivalent:
         lines += ["decided on the Choi states: every exact Pauli coefficient agrees", "verdict: EQUIVALENT"]
-        _emit(report, args.json, lines)
-        return EXIT_OK
+        return EXIT_OK, report, lines
     ce = verdict.counterexample
     report["counterexample"] = {
         "basis": ce.basis_element.label(),
         "basis_index": basis_mod.basis_index(ce.basis_element),
         "observable": str(ce.observable),
-        "lhs_value": _frac(ce.value_lhs),
-        "rhs_value": _frac(ce.value_rhs),
+        "lhs_value": str(ce.value_lhs),
+        "rhs_value": str(ce.value_rhs),
     }
     lines += [
         f"decided on the Choi states: they differ, first at this entry of the {entries}-entry fingerprint tables",
         "verdict: NOT EQUIVALENT",
         f"  basis input: {ce.basis_element.label()}",
         f"  observable:  {ce.observable}",
-        f"  lhs value:   {_frac(ce.value_lhs)}",
-        f"  rhs value:   {_frac(ce.value_rhs)}",
+        f"  lhs value:   {ce.value_lhs}",
+        f"  rhs value:   {ce.value_rhs}",
     ]
-    _emit(report, args.json, lines)
-    return EXIT_COUNTEREXAMPLE
+    return EXIT_COUNTEREXAMPLE, report, lines
 
 
-def _cmd_sim(args) -> int:
-    started = time.perf_counter()
+def _cmd_sim(args) -> tuple[int, dict, list[str]]:
     ast, program = _load_protocol(args.path)
     try:
         element = basis_mod.parse_element_spec(args.input, ast.n_in)
@@ -173,28 +155,24 @@ def _cmd_sim(args) -> int:
     for br in branches:
         payload.append(
             {
-                "probability": _frac(br.probability),
+                "probability": str(br.probability),
                 "outcomes": list(br.outcomes),
                 "generators": [str(g) for g in canonical_form(br.state)],
             }
         )
     report = {
-        "command": "sim",
         "protocol": args.path,
         "input": element.label(),
         "branches": payload,
-        "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
     }
     lines = [f"sim: {ast.name} on {element.label()} ({len(branches)} branch(es))"]
     for br, entry in zip(branches, payload):
         bits = "".join(str(b) for b in br.outcomes) or "-"
         lines.append(f"  outcomes {bits}  p={entry['probability']}  state: {' '.join(entry['generators'])}")
-    _emit(report, args.json, lines)
-    return EXIT_OK
+    return EXIT_OK, report, lines
 
 
-def _cmd_basis(args) -> int:
-    started = time.perf_counter()
+def _cmd_basis(args) -> tuple[int, dict, list[str]]:
     if not 1 <= args.n <= 8:
         raise UserError("basis export supports n from 1 to 8")
     if args.verify and args.n > 3:
@@ -226,13 +204,11 @@ def _cmd_basis(args) -> int:
         for c in circuits
     ]
     report = {
-        "command": "basis",
         "n": args.n,
         "count": len(circuits),
         "order": basis_mod.BASIS_ORDER_TAG,
         "elements": payload,
         "verified": bool(args.verify),
-        "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
     }
     lines = [f"basis for n={args.n}: {len(circuits)} elements"]
     for c in circuits:
@@ -240,51 +216,43 @@ def _cmd_basis(args) -> int:
         lines.append(f"  {c.element.label()}: {gate_text}")
     if args.verify:
         lines.append("oracle sweep: all elements verified")
-    _emit(report, args.json, lines)
-    return EXIT_OK
+    return EXIT_OK, report, lines
 
 
-def _cmd_span(args) -> int:
-    started = time.perf_counter()
+def _cmd_span(args) -> tuple[int, dict, list[str]]:
     if not 1 <= args.n <= 3:
         raise UserError("span verification supports n from 1 to 3")
     rank = basis_mod.span_rank(args.n)
     expected = 4 ** args.n
     report = {
-        "command": "span",
         "n": args.n,
         "rank": rank,
         "expected": expected,
         "full_rank": rank == expected,
-        "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
     }
     status = "PASS" if rank == expected else "FAIL"
-    _emit(report, args.json, [f"span rank for n={args.n}: {rank} of {expected} expected: {status}"])
-    return EXIT_OK if rank == expected else EXIT_INTERNAL
+    lines = [f"span rank for n={args.n}: {rank} of {expected} expected: {status}"]
+    return (EXIT_OK if rank == expected else EXIT_INTERNAL), report, lines
 
 
-def _cmd_census(args) -> int:
-    started = time.perf_counter()
+def _cmd_census(args) -> tuple[int, dict, list[str]]:
     if not 1 <= args.n <= 3:
         raise UserError("census by orbit enumeration supports n from 1 to 3")
     count = basis_mod.count_stabilizer_states(args.n)
     basis_size = 4 ** args.n
     ratio = Fraction(count, basis_size)
     report = {
-        "command": "census",
         "n": args.n,
         "stabilizer_states": count,
         "basis_size": basis_size,
-        "ratio": _frac(ratio),
-        "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
+        "ratio": str(ratio),
     }
     lines = [
         f"stabilizer states for n={args.n}: {count}",
         f"basis size 4^n: {basis_size}",
-        f"ratio: {_frac(ratio)}",
+        f"ratio: {ratio}",
     ]
-    _emit(report, args.json, lines)
-    return EXIT_OK
+    return EXIT_OK, report, lines
 
 
 @cache
@@ -333,14 +301,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if not exc.code else EXIT_USER_ERROR
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        code, report, lines = args.func(args)
     except UserError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USER_ERROR
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    report.update(command=args.command, timing_ms=round((time.perf_counter() - started) * 1000.0, 3))
+    _emit(report, args.json, lines)
+    return code
 
 
 def entry() -> None:

@@ -107,6 +107,8 @@ def run_dense(n: int, trace, outcomes=(), initial_state: np.ndarray | None = Non
         if op[0] == "M":
             if next_outcome >= len(outcomes):
                 raise ValueError("outcome choices must cover every measurement")
+            if outcomes[next_outcome] not in (0, 1):
+                raise ValueError("outcome bit must be 0 or 1")
             state, p = project_z(state, n, op[1], outcomes[next_outcome])
             prob *= p
             next_outcome += 1

@@ -296,6 +296,26 @@ class TestCheckEquivalence:
         with pytest.raises(checker.BranchLimitError, match=r"^5 bits control H, P or CNOT.* limit of 2\^4$"):
             check_equivalence(parse(h_controlled_cluster_wire_source(6, controls=5)), builtin_identity(1))
 
+    def test_a_negative_budget_is_refused(self):
+        # It was taken: a refuted pair was "over the budget of -1", and an
+        # equivalent one, which needs no table, passed.
+        for name in ("teleport_noX.qpr", "teleport.qpr"):
+            with pytest.raises(ValueError, match=r"^budget takes None or a non-negative entry count, not -1$") as exc:
+                check_equivalence(load(name), builtin_identity(1), budget=-1)
+            assert not isinstance(exc.value, BudgetExceededError)
+        with pytest.raises(ValueError, match="not -1$") as exc:
+            fingerprint(load("teleport.qpr"), budget=-1)
+        assert not isinstance(exc.value, BudgetExceededError)
+
+    def test_budgets_none_and_zero_keep_their_meaning(self):
+        assert check_equivalence(load("teleport.qpr"), builtin_identity(1), budget=0).equivalent
+        assert not check_equivalence(load("teleport_noX.qpr"), builtin_identity(1), budget=None).equivalent
+        with pytest.raises(BudgetExceededError, match="over the budget of 0$"):
+            check_equivalence(load("teleport_noX.qpr"), builtin_identity(1), budget=0)
+        assert fingerprint(load("teleport.qpr"), budget=None) == fingerprint(builtin_identity(1))
+        with pytest.raises(BudgetExceededError, match="over the budget of 0$"):
+            fingerprint(load("teleport.qpr"), budget=0)
+
 
 class TestDeferredMeasurement:
     def test_teleport_100_is_the_identity(self):
@@ -417,6 +437,34 @@ class TestOracleAgreement:
             fingerprint_dense(ast)
         with pytest.raises(checker.DenseLimitError):
             run_protocol_dense(ast, np.eye(32)[0])
+
+
+CORPUS = sorted(path.name for path in corpus_path("teleport.qpr").parent.glob("*.qpr"))
+
+
+def program_and_channel(name):
+    program = lower(load(name))
+    return program, checker._choi(program, None, checker._forms(program))
+
+
+class TestCrossCheck:
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_passes_on_every_corpus_channel(self, name):
+        checker._cross_check(name, *program_and_channel(name))
+
+    def test_a_changed_coefficient_fails_naming_the_side(self):
+        # A fault on the exact side: the oracle is left as it is.
+        program, (n_in, n_out, denominator, choi) = program_and_channel("teleport.qpr")
+        key = max(choi)
+        changed = (n_in, n_out, denominator, {**choi, key: choi[key] + 1})
+        with pytest.raises(RuntimeError, match=r"^oracle cross-check failed for teleport: max deviation"):
+            checker._cross_check("teleport", program, changed)
+
+    def test_refuses_an_oracle_past_the_dense_limit(self, monkeypatch):
+        # teleport has 3 wires and 2 measurements: 2^5 amplitudes per input.
+        monkeypatch.setattr(checker, "DENSE_LIMIT", 2 ** 4)
+        with pytest.raises(checker.DenseLimitError, match=r"2\^5 amplitudes, over its limit of 2\^4"):
+            checker._cross_check("teleport", *program_and_channel("teleport.qpr"))
 
 
 def superop_dense(ast, matrix) -> np.ndarray:

@@ -275,6 +275,43 @@ class TestCheck:
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
+# The keys of each command's JSON report; main adds command and timing_ms.
+REPORT_KEYS = {
+    "check": {"command", "lhs", "rhs", "n_in", "n_out", "entries", "verdict", "counterexample", "decider", "timing_ms"},
+    "sim": {"command", "protocol", "input", "branches", "timing_ms"},
+    "basis": {"command", "n", "count", "order", "elements", "verified", "timing_ms"},
+    "span": {"command", "n", "rank", "expected", "full_rank", "timing_ms"},
+    "census": {"command", "n", "stabilizer_states", "basis_size", "ratio", "timing_ms"},
+}
+
+
+class TestReports:
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (("check", TELEPORT, "--identity", "1"), 0),
+            (("check", NO_X, "--identity", "1", "--verify"), 1),
+            (("sim", TELEPORT, "--input", "plus:0,1"), 0),
+            (("basis", "1", "--verify"), 0),
+            (("span", "2"), 0),
+            (("census", "2"), 0),
+        ],
+        ids=["check", "check-refuted-verify", "sim", "basis-verify", "span", "census"],
+    )
+    def test_each_command_prints_one_report_with_its_keys(self, capsys, argv, code):
+        got, out, _ = run_cli(capsys, *argv, "--json")
+        assert got == code
+        report = json.loads(out)  # a second report would be extra data
+        assert set(report) == REPORT_KEYS[argv[0]]
+        assert report["command"] == argv[0]
+        assert isinstance(report["timing_ms"], float) and report["timing_ms"] >= 0
+
+    def test_only_checker_reads_a_channel(self):
+        source = Path(cli_mod.__file__).read_text(encoding="utf-8")
+        for name in ("_rows", "_choi", "_fingerprint_dense", "channel["):
+            assert name not in source, name
+
+
 class TestSim:
     def test_teleport_diag(self, capsys):
         code, report, _ = run_json(capsys, "sim", TELEPORT, "--input", "diag:0")

@@ -37,6 +37,13 @@ class TestRunDense:
         with pytest.raises(ValueError):
             run_dense(1, [("T", 0)])
 
+    def test_outcome_bits_are_0_or_1(self):
+        # Outcome 2 was reported as an outcome of probability zero.
+        for bit in (2, -1):
+            with pytest.raises(ValueError, match="^outcome bit must be 0 or 1$") as exc:
+                run_dense(1, [("H", 0), ("M", 0)], outcomes=(bit,))
+            assert not isinstance(exc.value, ZeroProbabilityError)
+
     def test_outcome_coverage(self):
         with pytest.raises(ValueError):
             run_dense(1, [("M", 0)])
