@@ -21,7 +21,10 @@ dyadic weight.  The Choi state is the weighted sum of the reduced states
 on the references and outputs.  One state on each side is fixed by its
 signed subgroup supported there (Fattal et al., quant-ph/0406168), so the
 verdict compares the canonical forms of the two subgroups (_reduced);
-otherwise it compares the Choi coefficients.
+otherwise it compares the Choi coefficients.  A Program is frozen, so it
+keeps its forms, and its Choi coefficients when there are at most
+DEFAULT_BUDGET of them, in its __dict__: a spec checked against many
+candidates is deferred, reduced and expanded once.
 
 run_protocol, and so sim, walks one basis input's branches instead.  States
 are the tableau module's engine rows, lists of (x, z, ph) int triples, and
@@ -401,13 +404,24 @@ def _input_generators(n_in: int, k: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(_circuit(n_in, circuit_for(basis_element(n_in, k)).gates)[n_in:])
 
 
-def _forms(program: Program) -> list[tuple[int, tuple]]:
-    """The program's _deferred states as (weight, _reduced form)."""
-    return [(weight, _reduced(program, rows)) for weight, rows in _deferred(program)]
+def _forms(program: Program) -> tuple[tuple[int, tuple], ...]:
+    """The program's _deferred states as (weight, _reduced form), kept in
+    the frozen Program's __dict__ once built."""
+    forms = program.__dict__.get("_forms")
+    if forms is None:
+        states = _deferred(program)
+        forms = program.__dict__["_forms"] = tuple((weight, _reduced(program, rows)) for weight, rows in states)
+    return forms
 
 
-def _choi(program: Program, budget: int | None, forms: list[tuple[int, tuple]]) -> tuple[int, int, int, dict[int, int]]:
+def _choi(program: Program, budget: int | None) -> tuple[int, int, int, dict[int, int]]:
     """The channel's Choi state J as (n_in, n_out, denominator, choi), from the program's _forms.
+
+    _forms runs first, so BranchLimitError comes before BudgetExceededError,
+    and the budget is checked before a kept map is read, so a kept map never
+    passes a smaller budget.  A map of at most DEFAULT_BUDGET entries is kept
+    in the frozen Program's __dict__ once built; a larger one is built on
+    each call, so what a Program holds stays bounded.
 
     Reference wire j starts in a Bell pair with input j.  choi[A x P] times
     denominator is Tr((A x P) J), keyed as the _reduced form holds the
@@ -418,10 +432,14 @@ def _choi(program: Program, budget: int | None, forms: list[tuple[int, tuple]]) 
     whose generators the form holds, and 0 elsewhere; the denominator is
     the sum of the weights.
     """
+    forms = _forms(program)
     n_in, n_out = len(program.inputs), len(program.outputs)
     work = 4 ** n_in * 4 ** n_out
     if budget is not None and work > budget:
         raise BudgetExceededError(work, budget)
+    channel = program.__dict__.get("_choi")
+    if channel is not None:
+        return channel
 
     m = n_in + n_out
     choi: dict[int, int] = {}
@@ -429,7 +447,10 @@ def _choi(program: Program, budget: int | None, forms: list[tuple[int, tuple]]) 
         for x, z, sign in _group([g for g in form if g[0] | g[1]]):  # without the padding
             key = x | z << m
             choi[key] = choi.get(key, 0) + sign * weight
-    return n_in, n_out, sum(weight for weight, _ in forms), choi
+    channel = n_in, n_out, sum(weight for weight, _ in forms), choi
+    if work <= DEFAULT_BUDGET:
+        program.__dict__["_choi"] = channel
+    return channel
 
 
 def _split(key: int, n_in: int, n_out: int) -> tuple[int, int, int]:
@@ -493,8 +514,7 @@ def fingerprint(ast: ProtocolAST, budget: int | None = DEFAULT_BUDGET) -> Supero
     basis input is run on its own.
     """
     _check_budget(budget)
-    program = lower(ast)
-    return _table(_choi(program, budget, _forms(program)))
+    return _table(_choi(lower(ast), budget))
 
 
 def check_equivalence(
@@ -532,9 +552,9 @@ def _verdict(lhs: Program, rhs: Program, budget: int | None) -> Verdict:
     forms = _forms(lhs), _forms(rhs)
     single = len(forms[0]) == len(forms[1]) == 1
     if single and forms[0][0][1] == forms[1][0][1]:
-        return Verdict(True, None, lambda: (_choi(lhs, budget, forms[0]), _choi(rhs, budget, forms[1])), decider)
+        return Verdict(True, None, lambda: (_choi(lhs, budget), _choi(rhs, budget)), decider)
     try:
-        channels = _choi(lhs, budget, forms[0]), _choi(rhs, budget, forms[1])
+        channels = _choi(lhs, budget), _choi(rhs, budget)
     except BudgetExceededError as exc:
         if not single:
             raise

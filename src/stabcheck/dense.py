@@ -67,6 +67,8 @@ def apply_gate_dense(state: np.ndarray, n: int, gate: str, *qubits: int) -> np.n
 
 def project_z(state: np.ndarray, n: int, q: int, outcome: int) -> tuple[np.ndarray, float]:
     """Project qubit q onto |outcome> and renormalize; returns (state, prob)."""
+    if outcome not in (0, 1):
+        raise ValueError("outcome bit must be 0 or 1")
     idx = np.arange(1 << n)
     mask = ((idx >> (n - 1 - q)) & 1) == outcome
     picked = np.where(mask, state, 0.0)
@@ -107,8 +109,6 @@ def run_dense(n: int, trace, outcomes=(), initial_state: np.ndarray | None = Non
         if op[0] == "M":
             if next_outcome >= len(outcomes):
                 raise ValueError("outcome choices must cover every measurement")
-            if outcomes[next_outcome] not in (0, 1):
-                raise ValueError("outcome bit must be 0 or 1")
             state, p = project_z(state, n, op[1], outcomes[next_outcome])
             prob *= p
             next_outcome += 1

@@ -29,6 +29,9 @@ statement may start is matched a line at a time by a second, to one token.  The
 run stays one compact entry in the parsed body until ProtocolAST.body is first
 read, which builds its GateStmts; _checked, the one pass behind validate and
 lower, reads the compact entry, so a parse-check-lower path builds no node for it.
+That pass runs once per AST: the AST is frozen, so _checked keeps its
+diagnostics and Program in the AST's __dict__, as the body property keeps the
+built body there.
 """
 
 from __future__ import annotations
@@ -388,7 +391,17 @@ class Program:
 def _checked(ast: ProtocolAST) -> tuple[list[Diagnostic], Program | None]:
     """validate's diagnostics, and the lowered Program when none is an error.
 
-    One forward pass checks each statement and lowers it, with one wire and
+    The AST is frozen, so its pass runs once and is kept in its __dict__;
+    each call returns a fresh diagnostics list, which the caller may edit.
+    """
+    memo = ast.__dict__.get("_checked")
+    if memo is None:
+        memo = ast.__dict__["_checked"] = _pass(ast)
+    return list(memo[0]), memo[1]
+
+
+def _pass(ast: ProtocolAST) -> tuple[tuple[Diagnostic, ...], Program | None]:
+    """One forward pass checks each statement and lowers it, with one wire and
     one bit table; a name missing from them lowers to None, which an error
     discards with the rest.  A clean run lowers from its gate triples; a run
     with a diagnostic builds its GateStmts, whose diagnostics are its own.
@@ -500,8 +513,8 @@ def _checked(ast: ProtocolAST) -> tuple[list[Diagnostic], Program | None]:
         seen_out.add(out.name)
 
     if any(d.severity == "error" for d in diags):
-        return diags, None
-    return diags, Program(
+        return tuple(diags), None
+    return tuple(diags), Program(
         n_wires=len(wire),
         inputs=tuple(wire[name] for name in ast.input_names),
         outputs=tuple(wire[out.name] for out in ast.outputs),

@@ -523,22 +523,19 @@ def measure_z(t: Tableau, q: int) -> tuple[MeasurementResolution, Callable[[int]
         raise ValueError(f"qubit {q} out of range for n={t.n}")
     pivot, forced = _z_pivot(_triples(t.rows), t.n, q)
 
-    if pivot is None:
-
-        def collapse_det(outcome: int) -> Tableau:
+    def collapse(outcome: int) -> Tableau:
+        if outcome not in (0, 1):
+            raise ValueError("outcome bit must be 0 or 1")
+        if pivot is None:
             if outcome != forced:
                 raise ValueError(f"outcome {outcome} has probability zero")
             return Tableau(t.n, list(t.rows), t.trace + [("M", q)])
-
-        return MeasurementResolution("deterministic", forced), collapse_det
-
-    def collapse_rand(outcome: int) -> Tableau:
-        if outcome not in (0, 1):
-            raise ValueError("outcome bit must be 0 or 1")
         rows = _collapsed(_triples(t.rows), t.n, q, pivot, outcome)
         return Tableau(t.n, _boxed(t.n, rows), t.trace + [("M", q)])
 
-    return MeasurementResolution("random"), collapse_rand
+    if pivot is None:
+        return MeasurementResolution("deterministic", forced), collapse
+    return MeasurementResolution("random"), collapse
 
 
 def expectation(t: Tableau, obs: PauliString) -> int:

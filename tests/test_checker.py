@@ -31,7 +31,7 @@ from stabcheck.checker import local_observable, lower
 from stabcheck.cli import corpus_path
 from stabcheck.dense import density_from_branches, pauli_expect_dense, run_dense
 
-from stabcheck.protocol import GateStmt, IfGateStmt, MeasureStmt
+from stabcheck.protocol import GateStmt, IfGateStmt, MeasureStmt, pretty_print, validate
 from stabcheck.tableau import _boxed
 
 from helpers import (
@@ -317,6 +317,71 @@ class TestCheckEquivalence:
             fingerprint(load("teleport.qpr"), budget=0)
 
 
+def teleport_3_items():
+    """teleport_3 and its six one-correction mutants, as sources."""
+    return [teleport_source(3)] + [teleport_source(3, f"{gate}{k}") for k in range(3) for gate in "XZ"]
+
+
+def outcome(verdict):
+    return verdict.equivalent, verdict.counterexample, verdict.fingerprints, verdict.decider
+
+
+class TestKeptResults:
+    """An AST keeps its checked pass, and a Program its forms and its Choi map
+    within DEFAULT_BUDGET entries; none of it may show in a result."""
+
+    def test_a_shared_identity_checked_twice_matches_a_fresh_one(self):
+        shared = builtin_identity(3)
+        fresh = pretty_print(shared)
+        for source in teleport_3_items():
+            lhs = parse(source)
+            want = outcome(check_equivalence(parse(source), parse(fresh)))
+            assert [outcome(check_equivalence(lhs, shared)) for _ in range(2)] == [want, want], source
+
+    def test_a_repeated_check_defers_nothing_again(self, monkeypatch):
+        deferred = checker._deferred
+        runs = []
+        monkeypatch.setattr(checker, "_deferred", lambda program: runs.append(program) or deferred(program))
+        pairs = [(parse(source), builtin_identity(3)) for source in teleport_3_items()]
+        first = [check_equivalence(*pair) for pair in pairs]
+        # Once per candidate, and once for the identity unless an earlier test checked it.
+        assert len(runs) in (7, 8)
+        runs.clear()
+        assert [check_equivalence(*pair) for pair in pairs] == first and runs == []
+        lhs, rhs = pairs[1]
+        assert lower(lhs) is lower(lhs)
+        again = dataclasses.replace(lhs)
+        assert check_equivalence(again, rhs) == first[1] and len(runs) == 1 and runs[0] is not lower(lhs)
+
+    def test_a_kept_channel_never_passes_a_smaller_budget(self):
+        fingerprint(builtin_identity(2), budget=None)
+        with pytest.raises(BudgetExceededError, match="over the budget of 100$") as caught:
+            fingerprint(builtin_identity(2), budget=100)
+        assert caught.value.work == 256
+        lhs = load("teleport_noX.qpr")
+        assert not check_equivalence(lhs, builtin_identity(1), budget=None).equivalent
+        with pytest.raises(BudgetExceededError, match="^the two sides differ.* over the budget of 0$"):
+            check_equivalence(lhs, builtin_identity(1), budget=0)
+
+    def test_a_channel_past_the_default_budget_is_not_kept(self):
+        # 4^12 entries: built on each call, so a pinned identity stays small.
+        program = lower(builtin_identity(6))
+        first = checker._choi(program, None)
+        second = checker._choi(program, None)
+        assert first == second and first is not second
+        assert "_choi" not in vars(program)
+        kept = lower(builtin_identity(5))
+        assert checker._choi(kept, None) is checker._choi(kept, None)
+
+    def test_validate_returns_a_fresh_list(self):
+        ast = parse("protocol p { qubit a: input; qubit b: zero; cbit c; measure b -> c; output a; }")
+        first = validate(ast)
+        assert [d.severity for d in first] == ["warning"]
+        first.clear()
+        second = validate(ast)
+        assert [d.severity for d in second] == ["warning"] and second is not validate(ast)
+
+
 class TestDeferredMeasurement:
     def test_teleport_100_is_the_identity(self):
         verdict = check_equivalence(parse(teleport_source(100)), builtin_identity(100))
@@ -444,7 +509,7 @@ CORPUS = sorted(path.name for path in corpus_path("teleport.qpr").parent.glob("*
 
 def program_and_channel(name):
     program = lower(load(name))
-    return program, checker._choi(program, None, checker._forms(program))
+    return program, checker._choi(program, None)
 
 
 class TestCrossCheck:

@@ -8,7 +8,15 @@ import pytest
 
 from stabcheck import PauliString, density_from_branches, pauli_expect_dense, run_dense
 from stabcheck.checker import local_observable
-from stabcheck.dense import _GATE_1Q, ZeroProbabilityError, apply_gate_dense, pauli_expectations, reduced_density
+from stabcheck.dense import (
+    _GATE_1Q,
+    ZeroProbabilityError,
+    apply_gate_dense,
+    pauli_expectations,
+    project_z,
+    reduced_density,
+    zero_state,
+)
 
 from helpers import enumerate_circuit_branches, hermitian_paulis, random_circuit
 
@@ -38,11 +46,18 @@ class TestRunDense:
             run_dense(1, [("T", 0)])
 
     def test_outcome_bits_are_0_or_1(self):
-        # Outcome 2 was reported as an outcome of probability zero.
+        # Outcome 2 was reported as an outcome of probability zero, and
+        # project_z on |0> reported 2 and -1 so too.
         for bit in (2, -1):
-            with pytest.raises(ValueError, match="^outcome bit must be 0 or 1$") as exc:
-                run_dense(1, [("H", 0), ("M", 0)], outcomes=(bit,))
-            assert not isinstance(exc.value, ZeroProbabilityError)
+            for call in (
+                lambda: run_dense(1, [("H", 0), ("M", 0)], outcomes=(bit,)),
+                lambda: project_z(zero_state(1), 1, 0, bit),
+            ):
+                with pytest.raises(ValueError, match="^outcome bit must be 0 or 1$") as exc:
+                    call()
+                assert not isinstance(exc.value, ZeroProbabilityError)
+        with pytest.raises(ZeroProbabilityError, match="^outcome 1 on qubit 0 has probability zero$"):
+            project_z(zero_state(1), 1, 0, 1)
 
     def test_outcome_coverage(self):
         with pytest.raises(ValueError):

@@ -72,7 +72,7 @@ def coefficient_verdict(lhs, rhs):
     their _forms, compared as check_equivalence compares more than one
     state, never by comparing the _reduced forms themselves."""
     programs = checker.lower(lhs), checker.lower(rhs)
-    channels = [checker._choi(program, None, checker._forms(program)) for program in programs]
+    channels = [checker._choi(program, None) for program in programs]
     return checker._compared(*channels, "coefficients")
 
 
@@ -504,7 +504,7 @@ def test_sides_over_different_choi_denominators(drop):
     # a denominator of 4; identity:1 has one state over 1.
     lhs, rhs = parse(h_controlled_cluster_wire_source(6, drop=drop, controls=2)), builtin_identity(1)
     programs = checker.lower(lhs), checker.lower(rhs)
-    assert [checker._choi(program, None, checker._forms(program))[2] for program in programs] == [4, 1]
+    assert [checker._choi(program, None)[2] for program in programs] == [4, 1]
     ce = check_equivalence(lhs, rhs).counterexample
     want = reference_counterexample(reference_fingerprint(lhs), reference_fingerprint(rhs))
     assert (ce.basis_element, ce.observable, ce.value_lhs, ce.value_rhs) == want
@@ -592,7 +592,7 @@ def test_walk_matches_reference_walk():
     for source in _walk_sources():
         ast = parse(source)
         program = checker.lower(ast)
-        got = checker._choi(program, None, checker._forms(program))
+        got = checker._choi(program, None)
         assert choi_fractions(got) == choi_fractions(reference_choi(ast, None)), source
         if ast.n_in > 2:
             continue
@@ -616,7 +616,7 @@ def test_classical_controls_match_reference():
     for i, source in enumerate(sources):
         ast = parse(source)
         program = checker.lower(ast)
-        got = checker._choi(program, None, checker._forms(program))
+        got = checker._choi(program, None)
         assert choi_fractions(got) == choi_fractions(reference_choi(ast, None)), source
         reference = reference_fingerprint(ast)
         table = fingerprint(ast)

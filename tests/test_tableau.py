@@ -238,6 +238,16 @@ class TestMeasureZ:
         assert stab_strings(collapse(0)) == ["+Z"]
         assert stab_strings(collapse(1)) == ["-Z"]
 
+    def test_outcome_bits_are_0_or_1(self):
+        # The deterministic collapse reported 2 and -1 as outcomes of probability zero.
+        for start in (new_zero_state(1), run_circuit(1, [("H", 0)])):
+            _, collapse = measure_z(start, 0)
+            for bit in (2, -1):
+                with pytest.raises(ValueError, match="^outcome bit must be 0 or 1$"):
+                    collapse(bit)
+        with pytest.raises(ValueError, match="^outcome 1 has probability zero$"):
+            measure_z(new_zero_state(1), 0)[1](1)
+
     def test_bell_collapse_matches_oracle(self):
         t = run_circuit(2, [("H", 0), ("CNOT", 0, 1)])
         res, collapse = measure_z(t, 0)
