@@ -42,7 +42,8 @@ def corpus_path(name: str) -> Path:
 def _load_protocol(path_text: str) -> tuple[ProtocolAST, Program]:
     path = Path(path_text)
     try:
-        source = path.read_text(encoding="utf-8")
+        # utf-8-sig drops a byte-order mark at the start, as editors on Windows write it.
+        source = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise UserError(f"cannot read {path}: {exc}") from None
     try:

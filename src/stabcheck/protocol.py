@@ -24,14 +24,15 @@ controlled single corrections, and finally names its output wires:
 '#' starts a line comment.  Only H, P, X, Y, Z and CNOT are accepted, which
 keeps every expressible protocol inside the efficiently checkable fragment.
 
-Each line is lexed by one regex, except that a run of whole gate lines where a
-statement may start is matched a line at a time by a second, to one token.  The
-run stays one compact entry in the parsed body until ProtocolAST.body is first
-read, which builds its GateStmts; _checked, the one pass behind validate and
-lower, reads the compact entry, so a parse-check-lower path builds no node for it.
-That pass runs once per AST: the AST is frozen, so _checked keeps its
-diagnostics and Program in the AST's __dict__, as the body property keeps the
-built body there.
+Each line is lexed by one regex, except that a run of whole body lines (each
+one gate, measure or if statement) where a statement may start is matched a
+line at a time by a second, to one token.  The run stays one compact entry in
+the parsed body until ProtocolAST.body is first read, which builds its nodes.
+_checked, the one pass behind validate and lower, lowers a compact entry from
+its names and builds a line's node only when that line has a diagnostic, so a
+parse-check-lower path builds no statement node for it.  That pass runs once
+per AST: the AST is frozen, so _checked keeps its diagnostics and Program in
+the AST's __dict__, as the body property keeps the built body there.
 """
 
 from __future__ import annotations
@@ -49,12 +50,19 @@ KEYWORDS = frozenset({"protocol", "qubit", "cbit", "input", "zero", "measure", "
 # accepts is "bad".
 _NAME = "[A-Za-z_][A-Za-z0-9_]*"
 _TOKEN_RE = re.compile(r"#.*|(?P<arrow>->)|(?P<punct>[{}:;,])|(?P<name>" + _NAME + r")|(?P<bad>[^ \t\r])")
-# A whole gate line: one gate statement with 1-2 non-keyword arguments, blanks, a comment.
+# A whole body line holds one gate, measure or if statement, with no keyword in
+# a name position, blanks and a comment.  Its groups are its item (cbit, gate,
+# first, second, qubit, into): an if line is a gate line after "if cbit then",
+# and a measure line fills only qubit and into.
 _ARG = rf"(?!(?:{'|'.join(sorted(KEYWORDS))})(?![A-Za-z0-9_])){_NAME}"
-_GATE_LINE_RE = re.compile(rf"[ \t]*({'|'.join(GATE_NAMES)})[ \t]+({_ARG})[ \t]*(?:,[ \t]*({_ARG})[ \t]*)?;[ \t]*(?:#.*)?")
+# (X|) in place of (X)? matches the same and runs faster in the re module.
+_BODY_LINE_RE = re.compile(
+    rf"[ \t]*(?:(?:if[ \t]+({_ARG})[ \t]+then[ \t]+|)({'|'.join(GATE_NAMES)})[ \t]+({_ARG})[ \t]*(?:,[ \t]*({_ARG})[ \t]*|)"
+    rf"|measure[ \t]+({_ARG})[ \t]*->[ \t]*({_ARG})[ \t]*);[ \t]*(?:#.*|)"
+)
 
 
-# A SourceSpan is built for each name parsed outside a gate line, so its
+# A SourceSpan is built for each name lexed token by token, so its
 # __init__ fills __dict__ directly, not by the frozen one's
 # object.__setattr__ per field.
 @dataclass(frozen=True, init=False)
@@ -133,24 +141,33 @@ Statement = GateStmt | MeasureStmt | IfGateStmt
 
 
 class _CompactBody(tuple):
-    """A parsed body: each run of whole gate lines is still one compact entry
-    (line, texts, gates): its first line number, line texts and each line's
-    _GATE_LINE_RE groups (gate, first, second); every other statement is its node."""
+    """A parsed body: each run of whole body lines is still one compact entry
+    (line, texts, items): its first line number, its line texts and each
+    line's _BODY_LINE_RE item; every other statement is its node."""
 
 
-def _nodes(run: tuple) -> list[GateStmt]:
-    """A compact run's GateStmts, with the spans parse gives them, found again
-    by matching each line."""
+def _node(lineno: int, text: str) -> Statement:
+    """A whole body line's node, with the spans parse gives it, found again
+    by matching the line."""
+    match = _BODY_LINE_RE.fullmatch(text)
+    regs = match.regs  # (-1, -1) for a group that took no part
+    col = len(text) - len(text.lstrip(" \t")) + 1  # of the line's first word
+
+    def ident(group: int) -> Ident:
+        return Ident(match[group], SourceSpan(lineno, regs[group][0] + 1, regs[group][1] + 1))
+
+    if match[2] is None:
+        return MeasureStmt(ident(5), ident(6), SourceSpan(lineno, col, col + len("measure")))
+    args = tuple(ident(g) for g in (3, 4) if regs[g][0] >= 0)
+    if match[1] is not None:
+        return IfGateStmt(ident(1), match[2], args, SourceSpan(lineno, col, col + len("if")))
+    return GateStmt(match[2], args, SourceSpan(lineno, col, col + len(match[2])))
+
+
+def _nodes(run: tuple) -> list[Statement]:
+    """A compact run's statements."""
     line, texts, _ = run
-    nodes = []
-    for lineno, text in enumerate(texts, line):
-        match = _GATE_LINE_RE.fullmatch(text)
-        _, (g0, g1), (a0, a1), (b0, b1) = match.regs  # (-1, -1) for an absent second argument
-        args = (Ident(match[2], SourceSpan(lineno, a0 + 1, a1 + 1)),)
-        if b0 >= 0:
-            args += (Ident(match[3], SourceSpan(lineno, b0 + 1, b1 + 1)),)
-        nodes.append(GateStmt(match[1], args, SourceSpan(lineno, g0 + 1, g1 + 1)))
-    return nodes
+    return [_node(lineno, text) for lineno, text in enumerate(texts, line)]
 
 
 class _LazyBody:
@@ -195,8 +212,8 @@ class ProtocolAST(_LazyBody):
 
 
 # A token is a plain (kind, text, line, col) tuple; kind is "name", "punct",
-# "arrow" or, for the last token only, "eof".  A run of whole gate lines
-# becomes one 5-tuple: its first gate-name token plus the run's compact entry.
+# "arrow" or, for the last token only, "eof".  A run of whole body lines
+# becomes one 5-tuple: its first word's token plus the run's compact entry.
 _Token = tuple[str, str, int, int] | tuple[str, str, int, int, tuple]
 
 
@@ -205,22 +222,24 @@ def _tokenize(source: str) -> list[_Token]:
     append = tokens.append
     # splitlines also breaks at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029.
     lines = source.splitlines() or [""]
-    fullmatch = _GATE_LINE_RE.fullmatch
+    body_line = _BODY_LINE_RE.fullmatch
     numbered = enumerate(lines, start=1)
     for lineno, line in numbered:
         # Only where a statement may start, so the parser never meets it where it
-        # takes a plain name; elsewhere it raises the first gate name's own error.
-        gate_line = fullmatch(line)
-        if gate_line and (not tokens or tokens[-1][1] in (";", "{") or len(tokens[-1]) == 5):
-            start, col, gates = lineno, gate_line.start(1) + 1, [gate_line.groups()]
-            # The run takes the gate lines after it; the line that ends it is lexed below.
+        # takes a plain name; elsewhere it raises its first word's own error.
+        whole = (not tokens or tokens[-1][1] in (";", "{") or len(tokens[-1]) == 5) and body_line(line)
+        if whole:
+            cbit, gate = whole.group(1, 2)
+            start, col, items = lineno, len(line) - len(line.lstrip(" \t")) + 1, [whole.groups()]
+            # The run takes the body lines after it; the line that ends it is lexed below.
             for lineno, line in numbered:
-                gate_line = fullmatch(line)
-                if not gate_line:
+                whole = body_line(line)
+                if not whole:
                     break
-                gates.append(gate_line.groups())
-            append(("name", gates[0][0], start, col, (start, lines[start - 1 : start - 1 + len(gates)], gates)))
-            if gate_line:  # the run ends the source
+                items.append(whole.groups())
+            word = "measure" if gate is None else "if" if cbit else gate
+            append(("name", word, start, col, (start, lines[start - 1 : start - 1 + len(items)], items)))
+            if whole:  # the run ends the source
                 break
         for match in _TOKEN_RE.finditer(line):
             kind = match.lastgroup
@@ -297,11 +316,11 @@ def parse(source: str) -> ProtocolAST:
     while True:
         tok = tokens[i]
         text = tok[1]
+        if len(tok) == 5:  # a run of whole body lines, parsed by _tokenize
+            body.append(tok[4])
+            i += 1
+            continue
         if text in GATE_NAMES:
-            if len(tok) == 5:  # a run of whole gate lines, parsed by _tokenize
-                body.append(tok[4])
-                i += 1
-                continue
             cbit = None
             i += 1
         elif text == "if":
@@ -366,7 +385,7 @@ def parse(source: str) -> ProtocolAST:
 
 def _stored_body(ast: ProtocolAST) -> tuple[Statement | tuple, ...]:
     """The body as stored, without building it: a parsed body's runs of
-    whole gate lines are still the compact entries that _CompactBody describes."""
+    whole body lines are still the compact entries that _CompactBody describes."""
     return ast.__dict__["body"]
 
 
@@ -403,8 +422,8 @@ def _checked(ast: ProtocolAST) -> tuple[list[Diagnostic], Program | None]:
 def _pass(ast: ProtocolAST) -> tuple[tuple[Diagnostic, ...], Program | None]:
     """One forward pass checks each statement and lowers it, with one wire and
     one bit table; a name missing from them lowers to None, which an error
-    discards with the rest.  A clean run lowers from its gate triples; a run
-    with a diagnostic builds its GateStmts, whose diagnostics are its own.
+    discards with the rest.  A compact run lowers each clean line from its
+    names; a line with a diagnostic builds its node, whose diagnostics are its own.
     """
     diags: list[Diagnostic] = []
     wire = {q.name: i for i, q in enumerate(ast.qubits)}
@@ -453,27 +472,16 @@ def _pass(ast: ProtocolAST) -> tuple[tuple[Diagnostic, ...], Program | None]:
     written: set[str] = set()
     measured: set[str] = set()
     read: set[str] = set()
-    for stmt in _stored_body(ast):
-        if type(stmt) is tuple or isinstance(stmt, GateStmt):
+
+    def statement(stmt: Statement) -> None:
+        nonlocal run
+        if isinstance(stmt, GateStmt):
+            check_gate_args(stmt)
             if run is None:
                 run = []
                 ops.append(("u", run))
-            if type(stmt) is not tuple:
-                check_gate_args(stmt)
-                run.append((stmt.gate, *(wire.get(arg.name) for arg in stmt.args)))
-                continue
-            for gate, first, second in stmt[2]:
-                if second is None:
-                    if first in wire and gate != "CNOT":
-                        run.append((gate, wire[first]))
-                        continue
-                elif first in wire and second in wire and second != first and gate == "CNOT":
-                    run.append((gate, wire[first], wire[second]))
-                    continue
-                for node in _nodes(stmt):
-                    check_gate_args(node)
-                break
-            continue
+            run.append((stmt.gate, *(wire.get(arg.name) for arg in stmt.args)))
+            return
         run = None
         if isinstance(stmt, MeasureStmt):
             if stmt.qubit.name not in wire:
@@ -497,6 +505,33 @@ def _pass(ast: ProtocolAST) -> tuple[tuple[Diagnostic, ...], Program | None]:
             read.add(stmt.cbit.name)
             check_gate_args(stmt)
             ops.append(("if", bit.get(stmt.cbit.name), stmt.gate, tuple(wire.get(arg.name) for arg in stmt.args)))
+
+    for stmt in _stored_body(ast):
+        if type(stmt) is not tuple:
+            statement(stmt)
+            continue
+        line, texts, items = stmt
+        for k, (cbit, gate, first, second, qubit, into) in enumerate(items):
+            if gate is None:  # measure qubit -> into
+                if qubit in wire and into in bit and qubit not in measured and into not in written:
+                    measured.add(qubit)
+                    written.add(into)
+                    run = None
+                    ops.append(("m", wire[qubit], bit[into]))
+                    continue
+            elif first in wire and (gate != "CNOT" if second is None else gate == "CNOT" and second in wire and second != first):
+                if cbit is None:
+                    if run is None:
+                        run = []
+                        ops.append(("u", run))
+                    run.append((gate, wire[first]) if second is None else (gate, wire[first], wire[second]))
+                    continue
+                if cbit in written:
+                    read.add(cbit)
+                    run = None
+                    ops.append(("if", bit[cbit], gate, (wire[first],) if second is None else (wire[first], wire[second])))
+                    continue
+            statement(_node(line + k, texts[k]))
 
     for cb in ast.cbits:
         if cb.name not in written:

@@ -274,6 +274,32 @@ def random_protocol_source(rng: random.Random, name: str = "rand", shuffle: bool
     return f"protocol {name} {{\n  " + "\n  ".join(decls + body) + f"\n  output {', '.join(outputs)};\n}}\n"
 
 
+def tensor_source(sources: list[str], name: str = "tensor") -> str:
+    """The tensor product of protocols as one source, one statement a line.
+
+    Block k's names get the prefix b<k>_, and its declarations and outputs
+    follow those of block k - 1, so its inputs and outputs are the next
+    ones in order.  The blocks' statements are interleaved round-robin,
+    each block's in its own order, so a block is not a run of adjacent
+    statements.  Each source is read by reference_parse.
+    """
+    decls, bodies, outputs = [], [], []
+    for k, ast in enumerate(map(reference_parse, sources)):
+        p = f"b{k}_"
+        decls += [f"qubit {p}{q.name}: {q.init};" for q in ast.qubits] + [f"cbit {p}{c.name};" for c in ast.cbits]
+        outputs += [p + o.name for o in ast.outputs]
+        body = []
+        for stmt in ast.body:
+            if isinstance(stmt, MeasureStmt):
+                body.append(f"measure {p}{stmt.qubit.name} -> {p}{stmt.cbit.name};")
+                continue
+            gate = f"{stmt.gate} {', '.join(p + arg.name for arg in stmt.args)};"
+            body.append(f"if {p}{stmt.cbit.name} then {gate}" if isinstance(stmt, IfGateStmt) else gate)
+        bodies.append(body)
+    body = [stmts[i] for i in range(max(map(len, bodies))) for stmts in bodies if i < len(stmts)]
+    return f"protocol {name} {{\n  " + "\n  ".join(decls + body) + f"\n  output {', '.join(outputs)};\n}}\n"
+
+
 # ---------------------------------------------------------------------------
 # The reference front end: the per-character tokenizer and the parser with
 # one expect method per token kind, kept as they were before the lexer became

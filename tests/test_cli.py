@@ -133,6 +133,27 @@ class TestCheck:
         assert code == 2
         assert err.startswith(f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
 
+    def test_a_byte_order_mark_at_the_start_is_read_past(self, capsys, tmp_path):
+        path = tmp_path / "bom.qpr"
+        # teleport_noX is refuted, and m0 reads as unused, so the report has a
+        # counterexample and a warning to compare.
+        source = corpus_path("teleport_noX.qpr").read_text(encoding="utf-8").replace("if m0 then Z b;", "")
+        reports = []
+        for encoding in ("utf-8-sig", "utf-8"):
+            path.write_text(source, encoding=encoding)
+            assert path.read_bytes().startswith(b"\xef\xbb\xbf") == (encoding == "utf-8-sig")
+            text = run_cli(capsys, "check", str(path), "--identity", "1")
+            code, report, err = run_json(capsys, "check", str(path), "--identity", "1")
+            del report["timing_ms"]
+            reports.append((text, code, report, err))
+        assert reports[0] == reports[1]
+        assert reports[0][1] == 1 and "never read" in reports[0][3]
+        # Anywhere else, it is a character the format does not accept.
+        path.write_text(source.replace("\n  output", "\n\ufeff  output"), encoding="utf-8")
+        code, _, err = run_cli(capsys, "check", str(path), "--identity", "1")
+        assert code == 2
+        assert err.startswith(f"{path}:{source.splitlines().index('  output b;') + 1}:1: error: unexpected character '\\ufeff'")
+
     def test_identity_arity_is_checked_before_it_is_built(self, capsys):
         # Building a 200,000-wire identity first took seconds and hundreds of MB.
         start = time.perf_counter()

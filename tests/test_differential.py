@@ -26,6 +26,7 @@ from stabcheck.cli import corpus_path
 from stabcheck.dense import TOL, pauli_expect_dense, pauli_expect_state, pauli_expectations
 
 from stabcheck.protocol import GateStmt, IfGateStmt
+from stabcheck.tableau import GATE_NAMES
 
 from helpers import (
     assert_checked_as_reference,
@@ -40,8 +41,10 @@ from helpers import (
     reference_lower,
     reference_pauli_expect,
     reference_run_dense,
+    reference_parse,
     reference_run_protocol,
     teleport_source,
+    tensor_source,
     with_classical_controls,
     with_h_control,
 )
@@ -726,3 +729,53 @@ def test_pauli_expectations_match_reference():
                 rho = np.outer(state, state.conj())
                 for obs in (plus, minus):
                     assert abs(pauli_expect_state(state, obs) - reference_pauli_expect(rho, obs)) < 1e-12
+
+
+def _with_identity_pair(rng: random.Random, source: str) -> str:
+    """A one-statement-per-line source with a gate sequence that multiplies
+    to the identity (H H, X X or P P P P) inserted on one wire, at a random
+    place in its body."""
+    lines = source.splitlines(keepends=True)
+    body = [i for i, line in enumerate(lines) if line.split()[0] in (*GATE_NAMES, "measure", "if", "output")]
+    wire = rng.choice(re.findall(r"qubit (\w+):", source))
+    gate, times = rng.choice((("H", 2), ("X", 2), ("P", 4)))
+    at = rng.choice(body)
+    return "".join(lines[:at] + [f"  {gate} {wire};\n"] * times + lines[at:])
+
+
+def _without_one_gate(rng: random.Random, source: str) -> str:
+    """A one-statement-per-line source less one gate or if line."""
+    lines = source.splitlines(keepends=True)
+    del lines[rng.choice([i for i, line in enumerate(lines) if line.split()[0] in (*GATE_NAMES, "if")])]
+    return "".join(lines)
+
+
+# (seed, whether block 0 stays equivalent once its right side loses one statement)
+TENSOR_CASES = [(0, True), (1, False), (3, True), (5, False)]
+
+
+@pytest.mark.parametrize("seed, block_0_equivalent", TENSOR_CASES)
+def test_a_tensor_product_is_equivalent_exactly_when_every_block_pair_is(seed, block_0_equivalent):
+    # A product of trace-preserving channels equals another product of as
+    # many channels of the same arities exactly when the factors are equal
+    # pairwise.  The right-hand blocks equal the left-hand ones up to an
+    # identity pair, except block 0, which loses one statement.
+    rng = random.Random(seed)
+    lhs = [random_protocol_source(rng, f"blk{k}", shuffle=True) for k in range(100)]
+    rhs = [_without_one_gate(rng, lhs[0])] + [_with_identity_pair(rng, source) for source in lhs[1:]]
+    small = [(parse(left), parse(right)) for left, right in zip(lhs, rhs)]
+    ref_0 = [reference_fingerprint(ast) for ast in small[0]]
+    assert (reference_counterexample(*ref_0) is None) == block_0_equivalent
+    assert check_equivalence(*small[0]).equivalent == block_0_equivalent
+    for ast, ref in zip(small[0], ref_0):
+        assert_dense_agrees(ast, ref)
+    assert all(check_equivalence(*pair).equivalent for pair in small[1:])
+    sources = tensor_source(lhs), tensor_source(rhs)
+    product = tuple(map(parse, sources))
+    assert product == tuple(map(reference_parse, sources))
+    assert product[0].n_in == sum(left.n_in for left, _ in small) > 120
+    if block_0_equivalent:
+        assert check_equivalence(*product).equivalent
+    else:
+        with pytest.raises(checker.BudgetExceededError, match="the two sides differ"):
+            check_equivalence(*product)

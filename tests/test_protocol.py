@@ -22,6 +22,7 @@ from stabcheck.protocol import (
     ProtocolAST,
     QubitDecl,
     SourceSpan,
+    _checked,
     _CompactBody,
     _nodes,
     _stored_body,
@@ -402,6 +403,66 @@ FIXED_LAYOUTS = [
     _HEAD + "  H a;\r  X b;\v  CNOT a, b;\u2028  Z a;\n  output a;\n}\n",
     # A run starting at a gate line after "then".
     _HEAD + "  measure b -> m;\n  if m then\n  X a;\n  H a;\n  Y b;\n  output a;\n}\n",
+    # Whole measure and if lines: no blanks around "->", a CNOT under if,
+    # tabs and trailing comments.
+    _HEAD + "  measure b->m;\n  if m then X a;\n  output a;\n}\n",
+    _HEAD + "  measure b -> m;\n  if m then CNOT a, b;\n  if m then CNOT b,a;\n  output a;\n}\n",
+    _HEAD + "\tmeasure\tb\t->\tm\t;\t# tab\n\tif\tm\tthen\tX\ta\t;# no space\n  if m then Z a ; # c\n  output a;\n}\n",
+    "protocol p {\n\tqubit\ta\t:\tinput\t; # in\n  qubit b:zero;# anc\n\tcbit\tm ;\t\n  measure b -> m;\n  output a;\n}\n",
+    # Keywords in name positions of whole lines.
+    _HEAD + "  measure then -> m;\n  output a;\n}\n",
+    _HEAD + "  measure b -> output;\n  output a;\n}\n",
+    _HEAD + "  measure b -> m;\n  if then then X a;\n  output a;\n}\n",
+    _HEAD + "  measure b -> m;\n  if m then X output;\n  output a;\n}\n",
+    _HEAD + "  measure b -> m;\n  if m then CNOT a, zero;\n  output a;\n}\n",
+    "protocol p {\n  qubit output: input;\n  output output;\n}\n",
+    "protocol p {\n  qubit a: input;\n  cbit zero;\n  output a;\n}\n",
+    "protocol p {\n  qubit a: input;\n  qubit b: a;\n  output a;\n}\n",
+    # A bad initializer, a missing ":" and a duplicate on whole-looking lines.
+    "protocol p {\n  qubit a: one;\n  output a;\n}\n",
+    "protocol p {\n  qubit a input;\n  output a;\n}\n",
+    "protocol p {\n  qubit a: input;\n  cbit b;\n  qubit b: zero;\n  output a;\n}\n",
+    "protocol p {\n  qubit a: input; qubit b: zero;\n  cbit a;\n  output a;\n}\n",
+    # A gate or if word that is not a statement's: an if on a non-gate, a
+    # measure without an arrow, a gate named like a keyword.
+    _HEAD + "  measure b -> m;\n  if m then T a;\n  output a;\n}\n",
+    _HEAD + "  measure b m;\n  output a;\n}\n",
+    _HEAD + "  measure b -> m, a;\n  output a;\n}\n",
+    _HEAD + "  measure b, a -> m;\n  output a;\n}\n",
+    # A declaration line in the body, and body lines among the declarations.
+    _HEAD + "  H a;\n  qubit c: zero;\n  output a;\n}\n",
+    _HEAD + "  measure b -> m;\n  cbit k;\n  output a;\n}\n",
+    "protocol p {\n  qubit a: input;\n  cbit m;\n  measure a -> m;\n  qubit c: zero;\n  output a;\n}\n",
+    "protocol p {\n  qubit a: input;\n  cbit m;\n  measure a -> m;\n  if m then X a;\n  cbit k;\n  output a;\n}\n",
+    # Whole lines where no statement may start: first, after "output a;",
+    # after "}" and after "then".
+    "qubit a: input;\nprotocol p {\n  output a;\n}\n",
+    "measure a -> m;\nprotocol p {\n  qubit a: input;\n  output a;\n}\n",
+    _HEAD + "  output a;\n  measure b -> m;\n}\n",
+    _HEAD + "  output a;\n  cbit k;\n}\n",
+    _HEAD + "  output a;\n}\n  if m then X a;\n",
+    "protocol p {\n  qubit a: input;\n  cbit m;\n  measure a -> m;\n  if m then\n  if m then X a;\n  output a;\n}\n",
+    # A byte-order mark, which parse rejects anywhere (the CLI drops one at
+    # the start of a file).
+    "\ufeff" + _HEAD + "  output a;\n}\n",
+    _HEAD + "\ufeff  measure b -> m;\n  output a;\n}\n",
+    # An if split across two lines, in three places.
+    _HEAD + "  measure b -> m;\n  if m\n  then X a;\n  output a;\n}\n",
+    _HEAD + "  measure b -> m;\n  if m then X\n  a;\n  output a;\n}\n",
+    _HEAD + "  measure b\n  -> m;\n  if m then X a;\n  output a;\n}\n",
+    # Two declarations on one line, then whole ones.
+    "protocol p {\n  qubit a: input;\n  cbit m; cbit k;\n  cbit j;\n  measure a -> m;\n  measure a -> k;\n"
+    "  measure a -> j;\n  if m then X a;\n  if k then Z a;\n  if j then Y a;\n  output a;\n}\n",
+    # Runs of measure and if lines split by \r, \v and \u2028.
+    _HEAD + "  cbit k;\r  measure b -> m;\v  if m then X a;\u2028  measure a -> k;\r\n  if k then Z b;\n  output a;\n}\n",
+    # Whole lines that validate must build and check one by one: an undeclared
+    # qubit and bit, a bit read before it is written, a bit written twice and,
+    # a warning only, a qubit measured again.
+    _HEAD + "  measure c -> m;\n  measure b -> k;\n  if k then X a;\n  if m then X c;\n  output a;\n}\n",
+    _HEAD + "  if m then X a;\n  measure b -> m;\n  if m then Z a;\n  output a;\n}\n",
+    _HEAD + "  measure b -> m;\n  measure a -> m;\n  if m then X a;\n  output a;\n}\n",
+    _HEAD + "  cbit k;\n  measure b -> m;\n  H b;\n  measure b -> k;\n  if m then X a;\n  if k then CNOT a, b;\n  output a;\n}\n",
+    _HEAD + "  measure b -> m;\n  if m then CNOT a, a;\n  if m then H a, b;\n  if m then CNOT b;\n  output a;\n}\n",
     # A run that validate must build and check gate by gate.
     _HEAD + "  H a;\n  H c;\n  CNOT a, a;\n  X a, b;\n  CNOT a;\n  output a;\n}\n",
 ]
@@ -434,48 +495,64 @@ def test_front_end_matches_reference_parser_on_two_edits():
     assert 1000 < errors < len(corrupted)
 
 
-def _gate_line_runs(source: str) -> list[list[int]]:
-    """The line numbers of each maximal run of gate lines, in a source with
-    one statement per line."""
-    numbered = enumerate(source.splitlines(), start=1)
-    runs = groupby(numbered, lambda item: item[1].split()[0] in GATE_NAMES)
-    return [[n for n, _ in run] for gate, run in runs if gate]
+def _body_line_runs(source: str) -> list[list[int]]:
+    """The line numbers of each maximal run of whole body lines, in a source
+    whose lines hold at most one statement or several declarations."""
+    body = []
+    for lineno, text in enumerate(source.splitlines(), start=1):
+        if text.strip() and text.count(";") == 1 and text.split()[0] in (*GATE_NAMES, "measure", "if"):
+            body.append(lineno)
+    runs = groupby(enumerate(body), lambda item: item[1] - item[0])
+    return [[n for _, n in run] for _, run in runs]
 
 
 class TestGateLineToken:
-    """A maximal run of lines each holding one gate statement, starting where
-    a statement may start, is lexed to one token carrying its compact entry."""
+    """A maximal run of lines each holding one whole gate, measure or if
+    statement, starting where a statement may start, is lexed to one token
+    carrying its compact entry."""
 
     def test_a_pretty_printed_gate_line_is_one_token(self):
         for ast in (parse(teleport_source(3)), parse(_circuit_source(random.Random(5), "c"))):
             source = pretty_print(ast)
+            want = reference_parse(source)
             tokens = _tokenize(source)
             runs = [tok for tok in tokens if len(tok) == 5]
-            # One token per maximal run, at its first line, with a gate per line.
-            want = _gate_line_runs(source)
-            assert [(tok[2], len(tok[4][2])) for tok in runs] == [(run[0], len(run)) for run in want]
-            assert sum(map(len, want)) == sum(isinstance(stmt, GateStmt) for stmt in ast.body) > 0
-            # Each payload, once built, is the body's GateStmts, spans included.
-            payloads = tuple(_with_spans(node) for tok in runs for node in _nodes(tok[4]))
-            assert payloads == tuple(_with_spans(s) for s in parse(source).body if isinstance(s, GateStmt))
+            # The whole body is one run: one token at its first line, one item per line.
+            body_lines = _body_line_runs(source)
+            assert len(body_lines) == 1 and len(body_lines[0]) == len(want.body) > 0
+            assert [(tok[2], len(tok[4][2])) for tok in runs] == [(body_lines[0][0], len(want.body))]
+            assert len(_stored_body(parse(source))) == 1
+            # Its payload, once built, is the body, spans included.
+            assert tuple(_with_spans(node) for node in _nodes(runs[0][4])) == _with_spans(want.body)
             # Every other line is lexed token by token.
-            gate_lines = {n for run in want for n in run}
-            assert all(len(tok) == 4 for tok in tokens if tok[2] not in gate_lines)
+            assert all(len(tok) == 4 for tok in tokens if tok[2] not in body_lines[0])
 
     def test_the_token_count_is_one_per_run_plus_the_tokens_outside_runs(self):
         # Counted, not timed: a lexer that expanded runs again fails here.
-        for source in (_circuit_source(random.Random(150), "c", gates=150), teleport_source(3)):
-            runs = _gate_line_runs(source)
-            gate_lines = {n for run in runs for n in run}
-            outside = [tok for tok in reference_tokenize(source) if tok.span.line not in gate_lines]
+        sources = (_circuit_source(random.Random(150), "c", gates=150), teleport_source(3), FIXED_LAYOUTS[-2])
+        for source in sources + (pretty_print(parse(teleport_source(3))),):
+            runs = _body_line_runs(source)
+            outside = [tok for tok in reference_tokenize(source) if tok.span.line not in set().union(*runs)]
             assert len(_tokenize(source)) == len(outside) + len(runs)
+            assert runs and len(outside) < len(reference_tokenize(source)) / 2
 
     def test_a_gate_line_after_then_is_lexed_token_by_token(self):
         tokens = _tokenize("  measure b -> m;\n  if m then\n  X a;\n  H a;\n")
         plain = [("name", "X", 3, 3), ("name", "a", 3, 5), ("punct", ";", 3, 6)]
         assert [tok for tok in tokens if tok[2] == 3] == plain
-        # The next line follows a ";", so it is one token again.
+        # The first line may start a statement, so it is one token, and so is
+        # the last, which follows a ";".
+        assert tokens[0][:4] == ("name", "measure", 1, 3) and len(tokens[0]) == 5
         assert tokens[-2][:4] == ("name", "H", 4, 3) and len(tokens[-2]) == 5 and tokens[-1][0] == "eof"
+
+    def test_a_run_ends_at_any_other_line(self):
+        source = "  H a;\n  measure a -> m;\n\n  if m then X a;\n  cbit k;\n  H a; H b;\n  X a;\n  H b;"
+        tokens = [(tok[1], tok[2], tok[3], len(tok)) for tok in _tokenize(source)]
+        # A blank line, a declaration and a line of two statements end a run.
+        assert [tok for tok in tokens if tok[3] == 5] == [("H", 1, 3, 5), ("if", 4, 3, 5), ("X", 7, 3, 5)]
+        assert [tok[:3] for tok in tokens if tok[1] == 5] == [("cbit", 5, 3), ("k", 5, 8), (";", 5, 9)]
+        assert [tok[:3] for tok in tokens if tok[1] == 6] == [("H", 6, 3), ("a", 6, 5), (";", 6, 6), ("H", 6, 8), ("b", 6, 10), (";", 6, 11)]
+        assert len(_tokenize(source)[-2][4][2]) == 2 and tokens[-1][0] == ""
 
 
 _SPAN = SourceSpan(1, 2, 3)
@@ -490,7 +567,7 @@ _HOT_NODES = [
         {"gate": "X"},
         f"GateStmt(gate='H', args=(Ident(name='a', span={_SPAN_REPR}),), span={_SPAN_REPR})",
     ),
-    # Built from a compact gate line when the body is read.
+    # Built from compact gate, measure and if lines when the body is read.
     (
         parse("protocol p {\n  qubit a: input;\n  qubit b: input;\n  CNOT a, b;\n  output a, b;\n}\n").body[0],
         ("gate", "args", "span"),
@@ -499,12 +576,30 @@ _HOT_NODES = [
         "Ident(name='b', span=SourceSpan(line=4, col_start=11, col_end=12))), "
         "span=SourceSpan(line=4, col_start=3, col_end=7))",
     ),
+    (
+        parse(_HEAD + "  measure b -> m;\n  if m then CNOT a, b;\n  output a;\n}\n").body[0],
+        ("qubit", "cbit", "span"),
+        {"cbit": Ident("k", _SPAN)},
+        "MeasureStmt(qubit=Ident(name='b', span=SourceSpan(line=5, col_start=11, col_end=12)), "
+        "cbit=Ident(name='m', span=SourceSpan(line=5, col_start=16, col_end=17)), "
+        "span=SourceSpan(line=5, col_start=3, col_end=10))",
+    ),
+    (
+        parse(_HEAD + "  measure b -> m;\n  if m then CNOT a, b;\n  output a;\n}\n").body[1],
+        ("cbit", "gate", "args", "span"),
+        {"gate": "X"},
+        "IfGateStmt(cbit=Ident(name='m', span=SourceSpan(line=6, col_start=6, col_end=7)), gate='CNOT', "
+        "args=(Ident(name='a', span=SourceSpan(line=6, col_start=18, col_end=19)), "
+        "Ident(name='b', span=SourceSpan(line=6, col_start=21, col_end=22))), "
+        "span=SourceSpan(line=6, col_start=3, col_end=5))",
+    ),
 ]
 
 
 class TestHotNodes:
     """SourceSpan keeps every dataclass behaviour under its hand-written
-    __init__, and GateStmt and its Idents as built from a compact statement."""
+    __init__, and each statement node and its Idents as built from a compact
+    line."""
 
     @pytest.mark.parametrize("node, names, change, text", _HOT_NODES)
     def test_dataclass_contract(self, node, names, change, text):
@@ -580,6 +675,25 @@ def test_validate_matches_reference_on_fixed_layouts():
         checked += 1
     # The invalid run is among them.
     assert errors_of(validate(parse(FIXED_LAYOUTS[-1]))) and checked > 20
+
+
+def test_compact_lines_lower_as_their_nodes_on_fixed_layouts():
+    # Diagnostics and Program, from the body as parse stored it and as read.
+    lowered = diagnosed = 0
+    for source in FIXED_LAYOUTS:
+        try:
+            ast = parse(source)
+        except ParseError:
+            continue
+        read = parse(source)
+        read.body
+        assert _checked(ast) == _checked(read) and _unread(ast), repr(source)
+        lowered += _checked(ast)[1] is not None
+        diagnosed += any(d.span.line > 4 for d in validate(ast))
+    assert lowered > 15 and diagnosed > 5
+    # A warning on a whole line leaves the Program.
+    remeasured = parse(next(source for source in FIXED_LAYOUTS if "  H b;\n  measure b -> k;" in source))
+    assert _checked(remeasured)[1] is not None and "measured again" in validate(remeasured)[0].message
 
 
 def test_validate_matches_reference_on_caller_built_asts():
@@ -673,47 +787,64 @@ class TestLazyBody:
 
 
 def test_a_check_builds_no_gate_node(monkeypatch, tmp_path, capsys):
-    """Parse, check and lower read each gate line in its compact form."""
+    """Parse, check and lower read each whole gate, measure and if line in
+    its compact form: none of them builds a GateStmt, MeasureStmt or IfGateStmt."""
     built = []
-    init = GateStmt.__init__
-    monkeypatch.setattr(GateStmt, "__init__", lambda self, *args, **kwargs: built.append(args) or init(self, *args, **kwargs))
+    for cls in (GateStmt, MeasureStmt, IfGateStmt):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=cls.__init__, **kwargs: built.append(type(self)) or init(self, *args, **kwargs))
     rng = random.Random(19)
     a, b = _circuit_source(rng, "a"), _circuit_source(rng, "b")
+    t, t_no_x = (pretty_print(parse(teleport_source(2, drop))) for drop in (None, "X1"))
     built.clear()
-    for lhs, rhs in ((a, a), (a, b)):
-        asts = parse(lhs), parse(rhs)
+    for lhs, rhs in ((a, a), (a, b), (t, t), (t, t_no_x), (t, None)):
+        asts = parse(lhs), parse(rhs) if rhs else builtin_identity(2)
         check_equivalence(*asts)
         lower(asts[0])
-        assert all(map(_unread, asts))
-    paths = [tmp_path / "a.qpr", tmp_path / "b.qpr"]
-    for path, source in zip(paths, (a, b)):
+        assert all(map(_unread, asts[: 1 + bool(rhs)]))
+    paths = [tmp_path / f"{name}.qpr" for name in ("a", "b", "t", "t_no_x")]
+    for path, source in zip(paths, (a, b, t, t_no_x)):
         path.write_text(source, encoding="utf-8")
-    assert cli.main(["check", "--json", *map(str, paths)]) == 1
+    assert cli.main(["check", "--json", *map(str, paths[:2])]) == 1
+    assert cli.main(["check", "--json", *map(str, paths[2:])]) == 1
+    assert cli.main(["check", "--json", str(paths[2]), "--identity", "2"]) == 0
     capsys.readouterr()
     assert built == []
     # The counter sees a read body build its nodes.
     assert len(parse(a).body) == len(built) > 100
+    built.clear()
+    body = parse(t).body
+    assert built == list(map(type, body)) and set(built) == {GateStmt, MeasureStmt, IfGateStmt}
 
 
 def test_a_parse_builds_an_ident_per_name_outside_gate_lines(monkeypatch):
-    """Declarations build no Ident; each measure, if and output name builds one."""
+    """Whole lines build no Ident: only a name lexed token by token, or an
+    output, builds one."""
     built = []
     init = Ident.__init__
     monkeypatch.setattr(Ident, "__init__", lambda self, *args, **kwargs: init(self, *args, **kwargs) or built.append(self.name))
     parse(load("teleport.qpr"))
-    assert built == ["psi", "m0", "a", "m1", "m1", "b", "m0", "b", "b"]
-    for source in (teleport_source(3), _circuit_source(random.Random(23), "c")):
+    assert built == ["b"]
+    sources = [teleport_source(3), pretty_print(parse(teleport_source(3))), _circuit_source(random.Random(23), "c")]
+    for source in sources:
         built.clear()
         ast = parse(source)
-        names = [name for stmt in _stored_body(ast) if type(stmt) is not tuple for name in _names(stmt)]
-        assert built == names + [o.name for o in ast.outputs]
-    # The counter sees a read body build the Idents of its gate lines.
+        assert built == [o.name for o in ast.outputs]
+    # A line of several statements is lexed token by token.
+    names = [name for stmt in reference_parse(FIXED_LAYOUTS[0]).body for name in _names(stmt)] + ["a"]
     built.clear()
-    gates = [stmt for stmt in ast.body if isinstance(stmt, GateStmt)]
-    assert len(built) == sum(len(stmt.args) for stmt in gates) > 100
+    parse(FIXED_LAYOUTS[0])
+    assert built == names and len(names) == 8
+    # The counter sees a read body build the Idents of its lines.
+    for source in sources[1:]:
+        ast = parse(source)
+        built.clear()
+        body = ast.body
+        assert sorted(built) == sorted(name for stmt in body for name in _names(stmt))
+    assert len(built) > 100
 
 
 def _names(stmt):
     if isinstance(stmt, MeasureStmt):
         return [stmt.qubit.name, stmt.cbit.name]
-    return [stmt.cbit.name, *(arg.name for arg in stmt.args)]
+    cbit = [stmt.cbit.name] if isinstance(stmt, IfGateStmt) else []
+    return cbit + [arg.name for arg in stmt.args]
