@@ -24,10 +24,12 @@ controlled single corrections, and finally names its output wires:
 '#' starts a line comment.  Only H, P, X, Y, Z and CNOT are accepted, which
 keeps every expressible protocol inside the efficiently checkable fragment.
 
-Each line is lexed by one regex, except that a run of whole body lines (each
-one gate, measure or if statement) where a statement may start is matched a
-line at a time by a second, to one token.  The run stays one compact entry in
-the parsed body until ProtocolAST.body is first read, which builds its nodes.
+Each line is lexed by one regex, except where a statement may start.  There a
+run of whole body lines (each one gate, measure or if statement) is matched a
+line at a time by a second regex, to one token, and a whole declaration or
+output line by a third, to one token carrying its QubitDecl or CbitDecl, or
+its output Idents.  The run stays one compact entry in the parsed body until
+ProtocolAST.body is first read, which builds its nodes.
 _checked, the one pass behind validate and lower, lowers a compact entry from
 its names and builds a line's node only when that line has a diagnostic, so a
 parse-check-lower path builds no statement node for it.  That pass runs once
@@ -60,6 +62,13 @@ _BODY_LINE_RE = re.compile(
     rf"[ \t]*(?:(?:if[ \t]+({_ARG})[ \t]+then[ \t]+|)({'|'.join(GATE_NAMES)})[ \t]+({_ARG})[ \t]*(?:,[ \t]*({_ARG})[ \t]*|)"
     rf"|measure[ \t]+({_ARG})[ \t]*->[ \t]*({_ARG})[ \t]*);[ \t]*(?:#.*|)"
 )
+# A whole declaration or output line, with the same blanks and comment.  Its
+# groups are a qubit's name and initializer, a cbit's name, or the output names.
+_DECL_LINE_RE = re.compile(
+    rf"[ \t]*(?:qubit[ \t]+({_ARG})[ \t]*:[ \t]*(input|zero)|cbit[ \t]+({_ARG})"
+    rf"|output[ \t]+({_ARG}(?:[ \t]*,[ \t]*{_ARG})*))[ \t]*;[ \t]*(?:#.*|)"
+)
+_NAME_RE = re.compile(_NAME)
 
 
 # A SourceSpan is built for each name lexed token by token, so its
@@ -96,23 +105,37 @@ class ParseError(Exception):
         self.diagnostic = Diagnostic("error", message, span)
 
 
-@dataclass(frozen=True)
+# The lexer builds one of these per whole declaration line and per output
+# name, so each fills __dict__ directly, as SourceSpan does.
+@dataclass(frozen=True, init=False)
 class Ident:
     name: str
     span: SourceSpan = field(compare=False)
 
+    def __init__(self, name: str, span: SourceSpan) -> None:
+        d = self.__dict__
+        d["name"], d["span"] = name, span
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class QubitDecl:
     name: str
     init: str  # "input" | "zero"
     span: SourceSpan = field(compare=False)
 
+    def __init__(self, name: str, init: str, span: SourceSpan) -> None:
+        d = self.__dict__
+        d["name"], d["init"], d["span"] = name, init, span
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class CbitDecl:
     name: str
     span: SourceSpan = field(compare=False)
+
+    def __init__(self, name: str, span: SourceSpan) -> None:
+        d = self.__dict__
+        d["name"], d["span"] = name, span
 
 
 @dataclass(frozen=True)
@@ -214,6 +237,9 @@ class ProtocolAST(_LazyBody):
 # A token is a plain (kind, text, line, col) tuple; kind is "name", "punct",
 # "arrow" or, for the last token only, "eof".  A run of whole body lines
 # becomes one 5-tuple: its first word's token plus the run's compact entry.
+# So does a whole declaration or output line, carrying its QubitDecl or
+# CbitDecl, or its tuple of output Idents; its word, "qubit", "cbit" or
+# "output", tells it from a run.
 _Token = tuple[str, str, int, int] | tuple[str, str, int, int, tuple]
 
 
@@ -223,24 +249,44 @@ def _tokenize(source: str) -> list[_Token]:
     # splitlines also breaks at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029.
     lines = source.splitlines() or [""]
     body_line = _BODY_LINE_RE.fullmatch
+    decl_line = _DECL_LINE_RE.fullmatch
     numbered = enumerate(lines, start=1)
     for lineno, line in numbered:
-        # Only where a statement may start, so the parser never meets it where it
-        # takes a plain name; elsewhere it raises its first word's own error.
-        whole = (not tokens or tokens[-1][1] in (";", "{") or len(tokens[-1]) == 5) and body_line(line)
-        if whole:
-            cbit, gate = whole.group(1, 2)
-            start, col, items = lineno, len(line) - len(line.lstrip(" \t")) + 1, [whole.groups()]
-            # The run takes the body lines after it; the line that ends it is lexed below.
-            for lineno, line in numbered:
-                whole = body_line(line)
-                if not whole:
+        # Only where a statement may start, so the parser never meets a line
+        # token where it takes a plain name; elsewhere it raises its first
+        # word's own error.
+        if not tokens or tokens[-1][1] in (";", "{") or len(tokens[-1]) == 5:
+            decl = decl_line(line)
+            whole = not decl and body_line(line)
+            if whole:
+                cbit, gate = whole.group(1, 2)
+                start, col, items = lineno, len(line) - len(line.lstrip(" \t")) + 1, [whole.groups()]
+                # The run takes the body lines after it; the line that ends it
+                # may be a declaration or output line, else it is lexed below.
+                for lineno, line in numbered:
+                    whole = body_line(line)
+                    if not whole:
+                        break
+                    items.append(whole.groups())
+                word = "measure" if gate is None else "if" if cbit else gate
+                append(("name", word, start, col, (start, lines[start - 1 : start - 1 + len(items)], items)))
+                if whole:  # the run ends the source
                     break
-                items.append(whole.groups())
-            word = "measure" if gate is None else "if" if cbit else gate
-            append(("name", word, start, col, (start, lines[start - 1 : start - 1 + len(items)], items)))
-            if whole:  # the run ends the source
-                break
+                decl = decl_line(line)
+            if decl:
+                qubit, init, cbit, names = decl.groups()
+                col = len(line) - len(line.lstrip(" \t")) + 1
+                if names is not None:
+                    outputs = _NAME_RE.finditer(line, *decl.regs[4])
+                    outputs = tuple([Ident(m[0], SourceSpan(lineno, m.start() + 1, m.end() + 1)) for m in outputs])
+                    append(("name", "output", lineno, col, outputs))
+                elif qubit is not None:
+                    span = SourceSpan(lineno, decl.regs[1][0] + 1, decl.regs[1][1] + 1)
+                    append(("name", "qubit", lineno, col, QubitDecl(qubit, init, span)))
+                else:
+                    span = SourceSpan(lineno, decl.regs[3][0] + 1, decl.regs[3][1] + 1)
+                    append(("name", "cbit", lineno, col, CbitDecl(cbit, span)))
+                continue
         for match in _TOKEN_RE.finditer(line):
             kind = match.lastgroup
             if kind is None:
@@ -294,6 +340,14 @@ def parse(source: str) -> ProtocolAST:
     qubits: list[QubitDecl] = []
     cbits: list[CbitDecl] = []
     while tokens[i][1] in ("qubit", "cbit"):
+        if len(tokens[i]) == 5:  # a whole declaration line, its node built by _tokenize
+            node = tokens[i][4]
+            if node.name in declared:
+                raise ParseError(f"duplicate declaration of {node.name!r}", node.span)
+            declared.add(node.name)
+            (qubits if tokens[i][1] == "qubit" else cbits).append(node)
+            i += 1
+            continue
         decl = tokens[i + 1]
         name = _name(decl, "a declaration name")
         if name in declared:
@@ -316,7 +370,7 @@ def parse(source: str) -> ProtocolAST:
     while True:
         tok = tokens[i]
         text = tok[1]
-        if len(tok) == 5:  # a run of whole body lines, parsed by _tokenize
+        if len(tok) == 5 and text not in ("qubit", "cbit", "output"):  # a run of whole body lines
             body.append(tok[4])
             i += 1
             continue
@@ -363,12 +417,15 @@ def parse(source: str) -> ProtocolAST:
         else:
             body.append(IfGateStmt(cbit, gate_tok[1], args, _span(tok)))
 
-    outputs = [_ident(tokens[i + 1], "an output qubit name")]
-    i += 2
-    while tokens[i][1] == ",":
-        outputs.append(_ident(tokens[i + 1], "an output qubit name"))
+    if len(tok) == 5:  # a whole output line, its Idents built by _tokenize
+        outputs = tok[4]
+    else:
+        outputs = [_ident(tokens[i + 1], "an output qubit name")]
         i += 2
-    _expect(tokens[i], "punct", ";")
+        while tokens[i][1] == ",":
+            outputs.append(_ident(tokens[i + 1], "an output qubit name"))
+            i += 2
+        _expect(tokens[i], "punct", ";")
     _expect(tokens[i + 1], "punct", "}")
     trailing = tokens[i + 2]
     if trailing[0] != "eof":

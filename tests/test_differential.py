@@ -779,3 +779,38 @@ def test_a_tensor_product_is_equivalent_exactly_when_every_block_pair_is(seed, b
     else:
         with pytest.raises(checker.BudgetExceededError, match="the two sides differ"):
             check_equivalence(*product)
+
+
+def _controlled_blocks(rng: random.Random, count: int) -> list[str]:
+    """count random blocks, each with a bit that controls H, P or CNOT, and
+    each with n_in + n_out at most 10 // count, so that their product stays
+    within the default budget."""
+    blocks = []
+    while len(blocks) < count:
+        source = with_classical_controls(rng, random_protocol_source(rng, f"blk{len(blocks)}", shuffle=True))
+        ast = parse(source)
+        if re.search(r"then (H|P|CNOT) ", source) and ast.n_in + ast.n_out <= 10 // count:
+            blocks.append(source)
+    return blocks
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_product_of_classically_controlled_blocks_is_decided_as_its_blocks(seed):
+    # As above, with 3 or 4 blocks whose bits control H, P or CNOT, so that
+    # each side of the product has several _deferred states.
+    rng = random.Random(seed)
+    lhs = _controlled_blocks(rng, 3 + seed % 2)
+    rhs = [_without_one_gate(rng, lhs[0])] + [_with_identity_pair(rng, source) for source in lhs[1:]]
+    small = [(parse(left), parse(right)) for left, right in zip(lhs, rhs)]
+    verdicts = [check_equivalence(*pair).equivalent for pair in small]
+    assert all(verdicts[1:])
+    ref_0 = [reference_fingerprint(ast) for ast in small[0]]
+    assert (reference_counterexample(*ref_0) is None) == verdicts[0]
+    for ast, ref in zip(small[0], ref_0):
+        assert_dense_agrees(ast, ref)
+    product = tuple(parse(tensor_source(sources)) for sources in (lhs, rhs))
+    assert all(len(checker._forms(checker.lower(side))) > 1 for side in product)
+    assert product[0].n_in + product[0].n_out <= 10
+    assert check_equivalence(*product).equivalent == all(verdicts)
+    # Block 0 is refuted in half the seeds.
+    assert verdicts[0] == (seed % 4 < 2)

@@ -1,6 +1,12 @@
-"""The package's public surface: every exported name, and which load lazily."""
+"""The package's public surface: every exported name, and which load
+lazily; and the oldest Python the package declares it runs on."""
 
+import os
+import shutil
+import subprocess
 from pathlib import Path
+
+import pytest
 
 import stabcheck
 
@@ -95,3 +101,43 @@ def test_only_their_owners_write_the_kept_results():
     for path in sorted(Path(stabcheck.__file__).parent.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         assert [key for key, owner in owners.items() if (key in text) != (path.name == owner)] == [], path.name
+
+
+def _python_3_10() -> str | None:
+    """A Python 3.10 interpreter that runs: python3.10 on PATH or, since
+    pyenv's python3.10 shim runs only while a 3.10 is selected, one that
+    pyenv installed."""
+    found = [shutil.which("python3.10")]
+    if os.environ.get("PYENV_ROOT"):
+        found += sorted(Path(os.environ["PYENV_ROOT"]).glob("versions/3.10*/bin/python3.10"))
+    for exe in filter(None, found):
+        probe = subprocess.run([exe, "-c", "import sys; sys.exit(sys.version_info[:2] != (3, 10))"], capture_output=True)
+        if probe.returncode == 0:
+            return str(exe)
+    return None
+
+
+# Parses every corpus file and decides teleport.qpr against identity:1, with
+# no numpy, which the 3.10 interpreter need not have.
+_ON_3_10 = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from pathlib import Path
+from stabcheck import builtin_identity, check_equivalence, corpus_path, parse
+paths = sorted(Path(corpus_path("teleport.qpr")).parent.glob("*.qpr"))
+asts = {path.name: parse(path.read_text(encoding="utf-8")) for path in paths}
+print(len(asts), check_equivalence(asts["teleport.qpr"], builtin_identity(1)).equivalent, "numpy" in sys.modules)
+"""
+
+
+def test_the_package_runs_on_the_oldest_python_it_declares():
+    root = Path(__file__).resolve().parent.parent
+    assert 'requires-python = ">=3.10"' in (root / "pyproject.toml").read_text(encoding="utf-8")
+    exe = _python_3_10()
+    if exe is None:
+        pytest.skip("no Python 3.10 interpreter found")
+    # -I ignores the caller's environment and user site, -B writes no bytecode into src/.
+    done = subprocess.run([exe, "-I", "-B", "-c", _ON_3_10, str(root / "src")], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    corpus = len(list(Path(stabcheck.corpus_path("teleport.qpr")).parent.glob("*.qpr")))
+    assert done.stdout.split() == [str(corpus), "True", "False"]

@@ -453,6 +453,28 @@ FIXED_LAYOUTS = [
     # Two declarations on one line, then whole ones.
     "protocol p {\n  qubit a: input;\n  cbit m; cbit k;\n  cbit j;\n  measure a -> m;\n  measure a -> k;\n"
     "  measure a -> j;\n  if m then X a;\n  if k then Z a;\n  if j then Y a;\n  output a;\n}\n",
+    # Whole declaration and output lines: no blanks around ":" or before ",",
+    # tabs and trailing comments, and CRLF line ends.
+    "protocol p {\n  qubit a:input;\n  qubit b:zero;\n  output a ,b ;\n}\n",
+    "protocol p {\n\tqubit\ta\t:\tinput\t;\t# in\n\tcbit\tm ;# bit\n  measure a -> m;\n\toutput\ta\t,\ta\t; # twice\n}\n",
+    "protocol p {\r\n  qubit a: input;\r\n  cbit m;\r\n  measure a -> m;\r\n  if m then X a;\r\n  output a;\r\n}\r\n",
+    # Keywords in name positions of declaration and output lines.
+    "protocol p {\n  qubit then: input;\n  output then;\n}\n",
+    "protocol p {\n  qubit a: input;\n  cbit if;\n  output a;\n}\n",
+    "protocol p {\n  qubit a: input;\n  output a, zero;\n}\n",
+    # A duplicate between a whole line and a line of two declarations, both ways.
+    "protocol p {\n  qubit a: input;\n  cbit m; qubit a: zero;\n  output a;\n}\n",
+    "protocol p {\n  qubit a: input; cbit m;\n  cbit m;\n  output a;\n}\n",
+    # A declaration line right after a run of measure and if lines, and an
+    # output line right after a gate run and at the end of the source.
+    _HEAD + "  measure b -> m;\n  if m then X a;\n  qubit c: zero;  # late\n  output a;\n}\n",
+    _HEAD + "  H a;\n  output a, b;\n}\n",
+    _HEAD + "  H a;\n  output a, b;",
+    # The output line with "}" on it, before any declaration, and after "}".
+    _HEAD + "  H a;\n  output a; }\n",
+    "protocol p {\n  output a;\n  qubit a: input;\n}\n",
+    _HEAD + "  output a;\n}\n  qubit c: zero;\n",
+    _HEAD + "  output a;\n}\n  output a;\n",
     # Runs of measure and if lines split by \r, \v and \u2028.
     _HEAD + "  cbit k;\r  measure b -> m;\v  if m then X a;\u2028  measure a -> k;\r\n  if k then Z b;\n  output a;\n}\n",
     # Whole lines that validate must build and check one by one: an undeclared
@@ -495,28 +517,35 @@ def test_front_end_matches_reference_parser_on_two_edits():
     assert 1000 < errors < len(corrupted)
 
 
+def _whole_lines(source: str, words: tuple[str, ...]) -> list[int]:
+    """The line numbers of the lines that hold one statement starting with
+    one of words, in a source whose lines hold at most one statement or
+    several declarations."""
+    lines = enumerate(source.splitlines(), start=1)
+    return [lineno for lineno, text in lines if text.count(";") == 1 and text.split()[0] in words]
+
+
 def _body_line_runs(source: str) -> list[list[int]]:
-    """The line numbers of each maximal run of whole body lines, in a source
-    whose lines hold at most one statement or several declarations."""
-    body = []
-    for lineno, text in enumerate(source.splitlines(), start=1):
-        if text.strip() and text.count(";") == 1 and text.split()[0] in (*GATE_NAMES, "measure", "if"):
-            body.append(lineno)
-    runs = groupby(enumerate(body), lambda item: item[1] - item[0])
+    """The line numbers of each maximal run of whole body lines."""
+    runs = groupby(enumerate(_whole_lines(source, (*GATE_NAMES, "measure", "if"))), lambda item: item[1] - item[0])
     return [[n for _, n in run] for _, run in runs]
+
+
+_DECL_WORDS = ("qubit", "cbit", "output")
 
 
 class TestGateLineToken:
     """A maximal run of lines each holding one whole gate, measure or if
     statement, starting where a statement may start, is lexed to one token
-    carrying its compact entry."""
+    carrying its compact entry.  So is each whole declaration or output line
+    there, carrying its QubitDecl or CbitDecl, or its output Idents."""
 
     def test_a_pretty_printed_gate_line_is_one_token(self):
         for ast in (parse(teleport_source(3)), parse(_circuit_source(random.Random(5), "c"))):
             source = pretty_print(ast)
             want = reference_parse(source)
             tokens = _tokenize(source)
-            runs = [tok for tok in tokens if len(tok) == 5]
+            runs = [tok for tok in tokens if len(tok) == 5 and tok[1] not in _DECL_WORDS]
             # The whole body is one run: one token at its first line, one item per line.
             body_lines = _body_line_runs(source)
             assert len(body_lines) == 1 and len(body_lines[0]) == len(want.body) > 0
@@ -524,17 +553,24 @@ class TestGateLineToken:
             assert len(_stored_body(parse(source))) == 1
             # Its payload, once built, is the body, spans included.
             assert tuple(_with_spans(node) for node in _nodes(runs[0][4])) == _with_spans(want.body)
-            # Every other line is lexed token by token.
-            assert all(len(tok) == 4 for tok in tokens if tok[2] not in body_lines[0])
+            # Each declaration line and the output line is one token, whose
+            # payload is its node or the outputs, spans included.
+            lines = [tok for tok in tokens if len(tok) == 5 and tok[1] in _DECL_WORDS]
+            assert [tok[2] for tok in lines] == _whole_lines(source, _DECL_WORDS)
+            assert [_with_spans(tok[4]) for tok in lines] == [*map(_with_spans, want.qubits + want.cbits), _with_spans(want.outputs)]
+            # Only the first and the last line, "}", are lexed token by token.
+            assert {tok[2] for tok in tokens if len(tok) == 4} == {1, len(source.splitlines())}
 
     def test_the_token_count_is_one_per_run_plus_the_tokens_outside_runs(self):
-        # Counted, not timed: a lexer that expanded runs again fails here.
+        # Counted, not timed: a lexer that expanded runs or whole declaration
+        # or output lines again fails here.
         sources = (_circuit_source(random.Random(150), "c", gates=150), teleport_source(3), FIXED_LAYOUTS[-2])
         for source in sources + (pretty_print(parse(teleport_source(3))),):
             runs = _body_line_runs(source)
-            outside = [tok for tok in reference_tokenize(source) if tok.span.line not in set().union(*runs)]
-            assert len(_tokenize(source)) == len(outside) + len(runs)
-            assert runs and len(outside) < len(reference_tokenize(source)) / 2
+            lines = _whole_lines(source, _DECL_WORDS)
+            outside = [tok for tok in reference_tokenize(source) if tok.span.line not in set().union(lines, *runs)]
+            assert len(_tokenize(source)) == len(outside) + len(runs) + len(lines)
+            assert runs and lines and len(outside) < len(reference_tokenize(source)) / 4
 
     def test_a_gate_line_after_then_is_lexed_token_by_token(self):
         tokens = _tokenize("  measure b -> m;\n  if m then\n  X a;\n  H a;\n")
@@ -549,14 +585,16 @@ class TestGateLineToken:
         source = "  H a;\n  measure a -> m;\n\n  if m then X a;\n  cbit k;\n  H a; H b;\n  X a;\n  H b;"
         tokens = [(tok[1], tok[2], tok[3], len(tok)) for tok in _tokenize(source)]
         # A blank line, a declaration and a line of two statements end a run.
-        assert [tok for tok in tokens if tok[3] == 5] == [("H", 1, 3, 5), ("if", 4, 3, 5), ("X", 7, 3, 5)]
-        assert [tok[:3] for tok in tokens if tok[1] == 5] == [("cbit", 5, 3), ("k", 5, 8), (";", 5, 9)]
+        # The declaration line that ends one is a token of its own, carrying its node.
+        assert [tok for tok in tokens if tok[3] == 5] == [("H", 1, 3, 5), ("if", 4, 3, 5), ("cbit", 5, 3, 5), ("X", 7, 3, 5)]
+        assert [_with_spans(tok[4]) for tok in _tokenize(source) if tok[2] == 5] == [_with_spans(CbitDecl("k", SourceSpan(5, 8, 9)))]
         assert [tok[:3] for tok in tokens if tok[1] == 6] == [("H", 6, 3), ("a", 6, 5), (";", 6, 6), ("H", 6, 8), ("b", 6, 10), (";", 6, 11)]
         assert len(_tokenize(source)[-2][4][2]) == 2 and tokens[-1][0] == ""
 
 
 _SPAN = SourceSpan(1, 2, 3)
 _SPAN_REPR = "SourceSpan(line=1, col_start=2, col_end=3)"
+_WHOLE_LINES = "protocol p {\n  qubit a: input;\n  cbit m;\n  measure a -> m;\n  output a;\n}\n"
 # Each hot node, its field names, a change for dataclasses.replace, its repr.
 _HOT_NODES = [
     (_SPAN, ("line", "col_start", "col_end"), {"col_end": 9}, _SPAN_REPR),
@@ -593,13 +631,25 @@ _HOT_NODES = [
         "Ident(name='b', span=SourceSpan(line=6, col_start=21, col_end=22))), "
         "span=SourceSpan(line=6, col_start=3, col_end=5))",
     ),
+    (QubitDecl("a", "input", _SPAN), ("name", "init", "span"), {"init": "zero"}, f"QubitDecl(name='a', init='input', span={_SPAN_REPR})"),
+    (CbitDecl("m", _SPAN), ("name", "span"), {"name": "k"}, f"CbitDecl(name='m', span={_SPAN_REPR})"),
+    # Built by the lexer from whole declaration and output lines.
+    (
+        parse(_WHOLE_LINES).qubits[0],
+        ("name", "init", "span"),
+        {"name": "b"},
+        "QubitDecl(name='a', init='input', span=SourceSpan(line=2, col_start=9, col_end=10))",
+    ),
+    (parse(_WHOLE_LINES).cbits[0], ("name", "span"), {"name": "k"}, "CbitDecl(name='m', span=SourceSpan(line=3, col_start=8, col_end=9))"),
+    (parse(_WHOLE_LINES).outputs[0], ("name", "span"), {"name": "b"}, "Ident(name='a', span=SourceSpan(line=5, col_start=10, col_end=11))"),
 ]
 
 
 class TestHotNodes:
-    """SourceSpan keeps every dataclass behaviour under its hand-written
-    __init__, and each statement node and its Idents as built from a compact
-    line."""
+    """SourceSpan, Ident, QubitDecl and CbitDecl keep every dataclass
+    behaviour under their hand-written __init__, as built by hand and by the
+    lexer, and so does each statement node and its Idents as built from a
+    compact line."""
 
     @pytest.mark.parametrize("node, names, change, text", _HOT_NODES)
     def test_dataclass_contract(self, node, names, change, text):
@@ -817,8 +867,9 @@ def test_a_check_builds_no_gate_node(monkeypatch, tmp_path, capsys):
 
 
 def test_a_parse_builds_an_ident_per_name_outside_gate_lines(monkeypatch):
-    """Whole lines build no Ident: only a name lexed token by token, or an
-    output, builds one."""
+    """Whole body and declaration lines build no Ident: only a name lexed
+    token by token, or an output, builds one.  The lexer builds a whole
+    output line's Idents, so before the parser builds any other."""
     built = []
     init = Ident.__init__
     monkeypatch.setattr(Ident, "__init__", lambda self, *args, **kwargs: init(self, *args, **kwargs) or built.append(self.name))
@@ -829,8 +880,8 @@ def test_a_parse_builds_an_ident_per_name_outside_gate_lines(monkeypatch):
         built.clear()
         ast = parse(source)
         assert built == [o.name for o in ast.outputs]
-    # A line of several statements is lexed token by token.
-    names = [name for stmt in reference_parse(FIXED_LAYOUTS[0]).body for name in _names(stmt)] + ["a"]
+    # A line of several statements is lexed token by token; its output line is whole.
+    names = ["a"] + [name for stmt in reference_parse(FIXED_LAYOUTS[0]).body for name in _names(stmt)]
     built.clear()
     parse(FIXED_LAYOUTS[0])
     assert built == names and len(names) == 8
