@@ -6,9 +6,10 @@ generator is a plain (x, z, ph) triple of ints: X and Z supports as bit
 masks (bit q of a mask is qubit q) and the phase exponent mod 4, so gate
 conjugation and row multiplication are bitwise operations on
 arbitrary-precision ints.  The private kernels below take and return lists
-of such triples laid out as Tableau.rows; PauliString and Tableau objects
-are built only at the boundary, by the public functions, which unpack a
-tableau's rows, call one kernel and box the result.
+of such triples laid out as Tableau.rows, and the canonical form and the
+supported subgroup share one GF(2) elimination on them; PauliString and
+Tableau objects are built only at the boundary, by the public functions,
+which unpack a tableau's rows, call one kernel and box the result.
 
 Conventions shared by the whole package:
 
@@ -215,7 +216,8 @@ def _check_gate(n: int, g: tuple) -> None:
 # ---------------------------------------------------------------------------
 # Kernels.  A row is an (x, z, ph) triple of ints with 0 <= ph < 4, and a
 # state is a list of 2n rows laid out as Tableau.rows.  A kernel never
-# changes the list it is given, so branches may share rows.
+# changes the list it is given, so branches may share rows.  _echelon and
+# _supported are both _eliminated, the one GF(2) elimination.
 
 
 def _triples(rows: list[PauliString]) -> list[tuple[int, int, int]]:
@@ -396,59 +398,50 @@ def _collapsed(rows: list, n: int, q: int, pivot: int, outcome: int) -> list:
     return out
 
 
-def _echelon(stabs: list, n: int) -> tuple:
-    """The reduced echelon basis of the group the n rows stabs generate.
+def _eliminated(rows, n: int, columns: int) -> tuple[dict, list]:
+    """GF(2) elimination of rows on the column mask columns, column c being
+    bit c of a row's key x | z << n.  Each row is multiplied, as
+    _product(row, pivot), by the pivot row of its lowest column until it
+    becomes the pivot of a new column or has none left.  Returns the pivot
+    rows, keyed by their column's bit, and the rows left over."""
+    pivots: dict[int, tuple] = {}
+    rest = []
+    for row in rows:
+        while key := (row[0] | row[1] << n) & columns:
+            bit = key & -key
+            if bit not in pivots:
+                pivots[bit] = row
+                break
+            row = _product(row, pivots[bit])
+        else:
+            rest.append(row)
+    return pivots, rest
 
-    Column col of the elimination (X of each qubit, then Z) is bit col of a
-    row's key x | z << n; each pivot is the lowest column any remaining row
-    has.  Rows are multiplied as _product does, on the keys.
-    """
-    mask = (1 << n) - 1
-    keys = [x | z << n for x, z, _ in stabs]
-    phases = [ph for _, _, ph in stabs]
-    for rank in range(n):
-        rest = 0
-        for key in keys[rank:]:
-            rest |= key
-        if not rest:
-            break
-        bit = rest & -rest
-        pivot = rank
-        while not keys[pivot] & bit:
-            pivot += 1
-        key, ph = keys[pivot], phases[pivot]
-        keys[pivot], phases[pivot] = keys[rank], phases[rank]
-        keys[rank], phases[rank] = key, ph
-        x = key & mask
-        for i in range(n):
-            if keys[i] & bit and i != rank:
-                phases[i] = (phases[i] + ph + 2 * (keys[i] >> n & x).bit_count()) & 3
-                keys[i] ^= key
-    return tuple((key & mask, key >> n, ph) for key, ph in zip(keys, phases))
+
+def _echelon(stabs: list, n: int) -> tuple:
+    """The reduced echelon basis of the group the n rows stabs generate: its
+    pivot rows in column order (X of each qubit, then Z), then the identity
+    rows left over.  From the highest down, each pivot row is multiplied by
+    the reduced pivot rows of the pivot columns it holds above its own."""
+    pivots, rest = _eliminated(stabs, n, (1 << 2 * n) - 1)
+    taken, order = sum(pivots), sorted(pivots)
+    for bit in reversed(order):
+        row = pivots[bit]
+        above = (row[0] | row[1] << n) & taken & -(bit << 1)
+        while above:
+            low = above & -above
+            row = _product(row, pivots[low])
+            above ^= low
+        pivots[bit] = row
+    return (*map(pivots.get, order), *rest)
 
 
 def _supported(stabs: list, n: int, wires: int) -> list:
-    """Generators of the elements of the group stabs generate that act as I
-    off the wire mask wires.
-
-    The rows are reduced by GF(2) elimination on the columns outside wires,
-    each kept row pivoting on its highest bit there; the rows left with no
-    support there generate the subgroup, signs included.
-    """
+    """Generators, signs included, of the elements of the group stabs
+    generate that act as I off the wire mask wires: the rows _eliminated
+    leaves over on the columns off wires."""
     off = ((1 << n) - 1) & ~wires
-    pivots: list[tuple[int, tuple]] = []
-    generators = []
-    for row in stabs:
-        key = ((row[0] & off) << n) | (row[1] & off)
-        for pivot_key, pivot in pivots:
-            if key ^ pivot_key < key:
-                key ^= pivot_key
-                row = _product(row, pivot)
-        if key:
-            pivots.append((key, row))
-        else:
-            generators.append(row)
-    return generators
+    return _eliminated(stabs, n, off | off << n)[1]
 
 
 # ---------------------------------------------------------------------------

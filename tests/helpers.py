@@ -1,6 +1,6 @@
 """Shared test utilities: random circuits, branch walkers, exact matrices,
-and frozen reference copies of the front end, the lowering, the branch walk
-and the dense oracle."""
+and frozen reference copies of the front end, the lowering, the branch walk,
+the GF(2) kernels and the dense oracle."""
 
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from stabcheck.protocol import (
     lower,
     validate,
 )
-from stabcheck.tableau import GATE_NAMES, MeasurementResolution, Tableau, _check_gate, new_zero_state, run_circuit
+from stabcheck.tableau import GATE_NAMES, MeasurementResolution, Tableau, _check_gate, _product, new_zero_state, run_circuit
 
 GATE_POOL = ("H", "P", "X", "Y", "Z", "CNOT")
 
@@ -1048,6 +1048,69 @@ def reference_choi(ast: ProtocolAST, budget: int | None) -> tuple[int, int, int,
             coeffs = choi.setdefault(ax << n_in | az, {})
             coeffs[index] = coeffs.get(index, 0) + (-sign if (ax & az).bit_count() & 1 else sign) * weight
     return n_in, n_out, program.denominator, choi
+
+
+# ---------------------------------------------------------------------------
+# The reference kernels: tableau._echelon and _supported as they were when
+# each ran a dense elimination loop of its own, on the engine's (x, z, ph)
+# rows.  On rows that generate a group without -I, _echelon must equal
+# reference_echelon exactly, and _supported must generate the same group as
+# reference_supported.
+
+
+def reference_echelon(stabs: list, n: int) -> tuple:
+    """The reduced echelon basis of the group the n rows stabs generate.
+
+    Column col of the elimination (X of each qubit, then Z) is bit col of a
+    row's key x | z << n; each pivot is the lowest column any remaining row
+    has.  Rows are multiplied as _product does, on the keys.
+    """
+    mask = (1 << n) - 1
+    keys = [x | z << n for x, z, _ in stabs]
+    phases = [ph for _, _, ph in stabs]
+    for rank in range(n):
+        rest = 0
+        for key in keys[rank:]:
+            rest |= key
+        if not rest:
+            break
+        bit = rest & -rest
+        pivot = rank
+        while not keys[pivot] & bit:
+            pivot += 1
+        key, ph = keys[pivot], phases[pivot]
+        keys[pivot], phases[pivot] = keys[rank], phases[rank]
+        keys[rank], phases[rank] = key, ph
+        x = key & mask
+        for i in range(n):
+            if keys[i] & bit and i != rank:
+                phases[i] = (phases[i] + ph + 2 * (keys[i] >> n & x).bit_count()) & 3
+                keys[i] ^= key
+    return tuple((key & mask, key >> n, ph) for key, ph in zip(keys, phases))
+
+
+def reference_supported(stabs: list, n: int, wires: int) -> list:
+    """Generators of the elements of the group stabs generate that act as I
+    off the wire mask wires.
+
+    The rows are reduced by GF(2) elimination on the columns outside wires,
+    each kept row pivoting on its highest bit there; the rows left with no
+    support there generate the subgroup, signs included.
+    """
+    off = ((1 << n) - 1) & ~wires
+    pivots: list[tuple[int, tuple]] = []
+    generators = []
+    for row in stabs:
+        key = ((row[0] & off) << n) | (row[1] & off)
+        for pivot_key, pivot in pivots:
+            if key ^ pivot_key < key:
+                key ^= pivot_key
+                row = _product(row, pivot)
+        if key:
+            pivots.append((key, row))
+        else:
+            generators.append(row)
+    return generators
 
 
 # ---------------------------------------------------------------------------

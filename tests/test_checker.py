@@ -39,8 +39,11 @@ from helpers import (
     exact_to_numpy,
     h_controlled_cluster_wire_source,
     output_observable,
+    random_circuit,
     random_protocol_source,
     random_rational_hermitian,
+    reference_echelon,
+    reference_supported,
     teleport_source,
     with_h_control,
 )
@@ -416,6 +419,20 @@ class TestDeferredMeasurement:
         three = parse(source.replace("\n  output", "\n  if s2 then P w0;\n  output"))
         named = "deferred measurement over 2^3 assignments: bit s1 controls H"
         assert check_equivalence(three, builtin_identity(1)).decider == named
+
+    def test_forms_match_the_reference_kernels(self, monkeypatch):
+        # _forms is kept on each Program, so each build lowers a fresh parse.
+        rng = random.Random(47)
+        gates = [f"{g[0]} {', '.join(f'q{q}' for q in g[1:])};" for g in random_circuit(rng, 300, 900)]
+        wires = ", ".join(f"q{q}" for q in range(300))
+        circuit = "protocol c {\n" + "".join(f"qubit q{q}: input;\n" for q in range(300))
+        circuit += "\n".join(gates) + f"\noutput {wires};\n}}\n"
+        for source in (teleport_source(300), circuit):
+            got = checker._forms(lower(parse(source)))
+            with monkeypatch.context() as patch:
+                patch.setattr(checker, "_echelon", reference_echelon)
+                patch.setattr(checker, "_supported", reference_supported)
+                assert checker._forms(lower(parse(source))) == got
 
     def test_only_measurements_not_marked_reset_take_an_ancilla(self):
         # teleport.qpr's two measured wires are never touched again;

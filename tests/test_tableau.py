@@ -16,13 +16,17 @@ from stabcheck import (
     run_circuit,
     tensor,
 )
-from stabcheck.tableau import apply_tableau, supported_subgroup
+from stabcheck.tableau import _circuit, _echelon, _product, _supported, apply_tableau, supported_subgroup
 from stabcheck.dense import pauli_expect_state, run_dense
 
 from helpers import (
     enumerate_circuit_branches,
     hermitian_paulis,
     random_circuit,
+    reference_canonical_form,
+    reference_echelon,
+    reference_supported,
+    reference_supported_subgroup,
     states_equal_up_to_phase,
 )
 
@@ -370,3 +374,115 @@ class TestCanonicalForm:
             s1, _ = run_dense(n, t1.trace)
             s2, _ = run_dense(n, t2.trace)
             assert (canonical_form(t1) == canonical_form(t2)) == states_equal_up_to_phase(s1, s2)
+
+
+def local_circuit(rng, n, n_gates):
+    """A random Clifford circuit whose CNOTs join neighbouring wires."""
+    gates = []
+    for _ in range(n_gates):
+        gate, q = rng.choice(("H", "P", "X", "Y", "Z", "CNOT")), rng.randrange(n)
+        if gate != "CNOT":
+            gates.append((gate, q))
+        elif n > 1:
+            q = min(q, n - 2)
+            gates.append(("CNOT", q, q + 1) if rng.random() < 0.5 else ("CNOT", q + 1, q))
+    return gates
+
+
+def stabilizer_rows(rng, n, local):
+    """The stabilizer rows of a random n-wire state, (x, z, ph) triples."""
+    gates = local_circuit(rng, n, 3 * n) if local else random_circuit(rng, n, 4 * n)
+    return _circuit(n, gates)[n:]
+
+
+def product_of(rng, rows):
+    """The product of a random non-empty subset of rows."""
+    out = (0, 0, 0)
+    for row in rng.sample(rows, rng.randint(1, len(rows))):
+        out = _product(out, row)
+    return out
+
+
+def row_sets(seed):
+    """(n, rows, wires) for the kernel tests, from fixed seeds: n commuting
+    rows whose group holds no -I.  Dense and nearest-neighbour states at
+    widths 1-300, each as generated, shuffled, multiplied together, with
+    some rows made products of others, or with some rows I; then one
+    nearest-neighbour state at 2,000 wires.  wires is a random wire mask."""
+    rng = random.Random(seed)
+    for n in (1, 2, 3, 4, 6, 9, 16, 40, 100, 300):
+        for local in (False, True):
+            rows = list(stabilizer_rows(rng, n, local))
+            variant = rng.randrange(5)
+            if variant == 1:
+                rng.shuffle(rows)
+            elif variant == 2:
+                for _ in range(2 * n):
+                    i, j = rng.randrange(n), rng.randrange(n)
+                    if i != j:
+                        rows[i] = _product(rows[i], rows[j])
+            elif variant >= 3:
+                kept = rows[: rng.randrange(n)] or [(0, 0, 0)]
+                rows = kept + [product_of(rng, kept) if variant == 3 else (0, 0, 0) for _ in range(n - len(kept))]
+                rng.shuffle(rows)
+            yield n, rows, rng.getrandbits(n)
+    yield 2000, stabilizer_rows(rng, 2000, True), rng.getrandbits(2000)
+
+
+def group_form(generators, n):
+    """The echelon form of the group generated by at most n rows."""
+    return _echelon(list(generators) + [(0, 0, 0)] * (n - len(generators)), n)
+
+
+class TestEliminationKernels:
+    """_echelon and _supported against the dense kernels they replaced."""
+
+    def test_echelon_equals_the_reference(self):
+        for n, rows, _ in row_sets(31):
+            assert _echelon(rows, n) == reference_echelon(rows, n), n
+
+    def test_supported_generates_the_reference_group(self):
+        for n, rows, wires in row_sets(37):
+            assert group_form(_supported(rows, n, wires), n) == group_form(reference_supported(rows, n, wires), n), n
+
+    def test_rows_whose_product_is_minus_identity(self):
+        rng = random.Random(41)
+        for n in (2, 3, 5, 8, 20, 60):
+            for local in (False, True):
+                rows = stabilizer_rows(rng, n, local)
+                kept = rows[: rng.randrange(1, n)]
+                # The first extra row is minus a product of kept rows, so
+                # the two multiply to -I; the other extra rows are +-I.
+                extra = [_product(product_of(rng, kept), (0, 0, 2))]
+                extra += [(0, 0, rng.choice((0, 2))) for _ in range(n - len(kept) - 1)]
+                rows = kept + extra
+                # With the extra rows after the rows they depend on, the
+                # form is the same, signs and order included.
+                want = reference_echelon(rows, n)
+                assert _echelon(rows, n) == want
+                assert want[-len(extra)] == (0, 0, 2)
+                # Shuffled, the group holds -I, so its signs are not fixed;
+                # both kernels still find the same pivots and keep -I.
+                rng.shuffle(rows)
+                got, want = _echelon(rows, n), reference_echelon(rows, n)
+                assert [row[:2] for row in got] == [row[:2] for row in want]
+                assert (0, 0, 2) in got and (0, 0, 2) in want
+
+    def test_boundary_matches_the_reference(self):
+        # canonical_form and supported_subgroup on run_circuit states and
+        # on the collapsed branches of measured circuits.
+        rng = random.Random(43)
+        tableaus = []
+        for n in (1, 2, 3, 5, 8, 13, 21, 40):
+            tableaus.append(run_circuit(n, random_circuit(rng, n, 5 * n)))
+            ops = random_circuit(rng, n, 4 * n, min(n, 4))
+            tableaus += [t for t, _, _ in enumerate_circuit_branches(new_zero_state(n), ops)]
+        for t in tableaus:
+            n = t.n
+            assert canonical_form(t) == reference_canonical_form(t)
+            wires = rng.getrandbits(n)
+            got = supported_subgroup(t, wires)
+            assert all(not (g.x_bits | g.z_bits) & ~wires for g in got)
+            want = reference_supported_subgroup(t, wires)
+            triples = [[(g.x_bits, g.z_bits, g.phase_exp) for g in gens] for gens in (got, want)]
+            assert group_form(triples[0], n) == group_form(triples[1], n)
