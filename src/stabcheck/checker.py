@@ -5,11 +5,13 @@ A protocol is validated and lowered in one pass, to one Program
 in a Bell pair with a reference wire of its own.  Discarded wires never
 need a density matrix: the elements of the state's stabilizer group
 supported on the outputs and references fix the channel's Choi state as
-exact Pauli coefficients.  The fingerprint row of each basis input follows
-from those and the input's own stabilizer group, so the table is an
-invertible linear image of the coefficients.  Two protocols are therefore
-equivalent exactly when their Choi states are equal, and tables are built
-only to name the first differing entry, or when asked for.
+exact Pauli coefficients, each keyed by its table cell.  The fingerprint
+row of each basis input sums them over the stabilizer group of the input's
+transpose, so the table is an invertible linear image of the coefficients.
+Two protocols are therefore equivalent exactly when their Choi states are
+equal.  The first differing entry is the first nonzero entry of the same
+row sum over the coefficients' differences, and tables are built only when
+asked for.
 
 Deferred measurement (Nielsen & Chuang 4.4) turns the protocol into one
 Clifford circuit, with no branches (_deferred).  A bit that controls H, P
@@ -39,7 +41,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from typing import TYPE_CHECKING
 
 from .basis import BASIS_ORDER_TAG, BasisCircuit, BasisElement, basis_element, circuit_for
@@ -141,8 +143,8 @@ class Counterexample:
 class Verdict:
     equivalent: bool
     counterexample: Counterexample | None = None
-    # Returns the (lhs, rhs) channels, as _choi returns them (flat maps from
-    # a Pauli's key to its coefficient), of the states that were compared.
+    # Returns the (lhs, rhs) channels, as _choi returns them (maps from a
+    # table cell to its coefficient), of the states that were compared.
     _channels: Callable[[], tuple] | None = field(default=None, compare=False, repr=False)
     # DEFERRED, or DEFERRED + " over 2^k assignments: bit c controls G" for
     # the k bits that control H, P or CNOT, whose values _deferred enumerates.
@@ -385,23 +387,32 @@ def local_observable(n_out: int, pauli_index: int) -> PauliString:
     return PauliString.from_label(letters)
 
 
-def _group(generators) -> list[tuple[int, int, int]]:
-    """Every element of the group that commuting (x, z, phase_exp) generators
-    generate, as (x, z, sign): sign is +-1, the Hermitian Pauli's sign."""
-    group = [(0, 0, 0)]
-    for gx, gz, gph in generators:
-        group += [(x ^ gx, z ^ gz, ph + gph + 2 * (z & gx).bit_count()) for x, z, ph in group]
-    return [(x, z, 1 - ((ph - (x & z).bit_count()) & 3)) for x, z, ph in group]
+def _group(generators) -> list[tuple[int, int]]:
+    """Every element of the group that commuting (x, z, phase_exp, key)
+    generators generate, as (key, sign): keys are XORed along, so a key may
+    be any GF(2)-linear image of the Pauli's bits, and sign is +-1, the
+    Hermitian Pauli's sign."""
+    group = [(0, 0, 0, 0)]
+    for gx, gz, gph, gkey in generators:
+        group += [(x ^ gx, z ^ gz, ph + gph + 2 * (z & gx).bit_count(), key ^ gkey) for x, z, ph, key in group]
+    return [(key, 1 - ((ph - (x & z).bit_count()) & 3)) for x, z, ph, key in group]
 
 
-@cache
-def _input_generators(n_in: int, k: int) -> tuple[tuple[int, int, int], ...]:
-    """Basis input k's stabilizer generators as (x, z, phase_exp), k in
-    enumerate_basis order.  Each input is built when a row first reads it,
-    so a scan that stops at an early row builds only the inputs before it.
-    The cache lives as long as the process and holds one entry per input
-    built: n_in generators, not the 2^n_in-element group."""
-    return tuple(_circuit(n_in, circuit_for(basis_element(n_in, k)).gates)[n_in:])
+@lru_cache(maxsize=4 ** 6)
+def _input_generators(n_in: int, k: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The stabilizer generators of rho^T, for basis input rho number k in
+    enumerate_basis order, as (x, z, phase_exp, A's key x << n_in | z).
+
+    A Pauli A with bits x, z has A^T = (-1)^#Y(A) A, #Y(A) the popcount of
+    x & z, so a generator with an odd number of Y takes phase +2, and the
+    sign of +-A in the group is Tr(A rho^T).  Each input is built when a row
+    first reads it, so a scan that stops at an early row builds only the
+    inputs before it.  The cache keeps the last 4^6 inputs built, so every
+    table up to n_in = 6 stays cached in full; an entry holds n_in
+    generators, not the 2^n_in-element group.
+    """
+    rows = _circuit(n_in, circuit_for(basis_element(n_in, k)).gates)[n_in:]
+    return tuple((x, z, ph + 2 * (x & z).bit_count() & 3, x << n_in | z) for x, z, ph in rows)
 
 
 def _forms(program: Program) -> tuple[tuple[int, tuple], ...]:
@@ -423,14 +434,14 @@ def _choi(program: Program, budget: int | None) -> tuple[int, int, int, dict[int
     in the frozen Program's __dict__ once built; a larger one is built on
     each call, so what a Program holds stays bounded.
 
-    Reference wire j starts in a Bell pair with input j.  choi[A x P] times
-    denominator is Tr((A x P) J), keyed as the _reduced form holds the
-    Pauli, x | z << (n_in + n_out), A on the references below wire n_in and
-    P on the outputs above (see _split).  Tr((A x P) J) adds, over the
-    states, weight x the sign of +-(A x P) in the state's stabilizer group,
-    where it lies in the subgroup supported on outputs and references,
-    whose generators the form holds, and 0 elsewhere; the denominator is
-    the sum of the weights.
+    Reference wire j starts in a Bell pair with input j.  choi[cell] times
+    denominator is Tr((A x P_q) J), keyed by its table cell (_cell).
+    Tr((A x P) J) adds, over the states, weight x the sign of +-(A x P) in
+    the state's stabilizer group, where it lies in the subgroup supported
+    on outputs and references, whose generators the form holds, and 0
+    elsewhere; the denominator is the sum of the weights.  A cell is
+    GF(2)-linear in the Pauli's bits, so each form generator's cell is
+    computed once and the group expansion XORs the cells along.
     """
     forms = _forms(program)
     n_in, n_out = len(program.inputs), len(program.outputs)
@@ -441,55 +452,57 @@ def _choi(program: Program, budget: int | None) -> tuple[int, int, int, dict[int
     if channel is not None:
         return channel
 
-    m = n_in + n_out
     choi: dict[int, int] = {}
     for weight, form in forms:
-        for x, z, sign in _group([g for g in form if g[0] | g[1]]):  # without the padding
-            key = x | z << m
-            choi[key] = choi.get(key, 0) + sign * weight
+        generators = [(x, z, ph, _cell(x, z, n_in, n_out)) for x, z, ph in form if x | z]  # without the padding
+        for cell, sign in _group(generators):
+            choi[cell] = choi.get(cell, 0) + sign * weight
     channel = n_in, n_out, sum(weight for weight, _ in forms), choi
     if work <= DEFAULT_BUDGET:
         program.__dict__["_choi"] = channel
     return channel
 
 
-def _split(key: int, n_in: int, n_out: int) -> tuple[int, int, int]:
-    """A _choi key as (A's key ax << n_in | az, the key less A's bits, (-1)^#Y(A))."""
-    m, mask = n_in + n_out, (1 << n_in) - 1
-    ax, az = key & mask, key >> m & mask
-    return ax << n_in | az, key & ~(mask | mask << m), -1 if (ax & az).bit_count() & 1 else 1
-
-
-def _number(key: int, n_in: int, n_out: int) -> int:
-    """The column q of a _choi key's output Pauli: its _DIGITs, first output most significant."""
-    m, q = n_in + n_out, 0
-    for w in range(n_in, m):
-        q = q << 2 | _DIGIT[(key >> w & 1) << 1 | (key >> (m + w) & 1)]
-    return q
+def _cell(x: int, z: int, n_in: int, n_out: int) -> int:
+    """The table cell (A's key ax << n_in | az) << 2 * n_out | q of the Pauli
+    A x P with a _reduced form's bits x, z, A on the references below wire
+    n_in and P on the outputs above.  q is P's column as local_observable
+    numbers it: its _DIGITs, first output most significant.  A's key and q
+    are both GF(2)-linear in x and z, and so is the cell."""
+    mask = (1 << n_in) - 1
+    cell = (x & mask) << n_in | z & mask
+    for w in range(n_in, n_in + n_out):
+        cell = cell << 2 | _DIGIT[(x >> w & 1) << 1 | (z >> w & 1)]
+    return cell
 
 
 def _rows(channel) -> Iterator[list[int]]:
     """Each basis input's fingerprint row, in enumerate_basis order, as
     integers over the channel's denominator.
 
-    Since rho^T has A^T = (-1)^#Y(A) A,
+        Tr(P_q E(rho)) = sum_A Tr(A rho^T) Tr((A x P_q) J),
 
-        Tr(P E(rho)) = sum_A <A>_rho (-1)^#Y(A) Tr((A x P) J),
-
-    and <A>_rho of a basis input is the sign of +-A in its stabilizer
-    group, or 0, so the row sums choi, signed and grouped by reference key
-    once per table (_split, _number), over that group's 2^n_in elements.
+    and Tr(A rho^T) is the sign of +-A in the group of _input_generators,
+    or 0, so the row sums choi, grouped by A's key once per table, over
+    that group's 2^n_in elements.  The group holds Paulis with X-part 0 or
+    the OR of its generators' X-parts: a row for which choi has no A of
+    either X-part can only be zero, and it is not summed.
     """
     n_in, n_out, _, choi = channel
+    shift, mask = 2 * n_out, 4 ** n_out - 1
     by_reference: dict[int, list[tuple[int, int]]] = {}
-    for key, c in choi.items():
-        a, _, y = _split(key, n_in, n_out)
-        by_reference.setdefault(a, []).append((_number(key, n_in, n_out), y * c))
+    for cell, c in choi.items():
+        by_reference.setdefault(cell >> shift, []).append((cell & mask, c))
+    x_parts = {a >> n_in for a in by_reference}
     for k in range(4 ** n_in):
-        sums = [0] * 4 ** n_out
-        for x, z, sign in _group(_input_generators(n_in, k)):
-            for q, c in by_reference.get(x << n_in | z, ()):
-                sums[q] += sign * c
+        generators, sums = _input_generators(n_in, k), [0] * 4 ** n_out
+        x_part = 0
+        for x, _, _, _ in generators:
+            x_part |= x
+        if 0 in x_parts or x_part in x_parts:
+            for a, sign in _group(generators):
+                for q, c in by_reference.get(a, ()):
+                    sums[q] += sign * c
         yield sums
 
 
@@ -565,57 +578,39 @@ def _verdict(lhs: Program, rhs: Program, budget: int | None) -> Verdict:
 def _compared(ch_l: tuple, ch_r: tuple, decider: str) -> Verdict:
     """The verdict on two channels as _choi returns them.
 
-    Only changed entries are read: with equal denominators, the keys of the
-    items the two maps do not share, else every key, both sides put over
-    the larger denominator.  Nonzero differences are kept as diff[A][the
-    key less A's bits] (_split): none means equivalent.  Otherwise a row of
-    the difference of the tables sums diff over the basis input's group, as
-    _rows sums choi, and the counterexample is its first nonzero entry in
-    table order (only those entries are numbered, by _number), with each
-    side's value looked up by key in its own map.  An input's group holds
-    Paulis with X-part 0 or the OR of its generators' X-parts.  The diag
-    inputs come first, and they read every X-part-0 difference through an
-    invertible transform, so a later row is reached only when no difference
-    has X-part 0, and one whose X-part no difference has is skipped.  So the
-    X-part-0 differences are taken first, and the others only if none is nonzero.
+    Only changed cells are read: with equal denominators, the cells of the
+    items the two maps do not share, else every cell, both sides put over
+    the larger denominator.  Their nonzero differences make a difference
+    map: none means equivalent.  Otherwise the counterexample is the first
+    nonzero entry, in table order, of the map's _rows, with each side's
+    value summed at that cell from its own map.  The diag inputs come
+    first, and they read every X-part-0 difference through an invertible
+    transform, so a later row is reached only when no difference has
+    X-part 0.  So the X-part-0 differences are taken first, and the others
+    only if none is nonzero, which lets _rows skip the rows they cannot
+    reach.
     """
     n_in, n_out, d_l, choi_l = ch_l
     d_r, choi_r = ch_r[2], ch_r[3]
     s_l, s_r = max(d_l, d_r) // d_l, max(d_l, d_r) // d_r
-    changed = {key for key, _ in choi_l.items() ^ choi_r.items()} if d_l == d_r else choi_l.keys() | choi_r.keys()
-    mask = (1 << n_in) - 1
-    for keys in ((key for key in changed if not key & mask), (key for key in changed if key & mask)):
-        diff: dict[int, dict[int, int]] = {}
-        for key in keys:
-            if c := choi_l.get(key, 0) * s_l - choi_r.get(key, 0) * s_r:
-                a, p, y = _split(key, n_in, n_out)
-                diff.setdefault(a, {})[p] = y * c
+    changed = {cell for cell, _ in choi_l.items() ^ choi_r.items()} if d_l == d_r else choi_l.keys() | choi_r.keys()
+    high = n_in + 2 * n_out  # a cell shifted down by high is its A's X-part
+    for cells in ((cell for cell in changed if not cell >> high), (cell for cell in changed if cell >> high)):
+        diff = {cell: c for cell in cells if (c := choi_l.get(cell, 0) * s_l - choi_r.get(cell, 0) * s_r)}
         if diff:
             break
     if not diff:
         return Verdict(True, None, lambda: (ch_l, ch_r), decider)
-    x_parts = {a >> n_in for a in diff}
-    for k in range(4 ** n_in):
-        gens = _input_generators(n_in, k)
-        x_part = 0
-        for x, _, _ in gens:
-            x_part |= x
-        if x_part not in x_parts:
-            continue
-        group = _group(gens)
-        sums: dict[int, int] = {}
-        for x, z, sign in group:
-            for p, c in diff.get(x << n_in | z, {}).items():
-                sums[p] = sums.get(p, 0) + sign * c
-        differing = [p for p, c in sums.items() if c]
-        if differing:
-            q, p = min((_number(p, n_in, n_out), p) for p in differing)
-            keys = [(x | z << n_in + n_out | p, -sign if (x & z).bit_count() & 1 else sign) for x, z, sign in group]
-            value_l, value_r = (sum(sign * choi.get(key, 0) for key, sign in keys) for choi in (choi_l, choi_r))
-            element = basis_element(n_in, k)
-            ce = Counterexample(element, local_observable(n_out, q), Fraction(value_l, d_l), Fraction(value_r, d_r))
-            return Verdict(False, ce, lambda: (ch_l, ch_r), decider)
-    raise AssertionError("Choi states differ but no table entry does")
+    for k, sums in enumerate(_rows((n_in, n_out, 1, diff))):
+        if any(sums):
+            break
+    else:
+        raise AssertionError("Choi states differ but no table entry does")
+    q = next(q for q, c in enumerate(sums) if c)
+    group = _group(_input_generators(n_in, k))
+    value_l, value_r = (sum(sign * choi.get(a << 2 * n_out | q, 0) for a, sign in group) for choi in (choi_l, choi_r))
+    ce = Counterexample(basis_element(n_in, k), local_observable(n_out, q), Fraction(value_l, d_l), Fraction(value_r, d_r))
+    return Verdict(False, ce, lambda: (ch_l, ch_r), decider)
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,12 @@ from stabcheck import PauliString, SuperopFingerprint, apply_gate, enumerate_bas
 from stabcheck import checker, dense
 from stabcheck.basis import BASIS_ORDER_TAG, BasisCircuit, ExactComplex
 from stabcheck.checker import (
-    _DIGIT,
     BRANCH_LIMIT,
     BranchLimitError,
     BranchOutcome,
     BudgetExceededError,
     DenseLimitError,
     Program,
-    _group,
     local_observable,
 )
 from stabcheck.protocol import (
@@ -613,7 +611,9 @@ def assert_checked_as_reference(ast: ProtocolAST) -> list[Diagnostic]:
 # reference_run_protocol must agree exactly with run_protocol, and
 # reference_choi, over 2^measurements, must hold the same exact values as
 # checker._choi on the deferred states, over 2^(bits that control H, P or
-# CNOT).
+# CNOT).  reference_choi expands each group with reference_group, a copy of
+# checker._group of that time, and numbers output Paulis with
+# REFERENCE_DIGIT, a copy of tableau._DIGIT, so it shares no engine code.
 
 
 @dataclass(frozen=True)
@@ -1016,6 +1016,19 @@ def reference_run_protocol(ast: ProtocolAST, input_prep: BasisCircuit) -> list[B
     ]
 
 
+# Pauli digit (I, X, Y, Z = 0..3) of one qubit's bits (x << 1) | z.
+REFERENCE_DIGIT = (0, 3, 1, 2)
+
+
+def reference_group(generators) -> list[tuple[int, int, int]]:
+    """Every element of the group that commuting (x, z, phase_exp) generators
+    generate, as (x, z, sign): sign is +-1, the Hermitian Pauli's sign."""
+    group = [(0, 0, 0)]
+    for gx, gz, gph in generators:
+        group += [(x ^ gx, z ^ gz, ph + gph + 2 * (z & gx).bit_count()) for x, z, ph in group]
+    return [(x, z, 1 - ((ph - (x & z).bit_count()) & 3)) for x, z, ph in group]
+
+
 def reference_choi(ast: ProtocolAST, budget: int | None) -> tuple[int, int, int, dict[int, dict[int, int]]]:
     """The channel's Choi state as (n_in, n_out, denominator, choi).
 
@@ -1040,10 +1053,10 @@ def reference_choi(ast: ProtocolAST, budget: int | None) -> tuple[int, int, int,
     choi: dict[int, dict[int, int]] = {}
     for weight, state, _, _ in reference_walk(program, None, merge=True):
         gens = [(g.x_bits, g.z_bits, g.phase_exp) for g in reference_supported_subgroup(state, out_mask | ref_mask)]
-        for x, z, sign in _group(gens):
+        for x, z, sign in reference_group(gens):
             index = 0
             for w, shift in shifts:
-                index |= _DIGIT[((x >> w) & 1) << 1 | ((z >> w) & 1)] << shift
+                index |= REFERENCE_DIGIT[((x >> w) & 1) << 1 | ((z >> w) & 1)] << shift
             ax, az = x >> base, z >> base
             coeffs = choi.setdefault(ax << n_in | az, {})
             coeffs[index] = coeffs.get(index, 0) + (-sign if (ax & az).bit_count() & 1 else sign) * weight

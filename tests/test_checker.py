@@ -25,7 +25,7 @@ from stabcheck import (
     run_circuit,
     run_protocol_dense,
 )
-from stabcheck.basis import BasisCircuit, BasisElement, circuit_for, element_matrix
+from stabcheck.basis import BasisCircuit, BasisElement, basis_element, circuit_for, element_matrix
 from stabcheck import checker
 from stabcheck.checker import local_observable, lower
 from stabcheck.cli import corpus_path
@@ -43,6 +43,7 @@ from helpers import (
     random_protocol_source,
     random_rational_hermitian,
     reference_echelon,
+    reference_pauli_expect,
     reference_supported,
     teleport_source,
     with_h_control,
@@ -289,6 +290,21 @@ class TestCheckEquivalence:
         ce = verdict.counterexample
         assert (ce.basis_element, str(ce.observable), ce.value_lhs, ce.value_rhs) == (BasisElement(8, "diag", 0), "+X", 0, 1)
         assert peak < 5 * 2 ** 20
+
+    def test_the_input_cache_is_bounded(self):
+        # Every input of every table up to n_in = 6 stays cached; the 4^7
+        # inputs of n_in = 7 keep only the last 4^6, where an unbounded
+        # cache kept about 10.4 MB.
+        checker._input_generators.cache_clear()
+        tracemalloc.start()
+        try:
+            for k in range(4 ** 7):
+                checker._input_generators(7, k)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert checker._input_generators.cache_info().currsize == 4 ** 6
+        assert kept < 5 * 2 ** 20
 
     def test_classical_control_limit(self, monkeypatch):
         # Deferred measurement composes one state per assignment of the
@@ -616,3 +632,35 @@ class TestLocalObservable:
         ast = builtin_identity(n_out)
         for q in range(4 ** n_out):
             assert local_observable(n_out, q) == output_observable(ast, q)
+
+
+class TestTableConventions:
+    def test_cell_is_xor_linear_and_numbers_the_output_pauli(self):
+        # A row product XORs the rows' bits, so its cell must be the XOR of
+        # theirs; the cell's low 2 * n_out bits are the output Pauli's column.
+        rng = random.Random(29)
+        for _ in range(400):
+            n_in = rng.randint(1, 4)
+            n_out = rng.randint(1, 8 - n_in)
+            m, mask = n_in + n_out, (1 << n_in) - 1
+            (x1, z1), (x2, z2) = [(rng.getrandbits(m), rng.getrandbits(m)) for _ in range(2)]
+            cell = checker._cell(x1, z1, n_in, n_out)
+            assert checker._cell(x1 ^ x2, z1 ^ z2, n_in, n_out) == cell ^ checker._cell(x2, z2, n_in, n_out)
+            a, q = divmod(cell, 4 ** n_out)
+            assert a == (x1 & mask) << n_in | z1 & mask
+            observable = local_observable(n_out, q)
+            assert (observable.x_bits, observable.z_bits) == (x1 >> n_in, z1 >> n_in)
+
+    @pytest.mark.parametrize("n_in", [1, 2])
+    def test_input_groups_carry_the_transposed_signs(self, n_in):
+        # Each +-A in the group of _input_generators must be Tr(A rho^T),
+        # and every Pauli outside the group must have Tr(A rho^T) = 0.
+        mask = (1 << n_in) - 1
+        for k in range(4 ** n_in):
+            rho_t = exact_to_numpy(element_matrix(basis_element(n_in, k))).T
+            group = dict(checker._group(checker._input_generators(n_in, k)))
+            assert len(group) == 2 ** n_in
+            for a in range(4 ** n_in):
+                x, z = a >> n_in, a & mask
+                want = reference_pauli_expect(rho_t, PauliString(n_in, x, z, (x & z).bit_count() % 4))
+                assert want == group.get(a, 0), (k, a)

@@ -22,6 +22,7 @@ from stabcheck import (
 )
 from stabcheck import checker
 from stabcheck.basis import basis_index
+from stabcheck.checker import local_observable
 from stabcheck.cli import corpus_path
 from stabcheck.dense import TOL, pauli_expect_dense, pauli_expect_state, pauli_expectations
 
@@ -84,23 +85,18 @@ def choi_fractions(channel):
     coefficients as exact fractions keyed (A, q) as reference_choi keys
     them, whatever its denominator.
 
-    _choi's flat key x | z << (n_in + n_out), the references below wire
-    n_in, is read here without the checker's own conversion: A is its
-    reference x bits over its z bits, q has output j's letter (I, X, Y, Z
-    as 0..3) as base-4 digit n_out - 1 - j, and the coefficient takes the
-    (-1)^#Y(A) that reference_choi's holds."""
+    _choi's key is the table cell a << 2 * n_out | q, read here without
+    the checker's own helpers: a is A's reference x bits over its z bits,
+    and the coefficient, Tr((A x P_q) J), takes the (-1)^#Y(A) that
+    reference_choi's holds."""
     n_in, n_out, denominator, choi = channel
     if all(isinstance(coeffs, dict) for coeffs in choi.values()):
         nested = choi.items()
     else:
-        m, letter = n_in + n_out, {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}
         nested = []
-        for key, c in choi.items():
-            xs = [key >> w & 1 for w in range(m)]
-            zs = [key >> (m + w) & 1 for w in range(m)]
-            a = int("".join(map(str, xs[:n_in][::-1] + zs[:n_in][::-1])), 2)
-            q = sum(letter[xs[n_in + j], zs[n_in + j]] * 4 ** (n_out - 1 - j) for j in range(n_out))
-            ys = sum(xs[w] and zs[w] for w in range(n_in))
+        for cell, c in choi.items():
+            a, q = divmod(cell, 4 ** n_out)
+            ys = (a >> n_in & a & (1 << n_in) - 1).bit_count()
             nested.append((a, {q: (-1) ** ys * c}))
     return n_in, n_out, {(a, q): Fraction(c, denominator) for a, coeffs in nested for q, c in coeffs.items() if c}
 
@@ -533,6 +529,42 @@ def test_refutations_from_diag_differences_and_from_the_rest_match_reference():
             assert (ce.basis_element, ce.observable, ce.value_lhs, ce.value_rhs) == want
             kinds.add(ce.basis_element.kind == "diag")
     assert kinds == {True, False}
+
+
+def test_rows_of_the_difference_map_are_the_differences_of_the_rows():
+    # _rows does not sum a row that can only be zero: one for which no A in
+    # the map has X-part 0 or the input's X-part.  On the difference map of
+    # two channels, both sides over the larger denominator, its rows must
+    # still be the entrywise differences of the two sides' rows, and the
+    # first nonzero entry must be the counterexample's cell.
+    rng = random.Random(2929)
+    pairs = [(parse(teleport_source(3, drop)), builtin_identity(3)) for drop in ("X0", "Z1", "X2")]
+    for i in range(150):
+        source = random_protocol_source(rng, shuffle=i % 2 == 1)
+        mutant = _without_one_statement(rng, source)
+        if i % 3:
+            mutant = with_h_control(mutant) if i % 3 == 2 else with_classical_controls(rng, mutant)
+        pairs.append((parse(source), parse(mutant)))
+    skipped = unequal = 0
+    for lhs, rhs in pairs:
+        channels = [checker._choi(checker.lower(ast), None) for ast in (lhs, rhs)]
+        (n_in, n_out, d_l, choi_l), (_, _, d_r, choi_r) = channels
+        s_l, s_r = max(d_l, d_r) // d_l, max(d_l, d_r) // d_r
+        cells = choi_l.keys() | choi_r.keys()
+        diff = {cell: c for cell in cells if (c := choi_l.get(cell, 0) * s_l - choi_r.get(cell, 0) * s_r)}
+        rows = list(checker._rows((n_in, n_out, 1, diff)))
+        sides = zip(*map(checker._rows, channels))
+        assert rows == [[l * s_l - r * s_r for l, r in zip(row_l, row_r)] for row_l, row_r in sides], lhs.name
+        verdict = check_equivalence(lhs, rhs)
+        assert verdict.equivalent == (not diff)
+        if diff:
+            k, q = next((k, q) for k, row in enumerate(rows) for q, c in enumerate(row) if c)
+            ce = verdict.counterexample
+            assert (basis_index(ce.basis_element), ce.observable) == (k, local_observable(n_out, q))
+            assert (ce.value_lhs - ce.value_rhs) * max(d_l, d_r) == rows[k][q]
+            skipped += all(cell >> n_in + 2 * n_out for cell in diff)
+            unequal += d_l != d_r
+    assert skipped > 8 and unequal > 30, (skipped, unequal)
 
 
 def test_deferred_walk_and_reference_agree():

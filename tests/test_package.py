@@ -118,19 +118,26 @@ def _python_3_10() -> str | None:
 
 
 # Parses every corpus file, decides teleport.qpr and teleport_noZ.qpr against
-# identity:1 (the second refuted, with a counterexample) and counts the
-# two-qubit stabilizer states, with no numpy, which the 3.10 interpreter
-# need not have.
+# identity:1 (the second refuted, with a counterexample), builds the refuted
+# pair's two tables and reads the counterexample's cell in each (they differ
+# there, and hold its values), and counts the two-qubit stabilizer states,
+# with no numpy, which the 3.10 interpreter need not have.
 _ON_3_10 = """
 import sys
 sys.path.insert(0, sys.argv[1])
 from pathlib import Path
 from stabcheck import builtin_identity, check_equivalence, corpus_path, count_stabilizer_states, parse
+from stabcheck.basis import basis_index
+from stabcheck.checker import local_observable
 paths = sorted(Path(corpus_path("teleport.qpr")).parent.glob("*.qpr"))
 asts = {path.name: parse(path.read_text(encoding="utf-8")) for path in paths}
 refuted = check_equivalence(asts["teleport_noZ.qpr"], builtin_identity(1))
+ce = refuted.counterexample
+k, q = basis_index(ce.basis_element), [local_observable(1, q) for q in range(4)].index(ce.observable)
+lhs, rhs = (fp.table[k][q] for fp in refuted.fingerprints)
 print(len(asts), check_equivalence(asts["teleport.qpr"], builtin_identity(1)).equivalent, refuted.equivalent,
-      refuted.counterexample is not None, count_stabilizer_states(2), "numpy" in sys.modules)
+      ce is not None, lhs != rhs, (lhs, rhs) == (ce.value_lhs, ce.value_rhs), count_stabilizer_states(2),
+      "numpy" in sys.modules)
 """
 
 
@@ -144,4 +151,4 @@ def test_the_package_runs_on_the_oldest_python_it_declares():
     done = subprocess.run([exe, "-I", "-B", "-c", _ON_3_10, str(root / "src")], capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     corpus = len(list(Path(stabcheck.corpus_path("teleport.qpr")).parent.glob("*.qpr")))
-    assert done.stdout.split() == [str(corpus), "True", "False", "True", "60", "False"]
+    assert done.stdout.split() == [str(corpus), "True", "False", "True", "True", "True", "60", "False"]
