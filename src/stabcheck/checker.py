@@ -237,6 +237,9 @@ def _deferred(program: Program) -> list[tuple[int, list]]:
     ever read in the Z basis, so measuring them all at the end, as tracing
     them out does, gives the protocol's channel.
 
+    Row bit column[w] holds wire w, in the form's column order: reference
+    j at j, output i at n_in + i, then the other wires and the ancillas.
+
     The bits G that control H, P or CNOT stay classical.  For each of the
     2^|G| assignments, the gates are composed once, with each if of a bit
     in G kept only where the bit is 1, and the controls of G are measured
@@ -245,8 +248,9 @@ def _deferred(program: Program) -> list[tuple[int, list]]:
     More than BRANCH_LIMIT assignments raise BranchLimitError first.
     """
     base = program.n_wires
-    gates = [g for j, q in enumerate(program.inputs) for g in (("H", base + j), ("CNOT", base + j, q))]
-    width = base + len(program.inputs)
+    refs = range(base, base + len(program.inputs))
+    gates = [g for r, q in zip(refs, program.inputs) for g in (("H", r), ("CNOT", r, q))]
+    width = refs.stop
     classical = sorted({op[1] for op in program.ops if op[0] == "if" and op[2] in ("H", "P", "CNOT")})
     if 1 << len(classical) > BRANCH_LIMIT:
         raise BranchLimitError(len(classical))
@@ -289,6 +293,9 @@ def _deferred(program: Program) -> list[tuple[int, list]]:
             else:
                 gates += (("P", b),) * 3 + (cnot, ("P", b))
 
+    outputs = set(program.outputs)
+    order = [*refs, *program.outputs, *(w for w in range(base) if w not in outputs), *range(refs.stop, width)]
+    column = sorted(range(width), key=order.__getitem__)  # the inverse of order
     states = []
     for assignment in range(1 << len(classical)):
         value = {c: assignment >> i & 1 for i, c in enumerate(classical)}
@@ -298,11 +305,11 @@ def _deferred(program: Program) -> list[tuple[int, list]]:
             done = at
             if value[c]:
                 run.append(g)
-        rows, weight = _circuit(width, run + gates[done:]), 1 << len(classical)
+        rows, weight = _circuit(width, run + gates[done:], column), 1 << len(classical)
         for c in classical:
-            pivot, forced = _z_pivot(rows, width, control[c])
+            pivot, forced = _z_pivot(rows, width, column[control[c]])
             if pivot is not None:
-                rows, weight = _collapsed(rows, width, control[c], pivot, value[c]), weight >> 1
+                rows, weight = _collapsed(rows, width, column[control[c]], pivot, value[c]), weight >> 1
             elif forced != value[c]:
                 break
         else:
@@ -310,32 +317,13 @@ def _deferred(program: Program) -> list[tuple[int, list]]:
     return states
 
 
-def _reduced(program: Program, rows: list) -> tuple:
+def _reduced(rows: list, m: int) -> tuple:
     """The canonical form of the Choi state that one _deferred state's rows
-    purify.
-
-    It is the _echelon basis of the subgroup supported on the references
-    and outputs, renumbered as (references, outputs in order) and padded
-    with identity rows to that many, so two programs' forms are equal
-    exactly when their Choi states are.
-    """
+    purify: the _echelon basis, with no identity row, of the subgroup on
+    the m low columns, the references and then the outputs.  Two programs'
+    forms are equal exactly when their Choi states are."""
     n = len(rows) >> 1
-    base = program.n_wires
-    order = [*range(base, base + len(program.inputs)), *program.outputs]
-    position = {1 << w: 1 << i for i, w in enumerate(order)}
-    generators = []
-    for x, z, ph in _supported(rows[n:], n, sum(position)):
-        mapped = []
-        for bits in (x, z):
-            out = 0
-            while bits:
-                low = bits & -bits
-                out |= position[low]
-                bits ^= low
-            mapped.append(out)
-        generators.append((*mapped, ph))
-    m = len(order)
-    return _echelon(generators + [(0, 0, 0)] * (m - len(generators)), m)
+    return _echelon(_supported(rows[n:], n, (1 << m) - 1), m)
 
 
 def _trace(program: Program, prep: list[tuple], outcomes: tuple[int, ...]) -> list[tuple]:
@@ -420,8 +408,8 @@ def _forms(program: Program) -> tuple[tuple[int, tuple], ...]:
     the frozen Program's __dict__ once built."""
     forms = program.__dict__.get("_forms")
     if forms is None:
-        states = _deferred(program)
-        forms = program.__dict__["_forms"] = tuple((weight, _reduced(program, rows)) for weight, rows in states)
+        m = len(program.inputs) + len(program.outputs)
+        forms = program.__dict__["_forms"] = tuple((weight, _reduced(rows, m)) for weight, rows in _deferred(program))
     return forms
 
 
@@ -438,10 +426,10 @@ def _choi(program: Program, budget: int | None) -> tuple[int, int, int, dict[int
     denominator is Tr((A x P_q) J), keyed by its table cell (_cell).
     Tr((A x P) J) adds, over the states, weight x the sign of +-(A x P) in
     the state's stabilizer group, where it lies in the subgroup supported
-    on outputs and references, whose generators the form holds, and 0
-    elsewhere; the denominator is the sum of the weights.  A cell is
-    GF(2)-linear in the Pauli's bits, so each form generator's cell is
-    computed once and the group expansion XORs the cells along.
+    on outputs and references, whose independent generators the form
+    holds, and 0 elsewhere; the denominator is the sum of the weights.  A
+    cell is GF(2)-linear in the Pauli's bits, so each form generator's cell
+    is computed once and the group expansion XORs the cells along.
     """
     forms = _forms(program)
     n_in, n_out = len(program.inputs), len(program.outputs)
@@ -454,7 +442,7 @@ def _choi(program: Program, budget: int | None) -> tuple[int, int, int, dict[int
 
     choi: dict[int, int] = {}
     for weight, form in forms:
-        generators = [(x, z, ph, _cell(x, z, n_in, n_out)) for x, z, ph in form if x | z]  # without the padding
+        generators = [(x, z, ph, _cell(x, z, n_in, n_out)) for x, z, ph in form]
         for cell, sign in _group(generators):
             choi[cell] = choi.get(cell, 0) + sign * weight
     channel = n_in, n_out, sum(weight for weight, _ in forms), choi

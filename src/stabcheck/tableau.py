@@ -302,7 +302,7 @@ def _composed(rows: list, images: tuple[int, list, list]) -> list:
     return out
 
 
-def _circuit(n: int, gates) -> list:
+def _circuit(n: int, gates, column=None) -> list:
     """The rows of |0...0> after the gates, none of which is checked.
 
     The circuit runs on bit-sliced columns, as in Aaronson and Gottesman's
@@ -310,7 +310,9 @@ def _circuit(n: int, gates) -> list:
     of lo and hi are the low and high bits of row r's phase.  A gate
     updates a few of these ints for all 2n rows at once, and the columns
     are transposed into rows once, at the end: rows start as those of
-    |0...0>, and only the columns the gates changed are transposed.
+    |0...0>, and only the columns the gates changed are transposed.  The
+    transpose puts qubit q's bits at bit column[q] (q by default) of each
+    row; the rows stay in qubit order.
     """
     xs = [1 << q for q in range(n)]
     zs = [1 << (n + q) for q in range(n)]
@@ -336,17 +338,19 @@ def _circuit(n: int, gates) -> list:
             xs[t] ^= xs[q]
             zs[q] ^= zs[t]
 
-    x_rows = [1 << q for q in range(n)] + [0] * n
-    z_rows = [0] * n + [1 << q for q in range(n)]
+    bits = [1 << c for c in column or range(n)]
+    x_rows = bits + [0] * n
+    z_rows = [0] * n + bits
     for by_row, columns, first in ((x_rows, xs, 0), (z_rows, zs, n)):
-        for q, column in enumerate(columns):
-            if column == 1 << (first + q):
+        for q, rows in enumerate(columns):
+            if rows == 1 << (first + q):
                 continue
-            by_row[first + q] ^= 1 << q
-            while column:
-                low = column & -column
-                by_row[low.bit_length() - 1] |= 1 << q
-                column ^= low
+            bit = bits[q]
+            by_row[first + q] ^= bit
+            while rows:
+                low = rows & -rows
+                by_row[low.bit_length() - 1] |= bit
+                rows ^= low
     return [(x_rows[r], z_rows[r], (lo >> r & 1) | (hi >> r & 1) << 1) for r in range(2 * n)]
 
 
@@ -419,7 +423,7 @@ def _eliminated(rows, n: int, columns: int) -> tuple[dict, list]:
 
 
 def _echelon(stabs: list, n: int) -> tuple:
-    """The reduced echelon basis of the group the n rows stabs generate: its
+    """The reduced echelon basis of the group stabs generate on n qubits: its
     pivot rows in column order (X of each qubit, then Z), then the identity
     rows left over.  From the highest down, each pivot row is multiplied by
     the reduced pivot rows of the pivot columns it holds above its own."""

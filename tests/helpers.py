@@ -218,6 +218,28 @@ def h_controlled_cluster_wire_source(k: int, drop: int | None = None, controls: 
     return cluster_wire_source(k, drop).replace("\n  output", guarded + "\n  output")
 
 
+def repetition_code_source(d: int, drop: str | None = None) -> str:
+    """corpus/repetition_code.qpr at distance d >= 2: the identity channel.
+
+    q is encoded into q and r1..r(d-1); a discarded ancilla e in |+> flips
+    q alone through a CNOT, the syndrome Z_q Z_r1 is read through the
+    ancilla s, and if syndrome then X q undoes the flip.  Each r_i is then
+    measured in the X basis into m_i, and if m_i then Z q fixes its sign.
+    drop names one correction to leave out: "X", or "Zi" for m_i's.
+    """
+    rs = [f"r{i}" for i in range(1, d)]
+    decls = ["qubit q: input;"] + [f"qubit {r}: zero;" for r in rs] + ["qubit e: zero;", "qubit s: zero;"]
+    decls += ["cbit syndrome;"] + [f"cbit m{i};" for i in range(1, d)]
+    body = [f"CNOT q, {r};" for r in rs] + ["H e;", "CNOT e, q;", "CNOT q, s;", "CNOT r1, s;", "measure s -> syndrome;"]
+    if drop != "X":
+        body.append("if syndrome then X q;")
+    for i, r in enumerate(rs, 1):
+        body += [f"H {r};", f"measure {r} -> m{i};"]
+        if drop != f"Z{i}":
+            body.append(f"if m{i} then Z q;")
+    return f"protocol repetition_code_{d} {{\n  " + "\n  ".join(decls + body) + "\n  output q;\n}\n"
+
+
 def with_h_control(source: str) -> str:
     """A one-statement-per-line source with a bit that controls H: wire q0,
     which every random_protocol_source has, is measured into a new bit hc

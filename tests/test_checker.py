@@ -112,10 +112,19 @@ class TestLower:
             program = lower(ast)
             n, width = len(ast.qubits), len(ast.qubits) + ast.n_in
             assert program.n_wires == n
-            bell = [g for r, q in zip(range(n, width), program.inputs) for g in (("H", r), ("CNOT", r, q))]
-            # Deferred measurement of a program with no ops leaves the Bell rows.
+            # The form's columns: reference j (wire n + j) at j, output i at
+            # n_in + i, then the other wires.
+            outputs = list(program.outputs)
+            column = {n + j: j for j in range(ast.n_in)}
+            others = [w for w in range(n) if w not in outputs]
+            column.update((w, ast.n_in + i) for i, w in enumerate(outputs + others))
+            bell = [g for j, q in enumerate(program.inputs) for g in (("H", j), ("CNOT", j, column[q]))]
+            # Deferred measurement of a program with no ops leaves the Bell
+            # rows, each row still that of its wire, its bits at their columns.
             (weight, start), = checker._deferred(dataclasses.replace(program, ops=()))
-            assert weight == 1 and _boxed(width, start) == run_circuit(width, bell).rows
+            want = run_circuit(width, bell).rows
+            assert weight == 1
+            assert _boxed(width, start) == [want[half + column[w]] for half in (0, width) for w in range(width)]
             # fingerprint walks no branch, also when a bit controls H.
             fingerprint(ast)
             fingerprint(parse(with_h_control(random_protocol_source(rng, shuffle=True))))
@@ -449,6 +458,26 @@ class TestDeferredMeasurement:
                 patch.setattr(checker, "_echelon", reference_echelon)
                 patch.setattr(checker, "_supported", reference_supported)
                 assert checker._forms(lower(parse(source))) == got
+
+    def test_shuffled_declarations_keep_the_wide_form(self):
+        # Shuffled declaration lines, the psi inputs in their relative order,
+        # move every wire of teleport_300 to another column of _deferred's
+        # rows; the form, in its own columns, must not move.
+        def shuffled(source):
+            rng = random.Random(61)
+            lines = source.split("\n")
+            at = [i for i, line in enumerate(lines) if line.startswith(("  qubit ", "  cbit "))]
+            decls = [lines[i] for i in at]
+            inputs = iter([line for line in decls if line.endswith(": input;")])
+            for i, line in zip(at, rng.sample(decls, len(decls))):
+                lines[i] = next(inputs) if line.endswith(": input;") else line
+            return "\n".join(lines)
+
+        plain, moved = lower(parse(teleport_source(300))), lower(parse(shuffled(teleport_source(300))))
+        assert moved.inputs != plain.inputs and moved.outputs != plain.outputs
+        assert checker._forms(moved) == checker._forms(plain)
+        with pytest.raises(BudgetExceededError, match="the two sides differ"):
+            check_equivalence(parse(shuffled(teleport_source(300, drop="Z0"))), builtin_identity(300))
 
     def test_only_measurements_not_marked_reset_take_an_ancilla(self):
         # teleport.qpr's two measured wires are never touched again;

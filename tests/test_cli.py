@@ -14,7 +14,7 @@ from stabcheck import ArityMismatchError, builtin_identity, check_equivalence, c
 from stabcheck import cli as cli_mod
 from stabcheck.cli import corpus_path, main
 
-from helpers import h_controlled_cluster_wire_source, teleport_source
+from helpers import h_controlled_cluster_wire_source, repetition_code_source, teleport_source
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +100,14 @@ class TestCheck:
     def test_verify_flag(self, capsys):
         code, _, _ = run_cli(capsys, "check", TELEPORT, "--identity", "1", "--verify")
         assert code == 0
+
+    def test_verify_agrees_on_repetition_codes(self, capsys, tmp_path):
+        path = tmp_path / "repetition.qpr"
+        for d in (2, 3, 4):
+            for drop in (None, "X", *(f"Z{i}" for i in range(1, d))):
+                path.write_text(repetition_code_source(d, drop))
+                code, _, err = run_cli(capsys, "check", str(path), "--identity", "1", "--verify")
+                assert code == (1 if drop else 0), (d, drop, err)
 
     def test_parse_error_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad_syntax.qpr"

@@ -44,6 +44,7 @@ from helpers import (
     reference_run_dense,
     reference_parse,
     reference_run_protocol,
+    repetition_code_source,
     teleport_source,
     tensor_source,
     with_classical_controls,
@@ -292,6 +293,23 @@ def test_dropping_a_correction_from_a_cluster_wire_is_refuted(k):
     for j in range(k):
         verdict = check_equivalence(parse(cluster_wire_source(k, drop=j)), builtin_identity(1))
         assert not verdict.equivalent, j
+        assert verdict.counterexample.value_lhs != verdict.counterexample.value_rhs
+
+
+def test_repetition_code_is_the_identity():
+    # d = 3 is corpus/repetition_code.qpr; at d = 100 the deferred state is
+    # one wide block with no tensor structure, which fills in under
+    # tableau._eliminated.
+    assert check_equivalence(parse(repetition_code_source(3)), load("repetition_code.qpr")).equivalent
+    for d in (3, 10, 100):
+        assert check_equivalence(parse(repetition_code_source(d)), builtin_identity(1)).equivalent, d
+
+
+@pytest.mark.parametrize("d", [3, 10, 100])
+def test_dropping_a_correction_from_a_repetition_code_is_refuted(d):
+    for drop in ["X"] + [f"Z{i}" for i in range(1, d)]:
+        verdict = check_equivalence(parse(repetition_code_source(d, drop)), builtin_identity(1))
+        assert not verdict.equivalent, drop
         assert verdict.counterexample.value_lhs != verdict.counterexample.value_rhs
 
 

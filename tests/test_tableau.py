@@ -16,13 +16,15 @@ from stabcheck import (
     run_circuit,
     tensor,
 )
-from stabcheck.tableau import _circuit, _echelon, _product, _supported, apply_tableau, supported_subgroup
+from stabcheck.tableau import GATE_NAMES, _boxed, _circuit, _echelon, _product, _supported, apply_tableau
+from stabcheck.tableau import supported_subgroup
 from stabcheck.dense import pauli_expect_state, run_dense
 
 from helpers import (
     enumerate_circuit_branches,
     hermitian_paulis,
     random_circuit,
+    reference_apply_gate,
     reference_canonical_form,
     reference_echelon,
     reference_supported,
@@ -180,6 +182,30 @@ class TestRunCircuit:
     def test_needs_a_qubit(self):
         with pytest.raises(ValueError, match="at least one qubit"):
             run_circuit(0, [])
+
+    def test_a_column_map_moves_each_rows_bits(self):
+        # _circuit with column writes qubit q's bits at bit column[q] of
+        # each row, rows still in qubit order; the identity map changes
+        # nothing, so it gives the gate-by-gate rows.
+        def moved(bits, column):
+            return sum(1 << c for q, c in enumerate(column) if bits >> q & 1)
+
+        rng = random.Random(37)
+        seen = set()
+        for n in (1, 2, 3, 5, 8, 16, 40, 100, 300):
+            for _ in range(3):
+                gates = random_circuit(rng, n, 4 * n + 8)
+                seen.update(g[0] for g in gates)
+                want = _circuit(n, gates)
+                assert _circuit(n, gates, range(n)) == want
+                if n <= 16:
+                    start = new_zero_state(n)
+                    for gate in gates:
+                        reference_apply_gate(start, *gate)
+                    assert _boxed(n, want) == start.rows
+                column = rng.sample(range(n), n)
+                assert _circuit(n, gates, column) == [(moved(x, column), moved(z, column), ph) for x, z, ph in want]
+        assert seen == set(GATE_NAMES)
 
 
 class TestApplyTableau:
