@@ -4,8 +4,8 @@ The package decides whether two measurement-and-feedforward Clifford
 protocols implement the same superoperator, by simulating both on a basis
 of 4^n stabilizer density matrices and comparing complete tables of
 output-Pauli expectations with exact dyadic arithmetic.  Importing the
-package loads no numpy: only the dense oracle (stabcheck.dense, the
-*_dense functions and --verify) needs it.
+package loads no numpy: only stabcheck.dense, the dense oracle behind the
+*_dense functions and --verify, imports it, and it loads on first use.
 """
 
 from .basis import (

@@ -32,8 +32,8 @@ run_protocol, and so sim, walks one basis input's branches instead.  States
 are the tableau module's engine rows, lists of (x, z, ph) int triples, and
 the kernels each return a new list.  PauliString and Tableau objects appear
 only where the public API hands them out: run_protocol's branches and
-counterexamples.  numpy is imported only at the end of the module, by the
-dense oracle and by _cross_check, which compares a table with it (--verify).
+counterexamples.  fingerprint_dense, run_protocol_dense and _cross_check
+(--verify) import the dense oracle, stabcheck.dense, on first use.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache, partial
-from typing import TYPE_CHECKING
 
 from .basis import BASIS_ORDER_TAG, BasisCircuit, BasisElement, basis_element, circuit_for
 from .protocol import Program, ProtocolAST, lower
@@ -62,14 +61,7 @@ from .tableau import (
     _z_pivot,
 )
 
-if TYPE_CHECKING:
-    import numpy as np
-
 DEFAULT_BUDGET = 4 ** 10
-# The dense oracle holds every branch's state vector for a chunk of inputs:
-# 2^(wires + measurements) amplitudes per input, at most this many in all,
-# 16 MB at this limit.
-DENSE_LIMIT = 2 ** 20
 # run_protocol, and so sim, lists every branch; past this many it stops.
 # Deferred measurement composes one state per assignment of the bits that
 # control H, P or CNOT, at most this many.
@@ -91,14 +83,6 @@ class BudgetExceededError(ValueError):
             super().__init__(f"fingerprint needs {work} exact entries, over the budget of {budget}")
         self.work = work
         self.budget = budget
-
-
-class DenseLimitError(ValueError):
-    def __init__(self, log_work: int):
-        super().__init__(
-            f"the dense oracle needs 2^(wires + measurements) = 2^{log_work} amplitudes, "
-            f"over its limit of 2^{DENSE_LIMIT.bit_length() - 1}"
-        )
 
 
 class BranchLimitError(ValueError):
@@ -601,129 +585,30 @@ def _compared(ch_l: tuple, ch_r: tuple, decider: str) -> Verdict:
     return Verdict(False, ce, lambda: (ch_l, ch_r), decider)
 
 
-# ---------------------------------------------------------------------------
-# Dense cross-checks.  These mirror the exact pipeline with floating point
-# and arbitrary input states; they validate, never decide.
-
-
-def _run_dense(program: Program, states: np.ndarray) -> np.ndarray:
-    """Every branch of every state in a stack (B, 2^n_wires), as one array
-    (branches, B, 2^n_wires).
-
-    One walk serves the whole stack: each gate is one call on the last axis.
-    A measurement forks each branch into its projections on outcomes 0 and
-    1, in that order, with no renormalization, so a branch's squared norm is
-    its probability and a branch of probability zero is all zeros.  Breadth
-    first, branch i's outcomes are the binary digits of i, which lists the
-    branches in depth-first order.  An if acts on the branches whose bit is
-    set.
-    """
-    import numpy as np
-
+def fingerprint_dense(ast: ProtocolAST):
+    """Floating-point fingerprint via full density matrices; oracle only."""
     from . import dense
 
-    n = program.n_wires
-    _dense_log_size(program)
-    live = states[None]
-    bits = np.zeros((1, len(program.cbits)), dtype=bool)
-    index = np.arange(1 << n)
-    for op in program.ops:
-        if op[0] == "u":
-            for gate in op[1]:
-                live = dense.apply_gate_dense(live, n, *gate)
-        elif op[0] == "if":
-            # live is the walk's own array here: a measurement wrote the bit.
-            chosen = bits[:, op[1]]
-            live[chosen] = dense.apply_gate_dense(live[chosen], n, op[2], *op[3])
-        else:
-            outcome = ((index >> (n - 1 - op[1])) & 1) == np.array([[0], [1]])
-            live = (live[:, None] * outcome[:, None]).reshape((-1,) + live.shape[1:])
-            bits = np.repeat(bits, 2, axis=0)
-            bits[1::2, op[2]] = True
-    return live
+    return dense._fingerprint_dense(lower(ast))
 
 
-def _dense_log_size(program: Program) -> int:
-    """log2 of the amplitudes one input's branches take, 2^(wires +
-    measurements); past DENSE_LIMIT, DenseLimitError."""
-    log_size = program.n_wires + program.denominator.bit_length() - 1
-    if 1 << log_size > DENSE_LIMIT:
-        raise DenseLimitError(log_size)
-    return log_size
-
-
-def _embedded(program: Program, states: np.ndarray) -> np.ndarray:
-    """A stack of input-wire states (B, 2^n_in) on all wires, the others |0>."""
-    import numpy as np
-
-    n, n_in = program.n_wires, len(program.inputs)
-    part = np.arange(1 << n_in)
-    index = np.zeros_like(part)
-    for j, pos in enumerate(program.inputs):
-        index |= ((part >> (n_in - 1 - j)) & 1) << (n - 1 - pos)
-    full = np.zeros((len(states), 1 << n), dtype=complex)
-    full[:, index] = states
-    return full
-
-
-def run_protocol_dense(ast: ProtocolAST, input_state: np.ndarray) -> list[tuple[float, np.ndarray]]:
+def run_protocol_dense(ast: ProtocolAST, input_state) -> list[tuple]:
     """Branch-complete dense execution from an arbitrary input-wire state.
 
     Branches come back as (probability, normalized state), depth first with
     outcome 0 before 1; those of probability below 1e-12 are dropped.
     """
-    import numpy as np
-
-    program = lower(ast)
-    input_state = np.asarray(input_state, dtype=complex)
-    if input_state.shape != (1 << len(program.inputs),):
-        raise ValueError("input state dimension does not match the input arity")
-    branches = _run_dense(program, _embedded(program, input_state[None]))[:, 0]
-    probs = np.sum(np.abs(branches) ** 2, axis=1)
-    return [(float(p), state / np.sqrt(p)) for p, state in zip(probs, branches) if p >= 1e-12]
-
-
-def fingerprint_dense(ast: ProtocolAST) -> np.ndarray:
-    """Floating-point fingerprint via full density matrices; oracle only."""
-    return _fingerprint_dense(lower(ast))
-
-
-def _fingerprint_dense(program: Program) -> np.ndarray:
-    """The table in floating point.  The basis inputs, as state vectors,
-    go through _run_dense in chunks that keep their branches within
-    DENSE_LIMIT amplitudes, and each input's density matrix on the outputs
-    gives its row of expectations."""
-    import numpy as np
-
     from . import dense
 
-    # At least 1, since _dense_log_size checks that one input fits.
-    chunk = DENSE_LIMIT >> _dense_log_size(program)
-    n_in = len(program.inputs)
-    rows = []
-    for start in range(0, 4 ** n_in, chunk):
-        elements = [basis_element(n_in, k) for k in range(start, min(start + chunk, 4 ** n_in))]
-        branches = _run_dense(program, _embedded(program, dense.element_states(elements)))
-        rows.append(dense.pauli_expectations(dense.mixed_density(branches, program.outputs)))
-    table = np.concatenate(rows)
-    # Column 0 is the expectation of the identity: each input's total probability.
-    worst = table[np.abs(table[:, 0] - 1.0).argmax(), 0]
-    if abs(worst - 1.0) > dense.TOL:
-        raise ValueError(f"branch probabilities sum to {worst}, not 1")
-    return table
+    return dense._branches(lower(ast), input_state)
 
 
 def _cross_check(name: str, program: Program, channel: tuple) -> None:
     """Compare the table of the program's channel, as _choi returns it, with
     the dense oracle's: RuntimeError naming the side past dense.TOL, and
-    DenseLimitError past DENSE_LIMIT (_fingerprint_dense)."""
-    import numpy as np
-
+    dense.DenseLimitError past dense.DENSE_LIMIT."""
     from . import dense
 
-    oracle = _fingerprint_dense(program)
-    # Rows over a power-of-two denominator: exact in floating point.
-    table = np.array(list(_rows(channel)), dtype=float) / channel[2]
-    err = float(np.max(np.abs(table - oracle)))
+    err = dense._deviation(program, _rows(channel), channel[2])
     if err > dense.TOL:
         raise RuntimeError(f"oracle cross-check failed for {name}: max deviation {err}")

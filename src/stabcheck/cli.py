@@ -4,14 +4,15 @@ Exit codes: 0 success or equivalent, 1 counterexample found, 2 user error
 (bad arguments, parse or validation failure, out-of-range sizes), 3 internal
 error (including a failed --verify cross-check).  Each command returns its
 exit code, report and text lines; main times it, adds "command" and
-"timing_ms" to the report and prints one of the two.  Only basis --verify
-imports numpy here; check --verify calls checker._cross_check.
+"timing_ms" to the report and prints one of the two.  Only --verify loads
+the dense oracle, stabcheck.dense, and with it numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -60,11 +61,15 @@ def _load_protocol(path_text: str) -> tuple[ProtocolAST, Program]:
 
 
 def _emit(report: dict, as_json: bool, text_lines: list[str]) -> None:
-    if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+    try:
+        print(json.dumps(report, indent=2, sort_keys=True) if as_json else "\n".join(text_lines))
+        # A reader that has gone (basis 7 | head -1) fails this flush, not the
+        # one at exit; the rest then goes to devnull and the run ends quietly.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _cmd_check(args) -> tuple[int, dict, list[str]]:
@@ -100,10 +105,12 @@ def _cmd_check(args) -> tuple[int, dict, list[str]]:
         raise UserError(str(exc)) from None
 
     if args.verify:
+        from . import dense
+
         for ast, program, channel in zip((lhs, rhs), (lhs_program, rhs_program), channels):
             try:
                 checker._cross_check(ast.name, program, channel)
-            except checker.DenseLimitError as exc:
+            except dense.DenseLimitError as exc:
                 raise UserError(f"--verify on {ast.name}: {exc}") from None
 
     entries = 4 ** lhs.n_in * 4 ** lhs.n_out
@@ -181,18 +188,11 @@ def _cmd_basis(args) -> tuple[int, dict, list[str]]:
     circuits = basis_mod.enumerate_basis(args.n)
 
     if args.verify:
-        import numpy as np
-
         from . import dense
 
         for circ in circuits:
             circ.prepare().assert_valid()
-            state, _ = dense.run_dense(args.n, circ.gates)
-            want = np.array(
-                [[v.to_complex() for v in row] for row in basis_mod.element_matrix(circ.element)]
-            )
-            got = np.outer(state, state.conj())
-            if np.max(np.abs(got - want)) > dense.TOL:
+            if not dense._prepares(args.n, circ.gates, basis_mod.element_matrix(circ.element)):
                 raise RuntimeError(f"oracle sweep failed for {circ.element.label()}")
 
     payload = [

@@ -1,13 +1,14 @@
-"""Brute-force state-vector and density-matrix backend.
+"""Brute-force state-vector and density-matrix backend: the dense oracle.
 
 Only used to validate the exact engine at desk scale (n up to about 10);
 verdicts never come from here.  Indexing matches the package convention:
-qubit 0 is the most significant bit of an amplitude index.
+qubit 0 is the most significant bit of an amplitude index (_bit).
 
 Every mixture of branches, one input's or a stack of inputs', is one
 mixed_density, and every Pauli expectation, one or all 4^k of them, is one
 per-qubit contraction (_contract) with the rows of _PAULI_PAIRS; no Pauli
-matrix is ever built.
+matrix is ever built.  Only this module imports numpy; checker and cli
+import it on first use, for the oracle on a Program and for --verify.
 """
 
 from __future__ import annotations
@@ -16,9 +17,15 @@ import math
 
 import numpy as np
 
+from .basis import basis_element
+from .protocol import Program
 from .tableau import _DIGIT, PauliString
 
 TOL = 1e-9
+# The dense oracle holds every branch's state vector for a chunk of inputs:
+# 2^(wires + measurements) amplitudes per input, at most this many in all,
+# 16 MB at this limit.
+DENSE_LIMIT = 2 ** 20
 
 _GATE_1Q = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
@@ -31,6 +38,19 @@ _GATE_1Q = {
 
 class ZeroProbabilityError(ValueError):
     """A measurement outcome with probability zero was requested."""
+
+
+class DenseLimitError(ValueError):
+    def __init__(self, log_work: int):
+        super().__init__(
+            f"the dense oracle needs 2^(wires + measurements) = 2^{log_work} amplitudes, "
+            f"over its limit of 2^{DENSE_LIMIT.bit_length() - 1}"
+        )
+
+
+def _bit(n: int, q: int) -> np.ndarray:
+    """Qubit q's bit of each amplitude index 0 .. 2^n - 1."""
+    return (np.arange(1 << n) >> (n - 1 - q)) & 1
 
 
 def zero_state(n: int) -> np.ndarray:
@@ -49,9 +69,7 @@ def _apply_1q(state: np.ndarray, n: int, q: int, mat: np.ndarray) -> np.ndarray:
 
 
 def _apply_cnot(state: np.ndarray, n: int, c: int, t: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    cbit = (idx >> (n - 1 - c)) & 1
-    return state[..., idx ^ (cbit << (n - 1 - t))]
+    return state[..., np.arange(1 << n) ^ (_bit(n, c) << (n - 1 - t))]
 
 
 def apply_gate_dense(state: np.ndarray, n: int, gate: str, *qubits: int) -> np.ndarray:
@@ -69,9 +87,7 @@ def project_z(state: np.ndarray, n: int, q: int, outcome: int) -> tuple[np.ndarr
     """Project qubit q onto |outcome> and renormalize; returns (state, prob)."""
     if outcome not in (0, 1):
         raise ValueError("outcome bit must be 0 or 1")
-    idx = np.arange(1 << n)
-    mask = ((idx >> (n - 1 - q)) & 1) == outcome
-    picked = np.where(mask, state, 0.0)
+    picked = np.where(_bit(n, q) == outcome, state, 0.0)
     prob = float(np.vdot(picked, picked).real)
     if prob < 1e-12:
         raise ZeroProbabilityError(f"outcome {outcome} on qubit {q} has probability zero")
@@ -206,3 +222,96 @@ def pauli_expect_state(state: np.ndarray, obs: PauliString) -> float:
     """<state|obs|state> for a pure state."""
     state = np.asarray(state)
     return pauli_expect_dense(np.outer(state, state.conj()), obs)
+
+
+# ---------------------------------------------------------------------------
+# The oracle.  It mirrors the exact pipeline with floating point and
+# arbitrary input states; it validates, never decides.
+
+
+def _run_dense(program: Program, states: np.ndarray) -> np.ndarray:
+    """Every branch of every input-wire state in a stack (B, 2^n_in), put on
+    all wires with the others |0>, as one array (branches, B, 2^n_wires).
+
+    One walk serves the whole stack: each gate is one call on the last axis.
+    A measurement forks each branch into its projections on outcomes 0 and
+    1, in that order, with no renormalization, so a branch's squared norm is
+    its probability and a branch of probability zero is all zeros.  Breadth
+    first, branch i's outcomes are the binary digits of i, which lists the
+    branches in depth-first order.  An if acts on the branches whose bit is
+    set.
+    """
+    n = program.n_wires
+    _dense_log_size(program)
+    live = np.zeros((1, len(states), 1 << n), dtype=complex)
+    # Input j's bit of a column of states is wire inputs[j]'s bit of the amplitude.
+    live[0][:, sum(_bit(len(program.inputs), j) << (n - 1 - w) for j, w in enumerate(program.inputs))] = states
+    bits = np.zeros((1, len(program.cbits)), dtype=bool)
+    for op in program.ops:
+        if op[0] == "u":
+            for gate in op[1]:
+                live = apply_gate_dense(live, n, *gate)
+        elif op[0] == "if":
+            # live is the walk's own array here: a measurement wrote the bit.
+            chosen = bits[:, op[1]]
+            live[chosen] = apply_gate_dense(live[chosen], n, op[2], *op[3])
+        else:
+            outcome = _bit(n, op[1]) == np.array([[0], [1]])
+            live = (live[:, None] * outcome[:, None]).reshape((-1,) + live.shape[1:])
+            bits = np.repeat(bits, 2, axis=0)
+            bits[1::2, op[2]] = True
+    return live
+
+
+def _dense_log_size(program: Program) -> int:
+    """log2 of the amplitudes one input's branches take, 2^(wires +
+    measurements); past DENSE_LIMIT, DenseLimitError."""
+    log_size = program.n_wires + program.denominator.bit_length() - 1
+    if 1 << log_size > DENSE_LIMIT:
+        raise DenseLimitError(log_size)
+    return log_size
+
+
+def _branches(program: Program, input_state) -> list[tuple[float, np.ndarray]]:
+    """checker.run_protocol_dense on a lowered program."""
+    input_state = np.asarray(input_state, dtype=complex)
+    if input_state.shape != (1 << len(program.inputs),):
+        raise ValueError("input state dimension does not match the input arity")
+    branches = _run_dense(program, input_state[None])[:, 0]
+    probs = np.sum(np.abs(branches) ** 2, axis=1)
+    return [(float(p), state / np.sqrt(p)) for p, state in zip(probs, branches) if p >= 1e-12]
+
+
+def _fingerprint_dense(program: Program) -> np.ndarray:
+    """The table in floating point.  The basis inputs, as state vectors,
+    go through _run_dense in chunks that keep their branches within
+    DENSE_LIMIT amplitudes, and each input's density matrix on the outputs
+    gives its row of expectations."""
+    # At least 1, since _dense_log_size checks that one input fits.
+    chunk = DENSE_LIMIT >> _dense_log_size(program)
+    n_in = len(program.inputs)
+    rows = []
+    for start in range(0, 4 ** n_in, chunk):
+        elements = [basis_element(n_in, k) for k in range(start, min(start + chunk, 4 ** n_in))]
+        rows.append(pauli_expectations(mixed_density(_run_dense(program, element_states(elements)), program.outputs)))
+    table = np.concatenate(rows)
+    # Column 0 is the expectation of the identity: each input's total probability.
+    worst = table[np.abs(table[:, 0] - 1.0).argmax(), 0]
+    if abs(worst - 1.0) > TOL:
+        raise ValueError(f"branch probabilities sum to {worst}, not 1")
+    return table
+
+
+def _deviation(program: Program, rows, denominator: int) -> float:
+    """The largest gap between the program's oracle table, built first, and
+    exact rows of integers over a power-of-two denominator (exact as floats)."""
+    oracle = _fingerprint_dense(program)
+    return float(np.max(np.abs(np.array(list(rows), dtype=float) / denominator - oracle)))
+
+
+def _prepares(n: int, gates, matrix) -> bool:
+    """Whether the gates, run from |0...0>, prepare the density matrix with
+    these rows of ExactComplex entries (basis.element_matrix) within TOL."""
+    state, _ = run_dense(n, gates)
+    want = np.array([[v.to_complex() for v in row] for row in matrix])
+    return np.max(np.abs(np.outer(state, state.conj()) - want)) <= TOL

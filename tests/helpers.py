@@ -14,14 +14,13 @@ from typing import Callable
 import numpy as np
 
 from stabcheck import PauliString, SuperopFingerprint, apply_gate, enumerate_basis, expectation, measure_z, run_protocol
-from stabcheck import checker, dense
+from stabcheck import dense
 from stabcheck.basis import BASIS_ORDER_TAG, BasisCircuit, ExactComplex
 from stabcheck.checker import (
     BRANCH_LIMIT,
     BranchLimitError,
     BranchOutcome,
     BudgetExceededError,
-    DenseLimitError,
     Program,
     local_observable,
 )
@@ -318,6 +317,36 @@ def tensor_source(sources: list[str], name: str = "tensor") -> str:
         bodies.append(body)
     body = [stmts[i] for i in range(max(map(len, bodies))) for stmts in bodies if i < len(stmts)]
     return f"protocol {name} {{\n  " + "\n  ".join(decls + body) + f"\n  output {', '.join(outputs)};\n}}\n"
+
+
+def teleported(source: str, rng: random.Random, count: int) -> str:
+    """A one-statement-per-line source with count wire-teleport gadgets at
+    random statement boundaries, the one before the output line included.
+
+    Gadget k moves a random qubit w onto a fresh wire tp<k>_b: a Bell pair
+    on tp<k>_a and tp<k>_b, a Bell measurement of w and tp<k>_a into tp<k>_m
+    and tp<k>_f, and the corrections if tp<k>_f then X and if tp<k>_m then Z
+    on tp<k>_b.  Later statements and the output line use tp<k>_b in place
+    of w.  The channel is unchanged (Bennett et al., Phys. Rev. Lett. 70,
+    1895, 1993); dropping one correction leaves a Pauli error on the wire
+    with probability 1/2.
+    """
+    lines = source.split("\n")
+    first = next(i for i, line in enumerate(lines) if i and not line.lstrip().startswith(("qubit ", "cbit ")))
+    last = next(i for i, line in enumerate(lines) if line.lstrip().startswith("output "))
+    current = {w: w for w in re.findall(r"qubit (\w+):", source)}
+    at = [rng.randrange(first, last + 1) for _ in range(count)]
+    decls, body, k = lines[:first], [], 0
+    for i in range(first, last + 1):
+        for _ in range(at.count(i)):
+            wire = rng.choice(list(current))
+            w, (a, b, m, f) = current[wire], (f"tp{k}_{part}" for part in "abmf")
+            decls += [f"  qubit {a}: zero;", f"  qubit {b}: zero;", f"  cbit {m};", f"  cbit {f};"]
+            body += [f"  H {a};", f"  CNOT {a}, {b};", f"  CNOT {w}, {a};", f"  H {w};", f"  measure {w} -> {m};",
+                     f"  measure {a} -> {f};", f"  if {f} then X {b};", f"  if {m} then Z {b};"]
+            current[wire], k = b, k + 1
+        body.append(re.sub(r"\w+", lambda name: current.get(name.group(), name.group()), lines[i]))
+    return "\n".join(decls + body + lines[last + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -1207,8 +1236,8 @@ def reference_pauli_expect(dm: np.ndarray, obs: PauliString) -> float:
 
 def reference_run_dense(program: Program, input_state: np.ndarray) -> list[tuple[float, np.ndarray]]:
     n_total = program.n_wires
-    if program.denominator << n_total > checker.DENSE_LIMIT:
-        raise DenseLimitError(n_total + program.denominator.bit_length() - 1)
+    if program.denominator << n_total > dense.DENSE_LIMIT:
+        raise dense.DenseLimitError(n_total + program.denominator.bit_length() - 1)
     n_in = len(program.inputs)
     input_state = np.asarray(input_state, dtype=complex)
     if input_state.shape != (1 << n_in,):

@@ -24,9 +24,10 @@ from stabcheck import (
     run_protocol,
     run_circuit,
     run_protocol_dense,
+    Verdict,
 )
-from stabcheck.basis import BasisCircuit, BasisElement, basis_element, circuit_for, element_matrix
-from stabcheck import checker
+from stabcheck.basis import BasisCircuit, BasisElement, basis_element, basis_index, circuit_for, element_matrix
+from stabcheck import checker, dense
 from stabcheck.checker import local_observable, lower
 from stabcheck.cli import corpus_path
 from stabcheck.dense import density_from_branches, pauli_expect_dense, run_dense
@@ -46,6 +47,7 @@ from helpers import (
     reference_pauli_expect,
     reference_supported,
     teleport_source,
+    teleported,
     with_h_control,
 )
 
@@ -542,6 +544,71 @@ class TestClassicalControls:
             assert verdict.counterexample.value_lhs != verdict.counterexample.value_rhs
 
 
+class TestEdgePaths:
+    def test_a_side_of_several_states_past_the_budget_says_only_the_budget(self):
+        # Two bits control H, so each side has several states and the
+        # verdict needs the Choi coefficients, which the budget refuses.
+        ast = parse(h_controlled_cluster_wire_source(4, controls=2))
+        assert len(checker._forms(lower(ast))) > 1
+        with pytest.raises(BudgetExceededError) as caught:
+            check_equivalence(ast, ast, budget=0)
+        assert str(caught.value) == "fingerprint needs 16 exact entries, over the budget of 0"
+
+    def test_a_verdict_without_channels_has_no_fingerprints(self):
+        assert Verdict(True).fingerprints is None
+
+    def test_run_protocol_dense_rejects_a_state_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="input state dimension does not match the input arity"):
+            run_protocol_dense(load("teleport.qpr"), np.eye(4)[0])
+
+
+def clifford_source(rng, n, n_gates):
+    """A random Clifford circuit on n input wires, every wire an output."""
+    wires = [f"q{i}" for i in range(n)]
+    body = [f"{g[0]} {', '.join(wires[q] for q in g[1:])};" for g in random_circuit(rng, n, n_gates)]
+    decls = [f"qubit {w}: input;" for w in wires]
+    return "protocol c {\n  " + "\n  ".join(decls + body) + f"\n  output {', '.join(wires)};\n}}\n"
+
+
+def without_each_correction(source):
+    """source with one gadget correction left out, for each in turn."""
+    lines = source.split("\n")
+    return ["\n".join(lines[:i] + lines[i + 1:]) for i, line in enumerate(lines) if line.startswith("  if tp")]
+
+
+class TestTeleportedCircuits:
+    def test_small_circuits_keep_their_channel_and_every_dropped_correction_is_refuted(self):
+        rng = random.Random(3101)
+        for _ in range(30):
+            n = rng.randint(2, 3)
+            # Each gadget multiplies the dense oracle's amplitudes by 16, so 3
+            # wires take at most 2 gadgets: with 3 the test takes 1.7 s, not 0.4 s.
+            plain = clifford_source(rng, n, rng.randint(4, 12))
+            source = teleported(plain, rng, rng.randint(1, 5 - n))
+            ast = parse(source)
+            assert check_equivalence(ast, parse(plain)).equivalent, source
+            exact = np.array([[float(v) for v in row] for row in fingerprint(ast).table])
+            assert np.max(np.abs(exact - fingerprint_dense(ast))) < 1e-9, source
+            for dropped in without_each_correction(source):
+                lhs, rhs = parse(dropped), parse(plain)
+                verdict = check_equivalence(lhs, rhs)
+                assert not verdict.equivalent, dropped
+                ce = verdict.counterexample
+                k = basis_index(ce.basis_element)
+                q = next(q for q in range(4 ** n) if local_observable(n, q) == ce.observable)
+                assert (fingerprint(lhs).table[k][q], fingerprint(rhs).table[k][q]) == (ce.value_lhs, ce.value_rhs)
+
+    def test_a_wide_circuit_keeps_its_channel_and_a_dropped_correction_is_refuted(self):
+        rng = random.Random(3102)
+        plain = clifford_source(rng, 100, 2000)
+        source = teleported(plain, rng, 100)
+        assert check_equivalence(parse(source), parse(plain)).equivalent
+        dropped = without_each_correction(source)
+        assert len(dropped) == 200
+        with pytest.raises(BudgetExceededError, match="the two sides differ"):
+            check_equivalence(parse(rng.choice(dropped)), parse(plain))
+
+
 class TestOracleAgreement:
     def test_exact_fingerprints_match_dense(self):
         for name in CORPUS_ONE_WIRE + CORPUS_TWO_WIRE:
@@ -552,17 +619,17 @@ class TestOracleAgreement:
 
     def test_oracle_checks_each_inputs_total_probability(self, monkeypatch):
         # Without its last branch, teleport keeps 3/4 of each input's probability.
-        run_dense = checker._run_dense
-        monkeypatch.setattr(checker, "_run_dense", lambda program, states: run_dense(program, states)[:-1])
+        run_dense = dense._run_dense
+        monkeypatch.setattr(dense, "_run_dense", lambda program, states: run_dense(program, states)[:-1])
         with pytest.raises(ValueError, match="branch probabilities sum to 0.7"):
             fingerprint_dense(load("teleport.qpr"))
 
     def test_oracle_refuses_teleport_5(self):
         # 15 wires and 10 measurements: 2^25 amplitudes for one basis input.
         ast = parse(teleport_source(5))
-        with pytest.raises(checker.DenseLimitError, match=r"2\^25 amplitudes, over its limit of 2\^20"):
+        with pytest.raises(dense.DenseLimitError, match=r"2\^25 amplitudes, over its limit of 2\^20"):
             fingerprint_dense(ast)
-        with pytest.raises(checker.DenseLimitError):
+        with pytest.raises(dense.DenseLimitError):
             run_protocol_dense(ast, np.eye(32)[0])
 
 
@@ -589,8 +656,8 @@ class TestCrossCheck:
 
     def test_refuses_an_oracle_past_the_dense_limit(self, monkeypatch):
         # teleport has 3 wires and 2 measurements: 2^5 amplitudes per input.
-        monkeypatch.setattr(checker, "DENSE_LIMIT", 2 ** 4)
-        with pytest.raises(checker.DenseLimitError, match=r"2\^5 amplitudes, over its limit of 2\^4"):
+        monkeypatch.setattr(dense, "DENSE_LIMIT", 2 ** 4)
+        with pytest.raises(dense.DenseLimitError, match=r"2\^5 amplitudes, over its limit of 2\^4"):
             checker._cross_check("teleport", *program_and_channel("teleport.qpr"))
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import stabcheck
-from stabcheck import ArityMismatchError, builtin_identity, check_equivalence, checker, parse, protocol
+from stabcheck import ArityMismatchError, builtin_identity, check_equivalence, checker, dense, parse, protocol
 from stabcheck import cli as cli_mod
 from stabcheck.cli import corpus_path, main
 
@@ -190,6 +190,27 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", NO_Z, "--identity", "1", "--budget", "0")
         assert code == 2 and "over the budget of 0" in err
 
+    def test_a_side_of_several_states_past_the_budget_exits_2(self, capsys, tmp_path):
+        wire = tmp_path / "cluster.qpr"
+        wire.write_text(h_controlled_cluster_wire_source(4, controls=2))
+        code, out, err = run_cli(capsys, "check", str(wire), str(wire), "--budget", "0")
+        assert code == 2 and out == ""
+        assert err == "fingerprint needs 16 exact entries, over the budget of 0\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("check", TELEPORT, IDENTITY, "--identity", "1"), "give either a second protocol file or --identity, not both"),
+            (("check", TELEPORT, "--identity", "0"), "--identity takes a positive qubit count"),
+            (("check", TELEPORT), "need a second protocol file or --identity N"),
+            (("span", "4"), "span verification supports n from 1 to 3"),
+        ],
+        ids=["both-sides", "identity-0", "one-side", "span-4"],
+    )
+    def test_usage_errors_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", message + "\n")
+
     def test_deep_measurement_chain(self, capsys, tmp_path):
         # 1,100 random measurements of one ancilla: the branch walk once
         # recursed per measurement and exited 3 past the recursion limit.
@@ -215,14 +236,14 @@ class TestCheck:
         assert "2^25" in err and "limit of 2^20" in err
 
     def test_verify_reports_an_oracle_mismatch(self, capsys, monkeypatch):
-        oracle = checker._fingerprint_dense
+        oracle = dense._fingerprint_dense
 
         def perturbed(program):
             table = oracle(program)
             table[1, 2] += 1e-6
             return table
 
-        monkeypatch.setattr(checker, "_fingerprint_dense", perturbed)
+        monkeypatch.setattr(dense, "_fingerprint_dense", perturbed)
         code, out, err = run_cli(capsys, "check", TELEPORT, "--identity", "1", "--verify")
         assert code == 3 and out == ""
         assert "oracle cross-check failed" in err
@@ -395,6 +416,18 @@ class TestBasis:
     def test_verify_needs_small_n(self, capsys):
         code, _, _ = run_cli(capsys, "basis", "5", "--verify")
         assert code == 2
+
+    def test_a_closed_stdout_ends_quietly(self):
+        # basis 7 prints 16,385 lines, far past a pipe's buffer, so its
+        # writes fail once the reader has gone.
+        src = str(Path(stabcheck.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        argv = [sys.executable, "-m", "stabcheck", "basis", "7"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline() == b"basis for n=7: 16384 elements\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+            assert proc.stderr.read() == b""
 
 
 class TestSpanAndCensus:

@@ -20,7 +20,7 @@ from stabcheck import (
     run_protocol,
     run_protocol_dense,
 )
-from stabcheck import checker
+from stabcheck import checker, dense
 from stabcheck.basis import basis_index
 from stabcheck.checker import local_observable
 from stabcheck.cli import corpus_path
@@ -739,7 +739,7 @@ def test_run_protocol_dense_matches_reference():
 def test_chunked_tables_are_unchanged(monkeypatch, ast, limit, chunks):
     whole = fingerprint_dense(ast)
     sizes = []
-    run_dense = checker._run_dense
+    run_dense = dense._run_dense
 
     def counted(program, states):
         branches = run_dense(program, states)
@@ -747,8 +747,8 @@ def test_chunked_tables_are_unchanged(monkeypatch, ast, limit, chunks):
         sizes.append(len(states))
         return branches
 
-    monkeypatch.setattr(checker, "DENSE_LIMIT", limit)
-    monkeypatch.setattr(checker, "_run_dense", counted)
+    monkeypatch.setattr(dense, "DENSE_LIMIT", limit)
+    monkeypatch.setattr(dense, "_run_dense", counted)
     assert np.max(np.abs(fingerprint_dense(ast) - whole)) < 1e-12
     assert sizes == chunks
 

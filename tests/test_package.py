@@ -103,6 +103,14 @@ def test_only_their_owners_write_the_kept_results():
         assert [key for key, owner in owners.items() if (key in text) != (path.name == owner)] == [], path.name
 
 
+def test_only_dense_imports_numpy():
+    """The dense oracle is the one module that needs numpy; checker and cli
+    import it on first use."""
+    for path in sorted(Path(stabcheck.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert ("import numpy" in text or "from numpy" in text) == (path.name == "dense.py"), path.name
+
+
 def _python_3_10() -> str | None:
     """A Python 3.10 interpreter that runs: python3.10 on PATH or, since
     pyenv's python3.10 shim runs only while a 3.10 is selected, one that
