@@ -9,9 +9,10 @@ exact Pauli coefficients, each keyed by its table cell.  The fingerprint
 row of each basis input sums them over the stabilizer group of the input's
 transpose, so the table is an invertible linear image of the coefficients.
 Two protocols are therefore equivalent exactly when their Choi states are
-equal.  The first differing entry is the first nonzero entry of the same
-row sum over the coefficients' differences, and tables are built only when
-asked for.
+equal.  An input's group holds Paulis of X-part 0 and one X-part d only,
+so the table is block lower-triangular (_x_part), and the first differing
+entry is read only from the blocks that differ.  Tables are built only
+when asked for.
 
 Deferred measurement (Nielsen & Chuang 4.4) turns the protocol into one
 Clifford circuit, with no branches (_deferred).  A bit that controls H, P
@@ -22,11 +23,12 @@ wires are measured for its values at the end, which gives it its exact
 dyadic weight.  The Choi state is the weighted sum of the reduced states
 on the references and outputs.  One state on each side is fixed by its
 signed subgroup supported there (Fattal et al., quant-ph/0406168), so the
-verdict compares the canonical forms of the two subgroups (_reduced);
-otherwise it compares the Choi coefficients.  A Program is frozen, so it
-keeps its forms, and its Choi coefficients when there are at most
-DEFAULT_BUDGET of them, in its __dict__: a spec checked against many
-candidates is deferred, reduced and expanded once.
+verdict compares the canonical forms of the two subgroups (_reduced), and
+a differing pair is refuted from the two forms' blocks (_refuted);
+otherwise it compares the Choi coefficients (_compared).  A Program is
+frozen, so it keeps its forms, and its Choi coefficients and blocks when
+the table has at most DEFAULT_BUDGET entries, in its __dict__: a spec
+checked against many candidates is deferred, reduced and expanded once.
 
 run_protocol, and so sim, walks one basis input's branches instead.  States
 are the tableau module's engine rows, lists of (x, z, ph) int triples, and
@@ -57,6 +59,7 @@ from .tableau import (
     _echelon,
     _gated,
     _images,
+    _product,
     _supported,
     _z_pivot,
 )
@@ -456,26 +459,46 @@ def _rows(channel) -> Iterator[list[int]]:
 
     and Tr(A rho^T) is the sign of +-A in the group of _input_generators,
     or 0, so the row sums choi, grouped by A's key once per table, over
-    that group's 2^n_in elements.  The group holds Paulis with X-part 0 or
-    the OR of its generators' X-parts: a row for which choi has no A of
-    either X-part can only be zero, and it is not summed.
+    that group's 2^n_in elements.  A row for which choi has no A of X-part
+    0 or of the input's _x_part can only be zero, and it is not summed.
     """
     n_in, n_out, _, choi = channel
-    shift, mask = 2 * n_out, 4 ** n_out - 1
-    by_reference: dict[int, list[tuple[int, int]]] = {}
-    for cell, c in choi.items():
-        by_reference.setdefault(cell >> shift, []).append((cell & mask, c))
+    by_reference = _by_reference(choi.items(), n_out)
     x_parts = {a >> n_in for a in by_reference}
     for k in range(4 ** n_in):
-        generators, sums = _input_generators(n_in, k), [0] * 4 ** n_out
-        x_part = 0
-        for x, _, _, _ in generators:
-            x_part |= x
-        if 0 in x_parts or x_part in x_parts:
-            for a, sign in _group(generators):
-                for q, c in by_reference.get(a, ()):
-                    sums[q] += sign * c
-        yield sums
+        group = _group(_input_generators(n_in, k)) if 0 in x_parts or _x_part(n_in, k) in x_parts else ()
+        yield _summed(group, by_reference, 4 ** n_out)
+
+
+def _by_reference(items, n_out: int) -> dict[int, list[tuple[int, int]]]:
+    """Coefficients (cell, c) grouped by A's key, the cell's high bits, as
+    a: [(q, c), ...]."""
+    shift, mask = 2 * n_out, 4 ** n_out - 1
+    by_reference: dict[int, list[tuple[int, int]]] = {}
+    for cell, c in items:
+        by_reference.setdefault(cell >> shift, []).append((cell & mask, c))
+    return by_reference
+
+
+def _summed(group, by_reference: dict, width: int) -> list[int]:
+    """A basis input's row of width entries: for each element (a, sign) of
+    its group, sign times every (q, c) by_reference holds for a, added at q."""
+    sums = [0] * width
+    for a, sign in group:
+        for q, c in by_reference.get(a, ()):
+            sums[q] += sign * c
+    return sums
+
+
+def _x_part(n_in: int, k: int) -> int:
+    """Basis input k's X-part d_k, the OR of its generators' X-parts.  Its
+    group holds Paulis of X-part 0 and d_k only, and d_k = 0 exactly for
+    the diag inputs, so the table is block lower-triangular: the rows of
+    block d read only the coefficients whose A has X-part 0 or d."""
+    x_part = 0
+    for x, _, _, _ in _input_generators(n_in, k):
+        x_part |= x
+    return x_part
 
 
 def _table(channel) -> SuperopFingerprint:
@@ -511,13 +534,14 @@ def check_equivalence(
 
     When each side has one _deferred state, the sides are equivalent
     exactly when the _reduced forms of those states are equal, which needs
-    no budget.  Otherwise they are equivalent exactly when their Choi
+    no budget, and a pair that differs is refuted from the forms' blocks
+    (_refuted).  Otherwise they are equivalent exactly when their Choi
     coefficients agree once both are put over the larger denominator (both
-    are powers of two), and no table is built.  For a pair that differs,
-    the rows of the difference of the two tables are summed from the
-    coefficients' differences alone (_compared), and the counterexample is
-    the first entry, in table order, where the tables differ; past the
-    budget, that raises BudgetExceededError saying that the sides differ.
+    are powers of two), and a pair that differs is refuted from the rows of
+    the coefficients' differences (_compared).  No table is built, and the
+    counterexample is the first entry, in table order, where the tables
+    differ; past the budget, naming it raises BudgetExceededError, saying
+    that the sides differ when each has one state.
     """
     _check_budget(budget)
     if lhs.n_in != rhs.n_in or lhs.n_out != rhs.n_out:
@@ -535,42 +559,102 @@ def _verdict(lhs: Program, rhs: Program, budget: int | None) -> Verdict:
     reason = _assignments(lhs) or _assignments(rhs)
     decider = DEFERRED if reason is None else f"{DEFERRED} over {reason}"
     forms = _forms(lhs), _forms(rhs)
-    single = len(forms[0]) == len(forms[1]) == 1
-    if single and forms[0][0][1] == forms[1][0][1]:
-        return Verdict(True, None, lambda: (_choi(lhs, budget), _choi(rhs, budget)), decider)
-    try:
-        channels = _choi(lhs, budget), _choi(rhs, budget)
-    except BudgetExceededError as exc:
-        if not single:
-            raise
-        raise BudgetExceededError(exc.work, exc.budget, differ=True) from None
-    return _compared(*channels, decider)
+    channels = lambda: (_choi(lhs, budget), _choi(rhs, budget))  # noqa: E731
+    if len(forms[0]) != 1 or len(forms[1]) != 1:
+        return _compared(*channels(), decider)
+    if forms[0][0][1] == forms[1][0][1]:
+        return Verdict(True, None, channels, decider)
+    work = 4 ** len(lhs.inputs) * 4 ** len(lhs.outputs)
+    if budget is not None and work > budget:
+        raise BudgetExceededError(work, budget, differ=True)
+    return Verdict(False, _refuted(lhs, rhs), channels, decider)
+
+
+def _blocks(program: Program) -> tuple[tuple, tuple, dict]:
+    """A one-state program's _reduced form as (head, tail, the _block maps
+    built so far).  _echelon orders pivots by column, X bits first, so the
+    head is the rows pivoted on a reference's X bit, and the tail is the
+    reduced echelon form of the subgroup of X-part 0.  Kept in the frozen
+    Program's __dict__ under _choi's rule: 4^(n_in + n_out) <= DEFAULT_BUDGET.
+    """
+    blocks = program.__dict__.get("_blocks")
+    if blocks is None:
+        ((_, form),) = _forms(program)
+        n_in = len(program.inputs)
+        head = tuple(row for row in form if row[0] & (1 << n_in) - 1)
+        blocks = head, form[len(head):], {}
+        if 4 ** (n_in + len(program.outputs)) <= DEFAULT_BUDGET:
+            program.__dict__["_blocks"] = blocks
+    return blocks
+
+
+def _coset(blocks: tuple, d: int, n_in: int, m: int) -> tuple:
+    """Generators of the group's elements of X-part 0 and d: the tail, then
+    h_d, the product of the head rows whose pivot bit lies in d, when its
+    X-part on the references is d (else X-part d has no element), reduced
+    by the tail's pivot rows.  So two sides' coefficients of X-part 0 and
+    d agree exactly when their _cosets are equal."""
+    head, tail, _ = blocks
+    h = (0, 0, 0)
+    for row in head:
+        if row[0] & -row[0] & d:
+            h = _product(h, row)
+    if not d or h[0] & (1 << n_in) - 1 != d:
+        return tail
+    for row in tail:
+        pivot = row[0] | row[1] << m
+        if (h[0] | h[1] << m) & pivot & -pivot:
+            h = _product(h, row)
+    return (*tail, h)
+
+
+def _block(blocks: tuple, d: int, n_in: int, n_out: int) -> dict:
+    """The Choi coefficients of X-part 0 and d, _by_reference: the _coset
+    group expanded, each +-1, since one state's weight cancels its
+    denominator."""
+    maps = blocks[2]
+    if d not in maps:
+        rows = _coset(blocks, d, n_in, n_in + n_out)
+        maps[d] = _by_reference(_group([(x, z, ph, _cell(x, z, n_in, n_out)) for x, z, ph in rows]), n_out)
+    return maps[d]
+
+
+def _refuted(lhs: Program, rhs: Program) -> Counterexample:
+    """The first entry, in table order, where two one-state programs with
+    different forms differ, read block by block (_x_part): only the rows
+    of a block whose _cosets differ are summed."""
+    n_in, n_out = len(lhs.inputs), len(lhs.outputs)
+    sides, differs = (_blocks(lhs), _blocks(rhs)), {}
+    for k in range(4 ** n_in):
+        d = _x_part(n_in, k)
+        if d not in differs:
+            differs[d] = _coset(sides[0], d, n_in, n_in + n_out) != _coset(sides[1], d, n_in, n_in + n_out)
+        if differs[d]:
+            group = _group(_input_generators(n_in, k))
+            row_l, row_r = (_summed(group, _block(blocks, d, n_in, n_out), 4 ** n_out) for blocks in sides)
+            if row_l != row_r:
+                q = next(q for q in range(4 ** n_out) if row_l[q] != row_r[q])
+                return Counterexample(basis_element(n_in, k), local_observable(n_out, q), Fraction(row_l[q]), Fraction(row_r[q]))
+    raise AssertionError("the forms differ but no table entry does")
 
 
 def _compared(ch_l: tuple, ch_r: tuple, decider: str) -> Verdict:
-    """The verdict on two channels as _choi returns them.
+    """The verdict on two channels as _choi returns them, for sides with
+    more than one state; the tests' reference for _refuted.
 
     Only changed cells are read: with equal denominators, the cells of the
     items the two maps do not share, else every cell, both sides put over
     the larger denominator.  Their nonzero differences make a difference
     map: none means equivalent.  Otherwise the counterexample is the first
-    nonzero entry, in table order, of the map's _rows, with each side's
-    value summed at that cell from its own map.  The diag inputs come
-    first, and they read every X-part-0 difference through an invertible
-    transform, so a later row is reached only when no difference has
-    X-part 0.  So the X-part-0 differences are taken first, and the others
-    only if none is nonzero, which lets _rows skip the rows they cannot
-    reach.
+    nonzero entry, in table order, of the map's _rows, which skip the
+    blocks the map has no X-part of, with each side's value summed at that
+    cell from its own map.
     """
     n_in, n_out, d_l, choi_l = ch_l
     d_r, choi_r = ch_r[2], ch_r[3]
     s_l, s_r = max(d_l, d_r) // d_l, max(d_l, d_r) // d_r
     changed = {cell for cell, _ in choi_l.items() ^ choi_r.items()} if d_l == d_r else choi_l.keys() | choi_r.keys()
-    high = n_in + 2 * n_out  # a cell shifted down by high is its A's X-part
-    for cells in ((cell for cell in changed if not cell >> high), (cell for cell in changed if cell >> high)):
-        diff = {cell: c for cell in cells if (c := choi_l.get(cell, 0) * s_l - choi_r.get(cell, 0) * s_r)}
-        if diff:
-            break
+    diff = {cell: c for cell in changed if (c := choi_l.get(cell, 0) * s_l - choi_r.get(cell, 0) * s_r)}
     if not diff:
         return Verdict(True, None, lambda: (ch_l, ch_r), decider)
     for k, sums in enumerate(_rows((n_in, n_out, 1, diff))):
@@ -580,7 +664,8 @@ def _compared(ch_l: tuple, ch_r: tuple, decider: str) -> Verdict:
         raise AssertionError("Choi states differ but no table entry does")
     q = next(q for q, c in enumerate(sums) if c)
     group = _group(_input_generators(n_in, k))
-    value_l, value_r = (sum(sign * choi.get(a << 2 * n_out | q, 0) for a, sign in group) for choi in (choi_l, choi_r))
+    cells = [(a, a << 2 * n_out | q) for a, _ in group]
+    value_l, value_r = (_summed(group, {a: [(q, choi.get(cell, 0))] for a, cell in cells}, len(sums))[q] for choi in (choi_l, choi_r))
     ce = Counterexample(basis_element(n_in, k), local_observable(n_out, q), Fraction(value_l, d_l), Fraction(value_r, d_r))
     return Verdict(False, ce, lambda: (ch_l, ch_r), decider)
 

@@ -390,6 +390,8 @@ class TestKeptResults:
         assert caught.value.work == 256
         lhs = load("teleport_noX.qpr")
         assert not check_equivalence(lhs, builtin_identity(1), budget=None).equivalent
+        # The refutation kept each side's blocks, and no Choi map.
+        assert "_blocks" in vars(lower(lhs)) and "_choi" not in vars(lower(lhs))
         with pytest.raises(BudgetExceededError, match="^the two sides differ.* over the budget of 0$"):
             check_equivalence(lhs, builtin_identity(1), budget=0)
 
@@ -402,6 +404,18 @@ class TestKeptResults:
         assert "_choi" not in vars(program)
         kept = lower(builtin_identity(5))
         assert checker._choi(kept, None) is checker._choi(kept, None)
+
+    def test_blocks_past_the_default_budget_are_not_kept(self):
+        # A refutation splits each side's form and builds the block maps
+        # it sums, kept under _choi's rule: identity:6 has 4^12 entries.
+        for n, kept in ((6, False), (5, True)):
+            identity = lower(builtin_identity(n))
+            verdict = check_equivalence(parse(teleport_source(n, "Z0")), builtin_identity(n), budget=None)
+            assert not verdict.equivalent
+            assert ("_blocks" in vars(identity)) == kept, n
+            if kept:
+                _, _, maps = vars(identity)["_blocks"]
+                assert checker._blocks(identity) is vars(identity)["_blocks"] and maps
 
     def test_validate_returns_a_fresh_list(self):
         ast = parse("protocol p { qubit a: input; qubit b: zero; cbit c; measure b -> c; output a; }")
@@ -760,3 +774,20 @@ class TestTableConventions:
                 x, z = a >> n_in, a & mask
                 want = reference_pauli_expect(rho_t, PauliString(n_in, x, z, (x & z).bit_count() % 4))
                 assert want == group.get(a, 0), (k, a)
+
+    @pytest.mark.parametrize("n_in", [1, 2, 3, 4])
+    def test_each_input_reads_one_block(self, n_in):
+        # The premise of the one-state refutation: input k's group holds
+        # Paulis of X-part 0 and d_k only, d_k = 0 exactly for the diag
+        # inputs, and each block d != 0 has 2^n_in rows.
+        rows_per_block = {}
+        for k in range(4 ** n_in):
+            generators = checker._input_generators(n_in, k)
+            d = 0
+            for x, _, _, _ in generators:
+                d |= x
+            assert checker._x_part(n_in, k) == d
+            assert {a >> n_in for a, _ in checker._group(generators)} <= {0, d}, k
+            assert (d == 0) == (k < 2 ** n_in), k
+            rows_per_block[d] = rows_per_block.get(d, 0) + 1
+        assert rows_per_block == {d: 2 ** n_in for d in range(2 ** n_in)}

@@ -269,13 +269,49 @@ def test_deleting_a_first_phase_gate_is_refuted_on_a_superposition():
         assert_first_difference(verdict)
 
 
-@pytest.mark.parametrize("drop", [None, "X3", "Z0"])
+@pytest.mark.parametrize("drop", [None, "X3", "Z0", "X0", "X1", "X2", "Z1", "Z2", "Z3"])
 def test_teleport_4_against_identity(drop):
-    # Verdicts only: the reference tabulation takes about 90 s at n = 4.
-    verdict = check_equivalence(parse(teleport_source(4, drop)), builtin_identity(4))
+    # The reference tabulation takes about 90 s at n = 4, so a refutation,
+    # read from the two forms block by block, is checked against the
+    # coefficients' verdict and the first difference of the _rows tables.
+    lhs, rhs = parse(teleport_source(4, drop)), builtin_identity(4)
+    verdict = check_equivalence(lhs, rhs)
     assert verdict.equivalent == (drop is None)
     if drop is not None:
         assert verdict.counterexample.value_lhs != verdict.counterexample.value_rhs
+        assert verdict.counterexample == coefficient_verdict(lhs, rhs).counterexample
+        assert_first_difference(verdict)
+
+
+# Bit c is measured from a zero wire, so it is forced to 0 and its if never
+# fires: one deferred state, of weight 2 over denominator 2.
+WEIGHTED = "protocol p {{ qubit a: input; qubit b: input; qubit z: zero; cbit c; measure z -> c; if c then H a; {} output a, b; }}"
+
+
+@pytest.mark.parametrize(
+    "body, want",
+    [
+        ("", None),
+        ("X a;", "diag:0 +ZI"),
+        ("H b;", "diag:0 +IX"),
+        ("P a;", "plus:0,2 +XI"),
+        ("Z b;", "plus:0,1 +IX"),
+        ("CNOT a, b;", "diag:2 +IZ"),
+    ],
+)
+def test_a_weighted_one_state_side(body, want):
+    lhs, rhs = parse(WEIGHTED.format(body)), builtin_identity(2)
+    ((weight, _),) = checker._forms(checker.lower(lhs))
+    assert (weight, checker.lower(lhs).denominator) == (2, 2)
+    verdict = check_equivalence(lhs, rhs)
+    assert verdict.decider == "deferred measurement over 2^1 assignments: bit c controls H"
+    assert verdict.counterexample == coefficient_verdict(lhs, rhs).counterexample
+    if want is None:
+        assert verdict.equivalent
+    else:
+        ce = verdict.counterexample
+        assert f"{ce.basis_element.label()} {ce.observable}" == want
+        assert_first_difference(verdict)
 
 
 @pytest.mark.parametrize("k", [2, 4, 6, 8])

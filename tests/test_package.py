@@ -96,8 +96,13 @@ def test_only_protocol_knows_the_compact_body():
 
 def test_only_their_owners_write_the_kept_results():
     """An AST keeps its checked pass, written by protocol.py alone; a Program
-    keeps its forms and Choi map, written by checker.py alone."""
-    owners = {'__dict__["_checked"]': "protocol.py", '__dict__["_forms"]': "checker.py", '__dict__["_choi"]': "checker.py"}
+    keeps its forms, Choi map and blocks, written by checker.py alone."""
+    owners = {
+        '__dict__["_checked"]': "protocol.py",
+        '__dict__["_forms"]': "checker.py",
+        '__dict__["_choi"]': "checker.py",
+        '__dict__["_blocks"]': "checker.py",
+    }
     for path in sorted(Path(stabcheck.__file__).parent.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         assert [key for key, owner in owners.items() if (key in text) != (path.name == owner)] == [], path.name
