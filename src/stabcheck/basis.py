@@ -18,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .tableau import Tableau, _circuit, _echelon, _gated, run_circuit
 
@@ -224,6 +225,16 @@ def basis_element(n: int, index: int) -> BasisElement:
     x = dim - 1 - m
     # Past the pairs before x, the rank counts the y after x + 1.
     return BasisElement(n, kind, x, x + 1 + rank - x * (2 * dim - x - 1) // 2)
+
+
+@lru_cache(maxsize=4 ** 6)
+def block(n: int, index: int) -> int:
+    """The X-part d of element index's stabilizers, a wire mask with the
+    label's first wire at bit 0: 0 for a diag element, else the wires where
+    its labels x and y differ.  Its group holds Paulis of X-part 0 and d
+    only.  The cache keeps the last 4^6 indices asked for."""
+    e = basis_element(n, index)
+    return 0 if e.kind == "diag" else int(f"{e.x ^ e.y:0{n}b}"[::-1], 2)
 
 
 def element_matrix(e: BasisElement) -> list[list[ExactComplex]]:

@@ -1,34 +1,29 @@
 """Superoperator equality by exact fingerprinting over the stabilizer basis.
 
-A protocol is validated and lowered in one pass, to one Program
-(protocol.lower), then run once on its Choi state: every input wire starts
-in a Bell pair with a reference wire of its own.  Discarded wires never
-need a density matrix: the elements of the state's stabilizer group
-supported on the outputs and references fix the channel's Choi state as
-exact Pauli coefficients, each keyed by its table cell.  The fingerprint
-row of each basis input sums them over the stabilizer group of the input's
-transpose, so the table is an invertible linear image of the coefficients.
-Two protocols are therefore equivalent exactly when their Choi states are
-equal.  An input's group holds Paulis of X-part 0 and one X-part d only,
-so the table is block lower-triangular (_x_part), and the first differing
-entry is read only from the blocks that differ.  Tables are built only
-when asked for.
+A protocol is lowered to one Program (protocol.lower) and run once on its
+Choi state: every input wire starts in a Bell pair with a reference wire of
+its own.  Deferred measurement (Nielsen & Chuang 4.4) makes it one Clifford
+circuit with no branches (_deferred).  A bit that controls H, P or CNOT
+cannot become a control wire, as the controlled gate is not Clifford: the
+circuit is composed once for each assignment of those bits, their ifs
+applied classically, and the control wires are measured for the assigned
+values at the end, which gives the assignment its exact dyadic weight.  The
+Choi state is the weighted sum of the reduced states on the references and
+outputs, each fixed by its signed subgroup supported there (Fattal et al.,
+quant-ph/0406168), so by its canonical form (_reduced): no density matrix
+is built, and sides of one state each are equivalent exactly when their
+forms are equal.
 
-Deferred measurement (Nielsen & Chuang 4.4) turns the protocol into one
-Clifford circuit, with no branches (_deferred).  A bit that controls H, P
-or CNOT cannot become a control wire, since the controlled gate is not
-Clifford; the circuit is then composed once for each assignment of those
-bits, with their ifs applied classically, and each assignment's control
-wires are measured for its values at the end, which gives it its exact
-dyadic weight.  The Choi state is the weighted sum of the reduced states
-on the references and outputs.  One state on each side is fixed by its
-signed subgroup supported there (Fattal et al., quant-ph/0406168), so the
-verdict compares the canonical forms of the two subgroups (_reduced), and
-a differing pair is refuted from the two forms' blocks (_refuted);
-otherwise it compares the Choi coefficients (_compared).  A Program is
-frozen, so it keeps its forms, and its Choi coefficients and blocks when
-the table has at most DEFAULT_BUDGET entries, in its __dict__: a spec
-checked against many candidates is deferred, reduced and expanded once.
+The forms also give the Choi state's Pauli coefficients, one part for each
+X-part d of the reference Pauli (_Channel).  The fingerprint row of each
+basis input sums them over the stabilizer group of the input's transpose,
+which holds Paulis of X-part 0 and one d only (basis.block): the table is a
+block lower-triangular, invertible image of the parts, so the first
+differing entry is read from the blocks whose parts differ alone
+(_refuted), and tables are built only when asked for.  A Program is frozen,
+so it keeps its forms, and its channel when the table has at most
+DEFAULT_BUDGET entries, in its __dict__: a spec checked against many
+candidates is deferred, reduced and expanded once.
 
 run_protocol, and so sim, walks one basis input's branches instead.  States
 are the tableau module's engine rows, lists of (x, z, ph) int triples, and
@@ -45,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 
-from .basis import BASIS_ORDER_TAG, BasisCircuit, BasisElement, basis_element, circuit_for
+from .basis import BASIS_ORDER_TAG, BasisCircuit, BasisElement, basis_element, block, circuit_for
 from .protocol import Program, ProtocolAST, lower
 from .tableau import (
     PauliString,
@@ -69,6 +64,8 @@ DEFAULT_BUDGET = 4 ** 10
 # Deferred measurement composes one state per assignment of the bits that
 # control H, P or CNOT, at most this many.
 BRANCH_LIMIT = 2 ** 12
+# _Channel keeps Choi coefficients over this: every sum of weights divides it.
+_DENOMINATOR = BRANCH_LIMIT
 
 
 class ArityMismatchError(ValueError):
@@ -130,8 +127,7 @@ class Counterexample:
 class Verdict:
     equivalent: bool
     counterexample: Counterexample | None = None
-    # Returns the (lhs, rhs) channels, as _choi returns them (maps from a
-    # table cell to its coefficient), of the states that were compared.
+    # Returns the (lhs, rhs) _Channels of the two sides that were compared.
     _channels: Callable[[], tuple] | None = field(default=None, compare=False, repr=False)
     # DEFERRED, or DEFERRED + " over 2^k assignments: bit c controls G" for
     # the k bits that control H, P or CNOT, whose values _deferred enumerates.
@@ -139,9 +135,8 @@ class Verdict:
 
     @property
     def fingerprints(self) -> tuple[SuperopFingerprint, SuperopFingerprint] | None:
-        """Both sides' tables, built from the compared states when read; a
-        table over the budget the verdict was asked with raises
-        BudgetExceededError."""
+        """Both sides' tables, built from their channels when read; a table
+        over the budget the verdict was asked with raises BudgetExceededError."""
         if self._channels is None:
             return None
         return tuple(map(_table, self._channels()))
@@ -362,15 +357,19 @@ def local_observable(n_out: int, pauli_index: int) -> PauliString:
     return PauliString.from_label(letters)
 
 
-def _group(generators) -> list[tuple[int, int]]:
+def _elements(generators) -> list[tuple[int, int, int, int]]:
     """Every element of the group that commuting (x, z, phase_exp, key)
-    generators generate, as (key, sign): keys are XORed along, so a key may
-    be any GF(2)-linear image of the Pauli's bits, and sign is +-1, the
-    Hermitian Pauli's sign."""
+    generators generate, in the same form: keys are XORed along, so a key
+    may be any GF(2)-linear image of the Pauli's bits."""
     group = [(0, 0, 0, 0)]
     for gx, gz, gph, gkey in generators:
         group += [(x ^ gx, z ^ gz, ph + gph + 2 * (z & gx).bit_count(), key ^ gkey) for x, z, ph, key in group]
-    return [(key, 1 - ((ph - (x & z).bit_count()) & 3)) for x, z, ph, key in group]
+    return group
+
+
+def _group(generators) -> list[tuple[int, int]]:
+    """The _elements as (key, sign), sign +-1 the Hermitian Pauli's sign."""
+    return [(key, 1 - ((ph - (x & z).bit_count()) & 3)) for x, z, ph, key in _elements(generators)]
 
 
 @lru_cache(maxsize=4 ** 6)
@@ -400,41 +399,90 @@ def _forms(program: Program) -> tuple[tuple[int, tuple], ...]:
     return forms
 
 
-def _choi(program: Program, budget: int | None) -> tuple[int, int, int, dict[int, int]]:
-    """The channel's Choi state J as (n_in, n_out, denominator, choi), from the program's _forms.
+class _Channel(dict):
+    """A program's Choi state J, one part for each X-part d of a Pauli A on
+    the references, built when first read: channel[d] maps A's key
+    ax << n_in | az to the pairs (q, c), in q's order, of each output Pauli
+    P_q with c = _DENOMINATOR x Tr((A x P_q) J) nonzero.
 
-    _forms runs first, so BranchLimitError comes before BudgetExceededError,
-    and the budget is checked before a kept map is read, so a kept map never
-    passes a smaller budget.  A map of at most DEFAULT_BUDGET entries is kept
-    in the frozen Program's __dict__ once built; a larger one is built on
-    each call, so what a Program holds stays bounded.
+    Tr((A x P) J) sums weight x the sign of +-(A x P) in each form's group,
+    over the sum of the weights, 2^k for the k bits _deferred enumerates,
+    which divides _DENOMINATOR: so each c is an integer, and two channels'
+    parts compare as they are.  A form is its head, the rows pivoted on a
+    reference's X bit, which _echelon puts first, then its tail, whose
+    group, expanded once and keyed by table cell (_cell), holds the elements
+    of X-part 0; those of X-part d are the _coset of d times them."""
 
-    Reference wire j starts in a Bell pair with input j.  choi[cell] times
-    denominator is Tr((A x P_q) J), keyed by its table cell (_cell).
-    Tr((A x P) J) adds, over the states, weight x the sign of +-(A x P) in
-    the state's stabilizer group, where it lies in the subgroup supported
-    on outputs and references, whose independent generators the form
-    holds, and 0 elsewhere; the denominator is the sum of the weights.  A
-    cell is GF(2)-linear in the Pauli's bits, so each form generator's cell
-    is computed once and the group expansion XORs the cells along.
-    """
+    __slots__ = ("n_in", "n_out", "splits")
+
+    def __init__(self, forms: tuple, n_in: int, n_out: int):
+        self.n_in, self.n_out = n_in, n_out
+        scale = _DENOMINATOR // sum(weight for weight, _ in forms)
+        # (weight over _DENOMINATOR, head, the tail's group) of each form.
+        self.splits = []
+        for weight, form in forms:
+            head = [row for row in form if row[0] & (1 << n_in) - 1]
+            tail = [(x, z, ph, _cell(x, z, n_in, n_out)) for x, z, ph in form[len(head):]]
+            self.splits.append((weight * scale, head, _elements(tail)))
+
+    def __missing__(self, d: int) -> dict[int, list[tuple[int, int]]]:
+        n_in, n_out = self.n_in, self.n_out
+        shift, mask = 2 * n_out, 4 ** n_out - 1
+        part: dict[int, list[tuple[int, int]]] = {}
+        entries = 0
+        for weight, head, group in self.splits:
+            if d:
+                if (h := _coset(head, d, n_in)) is None:
+                    continue
+                # The tail's elements times h_d, as _elements multiplies them.
+                hx, hz, hph, hcell = *h, _cell(h[0], h[1], n_in, n_out)
+                group = [(x ^ hx, z ^ hz, ph + hph + 2 * (z & hx).bit_count(), cell ^ hcell) for x, z, ph, cell in group]
+            entries += len(group)
+            for x, z, ph, cell in group:
+                # weight x the element's sign, as _group signs it.
+                part.setdefault(cell >> shift, []).append((cell & mask, (1 - ((ph - (x & z).bit_count()) & 3)) * weight))
+        if entries > len(part):
+            # Some a holds more than one pair: add them up at each q, in q's order.
+            cells: dict[int, int] = {}
+            for a, pairs in part.items():
+                for q, c in pairs:
+                    cells[a << shift | q] = cells.get(a << shift | q, 0) + c
+            part = {}
+            for cell in sorted(cells):
+                if cells[cell]:
+                    part.setdefault(cell >> shift, []).append((cell & mask, cells[cell]))
+        self[d] = part
+        return part
+
+
+def _coset(head: list, d: int, n_in: int) -> tuple | None:
+    """h_d, the product of the head rows pivoted in d, if its X-part on the
+    references is d, else None (no element has X-part d).  _echelon reduces
+    each row by the others' pivots, so forms with equal tails have equal
+    elements of X-part d exactly when their h_d are equal."""
+    h = (0, 0, 0)
+    for row in head:
+        if row[0] & -row[0] & d:
+            h = _product(h, row)
+    return h if h[0] & (1 << n_in) - 1 == d else None
+
+
+def _channel(program: Program, budget: int | None, differ: bool = False) -> _Channel:
+    """The program's _Channel, kept in the frozen Program's __dict__ if the
+    table has at most DEFAULT_BUDGET entries, so what it holds is bounded.
+    _forms runs first, so BranchLimitError comes before BudgetExceededError
+    (saying that the sides differ, if differ), and the budget before a kept
+    channel, so a kept part never passes a smaller budget."""
     forms = _forms(program)
     n_in, n_out = len(program.inputs), len(program.outputs)
     work = 4 ** n_in * 4 ** n_out
     if budget is not None and work > budget:
-        raise BudgetExceededError(work, budget)
-    channel = program.__dict__.get("_choi")
-    if channel is not None:
-        return channel
-
-    choi: dict[int, int] = {}
-    for weight, form in forms:
-        generators = [(x, z, ph, _cell(x, z, n_in, n_out)) for x, z, ph in form]
-        for cell, sign in _group(generators):
-            choi[cell] = choi.get(cell, 0) + sign * weight
-    channel = n_in, n_out, sum(weight for weight, _ in forms), choi
-    if work <= DEFAULT_BUDGET:
-        program.__dict__["_choi"] = channel
+        raise BudgetExceededError(work, budget, differ)
+    channel = program.__dict__.get("_parts")
+    if channel is None:
+        channel = _Channel(forms, n_in, n_out)
+        if work <= DEFAULT_BUDGET:
+            program.__dict__["_parts"] = channel
     return channel
 
 
@@ -451,62 +499,33 @@ def _cell(x: int, z: int, n_in: int, n_out: int) -> int:
     return cell
 
 
-def _rows(channel) -> Iterator[list[int]]:
-    """Each basis input's fingerprint row, in enumerate_basis order, as
-    integers over the channel's denominator.
-
-        Tr(P_q E(rho)) = sum_A Tr(A rho^T) Tr((A x P_q) J),
-
-    and Tr(A rho^T) is the sign of +-A in the group of _input_generators,
-    or 0, so the row sums choi, grouped by A's key once per table, over
-    that group's 2^n_in elements.  A row for which choi has no A of X-part
-    0 or of the input's _x_part can only be zero, and it is not summed.
-    """
-    n_in, n_out, _, choi = channel
-    by_reference = _by_reference(choi.items(), n_out)
-    x_parts = {a >> n_in for a in by_reference}
-    for k in range(4 ** n_in):
-        group = _group(_input_generators(n_in, k)) if 0 in x_parts or _x_part(n_in, k) in x_parts else ()
-        yield _summed(group, by_reference, 4 ** n_out)
-
-
-def _by_reference(items, n_out: int) -> dict[int, list[tuple[int, int]]]:
-    """Coefficients (cell, c) grouped by A's key, the cell's high bits, as
-    a: [(q, c), ...]."""
-    shift, mask = 2 * n_out, 4 ** n_out - 1
-    by_reference: dict[int, list[tuple[int, int]]] = {}
-    for cell, c in items:
-        by_reference.setdefault(cell >> shift, []).append((cell & mask, c))
-    return by_reference
-
-
-def _summed(group, by_reference: dict, width: int) -> list[int]:
-    """A basis input's row of width entries: for each element (a, sign) of
-    its group, sign times every (q, c) by_reference holds for a, added at q."""
+def _summed(group: list, parts: dict, width: int) -> list[int]:
+    """A basis input's row of width entries, from the group of its
+    _input_generators and the parts it reads, merged: Tr(P_q E(rho)) is the
+    sum over A of Tr(A rho^T) Tr((A x P_q) J), and Tr(A rho^T) is the sign
+    of +-A in the group, or 0."""
     sums = [0] * width
     for a, sign in group:
-        for q, c in by_reference.get(a, ()):
+        for q, c in parts.get(a, ()):
             sums[q] += sign * c
     return sums
 
 
-def _x_part(n_in: int, k: int) -> int:
-    """Basis input k's X-part d_k, the OR of its generators' X-parts.  Its
-    group holds Paulis of X-part 0 and d_k only, and d_k = 0 exactly for
-    the diag inputs, so the table is block lower-triangular: the rows of
-    block d read only the coefficients whose A has X-part 0 or d."""
-    x_part = 0
-    for x, _, _, _ in _input_generators(n_in, k):
-        x_part |= x
-    return x_part
+def _rows(channel: _Channel) -> Iterator[list[int]]:
+    """Each basis input's row over _DENOMINATOR, in enumerate_basis order,
+    from every part."""
+    n_in, parts = channel.n_in, {}
+    for d in range(1 << n_in):
+        parts.update(channel[d])
+    for k in range(4 ** n_in):
+        yield _summed(_group(_input_generators(n_in, k)), parts, 4 ** channel.n_out)
 
 
-def _table(channel) -> SuperopFingerprint:
-    n_in, n_out, denominator, _ = channel
+def _table(channel: _Channel) -> SuperopFingerprint:
     # Tables hold few distinct values, so each Fraction is built once.
-    value = cache(partial(Fraction, denominator=denominator))
+    value = cache(partial(Fraction, denominator=_DENOMINATOR))
     table = tuple(tuple(map(value, sums)) for sums in _rows(channel))
-    return SuperopFingerprint(n_in, n_out, BASIS_ORDER_TAG, table)
+    return SuperopFingerprint(channel.n_in, channel.n_out, BASIS_ORDER_TAG, table)
 
 
 def _check_budget(budget: int | None) -> None:
@@ -516,13 +535,10 @@ def _check_budget(budget: int | None) -> None:
 
 
 def fingerprint(ast: ProtocolAST, budget: int | None = DEFAULT_BUDGET) -> SuperopFingerprint:
-    """Exact table of output-Pauli expectations for every basis input.
-
-    The rows come from the protocol's Choi state (_choi) on its _forms; no
-    basis input is run on its own.
-    """
+    """Exact table of output-Pauli expectations for every basis input, read
+    from the protocol's _channel: no basis input is run on its own."""
     _check_budget(budget)
-    return _table(_choi(lower(ast), budget))
+    return _table(_channel(lower(ast), budget))
 
 
 def check_equivalence(
@@ -532,17 +548,13 @@ def check_equivalence(
 ) -> Verdict:
     """Decide on the Choi states; exact, no tolerance anywhere.
 
-    When each side has one _deferred state, the sides are equivalent
-    exactly when the _reduced forms of those states are equal, which needs
-    no budget, and a pair that differs is refuted from the forms' blocks
-    (_refuted).  Otherwise they are equivalent exactly when their Choi
-    coefficients agree once both are put over the larger denominator (both
-    are powers of two), and a pair that differs is refuted from the rows of
-    the coefficients' differences (_compared).  No table is built, and the
-    counterexample is the first entry, in table order, where the tables
-    differ; past the budget, naming it raises BudgetExceededError, saying
-    that the sides differ when each has one state.
-    """
+    Sides of one _deferred state each with equal _reduced forms are
+    equivalent, which needs no budget.  Otherwise the counterexample is the
+    first entry, in table order, where the two sides' tables differ, read
+    from their _channels part by part with no table built (_refuted), and
+    with none the sides are equivalent.  Past the budget, that raises
+    BudgetExceededError, saying that the sides differ when each has one
+    state."""
     _check_budget(budget)
     if lhs.n_in != rhs.n_in or lhs.n_out != rhs.n_out:
         raise ArityMismatchError(
@@ -559,115 +571,42 @@ def _verdict(lhs: Program, rhs: Program, budget: int | None) -> Verdict:
     reason = _assignments(lhs) or _assignments(rhs)
     decider = DEFERRED if reason is None else f"{DEFERRED} over {reason}"
     forms = _forms(lhs), _forms(rhs)
-    channels = lambda: (_choi(lhs, budget), _choi(rhs, budget))  # noqa: E731
-    if len(forms[0]) != 1 or len(forms[1]) != 1:
-        return _compared(*channels(), decider)
-    if forms[0][0][1] == forms[1][0][1]:
+    channels = lambda: (_channel(lhs, budget), _channel(rhs, budget))  # noqa: E731
+    one = len(forms[0]) == len(forms[1]) == 1
+    if one and forms[0][0][1] == forms[1][0][1]:
         return Verdict(True, None, channels, decider)
-    work = 4 ** len(lhs.inputs) * 4 ** len(lhs.outputs)
-    if budget is not None and work > budget:
-        raise BudgetExceededError(work, budget, differ=True)
-    return Verdict(False, _refuted(lhs, rhs), channels, decider)
+    ce = _refuted(_channel(lhs, budget, one), _channel(rhs, budget, one))
+    return Verdict(ce is None, ce, channels, decider)
 
 
-def _blocks(program: Program) -> tuple[tuple, tuple, dict]:
-    """A one-state program's _reduced form as (head, tail, the _block maps
-    built so far).  _echelon orders pivots by column, X bits first, so the
-    head is the rows pivoted on a reference's X bit, and the tail is the
-    reduced echelon form of the subgroup of X-part 0.  Kept in the frozen
-    Program's __dict__ under _choi's rule: 4^(n_in + n_out) <= DEFAULT_BUDGET.
-    """
-    blocks = program.__dict__.get("_blocks")
-    if blocks is None:
-        ((_, form),) = _forms(program)
-        n_in = len(program.inputs)
-        head = tuple(row for row in form if row[0] & (1 << n_in) - 1)
-        blocks = head, form[len(head):], {}
-        if 4 ** (n_in + len(program.outputs)) <= DEFAULT_BUDGET:
-            program.__dict__["_blocks"] = blocks
-    return blocks
-
-
-def _coset(blocks: tuple, d: int, n_in: int, m: int) -> tuple:
-    """Generators of the group's elements of X-part 0 and d: the tail, then
-    h_d, the product of the head rows whose pivot bit lies in d, when its
-    X-part on the references is d (else X-part d has no element), reduced
-    by the tail's pivot rows.  So two sides' coefficients of X-part 0 and
-    d agree exactly when their _cosets are equal."""
-    head, tail, _ = blocks
-    h = (0, 0, 0)
-    for row in head:
-        if row[0] & -row[0] & d:
-            h = _product(h, row)
-    if not d or h[0] & (1 << n_in) - 1 != d:
-        return tail
-    for row in tail:
-        pivot = row[0] | row[1] << m
-        if (h[0] | h[1] << m) & pivot & -pivot:
-            h = _product(h, row)
-    return (*tail, h)
-
-
-def _block(blocks: tuple, d: int, n_in: int, n_out: int) -> dict:
-    """The Choi coefficients of X-part 0 and d, _by_reference: the _coset
-    group expanded, each +-1, since one state's weight cancels its
-    denominator."""
-    maps = blocks[2]
-    if d not in maps:
-        rows = _coset(blocks, d, n_in, n_in + n_out)
-        maps[d] = _by_reference(_group([(x, z, ph, _cell(x, z, n_in, n_out)) for x, z, ph in rows]), n_out)
-    return maps[d]
-
-
-def _refuted(lhs: Program, rhs: Program) -> Counterexample:
-    """The first entry, in table order, where two one-state programs with
-    different forms differ, read block by block (_x_part): only the rows
-    of a block whose _cosets differ are summed."""
-    n_in, n_out = len(lhs.inputs), len(lhs.outputs)
-    sides, differs = (_blocks(lhs), _blocks(rhs)), {}
+def _refuted(lhs: _Channel, rhs: _Channel) -> Counterexample | None:
+    """The first entry, in table order, where the two channels' tables
+    differ, or None.  Row k reads parts 0 and block(n_in, k) alone, each
+    block's rows are invertible on them, and the diag rows, block 0, come
+    first: so each block is tested once, at its first row, and only the
+    rows of a block whose part differs are summed.  A one-form part is
+    fixed by its tail and its _coset, which are tested instead."""
+    n_in, width = lhs.n_in, 4 ** lhs.n_out
+    one = len(lhs.splits) == len(rhs.splits) == 1
+    # Each block's rows' merged parts, one per side, or False while it is equal.
+    lookups: dict[int, list | bool] = {}
     for k in range(4 ** n_in):
-        d = _x_part(n_in, k)
-        if d not in differs:
-            differs[d] = _coset(sides[0], d, n_in, n_in + n_out) != _coset(sides[1], d, n_in, n_in + n_out)
-        if differs[d]:
+        d = block(n_in, k)
+        if d not in lookups:
+            if one:
+                (_, head_l, tail_l), (_, head_r, tail_r) = lhs.splits[0], rhs.splits[0]
+                differs = tail_l != tail_r or _coset(head_l, d, n_in) != _coset(head_r, d, n_in)
+            else:
+                differs = lhs[d] != rhs[d]
+            lookups[d] = differs and [{**side[0], **side[d]} if d else side[0] for side in (lhs, rhs)]
+        if lookups[d]:
             group = _group(_input_generators(n_in, k))
-            row_l, row_r = (_summed(group, _block(blocks, d, n_in, n_out), 4 ** n_out) for blocks in sides)
+            row_l, row_r = _summed(group, lookups[d][0], width), _summed(group, lookups[d][1], width)
             if row_l != row_r:
-                q = next(q for q in range(4 ** n_out) if row_l[q] != row_r[q])
-                return Counterexample(basis_element(n_in, k), local_observable(n_out, q), Fraction(row_l[q]), Fraction(row_r[q]))
-    raise AssertionError("the forms differ but no table entry does")
-
-
-def _compared(ch_l: tuple, ch_r: tuple, decider: str) -> Verdict:
-    """The verdict on two channels as _choi returns them, for sides with
-    more than one state; the tests' reference for _refuted.
-
-    Only changed cells are read: with equal denominators, the cells of the
-    items the two maps do not share, else every cell, both sides put over
-    the larger denominator.  Their nonzero differences make a difference
-    map: none means equivalent.  Otherwise the counterexample is the first
-    nonzero entry, in table order, of the map's _rows, which skip the
-    blocks the map has no X-part of, with each side's value summed at that
-    cell from its own map.
-    """
-    n_in, n_out, d_l, choi_l = ch_l
-    d_r, choi_r = ch_r[2], ch_r[3]
-    s_l, s_r = max(d_l, d_r) // d_l, max(d_l, d_r) // d_r
-    changed = {cell for cell, _ in choi_l.items() ^ choi_r.items()} if d_l == d_r else choi_l.keys() | choi_r.keys()
-    diff = {cell: c for cell in changed if (c := choi_l.get(cell, 0) * s_l - choi_r.get(cell, 0) * s_r)}
-    if not diff:
-        return Verdict(True, None, lambda: (ch_l, ch_r), decider)
-    for k, sums in enumerate(_rows((n_in, n_out, 1, diff))):
-        if any(sums):
-            break
-    else:
-        raise AssertionError("Choi states differ but no table entry does")
-    q = next(q for q, c in enumerate(sums) if c)
-    group = _group(_input_generators(n_in, k))
-    cells = [(a, a << 2 * n_out | q) for a, _ in group]
-    value_l, value_r = (_summed(group, {a: [(q, choi.get(cell, 0))] for a, cell in cells}, len(sums))[q] for choi in (choi_l, choi_r))
-    ce = Counterexample(basis_element(n_in, k), local_observable(n_out, q), Fraction(value_l, d_l), Fraction(value_r, d_r))
-    return Verdict(False, ce, lambda: (ch_l, ch_r), decider)
+                q = next(q for q, c in enumerate(row_l) if c != row_r[q])
+                values = Fraction(row_l[q], _DENOMINATOR), Fraction(row_r[q], _DENOMINATOR)
+                return Counterexample(basis_element(n_in, k), local_observable(lhs.n_out, q), *values)
+    return None
 
 
 def fingerprint_dense(ast: ProtocolAST):
@@ -688,12 +627,12 @@ def run_protocol_dense(ast: ProtocolAST, input_state) -> list[tuple]:
     return dense._branches(lower(ast), input_state)
 
 
-def _cross_check(name: str, program: Program, channel: tuple) -> None:
-    """Compare the table of the program's channel, as _choi returns it, with
-    the dense oracle's: RuntimeError naming the side past dense.TOL, and
-    dense.DenseLimitError past dense.DENSE_LIMIT."""
+def _cross_check(name: str, program: Program, channel: _Channel) -> None:
+    """Compare the table of the program's _Channel with the dense oracle's:
+    RuntimeError naming the side past dense.TOL, and dense.DenseLimitError
+    past dense.DENSE_LIMIT."""
     from . import dense
 
-    err = dense._deviation(program, _rows(channel), channel[2])
+    err = dense._deviation(program, _rows(channel), _DENOMINATOR)
     if err > dense.TOL:
         raise RuntimeError(f"oracle cross-check failed for {name}: max deviation {err}")

@@ -661,8 +661,8 @@ def assert_checked_as_reference(ast: ProtocolAST) -> list[Diagnostic]:
 # walk had a lowering of its own, with the Bell pairs put in its first run.
 # reference_run_protocol must agree exactly with run_protocol, and
 # reference_choi, over 2^measurements, must hold the same exact values as
-# checker._choi on the deferred states, over 2^(bits that control H, P or
-# CNOT).  reference_choi expands each group with reference_group, a copy of
+# the parts of checker._channel on the deferred states, over
+# checker._DENOMINATOR.  reference_choi expands each group with reference_group, a copy of
 # checker._group of that time, and numbers output Paulis with
 # REFERENCE_DIGIT, a copy of tableau._DIGIT, so it shares no engine code.
 

@@ -26,7 +26,7 @@ from stabcheck import (
     run_protocol_dense,
     Verdict,
 )
-from stabcheck.basis import BasisCircuit, BasisElement, basis_element, basis_index, circuit_for, element_matrix
+from stabcheck.basis import BasisCircuit, BasisElement, basis_element, basis_index, block, circuit_for, element_matrix
 from stabcheck import checker, dense
 from stabcheck.checker import local_observable, lower
 from stabcheck.cli import corpus_path
@@ -357,8 +357,9 @@ def outcome(verdict):
 
 
 class TestKeptResults:
-    """An AST keeps its checked pass, and a Program its forms and its Choi map
-    within DEFAULT_BUDGET entries; none of it may show in a result."""
+    """An AST keeps its checked pass, and a Program its forms and, within
+    DEFAULT_BUDGET entries, its channel's parts; none of it may show in a
+    result."""
 
     def test_a_shared_identity_checked_twice_matches_a_fresh_one(self):
         shared = builtin_identity(3)
@@ -390,32 +391,43 @@ class TestKeptResults:
         assert caught.value.work == 256
         lhs = load("teleport_noX.qpr")
         assert not check_equivalence(lhs, builtin_identity(1), budget=None).equivalent
-        # The refutation kept each side's blocks, and no Choi map.
-        assert "_blocks" in vars(lower(lhs)) and "_choi" not in vars(lower(lhs))
+        # The refutation kept the parts it read.
+        assert vars(lower(lhs))["_parts"]
         with pytest.raises(BudgetExceededError, match="^the two sides differ.* over the budget of 0$"):
             check_equivalence(lhs, builtin_identity(1), budget=0)
+        with pytest.raises(BudgetExceededError, match="^fingerprint needs 16 .* over the budget of 15$"):
+            fingerprint(lhs, budget=15)
+
+    def test_a_refutation_keeps_only_the_parts_it_read(self):
+        # Z0 leaves the diag rows alone: the one-form sides are told apart
+        # block by block by their _cosets, and only the first block that
+        # differs is read, with part 0.
+        lhs = parse(teleport_source(3, "Z0"))
+        ce = check_equivalence(lhs, builtin_identity(3)).counterexample
+        d = block(3, basis_index(ce.basis_element))
+        assert d != 0 and set(vars(lower(lhs))["_parts"]) == {0, d}
 
     def test_a_channel_past_the_default_budget_is_not_kept(self):
         # 4^12 entries: built on each call, so a pinned identity stays small.
         program = lower(builtin_identity(6))
-        first = checker._choi(program, None)
-        second = checker._choi(program, None)
-        assert first == second and first is not second
-        assert "_choi" not in vars(program)
+        first = checker._channel(program, None)
+        second = checker._channel(program, None)
+        assert first is not second and first[0] == second[0] and first == second
+        assert "_parts" not in vars(program)
         kept = lower(builtin_identity(5))
-        assert checker._choi(kept, None) is checker._choi(kept, None)
+        assert checker._channel(kept, None) is checker._channel(kept, None)
 
     def test_blocks_past_the_default_budget_are_not_kept(self):
-        # A refutation splits each side's form and builds the block maps
-        # it sums, kept under _choi's rule: identity:6 has 4^12 entries.
+        # A refutation builds the parts it sums, kept under _channel's rule:
+        # identity:6 has 4^12 entries.
         for n, kept in ((6, False), (5, True)):
             identity = lower(builtin_identity(n))
             verdict = check_equivalence(parse(teleport_source(n, "Z0")), builtin_identity(n), budget=None)
             assert not verdict.equivalent
-            assert ("_blocks" in vars(identity)) == kept, n
+            assert ("_parts" in vars(identity)) == kept, n
             if kept:
-                _, _, maps = vars(identity)["_blocks"]
-                assert checker._blocks(identity) is vars(identity)["_blocks"] and maps
+                parts = vars(identity)["_parts"]
+                assert checker._channel(identity, None) is parts and 0 in parts
 
     def test_validate_returns_a_fresh_list(self):
         ast = parse("protocol p { qubit a: input; qubit b: zero; cbit c; measure b -> c; output a; }")
@@ -652,7 +664,7 @@ CORPUS = sorted(path.name for path in corpus_path("teleport.qpr").parent.glob("*
 
 def program_and_channel(name):
     program = lower(load(name))
-    return program, checker._choi(program, None)
+    return program, checker._channel(program, None)
 
 
 class TestCrossCheck:
@@ -662,11 +674,13 @@ class TestCrossCheck:
 
     def test_a_changed_coefficient_fails_naming_the_side(self):
         # A fault on the exact side: the oracle is left as it is.
-        program, (n_in, n_out, denominator, choi) = program_and_channel("teleport.qpr")
-        key = max(choi)
-        changed = (n_in, n_out, denominator, {**choi, key: choi[key] + 1})
+        program, channel = program_and_channel("teleport.qpr")
+        part = channel[0]
+        a = max(part)
+        (q, c), *rest = part[a]
+        part[a] = [(q, c + 1), *rest]
         with pytest.raises(RuntimeError, match=r"^oracle cross-check failed for teleport: max deviation"):
-            checker._cross_check("teleport", program, changed)
+            checker._cross_check("teleport", program, channel)
 
     def test_refuses_an_oracle_past_the_dense_limit(self, monkeypatch):
         # teleport has 3 wires and 2 measurements: 2^5 amplitudes per input.
@@ -777,8 +791,8 @@ class TestTableConventions:
 
     @pytest.mark.parametrize("n_in", [1, 2, 3, 4])
     def test_each_input_reads_one_block(self, n_in):
-        # The premise of the one-state refutation: input k's group holds
-        # Paulis of X-part 0 and d_k only, d_k = 0 exactly for the diag
+        # The premise of _refuted: input k's group holds Paulis of X-part 0
+        # and d_k = basis.block(n_in, k) only, d_k = 0 exactly for the diag
         # inputs, and each block d != 0 has 2^n_in rows.
         rows_per_block = {}
         for k in range(4 ** n_in):
@@ -786,7 +800,7 @@ class TestTableConventions:
             d = 0
             for x, _, _, _ in generators:
                 d |= x
-            assert checker._x_part(n_in, k) == d
+            assert block(n_in, k) == d
             assert {a >> n_in for a, _ in checker._group(generators)} <= {0, d}, k
             assert (d == 0) == (k < 2 ** n_in), k
             rows_per_block[d] = rows_per_block.get(d, 0) + 1

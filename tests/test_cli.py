@@ -358,7 +358,7 @@ class TestReports:
 
     def test_only_checker_reads_a_channel(self):
         source = Path(cli_mod.__file__).read_text(encoding="utf-8")
-        for name in ("_rows", "_choi", "_fingerprint_dense", "channel["):
+        for name in ("_rows", "_parts", "_fingerprint_dense", "channel["):
             assert name not in source, name
 
 

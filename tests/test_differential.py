@@ -21,7 +21,7 @@ from stabcheck import (
     run_protocol_dense,
 )
 from stabcheck import checker, dense
-from stabcheck.basis import basis_index
+from stabcheck.basis import basis_index, block
 from stabcheck.checker import local_observable
 from stabcheck.cli import corpus_path
 from stabcheck.dense import TOL, pauli_expect_dense, pauli_expect_state, pauli_expectations
@@ -73,32 +73,31 @@ def assert_dense_agrees(ast, fp):
 
 
 def coefficient_verdict(lhs, rhs):
-    """The verdict of the Choi coefficients alone: both sides' _choi on
-    their _forms, compared as check_equivalence compares more than one
-    state, never by comparing the _reduced forms themselves."""
-    programs = checker.lower(lhs), checker.lower(rhs)
-    channels = [checker._choi(program, None) for program in programs]
-    return checker._compared(*channels, "coefficients")
+    """The verdict of the two sides' full tables, built from their channels'
+    parts (_table), at their first difference (reference_counterexample):
+    never by comparing the _reduced forms or testing blocks."""
+    channels = [checker._channel(checker.lower(ast), None) for ast in (lhs, rhs)]
+    want = reference_counterexample(*map(checker._table, channels))
+    ce = None if want is None else checker.Counterexample(*want)
+    return checker.Verdict(want is None, ce, lambda: tuple(channels), "coefficients")
 
 
 def choi_fractions(channel):
-    """A channel as _choi or reference_choi gives it: its nonzero
+    """A channel as _channel or reference_choi gives it: its nonzero
     coefficients as exact fractions keyed (A, q) as reference_choi keys
     them, whatever its denominator.
 
-    _choi's key is the table cell a << 2 * n_out | q, read here without
-    the checker's own helpers: a is A's reference x bits over its z bits,
-    and the coefficient, Tr((A x P_q) J), takes the (-1)^#Y(A) that
-    reference_choi's holds."""
-    n_in, n_out, denominator, choi = channel
-    if all(isinstance(coeffs, dict) for coeffs in choi.values()):
-        nested = choi.items()
+    A _Channel's parts, merged, map A's key a to pairs (q, c) over
+    checker._DENOMINATOR, read here without the checker's own helpers: a
+    is A's reference x bits over its z bits, and the coefficient,
+    Tr((A x P_q) J), takes the (-1)^#Y(A) that reference_choi's holds."""
+    if isinstance(channel, checker._Channel):
+        n_in, n_out, denominator = channel.n_in, channel.n_out, checker._DENOMINATOR
+        parts = [(a, pairs) for d in range(2 ** n_in) for a, pairs in channel[d].items()]
+        nested = [(a, {q: (-1) ** (a >> n_in & a).bit_count() * c for q, c in pairs}) for a, pairs in parts]
     else:
-        nested = []
-        for cell, c in choi.items():
-            a, q = divmod(cell, 4 ** n_out)
-            ys = (a >> n_in & a & (1 << n_in) - 1).bit_count()
-            nested.append((a, {q: (-1) ** ys * c}))
+        n_in, n_out, denominator, choi = channel
+        nested = choi.items()
     return n_in, n_out, {(a, q): Fraction(c, denominator) for a, coeffs in nested for q, c in coeffs.items() if c}
 
 
@@ -272,8 +271,8 @@ def test_deleting_a_first_phase_gate_is_refuted_on_a_superposition():
 @pytest.mark.parametrize("drop", [None, "X3", "Z0", "X0", "X1", "X2", "Z1", "Z2", "Z3"])
 def test_teleport_4_against_identity(drop):
     # The reference tabulation takes about 90 s at n = 4, so a refutation,
-    # read from the two forms block by block, is checked against the
-    # coefficients' verdict and the first difference of the _rows tables.
+    # read from the two forms block by block, is checked against the first
+    # difference of the full tables (coefficient_verdict).
     lhs, rhs = parse(teleport_source(4, drop)), builtin_identity(4)
     verdict = check_equivalence(lhs, rhs)
     assert verdict.equivalent == (drop is None)
@@ -422,7 +421,7 @@ def test_transforms_keep_equivalence(transform):
         assert coefficient_verdict(lhs, rhs).equivalent, changed
         if transform is add_discarded_ancilla:
             # The ancilla's measurement doubles the Program denominator; the
-            # _choi denominators, over the deferred states, stay equal.
+            # weights of the deferred states stay as they were.
             assert checker.lower(rhs).denominator == 2 * checker.lower(lhs).denominator
 
 
@@ -519,8 +518,8 @@ def test_deleting_one_correction_is_refuted(name):
 # ---------------------------------------------------------------------------
 # Three deciders on one set of pairs: deferred measurement (check_equivalence
 # on protocols whose bits control only X, Y and Z, by _reduced forms), the
-# Choi coefficients of the same states (coefficient_verdict) and the
-# reference tabulation in helpers.
+# full tables of the same states (coefficient_verdict) and the reference
+# tabulation in helpers.
 
 
 def _three_way_pairs():
@@ -543,30 +542,49 @@ def _three_way_pairs():
 @pytest.mark.parametrize("drop", ["X0", "X1", "X2", "Z0", "Z1", "Z2"])
 def test_teleport_3_counterexamples_match_the_tables_and_the_dense_oracle(drop):
     # At n_in = 3 the reference tabulation is too slow to run here, so the
-    # counterexample that _compared names from the coefficient differences
-    # is checked against the tables _rows builds and against the dense oracle.
+    # counterexample that _refuted names from the parts that differ is
+    # checked against the tables _rows builds and against the dense oracle.
     lhs, rhs = parse(teleport_source(3, drop)), builtin_identity(3)
     verdict = check_equivalence(lhs, rhs)
     assert_first_difference(verdict)
     assert_replays(lhs, rhs, verdict.counterexample)
 
 
-@pytest.mark.parametrize("drop", range(6))
+def h_controlled_teleport_2_source(drop, controls):
+    """teleport_source(2, drop) with controls fresh ancillas h<j> in |+>,
+    each measured into a bit g<j> that controls an H on the measured psi0:
+    the channel is the same, over 2^controls deferred states."""
+    decls = "".join(f"\n  qubit h{j}: zero; cbit g{j};" for j in range(controls))
+    body = "".join(f"\n  H h{j}; measure h{j} -> g{j}; if g{j} then H psi0;" for j in range(controls))
+    return teleport_source(2, drop).replace("{", "{" + decls, 1).replace("\n  output", body + "\n  output")
+
+
+@pytest.mark.parametrize("drop", [*range(6), "Z0", "Z1"])
 def test_sides_over_different_choi_denominators(drop):
-    # Two bits that control H give the left side four deferred states over
-    # a denominator of 4; identity:1 has one state over 1.
-    lhs, rhs = parse(h_controlled_cluster_wire_source(6, drop=drop, controls=2)), builtin_identity(1)
+    # Two bits that control H give the left side four deferred states, of
+    # weights summing to 4; identity:1 has one state of weight 1.  On
+    # teleport_2, both sides have such bits, two against one, and dropping
+    # Z0 leaves the first difference in block 1, read after block 2.
+    if isinstance(drop, int):
+        lhs, rhs = parse(h_controlled_cluster_wire_source(6, drop=drop, controls=2)), builtin_identity(1)
+    else:
+        lhs, rhs = parse(h_controlled_teleport_2_source(drop, 2)), parse(h_controlled_teleport_2_source(None, 1))
     programs = checker.lower(lhs), checker.lower(rhs)
-    assert [checker._choi(program, None)[2] for program in programs] == [4, 1]
+    weights = [sum(weight for weight, _ in checker._forms(program)) for program in programs]
+    assert weights == ([4, 1] if isinstance(drop, int) else [4, 2])
     ce = check_equivalence(lhs, rhs).counterexample
     want = reference_counterexample(reference_fingerprint(lhs), reference_fingerprint(rhs))
     assert (ce.basis_element, ce.observable, ce.value_lhs, ce.value_rhs) == want
+    assert_replays(lhs, rhs, ce)
+    if drop == "Z0":
+        blocks = [block(2, k) for k in range(basis_index(ce.basis_element) + 1)]
+        assert blocks[-1] == 1 and 2 in blocks
 
 
 def test_refutations_from_diag_differences_and_from_the_rest_match_reference():
-    # _compared keeps first the differences whose reference Pauli has X-part
-    # 0, the only ones the diag inputs read, and all of them only when none of
-    # those differs; both branches name the reference's first differing entry.
+    # _refuted tests part 0 at the diag inputs, the only part they read, and
+    # the other parts only when it is equal; both branches name the
+    # reference's first differing entry.
     rng = random.Random(2024)
     pairs = []
     for i in range(120):
@@ -586,11 +604,12 @@ def test_refutations_from_diag_differences_and_from_the_rest_match_reference():
 
 
 def test_rows_of_the_difference_map_are_the_differences_of_the_rows():
-    # _rows does not sum a row that can only be zero: one for which no A in
-    # the map has X-part 0 or the input's X-part.  On the difference map of
-    # two channels, both sides over the larger denominator, its rows must
-    # still be the entrywise differences of the two sides' rows, and the
-    # first nonzero entry must be the counterexample's cell.
+    # _refuted sums only the rows of a block whose part differs, as row k
+    # reads parts 0 and block(n_in, k) alone.  Summed from the difference
+    # map of two channels' parts, both over _DENOMINATOR, the rows must be
+    # the entrywise differences of the two sides' _rows, zero wherever
+    # _refuted skips them, and the first nonzero entry must be the
+    # counterexample's cell.
     rng = random.Random(2929)
     pairs = [(parse(teleport_source(3, drop)), builtin_identity(3)) for drop in ("X0", "Z1", "X2")]
     for i in range(150):
@@ -601,23 +620,29 @@ def test_rows_of_the_difference_map_are_the_differences_of_the_rows():
         pairs.append((parse(source), parse(mutant)))
     skipped = unequal = 0
     for lhs, rhs in pairs:
-        channels = [checker._choi(checker.lower(ast), None) for ast in (lhs, rhs)]
-        (n_in, n_out, d_l, choi_l), (_, _, d_r, choi_r) = channels
-        s_l, s_r = max(d_l, d_r) // d_l, max(d_l, d_r) // d_r
-        cells = choi_l.keys() | choi_r.keys()
-        diff = {cell: c for cell in cells if (c := choi_l.get(cell, 0) * s_l - choi_r.get(cell, 0) * s_r)}
-        rows = list(checker._rows((n_in, n_out, 1, diff)))
+        programs = [checker.lower(ast) for ast in (lhs, rhs)]
+        channels = [checker._channel(program, None) for program in programs]
+        n_in, n_out = lhs.n_in, lhs.n_out
+        diff = {}
+        for channel, sign in zip(channels, (1, -1)):
+            for d in range(2 ** n_in):
+                for a, pairs_a in channel[d].items():
+                    diff.setdefault(a, []).extend((q, sign * c) for q, c in pairs_a)
+        rows = [checker._summed(checker._group(checker._input_generators(n_in, k)), diff, 4 ** n_out) for k in range(4 ** n_in)]
         sides = zip(*map(checker._rows, channels))
-        assert rows == [[l * s_l - r * s_r for l, r in zip(row_l, row_r)] for row_l, row_r in sides], lhs.name
+        assert rows == [[l - r for l, r in zip(row_l, row_r)] for row_l, row_r in sides], lhs.name
+        differs = {d for d in range(2 ** n_in) if channels[0][d] != channels[1][d]}
+        assert all(not any(row) for k, row in enumerate(rows) if not {0, block(n_in, k)} & differs), lhs.name
         verdict = check_equivalence(lhs, rhs)
-        assert verdict.equivalent == (not diff)
-        if diff:
+        assert verdict.equivalent == (not differs)
+        if differs:
             k, q = next((k, q) for k, row in enumerate(rows) for q, c in enumerate(row) if c)
             ce = verdict.counterexample
             assert (basis_index(ce.basis_element), ce.observable) == (k, local_observable(n_out, q))
-            assert (ce.value_lhs - ce.value_rhs) * max(d_l, d_r) == rows[k][q]
-            skipped += all(cell >> n_in + 2 * n_out for cell in diff)
-            unequal += d_l != d_r
+            assert (ce.value_lhs - ce.value_rhs) * checker._DENOMINATOR == rows[k][q]
+            skipped += 0 not in differs
+            weights = [sum(weight for weight, _ in checker._forms(program)) for program in programs]
+            unequal += weights[0] != weights[1]
     assert skipped > 8 and unequal > 30, (skipped, unequal)
 
 
@@ -675,13 +700,13 @@ def _walk_sources():
 
 
 def test_walk_matches_reference_walk():
-    # _choi sums its deferred states over 2^(bits that control H, P or
+    # _channel sums its deferred states over 2^(bits that control H, P or
     # CNOT), the reference walk its merged branches over 2^measurements.
     branches = 0
     for source in _walk_sources():
         ast = parse(source)
         program = checker.lower(ast)
-        got = checker._choi(program, None)
+        got = checker._channel(program, None)
         assert choi_fractions(got) == choi_fractions(reference_choi(ast, None)), source
         if ast.n_in > 2:
             continue
@@ -705,7 +730,7 @@ def test_classical_controls_match_reference():
     for i, source in enumerate(sources):
         ast = parse(source)
         program = checker.lower(ast)
-        got = checker._choi(program, None)
+        got = checker._channel(program, None)
         assert choi_fractions(got) == choi_fractions(reference_choi(ast, None)), source
         reference = reference_fingerprint(ast)
         table = fingerprint(ast)

@@ -96,12 +96,11 @@ def test_only_protocol_knows_the_compact_body():
 
 def test_only_their_owners_write_the_kept_results():
     """An AST keeps its checked pass, written by protocol.py alone; a Program
-    keeps its forms, Choi map and blocks, written by checker.py alone."""
+    keeps its forms and its channel's parts, written by checker.py alone."""
     owners = {
         '__dict__["_checked"]': "protocol.py",
         '__dict__["_forms"]': "checker.py",
-        '__dict__["_choi"]': "checker.py",
-        '__dict__["_blocks"]': "checker.py",
+        '__dict__["_parts"]': "checker.py",
     }
     for path in sorted(Path(stabcheck.__file__).parent.glob("*.py")):
         text = path.read_text(encoding="utf-8")
