@@ -20,7 +20,8 @@ basis input sums them over the stabilizer group of the input's transpose,
 which holds Paulis of X-part 0 and one d only (basis.block): the table is a
 block lower-triangular, invertible image of the parts, so the first
 differing entry is read from the blocks whose parts differ alone
-(_refuted), and tables are built only when asked for.  A Program is frozen,
+(_refuted, which compares the two sides' parts block by block for every
+pair), and tables are built only when asked for.  A Program is frozen,
 so it keeps its forms, and its channel when the table has at most
 DEFAULT_BUDGET entries, in its __dict__: a spec checked against many
 candidates is deferred, reduced and expanded once.
@@ -308,13 +309,12 @@ def _reduced(rows: list, m: int) -> tuple:
     return _echelon(_supported(rows[n:], n, (1 << m) - 1), m)
 
 
-def _trace(program: Program, prep: list[tuple], outcomes: tuple[int, ...]) -> list[tuple]:
+def _trace(program: Program, prep: list[tuple], bits: dict[int, int]) -> list[tuple]:
     """The gates and measurements a branch went through, as apply_gate,
     apply_tableau and measure_z would have recorded them: prep, then the
-    ops with each measurement's bit taken from outcomes in turn."""
+    ops, each if's gate where the branch's bits, as _walk returns them,
+    hold 1 (a bit is written once, before any if reads it)."""
     trace = list(prep)
-    bits: dict[int, int] = {}
-    measured = iter(outcomes)
     for op in program.ops:
         if op[0] == "u":
             trace += op[1]
@@ -322,7 +322,6 @@ def _trace(program: Program, prep: list[tuple], outcomes: tuple[int, ...]) -> li
             if bits[op[1]]:
                 trace.append((op[2], *op[3]))
         else:
-            bits[op[2]] = next(measured)
             trace.append(("M", op[1]))
     return trace
 
@@ -342,7 +341,7 @@ def _run(program: Program, input_prep: BasisCircuit) -> list[BranchOutcome]:
     return [
         BranchOutcome(
             Fraction(weight, program.denominator),
-            Tableau(n, _boxed(n, rows), _trace(program, prep, outcomes)),
+            Tableau(n, _boxed(n, rows), _trace(program, prep, bits)),
             outcomes,
             {program.cbits[c]: b for c, b in bits.items()},
         )
@@ -402,16 +401,18 @@ def _forms(program: Program) -> tuple[tuple[int, tuple], ...]:
 class _Channel(dict):
     """A program's Choi state J, one part for each X-part d of a Pauli A on
     the references, built when first read: channel[d] maps A's key
-    ax << n_in | az to the pairs (q, c), in q's order, of each output Pauli
-    P_q with c = _DENOMINATOR x Tr((A x P_q) J) nonzero.
+    ax << n_in | az to {q: c}, c = _DENOMINATOR x Tr((A x P_q) J) for each
+    output Pauli P_q where it is nonzero.
 
     Tr((A x P) J) sums weight x the sign of +-(A x P) in each form's group,
     over the sum of the weights, 2^k for the k bits _deferred enumerates,
-    which divides _DENOMINATOR: so each c is an integer, and two channels'
-    parts compare as they are.  A form is its head, the rows pivoted on a
-    reference's X bit, which _echelon puts first, then its tail, whose
-    group, expanded once and keyed by table cell (_cell), holds the elements
-    of X-part 0; those of X-part d are the _coset of d times them."""
+    which divides _DENOMINATOR: so each c is an integer.  One pass over the
+    forms adds each element's term into its cell and drops a c that cancels
+    to 0, so a part holds no zero and no order, and two channels' parts
+    compare with ==.  A form is its head, the rows pivoted on a reference's
+    X bit, which _echelon puts first, then its tail, whose group, expanded
+    once and keyed by table cell (_cell), holds the elements of X-part 0;
+    those of X-part d are the _coset of d times them."""
 
     __slots__ = ("n_in", "n_out", "splits")
 
@@ -425,11 +426,10 @@ class _Channel(dict):
             tail = [(x, z, ph, _cell(x, z, n_in, n_out)) for x, z, ph in form[len(head):]]
             self.splits.append((weight * scale, head, _elements(tail)))
 
-    def __missing__(self, d: int) -> dict[int, list[tuple[int, int]]]:
+    def __missing__(self, d: int) -> dict[int, dict[int, int]]:
         n_in, n_out = self.n_in, self.n_out
         shift, mask = 2 * n_out, 4 ** n_out - 1
-        part: dict[int, list[tuple[int, int]]] = {}
-        entries = 0
+        part: dict[int, dict[int, int]] = {}
         for weight, head, group in self.splits:
             if d:
                 if (h := _coset(head, d, n_in)) is None:
@@ -437,20 +437,17 @@ class _Channel(dict):
                 # The tail's elements times h_d, as _elements multiplies them.
                 hx, hz, hph, hcell = *h, _cell(h[0], h[1], n_in, n_out)
                 group = [(x ^ hx, z ^ hz, ph + hph + 2 * (z & hx).bit_count(), cell ^ hcell) for x, z, ph, cell in group]
-            entries += len(group)
             for x, z, ph, cell in group:
-                # weight x the element's sign, as _group signs it.
-                part.setdefault(cell >> shift, []).append((cell & mask, (1 - ((ph - (x & z).bit_count()) & 3)) * weight))
-        if entries > len(part):
-            # Some a holds more than one pair: add them up at each q, in q's order.
-            cells: dict[int, int] = {}
-            for a, pairs in part.items():
-                for q, c in pairs:
-                    cells[a << shift | q] = cells.get(a << shift | q, 0) + c
-            part = {}
-            for cell in sorted(cells):
-                if cells[cell]:
-                    part.setdefault(cell >> shift, []).append((cell & mask, cells[cell]))
+                a, q = cell >> shift, cell & mask
+                row = part.setdefault(a, {})
+                # weight x the element's sign, as _group signs it: never 0, so
+                # a sum of 0 cancels a coefficient that row holds.
+                if c := row.get(q, 0) + (1 - ((ph - (x & z).bit_count()) & 3)) * weight:
+                    row[q] = c
+                elif len(row) > 1:
+                    del row[q]
+                else:
+                    del part[a]
         self[d] = part
         return part
 
@@ -506,8 +503,9 @@ def _summed(group: list, parts: dict, width: int) -> list[int]:
     of +-A in the group, or 0."""
     sums = [0] * width
     for a, sign in group:
-        for q, c in parts.get(a, ()):
-            sums[q] += sign * c
+        if row := parts.get(a):
+            for q, c in row.items():
+                sums[q] += sign * c
     return sums
 
 
@@ -583,22 +581,15 @@ def _refuted(lhs: _Channel, rhs: _Channel) -> Counterexample | None:
     """The first entry, in table order, where the two channels' tables
     differ, or None.  Row k reads parts 0 and block(n_in, k) alone, each
     block's rows are invertible on them, and the diag rows, block 0, come
-    first: so each block is tested once, at its first row, and only the
-    rows of a block whose part differs are summed.  A one-form part is
-    fixed by its tail and its _coset, which are tested instead."""
+    first: so each block is tested once, by its parts at its first row,
+    and only the rows of a block whose part differs are summed."""
     n_in, width = lhs.n_in, 4 ** lhs.n_out
-    one = len(lhs.splits) == len(rhs.splits) == 1
     # Each block's rows' merged parts, one per side, or False while it is equal.
     lookups: dict[int, list | bool] = {}
     for k in range(4 ** n_in):
         d = block(n_in, k)
         if d not in lookups:
-            if one:
-                (_, head_l, tail_l), (_, head_r, tail_r) = lhs.splits[0], rhs.splits[0]
-                differs = tail_l != tail_r or _coset(head_l, d, n_in) != _coset(head_r, d, n_in)
-            else:
-                differs = lhs[d] != rhs[d]
-            lookups[d] = differs and [{**side[0], **side[d]} if d else side[0] for side in (lhs, rhs)]
+            lookups[d] = lhs[d] != rhs[d] and [{**side[0], **side[d]} if d else side[0] for side in (lhs, rhs)]
         if lookups[d]:
             group = _group(_input_generators(n_in, k))
             row_l, row_r = _summed(group, lookups[d][0], width), _summed(group, lookups[d][1], width)

@@ -349,6 +349,65 @@ def teleported(source: str, rng: random.Random, count: int) -> str:
     return "\n".join(decls + body + lines[last + 1:])
 
 
+def frame_pushed(source: str) -> str:
+    """source, read by reference_parse, with every if moved to the end, one
+    statement a line; each if must apply X, Y or Z.
+
+    The ifs of a bit c multiply into c's Pauli frame, which the later gates
+    conjugate.  Frames are kept by column: xs[w] and zs[w] hold, as bits of
+    one int, the bits whose frame has X or Z on wire w, so each gate, if
+    and measurement updates one or two ints.  A measurement of w reads a
+    flipped value wherever a frame has X on w, so the bit it writes stands
+    for its value XOR those frames' bits, and each later if of it adds to
+    all of their frames; Z on the measured wire is then a phase and is
+    dropped.  At the end each bit gets an if for each output wire its frame
+    touches; frames off the outputs act on discarded wires and are dropped.
+    This is the standardisation of the measurement calculus (Danos, Kashefi
+    & Panangaden, arXiv:0704.1263) and the Pauli frame of Stim (Gidney,
+    arXiv:2103.02202).
+    """
+    ast = reference_parse(source)
+    wire = {q.name: i for i, q in enumerate(ast.qubits)}
+    bit = {c.name: i for i, c in enumerate(ast.cbits)}
+    xs, zs = [0] * len(wire), [0] * len(wire)
+    # The bits whose XOR is each measured bit's value, as bits of one int.
+    flips: dict[int, int] = {}
+    body = []
+    for stmt in ast.body:
+        names = [arg.name for arg in getattr(stmt, "args", ())]
+        if isinstance(stmt, MeasureStmt):
+            w, c = wire[stmt.qubit.name], bit[stmt.cbit.name]
+            flips[c], zs[w] = xs[w] | 1 << c, 0
+            body.append(f"measure {stmt.qubit.name} -> {stmt.cbit.name};")
+            continue
+        q = [wire[name] for name in names]
+        if isinstance(stmt, IfGateStmt):
+            assert stmt.gate in "XYZ", stmt.gate
+            flip = flips[bit[stmt.cbit.name]]
+            if stmt.gate != "Z":
+                xs[q[0]] ^= flip
+            if stmt.gate != "X":
+                zs[q[0]] ^= flip
+            continue
+        if stmt.gate == "H":
+            xs[q[0]], zs[q[0]] = zs[q[0]], xs[q[0]]
+        elif stmt.gate == "P":
+            zs[q[0]] ^= xs[q[0]]
+        elif stmt.gate == "CNOT":
+            xs[q[1]] ^= xs[q[0]]
+            zs[q[0]] ^= zs[q[1]]
+        body.append(f"{stmt.gate} {', '.join(names)};")
+    for c, cbit in enumerate(ast.cbits):
+        for out in ast.outputs:
+            w = wire[out.name]
+            pauli = "IXZY"[(xs[w] >> c & 1) | (zs[w] >> c & 1) << 1]
+            if pauli != "I":
+                body.append(f"if {cbit.name} then {pauli} {out.name};")
+    decls = [f"qubit {q.name}: {q.init};" for q in ast.qubits] + [f"cbit {c.name};" for c in ast.cbits]
+    outputs = ", ".join(out.name for out in ast.outputs)
+    return f"protocol {ast.name} {{\n  " + "\n  ".join(decls + body) + f"\n  output {outputs};\n}}\n"
+
+
 # ---------------------------------------------------------------------------
 # The reference front end: the per-character tokenizer and the parser with
 # one expect method per token kind, kept as they were before the lexer became

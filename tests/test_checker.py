@@ -38,6 +38,7 @@ from stabcheck.tableau import _boxed
 from helpers import (
     cluster_wire_source,
     exact_to_numpy,
+    frame_pushed,
     h_controlled_cluster_wire_source,
     output_observable,
     random_circuit,
@@ -46,6 +47,7 @@ from helpers import (
     reference_echelon,
     reference_pauli_expect,
     reference_supported,
+    repetition_code_source,
     teleport_source,
     teleported,
     with_h_control,
@@ -399,13 +401,14 @@ class TestKeptResults:
             fingerprint(lhs, budget=15)
 
     def test_a_refutation_keeps_only_the_parts_it_read(self):
-        # Z0 leaves the diag rows alone: the one-form sides are told apart
-        # block by block by their _cosets, and only the first block that
-        # differs is read, with part 0.
+        # Z0 leaves the diag rows alone: the sides are told apart block by
+        # block by their parts, and only the blocks of rows 0 to the
+        # counterexample's row are read.
         lhs = parse(teleport_source(3, "Z0"))
         ce = check_equivalence(lhs, builtin_identity(3)).counterexample
-        d = block(3, basis_index(ce.basis_element))
-        assert d != 0 and set(vars(lower(lhs))["_parts"]) == {0, d}
+        k = basis_index(ce.basis_element)
+        parts = set(vars(lower(lhs))["_parts"])
+        assert block(3, k) != 0 and parts == {block(3, j) for j in range(k + 1)} == {0, 4, 2, 6, 1}
 
     def test_a_channel_past_the_default_budget_is_not_kept(self):
         # 4^12 entries: built on each call, so a pinned identity stays small.
@@ -635,6 +638,59 @@ class TestTeleportedCircuits:
             check_equivalence(parse(rng.choice(dropped)), parse(plain))
 
 
+class TestFramePushedCircuits:
+    # frame_pushed moves every if of a teleported circuit to the end: the
+    # channel is unchanged, and as the plain circuit is a unitary, each
+    # pushed if left out leaves a Pauli error with probability 1/2.
+    def test_small_circuits_keep_their_channel_and_every_dropped_if_is_refuted(self):
+        rng = random.Random(3401)
+        for _ in range(40):
+            n = rng.randint(2, 3)
+            plain = clifford_source(rng, n, rng.randint(4, 12))
+            source = frame_pushed(teleported(plain, rng, rng.randint(1, 2)))
+            ast = parse(source)
+            assert check_equivalence(ast, parse(plain)).equivalent, source
+            exact = np.array([[float(v) for v in row] for row in fingerprint(ast).table])
+            assert np.max(np.abs(exact - fingerprint_dense(ast))) < 1e-9, source
+            for dropped in without_each_correction(source):
+                lhs, rhs = parse(dropped), parse(plain)
+                verdict = check_equivalence(lhs, rhs)
+                assert not verdict.equivalent, dropped
+                ce = verdict.counterexample
+                k = basis_index(ce.basis_element)
+                q = next(q for q in range(4 ** n) if local_observable(n, q) == ce.observable)
+                assert (fingerprint(lhs).table[k][q], fingerprint(rhs).table[k][q]) == (ce.value_lhs, ce.value_rhs)
+
+    def test_random_protocols_keep_their_channel(self):
+        # Wires measured and then used again: a frame with X on a measured
+        # wire flips its bit, so later ifs of that bit add to that frame too.
+        rng = random.Random(3403)
+        for i in range(200):
+            source = random_protocol_source(rng, shuffle=i % 2 == 1)
+            assert check_equivalence(parse(frame_pushed(source)), parse(source)).equivalent, source
+
+    @pytest.mark.parametrize(
+        "source,n",
+        [(teleport_source(3), 3), (cluster_wire_source(4), 1), (repetition_code_source(3), 1)],
+        ids=["teleport_3", "cluster_4", "repetition_3"],
+    )
+    def test_known_protocols_pushed_are_the_identity(self, source, n):
+        lines = frame_pushed(source).split("\n")
+        ifs = [i for i, line in enumerate(lines) if line.startswith("  if ")]
+        assert ifs == list(range(ifs[0], ifs[-1] + 1)) and lines[ifs[-1] + 1].startswith("  output")
+        assert check_equivalence(parse("\n".join(lines)), builtin_identity(n)).equivalent
+
+    def test_a_wide_circuit_keeps_its_channel_and_a_dropped_if_is_refuted(self):
+        rng = random.Random(3402)
+        plain = clifford_source(rng, 100, 2000)
+        source = frame_pushed(teleported(plain, rng, 100))
+        assert check_equivalence(parse(source), parse(plain)).equivalent
+        dropped = without_each_correction(source)
+        assert len(dropped) > 200
+        with pytest.raises(BudgetExceededError, match="the two sides differ"):
+            check_equivalence(parse(rng.choice(dropped)), parse(plain))
+
+
 class TestOracleAgreement:
     def test_exact_fingerprints_match_dense(self):
         for name in CORPUS_ONE_WIRE + CORPUS_TWO_WIRE:
@@ -675,10 +731,8 @@ class TestCrossCheck:
     def test_a_changed_coefficient_fails_naming_the_side(self):
         # A fault on the exact side: the oracle is left as it is.
         program, channel = program_and_channel("teleport.qpr")
-        part = channel[0]
-        a = max(part)
-        (q, c), *rest = part[a]
-        part[a] = [(q, c + 1), *rest]
+        row = channel[0][max(channel[0])]
+        row[min(row)] += 1
         with pytest.raises(RuntimeError, match=r"^oracle cross-check failed for teleport: max deviation"):
             checker._cross_check("teleport", program, channel)
 

@@ -87,14 +87,14 @@ def choi_fractions(channel):
     coefficients as exact fractions keyed (A, q) as reference_choi keys
     them, whatever its denominator.
 
-    A _Channel's parts, merged, map A's key a to pairs (q, c) over
+    A _Channel's parts, merged, map A's key a to {q: c} over
     checker._DENOMINATOR, read here without the checker's own helpers: a
     is A's reference x bits over its z bits, and the coefficient,
     Tr((A x P_q) J), takes the (-1)^#Y(A) that reference_choi's holds."""
     if isinstance(channel, checker._Channel):
         n_in, n_out, denominator = channel.n_in, channel.n_out, checker._DENOMINATOR
-        parts = [(a, pairs) for d in range(2 ** n_in) for a, pairs in channel[d].items()]
-        nested = [(a, {q: (-1) ** (a >> n_in & a).bit_count() * c for q, c in pairs}) for a, pairs in parts]
+        parts = [(a, row) for d in range(2 ** n_in) for a, row in channel[d].items()]
+        nested = [(a, {q: (-1) ** (a >> n_in & a).bit_count() * c for q, c in row.items()}) for a, row in parts]
     else:
         n_in, n_out, denominator, choi = channel
         nested = choi.items()
@@ -626,8 +626,10 @@ def test_rows_of_the_difference_map_are_the_differences_of_the_rows():
         diff = {}
         for channel, sign in zip(channels, (1, -1)):
             for d in range(2 ** n_in):
-                for a, pairs_a in channel[d].items():
-                    diff.setdefault(a, []).extend((q, sign * c) for q, c in pairs_a)
+                for a, row in channel[d].items():
+                    diff_a = diff.setdefault(a, {})
+                    for q, c in row.items():
+                        diff_a[q] = diff_a.get(q, 0) + sign * c
         rows = [checker._summed(checker._group(checker._input_generators(n_in, k)), diff, 4 ** n_out) for k in range(4 ** n_in)]
         sides = zip(*map(checker._rows, channels))
         assert rows == [[l - r for l, r in zip(row_l, row_r)] for row_l, row_r in sides], lhs.name
@@ -644,6 +646,38 @@ def test_rows_of_the_difference_map_are_the_differences_of_the_rows():
             weights = [sum(weight for weight, _ in checker._forms(program)) for program in programs]
             unequal += weights[0] != weights[1]
     assert skipped > 8 and unequal > 30, (skipped, unequal)
+
+
+def _with_cbits_reversed(source):
+    """source with its cbit declarations, one a line, in reverse order, so
+    each bit's index, and with it _deferred's order of assignments, changes."""
+    lines = source.split("\n")
+    at = [i for i, line in enumerate(lines) if line.startswith("  cbit ")]
+    for i, line in zip(at, reversed([lines[i] for i in at])):
+        lines[i] = line
+    return "\n".join(lines)
+
+
+def test_parts_are_canonical():
+    # Several _deferred states add into each part in one pass: no part
+    # holds a zero or an empty row, and the parts of a source whose states
+    # come in another order are equal as they are, with no sort.
+    rng = random.Random(34)
+    multi = reordered = 0
+    for i in range(1000):
+        source = with_classical_controls(rng, random_protocol_source(rng, shuffle=i % 2 == 1))
+        ast, other = parse(source), parse(_with_cbits_reversed(source))
+        forms = checker._forms(checker.lower(ast))
+        if len(forms) < 2:
+            continue
+        multi += 1
+        reordered += checker._forms(checker.lower(other)) != forms
+        channels = [checker._channel(checker.lower(side), None) for side in (ast, other)]
+        for d in range(2 ** ast.n_in):
+            assert all(row and all(row.values()) for channel in channels for row in channel[d].values()), source
+            assert channels[0][d] == channels[1][d], source
+        assert checker._refuted(*channels) is None, source
+    assert multi > 200 and reordered > 4, (multi, reordered)
 
 
 def test_deferred_walk_and_reference_agree():

@@ -1,7 +1,10 @@
 """The package's public surface: every exported name, and which load
-lazily; and the oldest Python the package declares it runs on."""
+lazily; the oldest Python the package declares it runs on; and the code
+names README.md gives."""
 
+import importlib
 import os
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -113,6 +116,20 @@ def test_only_dense_imports_numpy():
     for path in sorted(Path(stabcheck.__file__).parent.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         assert ("import numpy" in text or "from numpy" in text) == (path.name == "dense.py"), path.name
+
+
+def test_the_readme_names_only_code_that_exists():
+    """Every backticked checker., tableau., protocol., basis., dense. or
+    cli. name in README.md, with or without a stabcheck. prefix, is an
+    attribute of that module, and every backticked _name of one of
+    stabcheck's modules; file names such as dense.py are not names."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    modules = {name: importlib.import_module(f"stabcheck.{name}") for name in ("checker", "tableau", "protocol", "basis", "dense", "cli")}
+    spans = re.findall(r"`([^`\n]+)`", readme)
+    qualified = [m.groups() for m in map(re.compile(r"(?:stabcheck\.)?(\w+)\.(\w+)").fullmatch, spans) if m]
+    assert [f"{module}.{name}" for module, name in qualified if module in modules and name != "py" and not hasattr(modules[module], name)] == []
+    private = [span for span in spans if re.fullmatch(r"_\w+", span)]
+    assert len(private) > 10 and [name for name in private if not any(hasattr(m, name) for m in modules.values())] == []
 
 
 def _python_3_10() -> str | None:
