@@ -4,8 +4,9 @@ The package decides whether two measurement-and-feedforward Clifford
 protocols implement the same superoperator, by simulating both on a basis
 of 4^n stabilizer density matrices and comparing complete tables of
 output-Pauli expectations with exact dyadic arithmetic.  Importing the
-package loads no numpy: only stabcheck.dense, the dense oracle behind the
-*_dense functions and --verify, imports it, and it loads on first use.
+package loads neither numpy nor the command line: only stabcheck.dense, the
+dense oracle behind the *_dense functions and --verify, imports numpy, and
+it and stabcheck.cli, with argparse and json, load on first use.
 """
 
 from .basis import (
@@ -37,7 +38,6 @@ from .checker import (
     run_protocol,
     run_protocol_dense,
 )
-from .cli import corpus_path, main
 from .protocol import (
     Diagnostic,
     ParseError,
@@ -63,15 +63,23 @@ from .tableau import (
 
 __version__ = "0.1.0"
 
-# The dense oracle needs numpy, so its names are imported on first use.
-_DENSE_NAMES = ("ZeroProbabilityError", "density_from_branches", "pauli_expect_dense", "run_dense")
+# The dense oracle needs numpy, and the command line argparse and json, so
+# their names are imported on first use.
+_LAZY_NAMES = {
+    "ZeroProbabilityError": "dense",
+    "corpus_path": "cli",
+    "density_from_branches": "dense",
+    "main": "cli",
+    "pauli_expect_dense": "dense",
+    "run_dense": "dense",
+}
 
 
 def __getattr__(name: str):
-    if name in _DENSE_NAMES:
-        from . import dense
+    if name in _LAZY_NAMES:
+        from importlib import import_module
 
-        return getattr(dense, name)
+        return getattr(import_module(f".{_LAZY_NAMES[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

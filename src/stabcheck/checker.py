@@ -333,10 +333,7 @@ def run_protocol(ast: ProtocolAST, input_prep: BasisCircuit) -> list[BranchOutco
     order is deterministic.  Probabilities are exact powers of 1/2 and sum
     to exactly 1.
     """
-    return _run(lower(ast), input_prep)
-
-
-def _run(program: Program, input_prep: BasisCircuit) -> list[BranchOutcome]:
+    program = lower(ast)
     n, prep = program.n_wires, _prep_gates(program, input_prep)
     return [
         BranchOutcome(

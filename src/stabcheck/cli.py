@@ -148,14 +148,15 @@ def _cmd_check(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_sim(args) -> tuple[int, dict, list[str]]:
-    ast, program = _load_protocol(args.path)
+    ast, _ = _load_protocol(args.path)
     try:
         element = basis_mod.parse_element_spec(args.input, ast.n_in)
     except ValueError as exc:
         raise UserError(str(exc)) from None
     circuit = basis_mod.circuit_for(element)
     try:
-        branches = checker._run(program, circuit)
+        # The AST keeps the Program that loading it lowered.
+        branches = checker.run_protocol(ast, circuit)
     except checker.BranchLimitError as exc:
         raise UserError(f"sim on {ast.name}: {exc}") from None
 

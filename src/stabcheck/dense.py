@@ -14,6 +14,8 @@ import it on first use, for the oracle on a Program and for --verify.
 from __future__ import annotations
 
 import math
+from bisect import bisect
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,8 +25,9 @@ from .tableau import _DIGIT, PauliString
 
 TOL = 1e-9
 # The dense oracle holds every branch's state vector for a chunk of inputs:
-# 2^(wires + measurements) amplitudes per input, at most this many in all,
-# 16 MB at this limit.
+# at most 2^(wires + measurements) amplitudes per input, a bound the walk,
+# which drops measured wires, stays under; chunks keep that bound under this
+# many in all, 16 MB at this limit.
 DENSE_LIMIT = 2 ** 20
 
 _GATE_1Q = {
@@ -48,9 +51,32 @@ class DenseLimitError(ValueError):
         )
 
 
+def _read_only_below(width: int):
+    """A cache for a function of (n, *qubits) that returns a read-only
+    index array, kept for n up to width: a wider one costs no more to build
+    than the gate it serves, and would hold megabytes."""
+
+    def wrap(build):
+        kept = lru_cache(maxsize=None)(build)
+        return lambda n, *qubits: kept(n, *qubits) if n <= width else build(n, *qubits)
+
+    return wrap
+
+
+@_read_only_below(12)
 def _bit(n: int, q: int) -> np.ndarray:
     """Qubit q's bit of each amplitude index 0 .. 2^n - 1."""
-    return (np.arange(1 << n) >> (n - 1 - q)) & 1
+    bits = (np.arange(1 << n) >> (n - 1 - q)) & 1
+    bits.flags.writeable = False
+    return bits
+
+
+@_read_only_below(12)
+def _cnot_index(n: int, c: int, t: int) -> np.ndarray:
+    """The amplitude each amplitude index takes under CNOT c, t."""
+    index = np.arange(1 << n) ^ (_bit(n, c) << (n - 1 - t))
+    index.flags.writeable = False
+    return index
 
 
 def zero_state(n: int) -> np.ndarray:
@@ -69,7 +95,7 @@ def _apply_1q(state: np.ndarray, n: int, q: int, mat: np.ndarray) -> np.ndarray:
 
 
 def _apply_cnot(state: np.ndarray, n: int, c: int, t: int) -> np.ndarray:
-    return state[..., np.arange(1 << n) ^ (_bit(n, c) << (n - 1 - t))]
+    return state[..., _cnot_index(n, c, t)]
 
 
 def apply_gate_dense(state: np.ndarray, n: int, gate: str, *qubits: int) -> np.ndarray:
@@ -229,17 +255,21 @@ def pauli_expect_state(state: np.ndarray, obs: PauliString) -> float:
 # arbitrary input states; it validates, never decides.
 
 
-def _run_dense(program: Program, states: np.ndarray) -> np.ndarray:
+def _run_dense(program: Program, states: np.ndarray, wires=None) -> np.ndarray:
     """Every branch of every input-wire state in a stack (B, 2^n_in), put on
-    all wires with the others |0>, as one array (branches, B, 2^n_wires).
+    all wires with the others |0>, as one array (branches, B, 2^k) over the k
+    wires _held at the end, in wire order: those in wires (by default the
+    outputs) and each wire whose last op is not its measurement.
 
     One walk serves the whole stack: each gate is one call on the last axis.
     A measurement forks each branch into its projections on outcomes 0 and
     1, in that order, with no renormalization, so a branch's squared norm is
-    its probability and a branch of probability zero is all zeros.  Breadth
-    first, branch i's outcomes are the binary digits of i, which lists the
-    branches in depth-first order.  An if acts on the branches whose bit is
-    set.
+    its probability and a branch of probability zero is all zeros.  The
+    measured wire's axis then goes: the branch is |b> on it, b its bit, and
+    the wire comes back as |b> only when a later op, or wires, needs it.
+    Breadth first, branch i's outcomes are the binary digits of i, which
+    lists the branches in depth-first order.  An if acts on the branches
+    whose bit is set.
     """
     n = program.n_wires
     _dense_log_size(program)
@@ -247,25 +277,57 @@ def _run_dense(program: Program, states: np.ndarray) -> np.ndarray:
     # Input j's bit of a column of states is wire inputs[j]'s bit of the amplitude.
     live[0][:, sum(_bit(len(program.inputs), j) << (n - 1 - w) for j, w in enumerate(program.inputs))] = states
     bits = np.zeros((1, len(program.cbits)), dtype=bool)
+    held = list(range(n))  # the wires of live's last axis, in order
+    dropped = {}  # each measured wire that is not held: the bit that holds its value
+
+    def at(*ws: int) -> list[int]:
+        """The wires' places in held, each dropped one first put back as |b>."""
+        nonlocal live
+        for w in ws:
+            if w in dropped:
+                p, b = bisect(held, w), bits[:, dropped.pop(w), None, None, None, None]
+                psi = live.reshape(live.shape[:2] + (1 << p, 1, 1 << (len(held) - p)))
+                live = np.concatenate((psi * ~b, psi * b), axis=3).reshape(live.shape[:2] + (2 << len(held),))
+                held.insert(p, w)
+        return [held.index(w) for w in ws]
+
     for op in program.ops:
         if op[0] == "u":
             for gate in op[1]:
-                live = apply_gate_dense(live, n, *gate)
+                places = at(*gate[1:])
+                live = apply_gate_dense(live, len(held), gate[0], *places)
         elif op[0] == "if":
+            places = at(*op[3])
             # live is the walk's own array here: a measurement wrote the bit.
             chosen = bits[:, op[1]]
-            live[chosen] = apply_gate_dense(live[chosen], n, op[2], *op[3])
+            live[chosen] = apply_gate_dense(live[chosen], len(held), op[2], *places)
         else:
-            outcome = _bit(n, op[1]) == np.array([[0], [1]])
-            live = (live[:, None] * outcome[:, None]).reshape((-1,) + live.shape[1:])
+            (p,) = at(op[1])
+            psi = live.reshape(live.shape[:2] + (1 << p, 2, 1 << (len(held) - 1 - p)))
+            live = psi.transpose(0, 3, 1, 2, 4).reshape((-1, live.shape[1], 1 << (len(held) - 1)))
+            del held[p]
+            dropped[op[1]] = op[2]
             bits = np.repeat(bits, 2, axis=0)
             bits[1::2, op[2]] = True
+    at(*(program.outputs if wires is None else wires))
     return live
 
 
+def _held(program: Program) -> list[int]:
+    """The wires _run_dense holds at the end, in order: the outputs, and
+    each wire whose last op is not its measurement."""
+    measured_last = {}
+    for op in program.ops:
+        if op[0] == "m":
+            measured_last[op[1]] = True
+        else:
+            measured_last.update(dict.fromkeys(op[3] if op[0] == "if" else [w for g in op[1] for w in g[1:]], False))
+    return [w for w in range(program.n_wires) if w in program.outputs or not measured_last.get(w)]
+
+
 def _dense_log_size(program: Program) -> int:
-    """log2 of the amplitudes one input's branches take, 2^(wires +
-    measurements); past DENSE_LIMIT, DenseLimitError."""
+    """log2 of a bound on the amplitudes one input's branches take, 2^(wires
+    + measurements); past DENSE_LIMIT, DenseLimitError."""
     log_size = program.n_wires + program.denominator.bit_length() - 1
     if 1 << log_size > DENSE_LIMIT:
         raise DenseLimitError(log_size)
@@ -277,7 +339,7 @@ def _branches(program: Program, input_state) -> list[tuple[float, np.ndarray]]:
     input_state = np.asarray(input_state, dtype=complex)
     if input_state.shape != (1 << len(program.inputs),):
         raise ValueError("input state dimension does not match the input arity")
-    branches = _run_dense(program, input_state[None])[:, 0]
+    branches = _run_dense(program, input_state[None], range(program.n_wires))[:, 0]
     probs = np.sum(np.abs(branches) ** 2, axis=1)
     return [(float(p), state / np.sqrt(p)) for p, state in zip(probs, branches) if p >= 1e-12]
 
@@ -289,11 +351,12 @@ def _fingerprint_dense(program: Program) -> np.ndarray:
     gives its row of expectations."""
     # At least 1, since _dense_log_size checks that one input fits.
     chunk = DENSE_LIMIT >> _dense_log_size(program)
-    n_in = len(program.inputs)
+    n_in, held = len(program.inputs), _held(program)
+    keep = [held.index(w) for w in program.outputs]
     rows = []
     for start in range(0, 4 ** n_in, chunk):
         elements = [basis_element(n_in, k) for k in range(start, min(start + chunk, 4 ** n_in))]
-        rows.append(pauli_expectations(mixed_density(_run_dense(program, element_states(elements)), program.outputs)))
+        rows.append(pauli_expectations(mixed_density(_run_dense(program, element_states(elements)), keep)))
     table = np.concatenate(rows)
     # Column 0 is the expectation of the identity: each input's total probability.
     worst = table[np.abs(table[:, 0] - 1.0).argmax(), 0]

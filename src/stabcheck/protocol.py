@@ -26,15 +26,17 @@ keeps every expressible protocol inside the efficiently checkable fragment.
 
 Each line is lexed by one regex, except where a statement may start.  There a
 run of whole body lines (each one gate, measure or if statement) is matched a
-line at a time by a second regex, to one token, and a whole declaration or
-output line by a third, to one token carrying its QubitDecl or CbitDecl, or
-its output Idents.  The run stays one compact entry in the parsed body until
-ProtocolAST.body is first read, which builds its nodes.
+line at a time by a second regex, to one token, and so is a run of whole
+qubit and cbit lines by a third; a whole output line is one token carrying
+its output Idents.  A run stays one compact entry in the parsed AST until
+ProtocolAST.body, .qubits or .cbits is first read, which builds its nodes;
+so does a declaration lexed token by token, kept as its name token and init.
+parse checks a declaration run for duplicates by its names alone.
 _checked, the one pass behind validate and lower, lowers a compact entry from
 its names and builds a line's node only when that line has a diagnostic, so a
-parse-check-lower path builds no statement node for it.  That pass runs once
-per AST: the AST is frozen, so _checked keeps its diagnostics and Program in
-the AST's __dict__, as the body property keeps the built body there.
+parse-check-lower path builds no statement or declaration node for it.  That
+pass runs once per AST: the AST is frozen, so _checked keeps its diagnostics
+and Program in the AST's __dict__, as the lazy fields keep their nodes there.
 """
 
 from __future__ import annotations
@@ -105,8 +107,8 @@ class ParseError(Exception):
         self.diagnostic = Diagnostic("error", message, span)
 
 
-# The lexer builds one of these per whole declaration line and per output
-# name, so each fills __dict__ directly, as SourceSpan does.
+# The lexer builds one of these per output name, so it fills __dict__
+# directly, as SourceSpan does.
 @dataclass(frozen=True, init=False)
 class Ident:
     name: str
@@ -117,25 +119,17 @@ class Ident:
         d["name"], d["span"] = name, span
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class QubitDecl:
     name: str
     init: str  # "input" | "zero"
     span: SourceSpan = field(compare=False)
 
-    def __init__(self, name: str, init: str, span: SourceSpan) -> None:
-        d = self.__dict__
-        d["name"], d["init"], d["span"] = name, init, span
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class CbitDecl:
     name: str
     span: SourceSpan = field(compare=False)
-
-    def __init__(self, name: str, span: SourceSpan) -> None:
-        d = self.__dict__
-        d["name"], d["span"] = name, span
 
 
 @dataclass(frozen=True)
@@ -163,10 +157,38 @@ class IfGateStmt:
 Statement = GateStmt | MeasureStmt | IfGateStmt
 
 
-class _CompactBody(tuple):
+class _Compact(tuple):
+    """A ProtocolAST field as parse stores it, until it is first read."""
+
+
+class _CompactBody(_Compact):
     """A parsed body: each run of whole body lines is still one compact entry
     (line, texts, items): its first line number, its line texts and each
     line's _BODY_LINE_RE item; every other statement is its node."""
+
+    def built(self, field: str) -> tuple[Statement, ...]:
+        return tuple(node for s in self for node in (_nodes(s) if type(s) is tuple else (s,)))
+
+
+class _CompactDecls(_Compact):
+    """Parsed declarations, one value for both fields, qubits and cbits, in
+    source order: each run of whole qubit and cbit lines is one compact entry
+    (line, texts, items), each item the line's _DECL_LINE_RE groups (qubit,
+    init, cbit, None); a declaration lexed token by token is (its name
+    token, its init, or None for a cbit)."""
+
+    def built(self, field: str) -> tuple[QubitDecl, ...] | tuple[CbitDecl, ...]:
+        qubit = field == "qubits"
+        nodes = []
+        for entry in self:
+            if len(entry) == 2:
+                tok, init = entry
+                if (init is not None) is qubit:
+                    nodes.append(QubitDecl(tok[1], init, _span(tok)) if qubit else CbitDecl(tok[1], _span(tok)))
+            else:
+                line, texts, items = entry
+                nodes += [_decl(line + k, texts[k]) for k, item in enumerate(items) if (item[1] is not None) is qubit]
+        return tuple(nodes)
 
 
 def _node(lineno: int, text: str) -> Statement:
@@ -193,37 +215,68 @@ def _nodes(run: tuple) -> list[Statement]:
     return [_node(lineno, text) for lineno, text in enumerate(texts, line)]
 
 
-class _LazyBody:
-    """The body property of ProtocolAST: a compact body becomes its tuple of
-    statements when first read.  A body of any other type is returned as it
-    is, so a caller gets back what it passed."""
+def _decl(lineno: int, text: str) -> QubitDecl | CbitDecl:
+    """A whole qubit or cbit line's node, with the span parse gives it, found
+    again by matching the line."""
+    match = _DECL_LINE_RE.fullmatch(text)
+    if match[1] is None:
+        return CbitDecl(match[3], SourceSpan(lineno, match.start(3) + 1, match.end(3) + 1))
+    return QubitDecl(match[1], match[2], SourceSpan(lineno, match.start(1) + 1, match.end(1) + 1))
 
-    @property
-    def body(self) -> tuple[Statement, ...]:
+
+def _declared(ast: ProtocolAST, field: str) -> list[tuple[str, str | None]]:
+    """The (name, init) of each of the AST's qubits or cbits (field), init
+    None for a cbit, read from compact entries without building a node."""
+    stored = ast.__dict__[field]
+    qubit = field == "qubits"
+    if type(stored) is not _CompactDecls:
+        return [(decl.name, decl.init if qubit else None) for decl in stored]
+    pairs = []
+    for entry in stored:
+        if len(entry) == 2:
+            if (entry[1] is not None) is qubit:
+                pairs.append((entry[0][1], entry[1]))
+        else:
+            pairs += [(q or c, init) for q, init, c, _ in entry[2] if (init is not None) is qubit]
+    return pairs
+
+
+def _lazy(field: str) -> property:
+    """A field of ProtocolAST that parse stores compact: read, it becomes its
+    tuple of nodes, kept in the AST's __dict__.  A value of any other type is
+    returned as it is, so a caller gets back what it passed."""
+
+    def read(self) -> tuple:
         d = self.__dict__
-        body = d["body"]
-        if type(body) is _CompactBody:
-            body = d["body"] = tuple(node for s in body for node in (_nodes(s) if type(s) is tuple else (s,)))
-        return body
+        value = d[field]
+        if isinstance(value, _Compact):
+            value = d[field] = value.built(field)
+        return value
 
-    @body.setter
-    def body(self, body: tuple[Statement, ...]) -> None:
+    def write(self, value: tuple) -> None:
         # Reached only by the frozen dataclass's __init__, through object.__setattr__.
-        self.__dict__["body"] = body
+        self.__dict__[field] = value
+
+    return property(read, write)
+
+
+class _LazyFields:
+    qubits, cbits, body = map(_lazy, ("qubits", "cbits", "body"))
 
 
 @dataclass(frozen=True)
-class ProtocolAST(_LazyBody):
+class ProtocolAST(_LazyFields):
+    # field() on each lazy field, so _LazyFields' property is not its default.
     name: str
-    qubits: tuple[QubitDecl, ...]
-    cbits: tuple[CbitDecl, ...]
-    body: tuple[Statement, ...] = field()  # so _LazyBody's property is not its default
+    qubits: tuple[QubitDecl, ...] = field()
+    cbits: tuple[CbitDecl, ...] = field()
+    body: tuple[Statement, ...] = field()
     outputs: tuple[Ident, ...]
     span: SourceSpan = field(compare=False)
 
     @property
     def input_names(self) -> tuple[str, ...]:
-        return tuple(q.name for q in self.qubits if q.init == "input")
+        return tuple(name for name, init in _declared(self, "qubits") if init == "input")
 
     @property
     def n_in(self) -> int:
@@ -235,11 +288,11 @@ class ProtocolAST(_LazyBody):
 
 
 # A token is a plain (kind, text, line, col) tuple; kind is "name", "punct",
-# "arrow" or, for the last token only, "eof".  A run of whole body lines
-# becomes one 5-tuple: its first word's token plus the run's compact entry.
-# So does a whole declaration or output line, carrying its QubitDecl or
-# CbitDecl, or its tuple of output Idents; its word, "qubit", "cbit" or
-# "output", tells it from a run.
+# "arrow" or, for the last token only, "eof".  A run of whole body lines, or
+# of whole qubit and cbit lines, becomes one 5-tuple: its first word's token
+# plus the run's compact entry.  So does a whole output line, carrying its
+# tuple of output Idents.  Its word, "qubit", "cbit" or "output", tells a
+# declaration token from a body run.
 _Token = tuple[str, str, int, int] | tuple[str, str, int, int, tuple]
 
 
@@ -256,36 +309,42 @@ def _tokenize(source: str) -> list[_Token]:
         # token where it takes a plain name; elsewhere it raises its first
         # word's own error.
         if not tokens or tokens[-1][1] in (";", "{") or len(tokens[-1]) == 5:
+            # A run takes the lines of its kind after it.  The line that ends
+            # it may start the next run or be an output line, else it is
+            # lexed below; line is None once it is taken.
             decl = decl_line(line)
-            whole = not decl and body_line(line)
-            if whole:
-                cbit, gate = whole.group(1, 2)
-                start, col, items = lineno, len(line) - len(line.lstrip(" \t")) + 1, [whole.groups()]
-                # The run takes the body lines after it; the line that ends it
-                # may be a declaration or output line, else it is lexed below.
-                for lineno, line in numbered:
-                    whole = body_line(line)
-                    if not whole:
-                        break
-                    items.append(whole.groups())
-                word = "measure" if gate is None else "if" if cbit else gate
-                append(("name", word, start, col, (start, lines[start - 1 : start - 1 + len(items)], items)))
-                if whole:  # the run ends the source
+            while line is not None:
+                if not decl and not (whole := body_line(line)):
                     break
-                decl = decl_line(line)
-            if decl:
-                qubit, init, cbit, names = decl.groups()
-                col = len(line) - len(line.lstrip(" \t")) + 1
-                if names is not None:
+                start, col = lineno, len(line) - len(line.lstrip(" \t")) + 1
+                if decl and decl[4] is not None:  # a whole output line
                     outputs = _NAME_RE.finditer(line, *decl.regs[4])
                     outputs = tuple([Ident(m[0], SourceSpan(lineno, m.start() + 1, m.end() + 1)) for m in outputs])
                     append(("name", "output", lineno, col, outputs))
-                elif qubit is not None:
-                    span = SourceSpan(lineno, decl.regs[1][0] + 1, decl.regs[1][1] + 1)
-                    append(("name", "qubit", lineno, col, QubitDecl(qubit, init, span)))
+                    line = None
+                    continue
+                if decl:
+                    word, items = "qubit" if decl[2] else "cbit", [decl.groups()]
+                    for lineno, line in numbered:
+                        decl = decl_line(line)
+                        if not decl or decl[4] is not None:
+                            break
+                        items.append(decl.groups())
+                    else:  # the run ends the source
+                        line = None
                 else:
-                    span = SourceSpan(lineno, decl.regs[3][0] + 1, decl.regs[3][1] + 1)
-                    append(("name", "cbit", lineno, col, CbitDecl(cbit, span)))
+                    cbit, gate = whole.group(1, 2)
+                    word, items = "measure" if gate is None else "if" if cbit else gate, [whole.groups()]
+                    for lineno, line in numbered:
+                        whole = body_line(line)
+                        if not whole:
+                            decl = decl_line(line)
+                            break
+                        items.append(whole.groups())
+                    else:
+                        line = None
+                append(("name", word, start, col, (start, lines[start - 1 : start - 1 + len(items)], items)))
+            if line is None:
                 continue
         for match in _TOKEN_RE.finditer(line):
             kind = match.lastgroup
@@ -337,15 +396,16 @@ def parse(source: str) -> ProtocolAST:
     i = 3
 
     declared: set[str] = set()
-    qubits: list[QubitDecl] = []
-    cbits: list[CbitDecl] = []
+    decls: list[tuple] = []
     while tokens[i][1] in ("qubit", "cbit"):
-        if len(tokens[i]) == 5:  # a whole declaration line, its node built by _tokenize
-            node = tokens[i][4]
-            if node.name in declared:
-                raise ParseError(f"duplicate declaration of {node.name!r}", node.span)
-            declared.add(node.name)
-            (qubits if tokens[i][1] == "qubit" else cbits).append(node)
+        if len(tokens[i]) == 5:  # a run of whole qubit and cbit lines
+            run = tokens[i][4]
+            names = [qubit or cbit for qubit, _, cbit, _ in run[2]]
+            if len(set(names)) < len(names) or not declared.isdisjoint(names):
+                k = next(k for k, name in enumerate(names) if name in declared or name in names[:k])
+                raise ParseError(f"duplicate declaration of {names[k]!r}", _decl(run[0] + k, run[1][k]).span)
+            declared.update(names)
+            decls.append(run)
             i += 1
             continue
         decl = tokens[i + 1]
@@ -359,10 +419,10 @@ def parse(source: str) -> ProtocolAST:
             _expect(init, "name", what="'input' or 'zero'")
             if init[1] not in ("input", "zero"):
                 raise ParseError("qubit initializer must be 'input' or 'zero'", _span(init))
-            qubits.append(QubitDecl(name, init[1], _span(decl)))
+            decls.append((decl, init[1]))
             i += 2
         else:
-            cbits.append(CbitDecl(name, _span(decl)))
+            decls.append((decl, None))
         _expect(tokens[i + 2], "punct", ";")
         i += 3
 
@@ -430,10 +490,11 @@ def parse(source: str) -> ProtocolAST:
     trailing = tokens[i + 2]
     if trailing[0] != "eof":
         raise ParseError(f"unexpected {trailing[1]!r} after protocol body", _span(trailing))
+    decls = _CompactDecls(decls)
     return ProtocolAST(
         name=name_tok[1],
-        qubits=tuple(qubits),
-        cbits=tuple(cbits),
+        qubits=decls,
+        cbits=decls,
         body=_CompactBody(body),
         outputs=tuple(outputs),
         span=_span(name_tok),
@@ -481,10 +542,12 @@ def _pass(ast: ProtocolAST) -> tuple[tuple[Diagnostic, ...], Program | None]:
     one bit table; a name missing from them lowers to None, which an error
     discards with the rest.  A compact run lowers each clean line from its
     names; a line with a diagnostic builds its node, whose diagnostics are its own.
+    Declarations parse stored compact are read by name and init alone.
     """
     diags: list[Diagnostic] = []
-    wire = {q.name: i for i, q in enumerate(ast.qubits)}
-    bit = {c.name: i for i, c in enumerate(ast.cbits)}
+    qubits = _declared(ast, "qubits")
+    wire = {name: i for i, (name, _) in enumerate(qubits)}
+    bit = {name: i for i, (name, _) in enumerate(_declared(ast, "cbits"))}
 
     def error(message: str, span: SourceSpan) -> None:
         diags.append(Diagnostic("error", message, span))
@@ -492,23 +555,26 @@ def _pass(ast: ProtocolAST) -> tuple[tuple[Diagnostic, ...], Program | None]:
     def warning(message: str, span: SourceSpan) -> None:
         diags.append(Diagnostic("warning", message, span))
 
-    if ast.n_in == 0:
+    inputs = [wire.get(name) for name, init in qubits if init == "input"]
+    if not inputs:
         error("protocol declares no input qubits", ast.span)
     if not ast.outputs:
         error("empty output set", ast.span)
 
-    # parse rejects these, but a caller may build the declarations.
-    declared: set[str] = set()
-    for decl in (*ast.qubits, *ast.cbits):
-        if decl.name in declared:
-            error(f"duplicate declaration of {decl.name!r}", decl.span)
-        declared.add(decl.name)
-        if decl.name in KEYWORDS:
-            error(f"{decl.name!r} is a reserved word", decl.span)
-        elif not (decl.name.isascii() and decl.name.isidentifier()):
-            error(f"{decl.name!r} is not a name", decl.span)
-        if isinstance(decl, QubitDecl) and decl.init not in ("input", "zero"):
-            error("qubit initializer must be 'input' or 'zero'", decl.span)
+    # parse rejects these, so only declarations it did not store are checked.
+    d = ast.__dict__
+    if type(d["qubits"]) is not _CompactDecls or type(d["cbits"]) is not _CompactDecls:
+        declared: set[str] = set()
+        for decl in (*ast.qubits, *ast.cbits):
+            if decl.name in declared:
+                error(f"duplicate declaration of {decl.name!r}", decl.span)
+            declared.add(decl.name)
+            if decl.name in KEYWORDS:
+                error(f"{decl.name!r} is a reserved word", decl.span)
+            elif not (decl.name.isascii() and decl.name.isidentifier()):
+                error(f"{decl.name!r} is not a name", decl.span)
+            if isinstance(decl, QubitDecl) and decl.init not in ("input", "zero"):
+                error("qubit initializer must be 'input' or 'zero'", decl.span)
 
     def check_gate_args(stmt: GateStmt | IfGateStmt) -> None:
         gate, args = stmt.gate, stmt.args
@@ -590,7 +656,8 @@ def _pass(ast: ProtocolAST) -> tuple[tuple[Diagnostic, ...], Program | None]:
                     continue
             statement(_node(line + k, texts[k]))
 
-    for cb in ast.cbits:
+    # A cbit's node only for its diagnostic.
+    for cb in () if written.issuperset(bit) and read.issuperset(bit) else ast.cbits:
         if cb.name not in written:
             error(f"classical bit {cb.name!r} is never written by a measurement", cb.span)
         elif cb.name not in read:
@@ -608,7 +675,7 @@ def _pass(ast: ProtocolAST) -> tuple[tuple[Diagnostic, ...], Program | None]:
         return tuple(diags), None
     return tuple(diags), Program(
         n_wires=len(wire),
-        inputs=tuple(wire[name] for name in ast.input_names),
+        inputs=tuple(inputs),
         outputs=tuple(wire[out.name] for out in ast.outputs),
         cbits=tuple(bit),
         ops=tuple(("u", tuple(op[1])) if op[0] == "u" else op for op in ops),

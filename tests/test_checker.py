@@ -610,10 +610,10 @@ class TestTeleportedCircuits:
         rng = random.Random(3101)
         for _ in range(30):
             n = rng.randint(2, 3)
-            # Each gadget multiplies the dense oracle's amplitudes by 16, so 3
-            # wires take at most 2 gadgets: with 3 the test takes 1.7 s, not 0.4 s.
+            # The dense oracle drops each measured wire, so a gadget widens
+            # its branches only while the gadget runs.
             plain = clifford_source(rng, n, rng.randint(4, 12))
-            source = teleported(plain, rng, rng.randint(1, 5 - n))
+            source = teleported(plain, rng, rng.randint(1, 3))
             ast = parse(source)
             assert check_equivalence(ast, parse(plain)).equivalent, source
             exact = np.array([[float(v) for v in row] for row in fingerprint(ast).table])

@@ -267,19 +267,22 @@ class TestCheck:
         ids=["check", "check-verify", "check-identity", "sim"],
     )
     def test_each_side_is_validated_at_most_once_and_lowered_once(self, capsys, monkeypatch, argv, sides):
-        # validate, lower and the CLI's loading all run the one pass, _checked.
+        # validate, lower and the CLI's loading all run the one pass, _pass,
+        # through _checked, which keeps it on the AST.
         passes = []
-        checked = protocol._checked
+        run_pass = protocol._pass
 
         def counted(ast):
             passes.append(ast.name)
-            return checked(ast)
+            return run_pass(ast)
 
-        for module in (protocol, cli_mod):
-            monkeypatch.setattr(module, "_checked", counted)
+        monkeypatch.setattr(protocol, "_pass", counted)
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert sorted(passes) == sorted(sides)
+        assert len(passes) == len(set(passes)) and set(passes) <= set(sides)
+        # A side read from a file is a fresh parse, so its pass runs here;
+        # identity_1's AST is kept for the process and may have run it before.
+        assert set(sides) - {"identity_1"} <= set(passes)
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["check"]) == 2

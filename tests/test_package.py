@@ -7,6 +7,7 @@ import os
 import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,8 @@ PUBLIC_NAMES = [
 
 # The dense oracle's names, which need numpy and so are imported on first use.
 DENSE_NAMES = ["ZeroProbabilityError", "density_from_branches", "pauli_expect_dense", "run_dense"]
+# The command line's names, which need argparse and json, imported on first use too.
+CLI_NAMES = ["corpus_path", "main"]
 
 
 def test_all_is_the_frozen_list():
@@ -75,26 +78,43 @@ def test_all_is_the_frozen_list():
 
 
 def test_every_public_name_resolves_and_the_dense_ones_lazily():
-    assert [name for name in PUBLIC_NAMES if name not in vars(stabcheck)] == DENSE_NAMES
+    lazy = sorted(DENSE_NAMES + CLI_NAMES, key=PUBLIC_NAMES.index)
+    assert [name for name in PUBLIC_NAMES if name not in vars(stabcheck)] == lazy
     for name in PUBLIC_NAMES:
         assert hasattr(stabcheck, name), name
-    from stabcheck import dense
+    from stabcheck import cli, dense
 
-    for name in DENSE_NAMES:
-        assert getattr(stabcheck, name) is getattr(dense, name)
-        # Resolved through the module's __getattr__ each time, never cached.
-        assert name not in vars(stabcheck)
+    for module, names in ((dense, DENSE_NAMES), (cli, CLI_NAMES)):
+        for name in names:
+            assert getattr(stabcheck, name) is getattr(module, name)
+            # Resolved through the module's __getattr__ each time, never cached.
+            assert name not in vars(stabcheck)
+
+
+def test_import_loads_no_cli_and_no_numpy():
+    """In a fresh interpreter, import stabcheck leaves the command line, its
+    argparse and json, and the dense oracle with numpy unloaded."""
+    src = Path(stabcheck.__file__).resolve().parent.parent
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import stabcheck; print(*sorted(sys.modules))"
+    done = subprocess.run([sys.executable, "-I", "-B", "-c", code, str(src)], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.split()
+    assert "stabcheck.checker" in loaded
+    assert [name for name in ("argparse", "json", "numpy", "stabcheck.cli", "stabcheck.dense") if name in loaded] == []
 
 
 def test_only_protocol_knows_the_compact_body():
-    """The parsed body's compact gate runs are read by protocol.py alone."""
+    """The parsed body's compact gate runs, and the parsed declarations'
+    compact entries, are read by protocol.py alone."""
     from stabcheck import checker
 
-    assert {"GateStmt", "IfGateStmt", "MeasureStmt", "_stored_body"}.isdisjoint(vars(checker))
+    assert {"GateStmt", "IfGateStmt", "MeasureStmt", "QubitDecl", "CbitDecl", "_stored_body", "_declared"}.isdisjoint(vars(checker))
+    compact = ("_stored_body", "_CompactBody", "_nodes", '__dict__["body"]')
+    compact += ("_CompactDecls", "_declared", "_decl(", '__dict__["qubits"]', '__dict__["cbits"]')
     for path in sorted(Path(stabcheck.__file__).parent.glob("*.py")):
         if path.name != "protocol.py":
             text = path.read_text(encoding="utf-8")
-            assert [name for name in ("_stored_body", "_CompactBody", "_nodes", '__dict__["body"]') if name in text] == [], path.name
+            assert [name for name in compact if name in text] == [], path.name
 
 
 def test_only_their_owners_write_the_kept_results():

@@ -24,6 +24,7 @@ from stabcheck.protocol import (
     SourceSpan,
     _checked,
     _CompactBody,
+    _CompactDecls,
     _nodes,
     _stored_body,
     _tokenize,
@@ -525,20 +526,31 @@ def _whole_lines(source: str, words: tuple[str, ...]) -> list[int]:
     return [lineno for lineno, text in lines if text.count(";") == 1 and text.split()[0] in words]
 
 
+def _line_runs(source: str, words: tuple[str, ...]) -> list[list[int]]:
+    """The line numbers of each maximal run of whole lines starting with one of words."""
+    runs = groupby(enumerate(_whole_lines(source, words)), lambda item: item[1] - item[0])
+    return [[n for _, n in run] for _, run in runs]
+
+
 def _body_line_runs(source: str) -> list[list[int]]:
     """The line numbers of each maximal run of whole body lines."""
-    runs = groupby(enumerate(_whole_lines(source, (*GATE_NAMES, "measure", "if"))), lambda item: item[1] - item[0])
-    return [[n for _, n in run] for _, run in runs]
+    return _line_runs(source, (*GATE_NAMES, "measure", "if"))
 
 
 _DECL_WORDS = ("qubit", "cbit", "output")
 
 
+def _built_decls(entry: tuple) -> tuple:
+    """A compact declaration run's QubitDecls, then its CbitDecls."""
+    decls = _CompactDecls((entry,))
+    return decls.built("qubits") + decls.built("cbits")
+
+
 class TestGateLineToken:
     """A maximal run of lines each holding one whole gate, measure or if
     statement, starting where a statement may start, is lexed to one token
-    carrying its compact entry.  So is each whole declaration or output line
-    there, carrying its QubitDecl or CbitDecl, or its output Idents."""
+    carrying its compact entry.  So is a run of whole qubit and cbit lines
+    there, and each whole output line is one token carrying its output Idents."""
 
     def test_a_pretty_printed_gate_line_is_one_token(self):
         for ast in (parse(teleport_source(3)), parse(_circuit_source(random.Random(5), "c"))):
@@ -553,21 +565,26 @@ class TestGateLineToken:
             assert len(_stored_body(parse(source))) == 1
             # Its payload, once built, is the body, spans included.
             assert tuple(_with_spans(node) for node in _nodes(runs[0][4])) == _with_spans(want.body)
-            # Each declaration line and the output line is one token, whose
-            # payload is its node or the outputs, spans included.
-            lines = [tok for tok in tokens if len(tok) == 5 and tok[1] in _DECL_WORDS]
-            assert [tok[2] for tok in lines] == _whole_lines(source, _DECL_WORDS)
-            assert [_with_spans(tok[4]) for tok in lines] == [*map(_with_spans, want.qubits + want.cbits), _with_spans(want.outputs)]
+            # The declaration lines are one run, and the output line one token;
+            # their payloads, once built, are the declarations and the
+            # outputs, spans included.
+            decls, output = [tok for tok in tokens if len(tok) == 5 and tok[1] in _DECL_WORDS]
+            count = len(want.qubits + want.cbits)
+            assert _line_runs(source, _DECL_WORDS[:2]) == [list(range(2, 2 + count))]
+            assert (decls[2], len(decls[4][2])) == (2, count)
+            assert _with_spans(_built_decls(decls[4])) == _with_spans(want.qubits + want.cbits)
+            assert (output[1], output[2]) == ("output", _whole_lines(source, ("output",))[0])
+            assert _with_spans(output[4]) == _with_spans(want.outputs)
             # Only the first and the last line, "}", are lexed token by token.
             assert {tok[2] for tok in tokens if len(tok) == 4} == {1, len(source.splitlines())}
 
     def test_the_token_count_is_one_per_run_plus_the_tokens_outside_runs(self):
-        # Counted, not timed: a lexer that expanded runs or whole declaration
-        # or output lines again fails here.
+        # Counted, not timed: a lexer that expanded runs of body or declaration
+        # lines, or whole output lines, again fails here.
         sources = (_circuit_source(random.Random(150), "c", gates=150), teleport_source(3), FIXED_LAYOUTS[-2])
         for source in sources + (pretty_print(parse(teleport_source(3))),):
-            runs = _body_line_runs(source)
-            lines = _whole_lines(source, _DECL_WORDS)
+            runs = _body_line_runs(source) + _line_runs(source, _DECL_WORDS[:2])
+            lines = _whole_lines(source, ("output",))
             outside = [tok for tok in reference_tokenize(source) if tok.span.line not in set().union(lines, *runs)]
             assert len(_tokenize(source)) == len(outside) + len(runs) + len(lines)
             assert runs and lines and len(outside) < len(reference_tokenize(source)) / 4
@@ -585,9 +602,10 @@ class TestGateLineToken:
         source = "  H a;\n  measure a -> m;\n\n  if m then X a;\n  cbit k;\n  H a; H b;\n  X a;\n  H b;"
         tokens = [(tok[1], tok[2], tok[3], len(tok)) for tok in _tokenize(source)]
         # A blank line, a declaration and a line of two statements end a run.
-        # The declaration line that ends one is a token of its own, carrying its node.
+        # The declaration line that ends one is a run of its own, whose
+        # payload builds its node.
         assert [tok for tok in tokens if tok[3] == 5] == [("H", 1, 3, 5), ("if", 4, 3, 5), ("cbit", 5, 3, 5), ("X", 7, 3, 5)]
-        assert [_with_spans(tok[4]) for tok in _tokenize(source) if tok[2] == 5] == [_with_spans(CbitDecl("k", SourceSpan(5, 8, 9)))]
+        assert [_with_spans(_built_decls(tok[4])) for tok in _tokenize(source) if tok[2] == 5] == [_with_spans((CbitDecl("k", SourceSpan(5, 8, 9)),))]
         assert [tok[:3] for tok in tokens if tok[1] == 6] == [("H", 6, 3), ("a", 6, 5), (";", 6, 6), ("H", 6, 8), ("b", 6, 10), (";", 6, 11)]
         assert len(_tokenize(source)[-2][4][2]) == 2 and tokens[-1][0] == ""
 
@@ -892,6 +910,80 @@ def test_a_parse_builds_an_ident_per_name_outside_gate_lines(monkeypatch):
         body = ast.body
         assert sorted(built) == sorted(name for stmt in body for name in _names(stmt))
     assert len(built) > 100
+
+
+def _decls_unread(ast: ProtocolAST) -> bool:
+    """Whether both declaration fields are still the one compact value parse stored."""
+    stored = ast.__dict__["qubits"]
+    return type(stored) is _CompactDecls and ast.__dict__["cbits"] is stored
+
+
+def test_a_check_builds_no_declaration_node(monkeypatch, tmp_path, capsys):
+    """Parse, check and lower read each qubit and cbit declaration, on a
+    whole line or lexed token by token, by its name and init: none of them
+    builds a QubitDecl or CbitDecl until the AST's declarations are read."""
+    source = teleport_source(3)
+    want = reference_parse(source)
+    built = []
+    for cls in (QubitDecl, CbitDecl):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, init=cls.__init__, **kwargs: built.append(type(self)) or init(self, *args, **kwargs))
+    path = tmp_path / "teleport_3.qpr"
+    path.write_text(source, encoding="utf-8")
+    ast = parse(source)
+    assert check_equivalence(ast, builtin_identity(3)).equivalent
+    assert (ast.n_in, ast.input_names, validate(ast), lower(ast).inputs) == (3, ("psi0", "psi1", "psi2"), [], (0, 1, 2))
+    assert cli.main(["check", "--json", str(path), "--identity", "3"]) == 0
+    capsys.readouterr()
+    assert built == [] and _decls_unread(ast)
+    # A later read builds the reference parser's nodes, spans included.
+    assert _with_spans(ast.qubits) == _with_spans(want.qubits) and built == [QubitDecl] * 9
+    assert _with_spans(ast.cbits) == _with_spans(want.cbits) and built[9:] == [CbitDecl] * 6
+
+
+# Whole qubit and cbit lines mixed with lines of several declarations.
+_MIXED_DECLS = (
+    "protocol p {\n  qubit a: input;\n  cbit m0; cbit f0;\n  qubit b: zero;\n  cbit k;\n"
+    "  qubit c: zero; qubit d: input;\n  cbit j;\n  qubit e: input;\n"
+    "  measure b -> m0;\n  measure c -> f0;\n  H b;\n  measure b -> k;\n  measure c -> j;\n"
+    "  if m0 then X a;\n  if f0 then X d;\n  if k then Z e;\n  if j then Y a;\n  output e, a, d;\n}\n"
+)
+
+
+def test_declaration_order_is_kept_across_whole_and_token_lines():
+    ast = parse(_MIXED_DECLS)
+    assert ast.input_names == ("a", "d", "e") and _decls_unread(ast)
+    program = lower(ast)
+    assert (program.inputs, program.outputs, program.cbits) == ((0, 3, 4), (4, 0, 3), ("m0", "f0", "k", "j"))
+    assert [q.name for q in ast.qubits] == ["a", "b", "c", "d", "e"]
+    assert [c.name for c in ast.cbits] == ["m0", "f0", "k", "j"]
+    assert _with_spans(ast) == _with_spans(reference_parse(_MIXED_DECLS))
+    assert_checked_as_reference(parse(_MIXED_DECLS))
+
+
+class TestLazyDecls:
+    """Parsed declarations stay compact until ast.qubits or ast.cbits is
+    read; such an AST behaves as one whose declarations were built by hand."""
+
+    SOURCES = TestLazyBody.SOURCES + [_MIXED_DECLS]
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_copies_replace_eq_and_hash_match_a_hand_built_ast(self, source):
+        want = reference_parse(source)
+        by_hand = ProtocolAST(want.name, tuple(want.qubits), tuple(want.cbits), tuple(want.body), tuple(want.outputs), want.span)
+        ast = parse(source)
+        copies = [pickle.loads(pickle.dumps(ast, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies.append(deepcopy(ast))
+        assert _decls_unread(ast) and all(map(_decls_unread, copies))
+        for copy in [ast, *copies]:
+            assert type(copy) is ProtocolAST and copy == by_hand and hash(copy) == hash(by_hand)
+            assert _with_spans(copy) == _with_spans(by_hand) and not _decls_unread(copy)
+        fresh = parse(source)
+        assert hash(fresh) == hash(by_hand) and repr(parse(source)) == repr(by_hand)
+        replaced = dataclasses.replace(parse(source))
+        assert _with_spans(replaced) == _with_spans(by_hand) and type(replaced.qubits) is type(replaced.cbits) is tuple
+        # A field given to replace is kept as given; the other is built.
+        moved = dataclasses.replace(parse(source), cbits=())
+        assert moved.cbits == () and _with_spans(moved.qubits) == _with_spans(by_hand.qubits)
 
 
 def _names(stmt):
